@@ -44,7 +44,6 @@ from .linalg import (
     validate_density,
 )
 from .measures import (
-    DualityQuantities,
     coherence_bound_mixed_detector,
     coherence_l1,
     coherence_normalized,

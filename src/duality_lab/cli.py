@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -32,22 +31,43 @@ from .duality import (
     run_campaign,
     sweep_overlap,
 )
-from .interference import MIN_GRID_POINTS, scan_visibility, symmetric_detectors
+from .interference import (
+    DEFAULT_GRID_POINTS,
+    MIN_GRID_POINTS,
+    _equal_amplitude_quanton,
+    _reduced_from_pure,
+    scan_visibility,
+    symmetric_detectors,
+)
 from .linalg import validate_density
 from .measures import coherence_normalized, distinguishability_pure
 from .random import (
-    haar_unitary,
     random_density,
-    random_density_matrix,
     random_detectors,
+    random_mixed_detector,
     random_pure,
     uniform_overlap_detectors,
 )
-from .states import MixedDetectorInteraction, MixedQuanton, PureQuanton, entangle_pure, reduce_quanton
+from .states import MixedQuanton, PureQuanton
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
+
+VERIFY_CSV_COLUMNS = (
+    "scenario",
+    "n",
+    "coherence",
+    "distinguishability",
+    "slack",
+    "visibility",
+    "duality_sum",
+    "slack_identity",
+    "coherence_bound_margin",
+    "psd_margin_min",
+    "passed",
+    "seed",
+)
 
 
 class ConfigError(ValueError):
@@ -137,23 +157,8 @@ def _write_text(output: str | None, text: str) -> None:
 
 
 def _report_csv(report: DualityReport, seed) -> str:
-    lines = ["scenario,n,coherence,distinguishability,slack,visibility,"
-             "duality_sum,slack_identity,coherence_bound_margin,psd_margin_min,passed,seed"]
-    cells = [
-        report.scenario,
-        str(report.n),
-        f"{report.coherence:.17g}",
-        f"{report.distinguishability:.17g}",
-        f"{report.slack:.17g}",
-        "" if report.visibility is None else f"{report.visibility:.17g}",
-    ]
-    for key in ("duality_sum", "slack_identity", "coherence_bound_margin", "psd_margin_min"):
-        value = report.relation_residuals.get(key)
-        cells.append("" if value is None else f"{value:.17g}")
-    cells.append("true" if report.passed else "false")
-    cells.append("" if seed is None else str(seed))
-    lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    cells = {**report.csv_cells(), "seed": "" if seed is None else str(seed)}
+    return ",".join(VERIFY_CSV_COLUMNS) + "\n" + ",".join(cells[c] for c in VERIFY_CSV_COLUMNS) + "\n"
 
 
 def _verify_instance(cfg: dict) -> DualityReport:
@@ -172,7 +177,7 @@ def _verify_instance(cfg: dict) -> DualityReport:
         if cfg.get("amplitudes") is not None:
             quanton = PureQuanton(amplitudes=_parse_amplitudes(cfg["amplitudes"]))
         elif gamma is not None:
-            quanton = PureQuanton(amplitudes=np.full(n, 1.0 / math.sqrt(n), dtype=complex))
+            quanton = _equal_amplitude_quanton(n)
         elif seed is not None:
             quanton = random_pure(n, seed)
         else:
@@ -188,12 +193,8 @@ def _verify_instance(cfg: dict) -> DualityReport:
     if seed is None:
         raise ConfigError("mixed_mixed needs --seed to draw the detector state and unitaries")
     quanton = _verify_mixed_quanton(cfg, n, rho)
-    rng = np.random.default_rng([int(seed), 1])
     dim = int(cfg.get("detector_dim") or quanton.n)
-    rank_d = int(rng.integers(1, dim, endpoint=True))
-    rho_d = random_density_matrix(dim, rank_d, rng)
-    unitaries = np.stack([haar_unitary(dim, rng) for _ in range(quanton.n)])
-    interaction = MixedDetectorInteraction(rho_d=rho_d, unitaries=unitaries)
+    interaction = random_mixed_detector(quanton.n, dim, np.random.default_rng([int(seed), 1]))
     return evaluate_mixed_detector(quanton, interaction, include_visibility=include_v)
 
 
@@ -249,14 +250,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     )
     prefix = cfg.get("output", "campaign")
     result.to_csv(f"{prefix}.csv")
-    with open(f"{prefix}.json", "w", encoding="utf-8", newline="") as fh:
-        fh.write(result.to_json() + "\n")
     aggregate = result.aggregate()
+    with open(f"{prefix}.json", "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(aggregate, indent=2) + "\n")
     print(
         f"{scenario}: {trials} trials, {aggregate['violations']} violations, "
         f"max duality sum {aggregate['max_duality_sum']:.3e} -> {prefix}.csv, {prefix}.json"
     )
-    return EXIT_OK if result.passed else EXIT_VIOLATION
+    return EXIT_OK if aggregate["passed"] else EXIT_VIOLATION
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -270,7 +271,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if cfg.get("seed") is not None:
             quanton = random_pure(n, int(cfg["seed"]))
         else:
-            quanton = PureQuanton(amplitudes=np.full(n, 1.0 / math.sqrt(n), dtype=complex))
+            quanton = _equal_amplitude_quanton(n)
     else:
         seed = _require(cfg, "seed", "--seed (to draw the mixed quanton)")
         rng = np.random.default_rng(int(seed))
@@ -292,13 +293,12 @@ def cmd_fringe(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     n = int(_require(cfg, "n", "--n"))
     gamma = float(_require(cfg, "gamma", "--gamma"))
-    grid_points = int(cfg.get("grid_points", 4096))
+    grid_points = int(cfg.get("grid_points", DEFAULT_GRID_POINTS))
     if grid_points < MIN_GRID_POINTS:
         raise ConfigError(f"--grid-points must be >= {MIN_GRID_POINTS}, got {grid_points}")
-    quanton = PureQuanton(amplitudes=np.full(n, 1.0 / math.sqrt(n), dtype=complex))
+    quanton = _equal_amplitude_quanton(n)
     detectors = symmetric_detectors(n, gamma)
-    psi = entangle_pure(quanton, detectors)
-    reduced = reduce_quanton(np.outer(psi, psi.conj()), n, detectors.dim)
+    reduced = _reduced_from_pure(quanton, detectors)
     scan = scan_visibility(reduced, grid_points)
     coherence = coherence_normalized(reduced.rho)
     dq = distinguishability_pure(quanton, detectors)

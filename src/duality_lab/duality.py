@@ -18,17 +18,15 @@ in numerical quality stay visible.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .interference import scan_visibility, symmetric_detectors
+from .interference import _reduced_from_pure, scan_visibility, symmetric_detectors
 from .linalg import principal_submatrix_margin, validate_density
 from .measures import (
-    DualityQuantities,
     coherence_bound_mixed_detector,
     coherence_normalized,
     distinguishability_mixed,
@@ -36,29 +34,19 @@ from .measures import (
     distinguishability_pure,
     mixed_duality_slack,
 )
-from .random import (
-    haar_unitary,
-    random_density,
-    random_density_matrix,
-    random_detectors,
-    random_pure,
-    stream,
-)
+from .random import random_density, random_detectors, random_mixed_detector, random_pure, stream
 from .states import (
     DetectorSet,
     MixedDetectorInteraction,
     MixedQuanton,
     PureQuanton,
     branch_overlaps,
-    entangle_pure,
-    reduce_quanton,
     reduce_quanton_mixed_detector,
 )
 
 TOLERANCE = 1e-9
 MARGIN_TOL = 1e-10
 SCENARIOS = ("pure_pure", "mixed_pure", "mixed_mixed")
-THREADS_ENV = "DUALITY_LAB_THREADS"
 
 CSV_COLUMNS = (
     "trial",
@@ -123,9 +111,60 @@ class DualityReport:
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
+    def csv_cells(self) -> dict[str, str]:
+        """CSV cells keyed by column name: floats with 17 significant
+        digits (they round-trip exactly), an empty cell for a visibility
+        or residual the report lacks, and passed as true/false."""
+        cells = {
+            "scenario": self.scenario,
+            "n": str(self.n),
+            "coherence": f"{self.coherence:.17g}",
+            "distinguishability": f"{self.distinguishability:.17g}",
+            "slack": f"{self.slack:.17g}",
+            "visibility": "" if self.visibility is None else f"{self.visibility:.17g}",
+        }
+        for key in ("duality_sum", "slack_identity", "coherence_bound_margin", "psd_margin_min"):
+            value = self.relation_residuals.get(key)
+            cells[key] = "" if value is None else f"{value:.17g}"
+        cells["passed"] = "true" if self.passed else "false"
+        return cells
 
-def _maybe_visibility(reduced: MixedQuanton, include: bool) -> float | None:
-    return scan_visibility(reduced).visibility if include else None
+
+def _report(scenario: str, reduced: MixedQuanton, coherence: float, dq: float, slack: float,
+            include_visibility: bool, tol: float, *, saturated: bool = False,
+            relations: dict[str, tuple[float, bool]] | None = None,
+            checks: dict[str, bool] | None = None) -> DualityReport:
+    """Shared tail of the evaluate_* functions.
+
+    Every scenario reports the signed duality sum C + D_Q - 1 (held to
+    |.| <= tol when the state saturates the duality, to <= tol otherwise)
+    and the PSD margin of its reduced state. `relations` adds the
+    scenario's own residuals with their verdicts and `checks` its
+    verdicts that carry no residual; the dict order is the report order.
+    """
+    for name, value in (("coherence", coherence), ("distinguishability", dq), ("slack", slack)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: {value!r}")
+    duality_sum = coherence + dq - 1.0
+    psd_margin = principal_submatrix_margin(reduced.rho.matrix)
+    residuals = {"duality_sum": duality_sum}
+    verdicts = {"duality_sum": (abs(duality_sum) if saturated else duality_sum) <= tol}
+    for key, (value, ok) in (relations or {}).items():
+        residuals[key] = value
+        verdicts[key] = ok
+    residuals["psd_margin_min"] = psd_margin
+    verdicts["psd_margin_min"] = psd_margin >= -MARGIN_TOL
+    verdicts.update(checks or {})
+    return DualityReport(
+        scenario=scenario,
+        n=reduced.n,
+        coherence=coherence,
+        distinguishability=dq,
+        slack=slack,
+        visibility=scan_visibility(reduced).visibility if include_visibility else None,
+        relation_residuals=residuals,
+        verdicts=verdicts,
+    )
 
 
 def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = False,
@@ -136,28 +175,10 @@ def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = Fal
     partial-trace pipeline, so the equality genuinely tests the numerics
     rather than an algebraic shortcut.
     """
-    psi = entangle_pure(q, d)
-    reduced = reduce_quanton(np.outer(psi, psi.conj()), q.n, d.dim)
+    reduced = _reduced_from_pure(q, d)
     coherence = coherence_normalized(reduced.rho)
     dq = distinguishability_pure(q, d)
-    quantities = DualityQuantities(n=q.n, coherence=coherence, distinguishability=dq, slack=0.0)
-    duality_sum = coherence + dq - 1.0
-    psd_margin = principal_submatrix_margin(reduced.rho.matrix)
-    residuals = {"duality_sum": duality_sum, "psd_margin_min": psd_margin}
-    verdicts = {
-        "duality_sum": abs(duality_sum) <= tol,
-        "psd_margin_min": psd_margin >= -MARGIN_TOL,
-    }
-    return DualityReport(
-        scenario="pure_pure",
-        n=q.n,
-        coherence=quantities.coherence,
-        distinguishability=quantities.distinguishability,
-        slack=quantities.slack,
-        visibility=_maybe_visibility(reduced, include_visibility),
-        relation_residuals=residuals,
-        verdicts=verdicts,
-    )
+    return _report("pure_pure", reduced, coherence, dq, 0.0, include_visibility, tol, saturated=True)
 
 
 def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = False,
@@ -173,31 +194,10 @@ def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = F
     coherence = coherence_normalized(reduced.rho)
     dq = distinguishability_mixed(q, d.gram)
     slack = mixed_duality_slack(q, d.gram)
-    quantities = DualityQuantities(n=q.n, coherence=coherence, distinguishability=dq, slack=slack)
-    duality_sum = coherence + dq - 1.0
     slack_identity = coherence + dq + slack - 1.0
-    psd_margin = principal_submatrix_margin(reduced.rho.matrix)
-    residuals = {
-        "duality_sum": duality_sum,
-        "slack_identity": slack_identity,
-        "psd_margin_min": psd_margin,
-    }
-    verdicts = {
-        "duality_sum": duality_sum <= tol,
-        "slack_identity": abs(slack_identity) <= tol,
-        "psd_margin_min": psd_margin >= -MARGIN_TOL,
-        "slack_nonnegative": slack >= -MARGIN_TOL,
-    }
-    return DualityReport(
-        scenario="mixed_pure",
-        n=q.n,
-        coherence=quantities.coherence,
-        distinguishability=quantities.distinguishability,
-        slack=quantities.slack,
-        visibility=_maybe_visibility(reduced, include_visibility),
-        relation_residuals=residuals,
-        verdicts=verdicts,
-    )
+    return _report("mixed_pure", reduced, coherence, dq, slack, include_visibility, tol,
+                   relations={"slack_identity": (slack_identity, abs(slack_identity) <= tol)},
+                   checks={"slack_nonnegative": slack >= -MARGIN_TOL})
 
 
 def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
@@ -213,31 +213,9 @@ def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
     branches = branch_overlaps(m)
     bound = coherence_bound_mixed_detector(q, branches)
     dq = distinguishability_mixed_detector(q, branches)
-    gap = 1.0 - coherence - dq
-    quantities = DualityQuantities(n=q.n, coherence=coherence, distinguishability=dq, slack=gap)
-    duality_sum = coherence + dq - 1.0
     bound_margin = bound - coherence
-    psd_margin = principal_submatrix_margin(reduced.rho.matrix)
-    residuals = {
-        "duality_sum": duality_sum,
-        "coherence_bound_margin": bound_margin,
-        "psd_margin_min": psd_margin,
-    }
-    verdicts = {
-        "duality_sum": duality_sum <= tol,
-        "coherence_bound_margin": bound_margin >= -MARGIN_TOL,
-        "psd_margin_min": psd_margin >= -MARGIN_TOL,
-    }
-    return DualityReport(
-        scenario="mixed_mixed",
-        n=q.n,
-        coherence=quantities.coherence,
-        distinguishability=quantities.distinguishability,
-        slack=quantities.slack,
-        visibility=_maybe_visibility(reduced, include_visibility),
-        relation_residuals=residuals,
-        verdicts=verdicts,
-    )
+    return _report("mixed_mixed", reduced, coherence, dq, 1.0 - coherence - dq, include_visibility, tol,
+                   relations={"coherence_bound_margin": (bound_margin, bound_margin >= -MARGIN_TOL)})
 
 
 def sweep_overlap(n: int, gammas: Sequence[float],
@@ -281,20 +259,8 @@ def _draw_report(scenario: str, rng: np.random.Generator, n_choices: Sequence[in
     if scenario == "mixed_mixed":
         r = rank if rank is not None else int(rng.integers(1, n, endpoint=True))
         quanton = random_density(n, r, rng)
-        rank_d = int(rng.integers(1, dim, endpoint=True))
-        rho_d = random_density_matrix(dim, rank_d, rng)
-        unitaries = np.stack([haar_unitary(dim, rng) for _ in range(n)])
-        interaction = MixedDetectorInteraction(rho_d=rho_d, unitaries=unitaries)
-        return evaluate_mixed_detector(quanton, interaction)
+        return evaluate_mixed_detector(quanton, random_mixed_detector(n, dim, rng))
     raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -315,15 +281,10 @@ class CampaignResult:
         return [i for i, r in enumerate(self.reports) if not r.passed]
 
     def aggregate(self) -> dict:
-        keys: list[str] = []
+        abs_residuals: dict[str, list[float]] = {}
         for r in self.reports:
-            for k in r.relation_residuals:
-                if k not in keys:
-                    keys.append(k)
-        max_abs = {k: max(abs(r.relation_residuals[k]) for r in self.reports
-                          if k in r.relation_residuals) for k in keys}
-        mean_abs = {k: float(np.mean([abs(r.relation_residuals[k]) for r in self.reports
-                                      if k in r.relation_residuals])) for k in keys}
+            for k, v in r.relation_residuals.items():
+                abs_residuals.setdefault(k, []).append(abs(v))
         violating = self.violations()
         out = {
             "scenario": self.scenario,
@@ -331,12 +292,12 @@ class CampaignResult:
             "seed": self.seed,
             "violations": len(violating),
             "violating_trials": violating[:16],
-            "max_abs_residuals": max_abs,
-            "mean_abs_residuals": mean_abs,
+            "max_abs_residuals": {k: max(v) for k, v in abs_residuals.items()},
+            "mean_abs_residuals": {k: float(np.mean(v)) for k, v in abs_residuals.items()},
             "max_duality_sum": max(r.relation_residuals["duality_sum"] for r in self.reports),
             "min_slack": min(r.slack for r in self.reports),
             "min_psd_margin": min(r.relation_residuals["psd_margin_min"] for r in self.reports),
-            "passed": self.passed,
+            "passed": not violating,
         }
         if self.scenario == "mixed_mixed":
             out["min_coherence_bound_margin"] = min(
@@ -354,21 +315,10 @@ class CampaignResult:
 
     def _write_csv(self, fh) -> None:
         fh.write(",".join(CSV_COLUMNS) + "\n")
+        seed = str(self.seed)
         for i, r in enumerate(self.reports):
-            cells = [
-                str(i),
-                str(self.seed),
-                r.scenario,
-                str(r.n),
-                f"{r.coherence:.17g}",
-                f"{r.distinguishability:.17g}",
-                f"{r.slack:.17g}",
-            ]
-            for key in ("duality_sum", "slack_identity", "coherence_bound_margin", "psd_margin_min"):
-                value = r.relation_residuals.get(key)
-                cells.append("" if value is None else f"{value:.17g}")
-            cells.append("true" if r.passed else "false")
-            fh.write(",".join(cells) + "\n")
+            cells = {"trial": str(i), "seed": seed, **r.csv_cells()}
+            fh.write(",".join(cells[c] for c in CSV_COLUMNS) + "\n")
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.aggregate(), indent=indent)
@@ -384,9 +334,7 @@ def run_campaign(scenario: str, trials: int, seed: int,
     depend on execution order and any trial can be replayed in
     isolation. `n` may be a single path count or a set to draw from;
     detector dimension defaults to a uniform draw over n..2n and Ginibre
-    rank over 1..n (detector-state rank over 1..dim). Honors the
-    DUALITY_LAB_THREADS environment variable for parallel evaluation;
-    the report order is fixed by trial index either way.
+    rank over 1..n (detector-state rank over 1..dim).
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
@@ -395,14 +343,6 @@ def run_campaign(scenario: str, trials: int, seed: int,
     n_choices = (n,) if isinstance(n, int) else tuple(int(v) for v in n)
     if not n_choices or any(v < 2 for v in n_choices):
         raise ValueError(f"path counts must all be >= 2, got {n_choices!r}")
-
-    def one(trial: int) -> DualityReport:
-        return _draw_report(scenario, stream(seed, trial), n_choices, detector_dim, rank)
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = tuple(pool.map(one, range(trials)))
-    else:
-        reports = tuple(one(t) for t in range(trials))
+    reports = tuple(_draw_report(scenario, stream(seed, trial), n_choices, detector_dim, rank)
+                    for trial in range(trials))
     return CampaignResult(scenario=scenario, trials=trials, seed=seed, reports=reports)

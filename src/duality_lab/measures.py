@@ -10,7 +10,6 @@ made anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,33 +21,14 @@ from .states import BranchOverlaps, DetectorSet, MixedQuanton, PureQuanton
 CLAMP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DualityQuantities:
-    """The scalar triple entering the duality relations."""
-
-    n: int
-    coherence: float
-    distinguishability: float
-    slack: float
-
-    def __post_init__(self):
-        for name in ("coherence", "distinguishability", "slack"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} is not finite: {v!r}")
-        if self.coherence < -CLAMP_TOL:
-            raise ValueError(f"coherence is negative: {self.coherence!r}")
-        if not -CLAMP_TOL <= self.distinguishability <= 1.0 + CLAMP_TOL:
-            raise ValueError(f"distinguishability outside [0, 1]: {self.distinguishability!r}")
-
-
 def _rho_matrix(rho) -> np.ndarray:
     m = rho.matrix if isinstance(rho, DensityMatrix) else rho
     return as_matrix(m)
 
 
 def _clamp_unit(x: float, what: str) -> float:
-    if x < -CLAMP_TOL or x > 1.0 + CLAMP_TOL:
+    # written so that NaN fails the test as well
+    if not -CLAMP_TOL <= x <= 1.0 + CLAMP_TOL:
         raise ValueError(f"{what} = {x!r} leaves [0, 1] by more than {CLAMP_TOL:.0e}")
     return float(min(1.0, max(0.0, x)))
 
@@ -79,6 +59,8 @@ def _checked_probs(probs, tol: float = DEFAULT_TOL) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.shape[0] < 2:
         raise ValueError("need at least two probabilities")
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"probabilities are not finite: {p!r}")
     if np.any(p < -tol):
         raise ValueError(f"negative probability {p.min()!r}")
     total = float(p.sum())

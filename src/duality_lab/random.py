@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .interference import uniform_overlap_gram
 from .linalg import DensityMatrix, gram_factor_vectors, validate_density
-from .states import DetectorSet, MixedQuanton, PureQuanton
+from .states import DetectorSet, MixedDetectorInteraction, MixedQuanton, PureQuanton
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
@@ -73,17 +74,26 @@ def uniform_overlap_detectors(n: int, gamma: float, dim: int, seed) -> DetectorS
     unitary; the rotation changes nothing measurable but exercises
     detectors that do not live in a coordinate subspace.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
+    gram = uniform_overlap_gram(n, gamma)
     if dim < n:
         raise ValueError(f"detector dimension {dim} cannot hold {n} states of this family")
     rng = _as_rng(seed)
-    gram = (1.0 - gamma) * np.eye(n) + gamma * np.ones((n, n))
     base = gram_factor_vectors(gram)
     embedded = np.zeros((n, dim), dtype=complex)
     embedded[:, :n] = base
     rotation = haar_unitary(dim, rng)
     return DetectorSet.from_vectors(embedded @ rotation.T)
+
+
+def random_mixed_detector(n: int, dim: int, seed) -> MixedDetectorInteraction:
+    """Mixed detector for n paths: a Ginibre detector state whose rank is
+    drawn uniformly from 1..dim, then n Haar-random path unitaries, drawn
+    in that order."""
+    rng = _as_rng(seed)
+    rank = int(rng.integers(1, dim, endpoint=True))
+    rho_d = random_density_matrix(dim, rank, rng)
+    unitaries = np.stack([haar_unitary(dim, rng) for _ in range(n)])
+    return MixedDetectorInteraction(rho_d=rho_d, unitaries=unitaries)
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:

@@ -227,15 +227,6 @@ def test_run_campaign_deterministic():
         assert ra.relation_residuals == rb.relation_residuals
 
 
-def test_run_campaign_threads_match_serial(monkeypatch):
-    serial = run_campaign("pure_pure", 30, 11, n=(2, 3))
-    monkeypatch.setenv("DUALITY_LAB_THREADS", "4")
-    threaded = run_campaign("pure_pure", 30, 11, n=(2, 3))
-    for ra, rb in zip(serial.reports, threaded.reports):
-        assert ra.coherence == rb.coherence
-        assert ra.relation_residuals == rb.relation_residuals
-
-
 def test_campaign_aggregate_and_csv(tmp_path):
     result = run_campaign("mixed_mixed", 25, 13, n=3)
     agg = result.aggregate()

@@ -5,7 +5,7 @@ import pytest
 
 from duality_lab.linalg import validate_density
 from duality_lab.measures import (
-    DualityQuantities,
+    _clamp_unit,
     coherence_bound_mixed_detector,
     coherence_l1,
     coherence_normalized,
@@ -285,9 +285,12 @@ def test_mixed_duality_slack_nonnegative():
         assert mixed_duality_slack(q, d.gram) >= -1e-12
 
 
-def test_duality_quantities_validation():
-    DualityQuantities(n=2, coherence=0.5, distinguishability=0.5, slack=0.0)
-    with pytest.raises(ValueError, match="outside"):
-        DualityQuantities(n=2, coherence=0.5, distinguishability=1.5, slack=0.0)
+def test_unit_interval_validation():
+    assert _clamp_unit(0.5, "distinguishability") == 0.5
+    assert uqsd_bound([0.5, 0.5], np.eye(2)) == 1.0
+    with pytest.raises(ValueError, match="leaves"):
+        _clamp_unit(1.5, "distinguishability")
+    with pytest.raises(ValueError, match="nan"):
+        _clamp_unit(float("nan"), "distinguishability")
     with pytest.raises(ValueError, match="finite"):
-        DualityQuantities(n=2, coherence=float("nan"), distinguishability=0.5, slack=0.0)
+        uqsd_bound([float("nan"), float("nan")], np.eye(2))
