@@ -68,6 +68,7 @@ VERIFY_CSV_COLUMNS = (
     "passed",
     "seed",
 )
+SWEEP_CSV_COLUMNS = ("gamma", "coherence", "distinguishability", "slack", "visibility")
 
 
 class ConfigError(ValueError):
@@ -97,7 +98,7 @@ def _parse_amplitudes(raw) -> np.ndarray:
 
 
 def _parse_rho(raw) -> np.ndarray:
-    if not isinstance(raw, list) or not raw:
+    if not isinstance(raw, list) or not raw or not all(isinstance(row, list) for row in raw):
         raise ConfigError("rho must be a non-empty nested list")
     return np.array([[_parse_complex(v) for v in row] for row in raw], dtype=complex)
 
@@ -107,6 +108,8 @@ def _parse_gammas(cfg) -> list[float]:
         raw = cfg["gammas"]
         if isinstance(raw, str):
             raw = [part for part in raw.split(",") if part.strip()]
+        if not all(type(v) in (int, float, str) for v in raw):
+            raise ConfigError(f"gammas must be numbers, got {raw!r}")
         values = [float(v) for v in raw]
     elif cfg.get("gamma_range") is not None:
         parts = str(cfg["gamma_range"]).split(":")
@@ -123,6 +126,19 @@ def _parse_gammas(cfg) -> list[float]:
     return values
 
 
+def _config_value(flag: argparse.Action, value):
+    """A config file value, checked against the type and choices its flag
+    declares, as if the flag had been given on the command line. The
+    free-text gammas and amplitudes may also be JSON lists."""
+    kind = flag.type or str
+    if kind is float and type(value) is int:
+        value = float(value)
+    ok = type(value) is kind or (flag.dest in ("gammas", "amplitudes") and isinstance(value, list))
+    if not ok or (flag.choices is not None and value not in flag.choices):
+        raise ConfigError(f"config key {flag.dest!r}: {value!r} does not fit {flag.option_strings[0]}")
+    return value
+
+
 def _merged_config(args: argparse.Namespace) -> dict:
     cfg: dict = {}
     path = getattr(args, "config", None)
@@ -134,9 +150,13 @@ def _merged_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a JSON object")
-        cfg.update(loaded)
+        flags = {action.dest: action for action in args.parser._actions}
+        for key, value in loaded.items():
+            # null means unset; keys that are no flag of this command (rho) pass as they are
+            if value is not None:
+                cfg[key] = _config_value(flags[key], value) if key in flags else value
     for key, value in vars(args).items():
-        if key in ("config", "handler") or value is None:
+        if key in ("config", "handler", "parser") or value is None:
             continue
         cfg[key] = value
     return cfg
@@ -163,12 +183,10 @@ def _report_csv(report: DualityReport, seed) -> str:
 
 def _verify_instance(cfg: dict) -> DualityReport:
     scenario = cfg.get("scenario", "pure_pure")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
     seed = cfg.get("seed")
     gamma = cfg.get("gamma")
     rho = _parse_rho(cfg["rho"]) if cfg.get("rho") is not None else None
-    n = int(cfg["n"]) if cfg.get("n") is not None else (rho.shape[0] if rho is not None else None)
+    n = cfg["n"] if cfg.get("n") is not None else (rho.shape[0] if rho is not None else None)
     if n is None:
         raise ConfigError("missing required option: --n (or a config rho)")
     include_v = n <= 3
@@ -193,8 +211,8 @@ def _verify_instance(cfg: dict) -> DualityReport:
     if seed is None:
         raise ConfigError("mixed_mixed needs --seed to draw the detector state and unitaries")
     quanton = _verify_mixed_quanton(cfg, n, rho)
-    dim = int(cfg.get("detector_dim") or quanton.n)
-    interaction = random_mixed_detector(quanton.n, dim, np.random.default_rng([int(seed), 1]))
+    dim = cfg.get("detector_dim") or quanton.n
+    interaction = random_mixed_detector(quanton.n, dim, np.random.default_rng([seed, 1]))
     return evaluate_mixed_detector(quanton, interaction, include_visibility=include_v)
 
 
@@ -205,19 +223,19 @@ def _verify_mixed_quanton(cfg: dict, n: int, rho) -> MixedQuanton:
     if seed is None:
         raise ConfigError("mixed scenarios need a config rho or --seed")
     # spawn key 0: the quanton; detectors use key 1 so the streams differ
-    rng = np.random.default_rng([int(seed), 0])
-    rank = int(cfg["rank"]) if cfg.get("rank") is not None else int(rng.integers(1, n, endpoint=True))
+    rng = np.random.default_rng([seed, 0])
+    rank = cfg["rank"] if cfg.get("rank") is not None else int(rng.integers(1, n, endpoint=True))
     return random_density(n, rank, rng)
 
 
 def _verify_detectors(cfg: dict, n: int):
     gamma = cfg.get("gamma")
-    dim = int(cfg.get("detector_dim") or n)
+    dim = cfg.get("detector_dim") or n
     if gamma is not None:
-        return uniform_overlap_detectors(n, float(gamma), dim, cfg.get("seed", 0) or 0)
+        return uniform_overlap_detectors(n, gamma, dim, cfg.get("seed", 0) or 0)
     if cfg.get("seed") is not None:
         # offset the stream so the detectors differ from the quanton draw
-        return random_detectors(n, dim, np.random.default_rng([int(cfg["seed"]), 1]))
+        return random_detectors(n, dim, np.random.default_rng([cfg["seed"], 1]))
     raise ConfigError("need --gamma or --seed to build detectors")
 
 
@@ -235,11 +253,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_campaign(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     scenario = _require(cfg, "scenario", "--scenario")
-    n = int(_require(cfg, "n", "--n"))
-    trials = int(_require(cfg, "trials", "--trials"))
-    seed = int(_require(cfg, "seed", "--seed (campaigns never use a silent entropy source)"))
-    if trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {trials}")
+    n = _require(cfg, "n", "--n")
+    trials = _require(cfg, "trials", "--trials")
+    seed = _require(cfg, "seed", "--seed (campaigns never use a silent entropy source)")
     result = run_campaign(
         scenario,
         trials,
@@ -262,38 +278,32 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
-    n = int(_require(cfg, "n", "--n"))
-    scenario = cfg.get("scenario", "pure_pure")
-    if scenario not in ("pure_pure", "mixed_pure"):
-        raise ConfigError("sweep supports the pure_pure and mixed_pure scenarios")
+    n = _require(cfg, "n", "--n")
     gammas = _parse_gammas(cfg)
-    if scenario == "pure_pure":
+    if cfg.get("scenario", "pure_pure") == "pure_pure":
         if cfg.get("seed") is not None:
-            quanton = random_pure(n, int(cfg["seed"]))
+            quanton = random_pure(n, cfg["seed"])
         else:
             quanton = _equal_amplitude_quanton(n)
     else:
         seed = _require(cfg, "seed", "--seed (to draw the mixed quanton)")
-        rng = np.random.default_rng(int(seed))
-        rank = int(cfg["rank"]) if cfg.get("rank") is not None else 2
+        rng = np.random.default_rng(seed)
+        rank = cfg["rank"] if cfg.get("rank") is not None else 2
         quanton = random_density(n, min(rank, n), rng)
     reports = sweep_overlap(n, gammas, quanton)
-    lines = ["gamma,coherence,distinguishability,slack,visibility"]
+    lines = [",".join(SWEEP_CSV_COLUMNS)]
     for gamma, report in zip(gammas, reports):
-        vis = "" if report.visibility is None else f"{report.visibility:.17g}"
-        lines.append(
-            f"{gamma:.17g},{report.coherence:.17g},{report.distinguishability:.17g},"
-            f"{report.slack:.17g},{vis}"
-        )
+        cells = {**report.csv_cells(), "gamma": f"{gamma:.17g}"}
+        lines.append(",".join(cells[c] for c in SWEEP_CSV_COLUMNS))
     _write_text(cfg.get("output"), "\n".join(lines) + "\n")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
 
 
 def cmd_fringe(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
-    n = int(_require(cfg, "n", "--n"))
-    gamma = float(_require(cfg, "gamma", "--gamma"))
-    grid_points = int(cfg.get("grid_points", DEFAULT_GRID_POINTS))
+    n = _require(cfg, "n", "--n")
+    gamma = _require(cfg, "gamma", "--gamma")
+    grid_points = cfg.get("grid_points", DEFAULT_GRID_POINTS)
     if grid_points < MIN_GRID_POINTS:
         raise ConfigError(f"--grid-points must be >= {MIN_GRID_POINTS}, got {grid_points}")
     quanton = _equal_amplitude_quanton(n)
@@ -321,43 +331,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler, seed=True):
         p.add_argument("--config", help="JSON config file; explicit flags win over its values")
         p.add_argument("--n", type=int, help="number of paths/slits")
-        p.add_argument("--seed", type=int, help="root seed (PCG64)")
+        if seed:
+            p.add_argument("--seed", type=int, help="root seed (PCG64)")
         p.add_argument("--output", help="output path (default: stdout, campaigns: file prefix)")
+        # the subparser rides along so that config values are checked against its flags
+        p.set_defaults(handler=handler, parser=p)
 
     p = sub.add_parser("verify", help="evaluate one configuration")
-    common(p)
+    common(p, cmd_verify)
     p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--gamma", type=float, help="uniform pairwise detector overlap in [0, 1]")
     p.add_argument("--amplitudes", help="comma-separated path amplitudes (normalized for you)")
     p.add_argument("--rank", type=int, help="Ginibre rank of the mixed quanton")
     p.add_argument("--detector-dim", dest="detector_dim", type=int)
     p.add_argument("--format", choices=("json", "csv"))
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("campaign", help="run seeded random trials")
-    common(p)
+    common(p, cmd_campaign)
     p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--trials", type=int)
     p.add_argument("--rank", type=int)
     p.add_argument("--detector-dim", dest="detector_dim", type=int)
-    p.set_defaults(handler=cmd_campaign)
 
     p = sub.add_parser("sweep", help="walk the uniform-overlap family over a gamma grid")
-    common(p)
+    common(p, cmd_sweep)
     p.add_argument("--scenario", choices=("pure_pure", "mixed_pure"))
     p.add_argument("--gammas", help="comma-separated gamma values, ascending")
     p.add_argument("--gamma-range", dest="gamma_range", help="start:stop:count, e.g. 0:1:11")
     p.add_argument("--rank", type=int)
-    p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("fringe", help="emit one intensity pattern as CSV")
-    common(p)
+    common(p, cmd_fringe, seed=False)
     p.add_argument("--gamma", type=float)
     p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.set_defaults(handler=cmd_fringe)
 
     return parser
 

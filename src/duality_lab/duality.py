@@ -108,8 +108,8 @@ class DualityReport:
             "passed": bool(self.passed),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def csv_cells(self) -> dict[str, str]:
         """CSV cells keyed by column name: floats with 17 significant
@@ -131,14 +131,14 @@ class DualityReport:
 
 
 def _report(scenario: str, reduced: MixedQuanton, coherence: float, dq: float, slack: float,
-            include_visibility: bool, tol: float, *, saturated: bool = False,
+            include_visibility: bool, *, saturated: bool = False,
             relations: dict[str, tuple[float, bool]] | None = None,
             checks: dict[str, bool] | None = None) -> DualityReport:
     """Shared tail of the evaluate_* functions.
 
     Every scenario reports the signed duality sum C + D_Q - 1 (held to
-    |.| <= tol when the state saturates the duality, to <= tol otherwise)
-    and the PSD margin of its reduced state. `relations` adds the
+    |.| <= TOLERANCE when the state saturates the duality, to <= TOLERANCE
+    otherwise) and the PSD margin of its reduced state. `relations` adds the
     scenario's own residuals with their verdicts and `checks` its
     verdicts that carry no residual; the dict order is the report order.
     """
@@ -146,9 +146,9 @@ def _report(scenario: str, reduced: MixedQuanton, coherence: float, dq: float, s
         if not math.isfinite(value):
             raise ValueError(f"{name} is not finite: {value!r}")
     duality_sum = coherence + dq - 1.0
-    psd_margin = principal_submatrix_margin(reduced.rho.matrix)
+    psd_margin = principal_submatrix_margin(reduced.rho)
     residuals = {"duality_sum": duality_sum}
-    verdicts = {"duality_sum": (abs(duality_sum) if saturated else duality_sum) <= tol}
+    verdicts = {"duality_sum": (abs(duality_sum) if saturated else duality_sum) <= TOLERANCE}
     for key, (value, ok) in (relations or {}).items():
         residuals[key] = value
         verdicts[key] = ok
@@ -167,8 +167,7 @@ def _report(scenario: str, reduced: MixedQuanton, coherence: float, dq: float, s
     )
 
 
-def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = False,
-                  tol: float = TOLERANCE) -> DualityReport:
+def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = False) -> DualityReport:
     """Entangle, trace the detector out, and check C + D_Q = 1.
 
     Coherence is read off the reduced state produced by the actual
@@ -178,11 +177,10 @@ def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = Fal
     reduced = _reduced_from_pure(q, d)
     coherence = coherence_normalized(reduced.rho)
     dq = distinguishability_pure(q, d)
-    return _report("pure_pure", reduced, coherence, dq, 0.0, include_visibility, tol, saturated=True)
+    return _report("pure_pure", reduced, coherence, dq, 0.0, include_visibility, saturated=True)
 
 
-def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = False,
-                   tol: float = TOLERANCE) -> DualityReport:
+def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = False) -> DualityReport:
     """Mixed quanton, pure detectors: slack identity plus duality inequality.
 
     The reduced state is rho_ij <d_j|d_i> entrywise; C, D_Q, and the
@@ -195,14 +193,13 @@ def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = F
     dq = distinguishability_mixed(q, d.gram)
     slack = mixed_duality_slack(q, d.gram)
     slack_identity = coherence + dq + slack - 1.0
-    return _report("mixed_pure", reduced, coherence, dq, slack, include_visibility, tol,
-                   relations={"slack_identity": (slack_identity, abs(slack_identity) <= tol)},
+    return _report("mixed_pure", reduced, coherence, dq, slack, include_visibility,
+                   relations={"slack_identity": (slack_identity, abs(slack_identity) <= TOLERANCE)},
                    checks={"slack_nonnegative": slack >= -MARGIN_TOL})
 
 
 def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
-                            include_visibility: bool = False,
-                            tol: float = TOLERANCE) -> DualityReport:
+                            include_visibility: bool = False) -> DualityReport:
     """Mixed quanton and mixed detector: the most general duality.
 
     Checks that the reduced coherence stays below its branch-averaged
@@ -214,7 +211,7 @@ def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
     bound = coherence_bound_mixed_detector(q, branches)
     dq = distinguishability_mixed_detector(q, branches)
     bound_margin = bound - coherence
-    return _report("mixed_mixed", reduced, coherence, dq, 1.0 - coherence - dq, include_visibility, tol,
+    return _report("mixed_mixed", reduced, coherence, dq, 1.0 - coherence - dq, include_visibility,
                    relations={"coherence_bound_margin": (bound_margin, bound_margin >= -MARGIN_TOL)})
 
 
@@ -319,9 +316,6 @@ class CampaignResult:
         for i, r in enumerate(self.reports):
             cells = {"trial": str(i), "seed": seed, **r.csv_cells()}
             fh.write(",".join(cells[c] for c in CSV_COLUMNS) + "\n")
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.aggregate(), indent=indent)
 
 
 def run_campaign(scenario: str, trials: int, seed: int,

@@ -126,7 +126,7 @@ def uniform_overlap_gram(n: int, gamma: float) -> np.ndarray:
 
 def symmetric_detectors(n: int, gamma: float) -> DetectorSet:
     """Deterministic n-state detector set with all pairwise overlaps gamma."""
-    return DetectorSet.from_vectors(gram_factor_vectors(uniform_overlap_gram(n, gamma)))
+    return DetectorSet(gram_factor_vectors(uniform_overlap_gram(n, gamma)))
 
 
 def _equal_amplitude_quanton(n: int) -> PureQuanton:

@@ -39,7 +39,9 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite 2-D complex array."""
+    """Coerce to a finite 2-D complex array; a DensityMatrix, checked when built, passes as is."""
+    if isinstance(m, DensityMatrix):
+        return m.matrix
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
@@ -59,7 +61,8 @@ def as_vector(v) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -120,13 +123,13 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def validate_density(m) -> DensityMatrix:
     """Check that `m` is a density matrix and wrap it.
 
     Accepts iff the Hermiticity deviation, the unit-trace deviation, and
-    the most negative eigenvalue are all within `tol`. Eigenvalues in
-    [-tol, 0) are clamped to zero and the matrix renormalized to unit
-    trace, which keeps downstream square roots of populations real.
+    the most negative eigenvalue are all within DEFAULT_TOL. Eigenvalues in
+    [-DEFAULT_TOL, 0) are clamped to zero and the matrix renormalized to
+    unit trace, which keeps downstream square roots of populations real.
 
     Raises NotHermitianError, NotUnitTraceError, or NotPSDError naming
     the measured violation.
@@ -135,15 +138,15 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> DensityMatrix:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {m.shape}")
     herm_dev = max_abs(m - dagger(m))
-    if herm_dev > tol:
-        raise NotHermitianError(f"Hermiticity deviation {herm_dev:.3e} exceeds tolerance {tol:.1e}")
+    if herm_dev > DEFAULT_TOL:
+        raise NotHermitianError(f"Hermiticity deviation {herm_dev:.3e} exceeds {DEFAULT_TOL:.1e}")
     trace_dev = abs(m.trace() - 1.0)
-    if trace_dev > tol:
-        raise NotUnitTraceError(f"trace deviates from 1 by {trace_dev:.3e}, tolerance {tol:.1e}")
+    if trace_dev > DEFAULT_TOL:
+        raise NotUnitTraceError(f"trace deviates from 1 by {trace_dev:.3e}, over {DEFAULT_TOL:.1e}")
     h = (m + dagger(m)) / 2.0
     vals = np.linalg.eigvalsh(h)
-    if vals[0] < -tol:
-        raise NotPSDError(f"minimum eigenvalue {vals[0]:.3e} below -{tol:.1e}")
+    if vals[0] < -DEFAULT_TOL:
+        raise NotPSDError(f"minimum eigenvalue {vals[0]:.3e} below -{DEFAULT_TOL:.1e}")
     if vals[0] < 0.0:
         vals_all, vecs = np.linalg.eigh(h)
         clamped = np.clip(vals_all, 0.0, None)
@@ -181,7 +184,7 @@ def principal_submatrix_margin(m) -> float:
     return float(margins.min())
 
 
-def gram_factor_vectors(gram, tol: float = DEFAULT_TOL) -> np.ndarray:
+def gram_factor_vectors(gram) -> np.ndarray:
     """Row vectors v_0 .. v_{n-1} with <v_i|v_j> equal to gram[i, j].
 
     Factorizes through the eigendecomposition so PSD-singular Gram
@@ -191,11 +194,11 @@ def gram_factor_vectors(gram, tol: float = DEFAULT_TOL) -> np.ndarray:
     if g.shape[0] != g.shape[1]:
         raise ValueError("Gram matrix must be square")
     herm_dev = max_abs(g - dagger(g))
-    if herm_dev > tol:
-        raise NotHermitianError(f"Gram Hermiticity deviation {herm_dev:.3e} exceeds {tol:.1e}")
+    if herm_dev > DEFAULT_TOL:
+        raise NotHermitianError(f"Gram Hermiticity deviation {herm_dev:.3e} over {DEFAULT_TOL:.1e}")
     vals, vecs = np.linalg.eigh((g + dagger(g)) / 2.0)
-    if vals[0] < -tol:
-        raise NotPSDError(f"Gram minimum eigenvalue {vals[0]:.3e} below -{tol:.1e}")
+    if vals[0] < -DEFAULT_TOL:
+        raise NotPSDError(f"Gram minimum eigenvalue {vals[0]:.3e} below -{DEFAULT_TOL:.1e}")
     factors = vecs * np.sqrt(np.clip(vals, 0.0, None))
     # rows of conj(L) have <v_i|v_j> = (L L^dag)_ij = gram_ij
     return factors.conj()

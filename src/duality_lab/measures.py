@@ -13,17 +13,12 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DensityMatrix, as_matrix
+from .linalg import DEFAULT_TOL, as_matrix
 from .states import BranchOverlaps, DetectorSet, MixedQuanton, PureQuanton
 
 #: numerical-dust window: results may poke out of [0, 1] by at most this
 #: much before clamping turns into an error
 CLAMP_TOL = 1e-9
-
-
-def _rho_matrix(rho) -> np.ndarray:
-    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
-    return as_matrix(m)
 
 
 def _clamp_unit(x: float, what: str) -> float:
@@ -35,17 +30,16 @@ def _clamp_unit(x: float, what: str) -> float:
 
 def coherence_l1(rho) -> float:
     """Sum of absolute values of the off-diagonal entries."""
-    m = np.abs(_rho_matrix(rho))
+    m = np.abs(as_matrix(rho))
     return float(m.sum() - m.trace())
 
 
 def coherence_normalized(rho) -> float:
     """l1 coherence divided by n - 1, lying in [0, 1] for density matrices."""
-    m = _rho_matrix(rho)
-    n = m.shape[0]
+    n = as_matrix(rho).shape[0]
     if n < 2:
         raise ValueError("normalized coherence needs dimension >= 2")
-    return _clamp_unit(coherence_l1(m) / (n - 1), "normalized coherence")
+    return _clamp_unit(coherence_l1(rho) / (n - 1), "normalized coherence")
 
 
 def _cross_sum(probs: np.ndarray, abs_gram: np.ndarray) -> float:
@@ -55,16 +49,16 @@ def _cross_sum(probs: np.ndarray, abs_gram: np.ndarray) -> float:
     return float(weighted.sum() - weighted.trace())
 
 
-def _checked_probs(probs, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _checked_probs(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.shape[0] < 2:
         raise ValueError("need at least two probabilities")
     if not np.all(np.isfinite(p)):
         raise ValueError(f"probabilities are not finite: {p!r}")
-    if np.any(p < -tol):
+    if np.any(p < -DEFAULT_TOL):
         raise ValueError(f"negative probability {p.min()!r}")
     total = float(p.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > DEFAULT_TOL:
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
     return p
 
@@ -99,10 +93,7 @@ def distinguishability_pure(q: PureQuanton, d: DetectorSet) -> float:
 
 def distinguishability_mixed(q: MixedQuanton, gram) -> float:
     """Path distinguishability for a mixed quanton, p_i = rho_ii."""
-    g = as_matrix(gram)
-    if g.shape != (q.n, q.n):
-        raise ValueError(f"Gram shape {g.shape} does not match {q.n} paths")
-    return uqsd_bound(q.path_probabilities(), g)
+    return uqsd_bound(q.path_probabilities(), gram)
 
 
 def distinguishability_mixed_detector(q: MixedQuanton, b: BranchOverlaps) -> float:

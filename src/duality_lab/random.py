@@ -63,7 +63,7 @@ def random_detectors(n: int, dim: int, seed) -> DetectorSet:
     rng = _as_rng(seed)
     vecs = _complex_normal(rng, (n, dim))
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-    return DetectorSet.from_vectors(vecs)
+    return DetectorSet(vecs)
 
 
 def uniform_overlap_detectors(n: int, gamma: float, dim: int, seed) -> DetectorSet:
@@ -82,7 +82,7 @@ def uniform_overlap_detectors(n: int, gamma: float, dim: int, seed) -> DetectorS
     embedded = np.zeros((n, dim), dtype=complex)
     embedded[:, :n] = base
     rotation = haar_unitary(dim, rng)
-    return DetectorSet.from_vectors(embedded @ rotation.T)
+    return DetectorSet(embedded @ rotation.T)
 
 
 def random_mixed_detector(n: int, dim: int, seed) -> MixedDetectorInteraction:

@@ -9,7 +9,7 @@ the Gram matrix G[i, j] = <d_i|d_j>, conjugate-linear in the first slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,11 +17,9 @@ from .linalg import (
     DEFAULT_TOL,
     MAX_COMPOSITE_DIM,
     DensityMatrix,
-    as_matrix,
     as_vector,
     dagger,
     frozen,
-    max_abs,
     partial_trace_second,
     spectral_decompose,
     validate_density,
@@ -79,10 +77,14 @@ class MixedQuanton:
 
 @dataclass(frozen=True)
 class DetectorSet:
-    """n normalized detector vectors together with their Gram matrix."""
+    """n normalized detector vectors, rows of an (n, dim) array.
+
+    The Gram matrix gram[i, j] = <d_i|d_j> is derived, not passed in: it
+    is computed once from the validated vectors and stored read-only.
+    """
 
     vectors: np.ndarray
-    gram: np.ndarray
+    gram: np.ndarray = field(init=False)
 
     def __post_init__(self):
         vecs = np.asarray(self.vectors, dtype=complex)
@@ -94,17 +96,8 @@ class DetectorSet:
         worst = float(np.max(np.abs(norms - 1.0)))
         if worst > DEFAULT_TOL:
             raise ValueError(f"detector vectors not normalized, worst deviation {worst:.3e}")
-        g = as_matrix(self.gram)
-        dev = max_abs(g - vecs.conj() @ vecs.T)
-        if dev > DEFAULT_TOL:
-            raise ValueError(f"Gram matrix inconsistent with vectors, deviation {dev:.3e}")
         object.__setattr__(self, "vectors", frozen(vecs))
-        object.__setattr__(self, "gram", frozen(g))
-
-    @classmethod
-    def from_vectors(cls, vectors) -> "DetectorSet":
-        vecs = np.asarray(vectors, dtype=complex)
-        return cls(vectors=vecs, gram=vecs.conj() @ vecs.T)
+        object.__setattr__(self, "gram", frozen(vecs.conj() @ vecs.T))
 
     @property
     def n(self) -> int:
@@ -130,11 +123,11 @@ class MixedDetectorInteraction:
             raise ValueError(
                 f"unitary dimension {us.shape[1]} does not match detector dimension {self.rho_d.dim}"
             )
-        eye = np.eye(us.shape[1])
-        for i, u in enumerate(us):
-            dev = max_abs(dagger(u) @ u - eye)
-            if dev > DEFAULT_TOL:
-                raise ValueError(f"U_{i} is not unitary, deviation {dev:.3e}")
+        devs = np.abs(dagger(us) @ us - np.eye(us.shape[1])).max(axis=(1, 2))
+        failing = np.flatnonzero(~(devs <= DEFAULT_TOL))  # NaN fails as well
+        if failing.size:
+            i = failing[0]
+            raise ValueError(f"U_{i} is not unitary, deviation {devs[i]:.3e}")
         object.__setattr__(self, "unitaries", frozen(us))
 
     @property
@@ -164,17 +157,22 @@ class BranchOverlaps:
             raise ValueError("weights and branch_grams shapes are inconsistent")
         if grams.shape[1] != grams.shape[2]:
             raise ValueError("branch Gram matrices must be square")
-        if np.any(w < 0.0):
-            raise ValueError("branch weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > DEFAULT_TOL:
+        # every test below is written so that NaN fails it
+        if not np.all(w >= 0.0):
+            raise ValueError(f"branch weights must be nonnegative, got {w!r}")
+        if not abs(float(w.sum()) - 1.0) <= DEFAULT_TOL:
             raise ValueError(f"branch weights sum to {w.sum()!r}, expected 1")
-        for k, g in enumerate(grams):
-            if max_abs(g - dagger(g)) > DEFAULT_TOL:
-                raise ValueError(f"branch Gram {k} is not Hermitian")
-            if np.max(np.abs(g.diagonal() - 1.0)) > DEFAULT_TOL:
-                raise ValueError(f"branch Gram {k} does not have unit diagonal")
-            if np.linalg.eigvalsh((g + dagger(g)) / 2)[0] < -DEFAULT_TOL:
-                raise ValueError(f"branch Gram {k} is not positive semidefinite")
+        adjoint = dagger(grams)
+        not_hermitian = ~(np.abs(grams - adjoint).max(axis=(1, 2)) <= DEFAULT_TOL)
+        not_unit = ~(np.abs(np.diagonal(grams, axis1=1, axis2=2) - 1.0).max(axis=1) <= DEFAULT_TOL)
+        not_psd = ~(np.linalg.eigvalsh((grams + adjoint) / 2)[:, 0] >= -DEFAULT_TOL)
+        failing = np.flatnonzero(not_hermitian | not_unit | not_psd)
+        if failing.size:
+            k = failing[0]
+            what = ("is not Hermitian" if not_hermitian[k] else
+                    "does not have unit diagonal" if not_unit[k] else
+                    "is not positive semidefinite")
+            raise ValueError(f"branch Gram {k} {what}")
         wobj = np.array(w, copy=True)
         wobj.setflags(write=False)
         object.__setattr__(self, "weights", wobj)
@@ -250,16 +248,16 @@ def branch_overlaps(m: MixedDetectorInteraction) -> BranchOverlaps:
     return BranchOverlaps(weights=weights, branch_grams=grams)
 
 
-def induced_detectors(m: MixedDetectorInteraction, tol: float = DEFAULT_TOL) -> DetectorSet:
+def induced_detectors(m: MixedDetectorInteraction) -> DetectorSet:
     """Detector set |d_i> = U_i |d> for a pure detector state |d><d|.
 
     Raises if rho_d is not numerically pure (largest eigenvalue within
-    tol of 1). Useful for cross-checking the mixed-detector pipeline
-    against the pure-detector one.
+    DEFAULT_TOL of 1). Useful for cross-checking the mixed-detector
+    pipeline against the pure-detector one.
     """
     branches = spectral_decompose(m.rho_d)
     top_weight, ket = branches[0]
-    if abs(top_weight - 1.0) > tol:
+    if abs(top_weight - 1.0) > DEFAULT_TOL:
         raise ValueError(f"detector state is not pure, largest eigenvalue {top_weight!r}")
     vectors = np.einsum("iab,b->ia", m.unitaries, ket)
-    return DetectorSet.from_vectors(vectors)
+    return DetectorSet(vectors)

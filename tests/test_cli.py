@@ -93,6 +93,29 @@ def test_malformed_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "two"])
     assert exc.value.code == 2
+    # fringe draws nothing at random, so it takes no seed
+    with pytest.raises(SystemExit) as exc:
+        main(["fringe", "--n", "2", "--gamma", "0.5", "--seed", "9"])
+    assert exc.value.code == 2
+
+
+def test_config_values_checked_like_flags(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    campaign = ["campaign", "--scenario", "pure_pure", "--trials", "3", "--seed", "1",
+                "--output", str(tmp_path / "run")]
+    cases = (
+        (campaign, {"n": [2, 3]}, "'n'"),
+        (campaign, {"n": 3, "detector_dim": "4"}, "'detector_dim'"),
+        (campaign, {"n": 2.5}, "'n'"),
+        (["verify"], {"n": 2, "gamma": 1, "format": "yaml"}, "'format'"),
+        (["verify"], {"scenario": "mixed_pure", "rho": [1, 2], "gamma": 0.5}, "rho"),
+        (["sweep"], {"n": 2, "gammas": [[0.5]]}, "gammas"),
+    )
+    for argv, config, key in cases:
+        cfg.write_text(json.dumps(config))
+        code, _, err = _run(capsys, [*argv, "--config", str(cfg)])
+        assert code == 2
+        assert key in err
 
 
 # ----------------------------------------------------------------- campaign

@@ -53,7 +53,7 @@ def _loop_mixed_quantities(rho, gram):
 # ------------------------------------------------------------- evaluate_pure
 
 def test_evaluate_pure_orthogonal_detectors():
-    report = evaluate_pure(random_pure(3, 1), DetectorSet.from_vectors(np.eye(3, dtype=complex)))
+    report = evaluate_pure(random_pure(3, 1), DetectorSet(np.eye(3, dtype=complex)))
     assert abs(report.coherence) <= 1e-12
     assert abs(report.distinguishability - 1.0) <= 1e-12
     assert report.slack == 0.0

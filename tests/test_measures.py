@@ -121,7 +121,7 @@ def test_uqsd_monotone_in_overlap():
 
 def test_distinguishability_pure_orthogonal():
     q = random_pure(3, 42)
-    ortho = DetectorSet.from_vectors(np.eye(3, dtype=complex))
+    ortho = DetectorSet(np.eye(3, dtype=complex))
     assert distinguishability_pure(q, ortho) == 1.0
 
 

@@ -20,13 +20,13 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def _orthonormal_detectors(n):
-    return DetectorSet.from_vectors(np.eye(n, dtype=complex))
+    return DetectorSet(np.eye(n, dtype=complex))
 
 
 def _identical_detectors(n, dim=2):
     v = np.zeros(dim, dtype=complex)
     v[0] = 1.0
-    return DetectorSet.from_vectors(np.tile(v, (n, 1)))
+    return DetectorSet(np.tile(v, (n, 1)))
 
 
 # ----------------------------------------------------------------- types
@@ -43,18 +43,27 @@ def test_pure_quanton_needs_two_paths():
 
 def test_detector_set_rejects_unnormalized():
     with pytest.raises(ValueError, match="not normalized"):
-        DetectorSet.from_vectors(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        DetectorSet(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
-def test_detector_set_rejects_inconsistent_gram():
-    with pytest.raises(ValueError, match="inconsistent"):
-        DetectorSet(vectors=np.eye(2, dtype=complex), gram=np.ones((2, 2), dtype=complex))
+def test_detector_set_derives_gram():
+    v = random_detectors(3, 4, 7).vectors
+    d = DetectorSet(v)
+    assert np.array_equal(d.gram, v.conj() @ v.T)
+    assert not d.gram.flags.writeable
+    with pytest.raises(TypeError):
+        DetectorSet(vectors=v, gram=np.ones((3, 3), dtype=complex))
 
 
 def test_interaction_rejects_non_unitary():
     rho_d = validate_density(np.eye(2) / 2)
     with pytest.raises(ValueError, match="not unitary"):
         MixedDetectorInteraction(rho_d=rho_d, unitaries=np.stack([np.eye(2), 0.5 * np.eye(2)]))
+    # the first failing index is named
+    with pytest.raises(ValueError, match="U_1 is not unitary"):
+        MixedDetectorInteraction(rho_d=rho_d, unitaries=np.stack([np.eye(2), 0.5 * np.eye(2), 2 * np.eye(2)]))
+    with pytest.raises(ValueError, match="U_1 is not unitary"):
+        MixedDetectorInteraction(rho_d=rho_d, unitaries=np.stack([np.eye(2), np.full((2, 2), np.nan)]))
 
 
 def test_interaction_rejects_dimension_mismatch():
@@ -266,6 +275,17 @@ def test_branch_overlaps_type_rejects_bad_gram():
     off_diag = np.stack([np.diag([1.0, 0.5]).astype(complex)])
     with pytest.raises(ValueError, match="unit diagonal"):
         BranchOverlaps(weights=np.array([1.0]), branch_grams=off_diag)
+    good = np.eye(2, dtype=complex)
+    skew = np.array([[1.0, 0.5j], [0.5j, 1.0]])
+    with pytest.raises(ValueError, match="branch Gram 1 is not Hermitian"):
+        BranchOverlaps(weights=np.array([0.5, 0.5]), branch_grams=np.stack([good, skew]))
+    with pytest.raises(ValueError, match="branch Gram 0 is not positive semidefinite"):
+        BranchOverlaps(weights=np.array([0.5, 0.5]), branch_grams=np.stack([bad[0], skew]))
+    nan_off = np.array([[1.0, np.nan], [np.nan, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        BranchOverlaps(weights=np.array([1.0]), branch_grams=np.stack([nan_off]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        BranchOverlaps(weights=np.array([np.nan]), branch_grams=np.stack([good]))
 
 
 def test_composite_dimension_cap():
