@@ -24,6 +24,7 @@ import numpy as np
 
 from .duality import (
     SCENARIOS,
+    VISIBILITY_MAX_PATHS,
     DualityReport,
     evaluate_mixed,
     evaluate_mixed_detector,
@@ -189,7 +190,7 @@ def _verify_instance(cfg: dict) -> DualityReport:
     n = cfg["n"] if cfg.get("n") is not None else (rho.shape[0] if rho is not None else None)
     if n is None:
         raise ConfigError("missing required option: --n (or a config rho)")
-    include_v = n <= 3
+    include_v = n <= VISIBILITY_MAX_PATHS
 
     if scenario == "pure_pure":
         if cfg.get("amplitudes") is not None:
@@ -211,7 +212,7 @@ def _verify_instance(cfg: dict) -> DualityReport:
     if seed is None:
         raise ConfigError("mixed_mixed needs --seed to draw the detector state and unitaries")
     quanton = _verify_mixed_quanton(cfg, n, rho)
-    dim = cfg.get("detector_dim") or quanton.n
+    dim = cfg.get("detector_dim", quanton.n)
     interaction = random_mixed_detector(quanton.n, dim, np.random.default_rng([seed, 1]))
     return evaluate_mixed_detector(quanton, interaction, include_visibility=include_v)
 
@@ -230,7 +231,7 @@ def _verify_mixed_quanton(cfg: dict, n: int, rho) -> MixedQuanton:
 
 def _verify_detectors(cfg: dict, n: int):
     gamma = cfg.get("gamma")
-    dim = cfg.get("detector_dim") or n
+    dim = cfg.get("detector_dim", n)
     if gamma is not None:
         return uniform_overlap_detectors(n, gamma, dim, cfg.get("seed", 0) or 0)
     if cfg.get("seed") is not None:
@@ -288,8 +289,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         seed = _require(cfg, "seed", "--seed (to draw the mixed quanton)")
         rng = np.random.default_rng(seed)
-        rank = cfg["rank"] if cfg.get("rank") is not None else 2
-        quanton = random_density(n, min(rank, n), rng)
+        quanton = random_density(n, cfg.get("rank", 2), rng)
     reports = sweep_overlap(n, gammas, quanton)
     lines = [",".join(SWEEP_CSV_COLUMNS)]
     for gamma, report in zip(gammas, reports):

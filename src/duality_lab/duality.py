@@ -47,6 +47,7 @@ from .states import (
 TOLERANCE = 1e-9
 MARGIN_TOL = 1e-10
 SCENARIOS = ("pure_pure", "mixed_pure", "mixed_mixed")
+VISIBILITY_MAX_PATHS = 3  # the fringe correspondences of the two- and three-slit families
 
 CSV_COLUMNS = (
     "trial",
@@ -222,7 +223,7 @@ def sweep_overlap(n: int, gammas: Sequence[float],
     Along the sweep the coherence is nondecreasing and the
     distinguishability nonincreasing: raising every overlap hides path
     information and restores coherence in lockstep. Visibility is
-    included for n <= 3 where the fringe correspondences apply.
+    included for n <= VISIBILITY_MAX_PATHS.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
@@ -233,7 +234,7 @@ def sweep_overlap(n: int, gammas: Sequence[float],
         raise ValueError("gammas must be sorted ascending")
     if quanton.n != n:
         raise ValueError(f"quanton has {quanton.n} paths, sweep asked for {n}")
-    include_v = n <= 3
+    include_v = n <= VISIBILITY_MAX_PATHS
     reports = []
     for gamma in gammas:
         detectors = symmetric_detectors(n, gamma)
@@ -337,6 +338,8 @@ def run_campaign(scenario: str, trials: int, seed: int,
     n_choices = (n,) if isinstance(n, int) else tuple(int(v) for v in n)
     if not n_choices or any(v < 2 for v in n_choices):
         raise ValueError(f"path counts must all be >= 2, got {n_choices!r}")
+    if detector_dim is not None and detector_dim < 1:
+        raise ValueError(f"detector dimension must be >= 1, got {detector_dim}")
     reports = tuple(_draw_report(scenario, stream(seed, trial), n_choices, detector_dim, rank)
                     for trial in range(trials))
     return CampaignResult(scenario=scenario, trials=trials, seed=seed, reports=reports)

@@ -3,12 +3,15 @@
 The propagation model is a uniform grating: path i contributes phase
 exp(i * i * theta) at detection angle parameter theta, so the pattern is
 
-    I(theta) = sum_ij rho_ij exp(i (i - j) theta)
+    I(theta) = sum_ij rho_ij exp(i (i - j) theta) = sum_m c_m exp(i m theta)
 
-for the reduced (post-interaction) quanton state rho. Intensities are in
-units of total path probability, so I averages to 1 over a period. For
-the symmetric two- and three-slit families this model reproduces the
-closed-form visibility / coherence correspondences exactly.
+for the reduced (post-interaction) quanton state rho, with c_m the sum of
+rho_ij over i - j = m. Intensities are in units of total path probability,
+so I averages to 1 over a period. The fringe extrema are exact (roots of
+dI/dtheta), so the visibility depends on rho alone and the sampled grid
+only serves plotting. For the symmetric two- and three-slit families this
+model reproduces the closed-form visibility / coherence correspondences
+exactly.
 """
 
 from __future__ import annotations
@@ -24,13 +27,12 @@ from .states import DetectorSet, MixedQuanton, PureQuanton, entangle_pure, reduc
 
 DEFAULT_GRID_POINTS = 4096
 MIN_GRID_POINTS = 256
-PHASE_RESOLUTION = 1e-12
 FLAT_PATTERN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class FringeScan:
-    """Sampled intensity pattern with refined extrema and visibility."""
+    """Sampled intensity pattern with exact extrema and visibility."""
 
     phases: np.ndarray
     intensities: np.ndarray
@@ -71,39 +73,30 @@ def _intensity_grid(rho: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.clip(np.real(np.einsum("ti,ij,tj->t", amp, rho, amp.conj())), 0.0, None)
 
 
-def _refine_extremum(rho_reduced, lo: float, hi: float, maximize: bool) -> float:
-    """Ternary search for the extremum value inside [lo, hi]."""
-    while hi - lo > PHASE_RESOLUTION:
-        third = (hi - lo) / 3.0
-        a, b = lo + third, hi - third
-        fa, fb = intensity(rho_reduced, a), intensity(rho_reduced, b)
-        if (fa < fb) == maximize:
-            lo = a
-        else:
-            hi = b
-    return intensity(rho_reduced, 0.5 * (lo + hi))
-
-
 def scan_visibility(rho_reduced: MixedQuanton, grid_points: int = DEFAULT_GRID_POINTS) -> FringeScan:
-    """Scan one period, refine the extrema, and extract the visibility
-    (i_max - i_min) / (i_max + i_min).
+    """Sample one period and take the visibility (i_max - i_min) / (i_max + i_min)
+    from the exact extrema, which do not depend on `grid_points`.
 
-    The grid brackets every extremum of the degree-(n-1) trigonometric
-    polynomial; each bracket is then narrowed by ternary search to the
-    phase resolution. A flat pattern (spread below FLAT_PATTERN_TOL)
-    reports zero visibility.
+    With z = exp(i theta), z^(n-1) dI/dtheta / i = sum_m m c_m z^(m+n-1) is
+    a polynomial of degree 2(n-1) whose unit-circle roots are the
+    stationary phases. Every root is projected onto the circle and phase 0
+    is added; a phase that is not stationary only adds a value between the
+    extrema, and phase 0 alone stands for a flat pattern. Terms with |c_m|
+    below machine epsilon are dropped first: each moves I by at most
+    2|c_m|, and a tiny leading coefficient overflows the root finder. A
+    spread below FLAT_PATTERN_TOL reports zero visibility.
     """
     if grid_points < MIN_GRID_POINTS:
         raise ValueError(f"grid_points must be >= {MIN_GRID_POINTS}, got {grid_points}")
     thetas = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
-    values = _intensity_grid(rho_reduced.rho.matrix, thetas)
-    step = 2.0 * math.pi / grid_points
-    top = int(np.argmax(values))
-    bottom = int(np.argmin(values))
-    i_max = _refine_extremum(rho_reduced, thetas[top] - step, thetas[top] + step, maximize=True)
-    i_min = _refine_extremum(rho_reduced, thetas[bottom] - step, thetas[bottom] + step, maximize=False)
-    i_max = max(i_max, float(values.max()))
-    i_min = min(i_min, float(values.min()))
+    rho = rho_reduced.rho.matrix
+    values = _intensity_grid(rho, thetas)
+    orders = np.arange(rho.shape[0] - 1, -rho.shape[0], -1)
+    coeffs = np.array([np.trace(rho, offset=-m) for m in orders])
+    coeffs[np.abs(coeffs) < np.finfo(float).eps] = 0.0
+    phases = np.append(np.angle(np.roots(orders * coeffs)), 0.0)
+    extrema = [intensity(rho_reduced, theta) for theta in phases]
+    i_max, i_min = max(extrema), min(extrema)
     spread = i_max - i_min
     visibility = 0.0 if spread < FLAT_PATTERN_TOL else spread / (i_max + i_min)
     return FringeScan(

@@ -89,6 +89,8 @@ def random_mixed_detector(n: int, dim: int, seed) -> MixedDetectorInteraction:
     """Mixed detector for n paths: a Ginibre detector state whose rank is
     drawn uniformly from 1..dim, then n Haar-random path unitaries, drawn
     in that order."""
+    if dim < 1:
+        raise ValueError("detector dimension must be >= 1")
     rng = _as_rng(seed)
     rank = int(rng.integers(1, dim, endpoint=True))
     rho_d = random_density_matrix(dim, rank, rng)

@@ -159,6 +159,19 @@ def test_campaign_rejects_zero_trials(capsys):
     assert "trials" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scenario", "mixed_mixed", "--n", "3", "--seed", "5"],
+    ["verify", "--scenario", "pure_pure", "--n", "3", "--seed", "5"],
+    ["campaign", "--scenario", "mixed_mixed", "--n", "3", "--trials", "2", "--seed", "5"],
+    ["campaign", "--scenario", "pure_pure", "--n", "3", "--trials", "2", "--seed", "5"],
+])
+def test_nonpositive_detector_dim_exits_two(capsys, tmp_path, argv):
+    code, _, err = _run(capsys, argv + ["--detector-dim", "0", "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert "detector dimension" in err
+    assert not list(tmp_path.iterdir())
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_two_path_rows(capsys):
@@ -192,6 +205,14 @@ def test_sweep_mixed_scenario(capsys):
     for line in rows:
         gamma, c, d, s, _ = (float(x) for x in line.split(","))
         assert c + d + s == pytest.approx(1.0, abs=1e-9)
+
+
+def test_sweep_rejects_rank_above_n(capsys):
+    code, _, err = _run(capsys, [
+        "sweep", "--n", "3", "--scenario", "mixed_pure", "--seed", "5", "--rank", "7", "--gammas", "0,1",
+    ])
+    assert code == 2
+    assert "rank must lie in 1..3, got 7" in err
 
 
 def test_sweep_empty_range(capsys):

@@ -129,17 +129,17 @@ DIGESTS = {
     'sweep_n3': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'sweep.csv': 'ef05d3a2c6f70c7d0fb8ee8302dc875ce5c41aaa42bcae7996b6ef4aad07faa3',
+        'sweep.csv': '9c98654cd10307a1f1ff4a38375ebbbc64063307567f0a37d307f53277aaefed',
     },
     'verify_mixed_mixed_csv': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': '47e276c5e764639999d805f9164d286622076922cf355d13b03775da89ad7eb2',
+        'report': 'd9fb708dd672871d3d62d992f0fe5eb0eb070b5f15c2dd68e8893c3ec548d301',
     },
     'verify_mixed_mixed_json': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': 'bbde87add6e6c149c0e36c500cf5876ef2335d8f7b081f37b901a84f0458a03e',
+        'report': '41ab5e656de61db26e4dc5cee58e2cf7ea4a05d9f23a8c0cda3c6eec97be86ce',
     },
     'verify_mixed_pure_csv': {
         'exit': '0',

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duality_lab.interference import (
+    FLAT_PATTERN_TOL,
     FringeScan,
     check_three_slit_relation,
     check_two_slit_relation,
@@ -75,14 +78,49 @@ def test_scan_two_path_visibility():
 def test_scan_flat_pattern_zero_visibility():
     scan = scan_visibility(MixedQuanton(rho=validate_density(np.diag([0.3, 0.7]))))
     assert scan.visibility == 0.0
+    assert scan.i_max == scan.i_min
 
 
 def test_scan_three_path_closed_form():
-    gamma = 0.5
-    scan = scan_visibility(_symmetric_reduced(3, gamma))
-    assert abs(scan.visibility - 3 * gamma / (2 + gamma)) <= 1e-9
-    assert abs(scan.i_max - (1 + 2 * gamma)) <= 1e-9
-    assert abs(scan.i_min - (1 - gamma)) <= 1e-9
+    for gamma in (1e-13, 0.1, 0.5, 0.9, 1 - 1e-13, 1.0):
+        scan = scan_visibility(_symmetric_reduced(3, gamma))
+        # the flat-pattern rule still zeroes a spread 3 gamma below FLAT_PATTERN_TOL
+        expect = 3 * gamma / (2 + gamma) if 3 * gamma >= FLAT_PATTERN_TOL else 0.0
+        assert abs(scan.visibility - expect) <= 1e-14
+        assert abs(scan.i_max - (1 + 2 * gamma)) <= 1e-14
+        assert abs(scan.i_min - (1 - gamma)) <= 1e-14
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.data())
+def test_scan_extrema_bound_the_pattern(seed, n, data):
+    # Ginibre states of every rank, some with vanishing populations
+    rng = np.random.default_rng(seed)
+    rank = data.draw(st.integers(1, n))
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    g[: data.draw(st.integers(0, n - 1))] = 0.0
+    reduced = MixedQuanton(rho=validate_density(g @ g.conj().T / np.vdot(g, g).real))
+    scan = scan_visibility(reduced)
+    assert scan.i_max >= scan.intensities.max() - 1e-14
+    assert scan.i_min <= scan.intensities.min() + 1e-14
+    fine = scan_visibility(reduced, 65536).intensities
+    assert abs(scan.i_max - fine.max()) <= 1e-6
+    assert abs(scan.i_min - fine.min()) <= 1e-6
+    assert scan_visibility(reduced, 256).visibility == scan.visibility
+    if n == 2:
+        rho = reduced.rho.matrix
+        expect = 2 * abs(rho[0, 1]) / (rho[0, 0] + rho[1, 1]).real
+        assert abs(scan.visibility - expect) <= 1e-14
+
+
+def test_scan_subnormal_far_corner():
+    # a subnormal c_2 must neither reach the root finder nor change V
+    rho = np.array([[0.5, 0.4, 0.0], [0.4, 0.5, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    plain = scan_visibility(MixedQuanton(rho=validate_density(rho)))
+    rho[0, 2] = rho[2, 0] = 1e-310
+    corner = scan_visibility(MixedQuanton(rho=validate_density(rho)))
+    assert abs(corner.visibility - plain.visibility) <= 1e-15
+    assert abs(plain.visibility - 0.8) <= 1e-15
 
 
 def test_scan_rejects_small_grid():
