@@ -21,12 +21,22 @@ from duality_lab.cli import main
 
 DIGEST_NUMPY = "2.4.6"
 
+PATH_COUNTS = {"pure_pure": (2, 3, 4, 5, 6, 7, 8), "mixed_pure": (2, 3, 4, 5, 6, 7, 8),
+               "mixed_mixed": (2, 3, 4, 5, 6)}
+
+
+def _campaign(scenario: str, n: int, trials: int) -> list[str]:
+    return ["campaign", "--scenario", scenario, "--n", str(n), "--trials", str(trials),
+            "--seed", str(100 + n), "--output", "run"]
+
+
 CAMPAIGNS = {
-    f"campaign_{scenario}_n{n}": ["campaign", "--scenario", scenario, "--n", str(n),
-                                  "--trials", "50", "--seed", str(100 + n), "--output", "run"]
-    for scenario in ("pure_pure", "mixed_pure", "mixed_mixed")
-    for n in (2, 3, 4, 5)
+    f"campaign_{scenario}_n{n}": _campaign(scenario, n, 50)
+    for scenario, counts in PATH_COUNTS.items()
+    for n in counts
 }
+# a trial count that is a multiple of no small stack size
+CAMPAIGNS["campaign_pure_pure_n4_131_trials"] = _campaign("pure_pure", 4, 131)
 
 VERIFY_CONFIGS = {
     "pure_pure_gamma": ["--scenario", "pure_pure", "--n", "3", "--gamma", "0.4", "--detector-dim", "5"],
@@ -73,6 +83,12 @@ DIGESTS = {
         'run.csv': 'ebf81014b10f13803f8d5310fe416b80c567e787f10c517421f86814c5a84ad6',
         'run.json': 'a480abb2dc335d2a446cf3a50cfe5a2f5f113c6419de1a296a998bf8d13a9485',
     },
+    'campaign_mixed_mixed_n6': {
+        'exit': '0',
+        'stdout': '58e3fc2978a13f121971c1606a59f6363c6fca8f95953c1df2fb803a57ad8506',
+        'run.csv': '45ffdd653c5ef212c71da0fe3954245531d9760013b6c0147a7c90055c5213cf',
+        'run.json': '3a0019212405f986f906f6cec5efedc86689fe4d451649cd18530e2fcb8eabf0',
+    },
     'campaign_mixed_pure_n2': {
         'exit': '0',
         'stdout': '6624791e63da9e000b64369998ec9c540de48594ce1c2c2d2e96918c7cf9253c',
@@ -97,6 +113,24 @@ DIGESTS = {
         'run.csv': '908674ed58f6b7ea61ea8cd7056ae08fc97dc35219694157ec09878a937837ab',
         'run.json': '929fbb3242e3c19e70b3789a2b35f4817f67f7428873fe9bc6586816cf918b6a',
     },
+    'campaign_mixed_pure_n6': {
+        'exit': '0',
+        'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
+        'run.csv': '31ca1537bbe4918afedb9ea145088dd39360f22a53c9441e77e014e198e87420',
+        'run.json': 'c542d84f757fe0e2ddb7a3fe60148e27efe1a27de011f6486fb1482bbad81afc',
+    },
+    'campaign_mixed_pure_n7': {
+        'exit': '0',
+        'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
+        'run.csv': '45e1bf0f8148aab8117104721c1920f8237fc2351b0e43da341505aed3b76ad2',
+        'run.json': 'eab1fe609d2b7c9adb91121addd3ac1e893a9fb16d60a0f5759aa1e3088702de',
+    },
+    'campaign_mixed_pure_n8': {
+        'exit': '0',
+        'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
+        'run.csv': 'ac6ef6c37a4eab46413894e4e5e1bb4c3196ce12d844481dc2126a3d228e2622',
+        'run.json': '3b288c9801b0c7f05b390d5dc393d2661ce69b7535759925dec06ce683e3232f',
+    },
     'campaign_pure_pure_n2': {
         'exit': '0',
         'stdout': '1fc8826d9986de7c9ac3ac461daccb6d3cd2cb5ad3817480ef73d55f125ddc99',
@@ -115,11 +149,35 @@ DIGESTS = {
         'run.csv': '85d98c8ec9d88b7169d02790bd9eabbe29fdf52690fb5f491670d1b622194464',
         'run.json': 'ad233caaa5d50ca9c5d0a1e6407f0a3e8e37b59c60e5a32f8eb4cd875ae8ae36',
     },
+    'campaign_pure_pure_n4_131_trials': {
+        'exit': '0',
+        'stdout': '2d324cfd241dcb691e439c4c3744c214f82cdd7dc061d64d7bff69bf77789d33',
+        'run.csv': 'e83bdc6293bb9ecd2a075b22eb6f585d371135507b6759fbdc3e3aa40fa4a840',
+        'run.json': 'e6ddef2a196450330393db52367b9415ad33e5f8d6dbe0865f9db00edef256b0',
+    },
     'campaign_pure_pure_n5': {
         'exit': '0',
         'stdout': 'e8a3d2a9bcd2be11ce4558233856e6399127c493cbbc1a3940e11e400aa5fcc2',
         'run.csv': '4750aa2e406f16f3ffee5c7a2a6460660b677d3bd9a5d1121932d59f44f6a6a8',
         'run.json': 'fe7c3c140f2c7c50ac436033f5943d81b86c28c311a6f8159a28cd814b712172',
+    },
+    'campaign_pure_pure_n6': {
+        'exit': '0',
+        'stdout': 'e8a3d2a9bcd2be11ce4558233856e6399127c493cbbc1a3940e11e400aa5fcc2',
+        'run.csv': 'c79889032b017bce9952cce72cd7136c4464323dca51197b72e9f92e93c5a853',
+        'run.json': 'd281a73d69e13d30394bae4409cb4bc3bc2303e81823bd86e131190ab0bac9a7',
+    },
+    'campaign_pure_pure_n7': {
+        'exit': '0',
+        'stdout': 'e8a3d2a9bcd2be11ce4558233856e6399127c493cbbc1a3940e11e400aa5fcc2',
+        'run.csv': '6c6787e3a8fd5e4cbee1cb206f059b26ec19c9e6f874ccafc2ce2e3a0a5a9250',
+        'run.json': '15524884383b7fba4c38ef0a739bf8a8e665ef65897785bf4faedf53967d05f7',
+    },
+    'campaign_pure_pure_n8': {
+        'exit': '0',
+        'stdout': 'e8a3d2a9bcd2be11ce4558233856e6399127c493cbbc1a3940e11e400aa5fcc2',
+        'run.csv': '1d16034b969ebd80e44cdcdd2f635b31053306cb81ffbca7e334a4f60ca7528e',
+        'run.json': '69603b135795d8ac66c6a060df60ffb0efea2d71db06d117b271893911b3549f',
     },
     'fringe_n2': {
         'exit': '0',
