@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -160,6 +161,9 @@ def _merged_config(args: argparse.Namespace) -> dict:
         if key in ("config", "handler", "parser") or value is None:
             continue
         cfg[key] = value
+    # numpy's own message for a negative seed would not name the flag
+    if hasattr(args, "seed") and cfg.get("seed") is not None and cfg["seed"] < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {cfg['seed']}")
     return cfg
 
 
@@ -257,6 +261,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     n = _require(cfg, "n", "--n")
     trials = _require(cfg, "trials", "--trials")
     seed = _require(cfg, "seed", "--seed (campaigns never use a silent entropy source)")
+    prefix = cfg.get("output", "campaign")
+    if not os.path.isdir(os.path.dirname(prefix) or "."):
+        raise ConfigError(f"--output {prefix}: directory {os.path.dirname(prefix)} does not exist")
     result = run_campaign(
         scenario,
         trials,
@@ -265,7 +272,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         detector_dim=cfg.get("detector_dim"),
         rank=cfg.get("rank"),
     )
-    prefix = cfg.get("output", "campaign")
     result.to_csv(f"{prefix}.csv")
     aggregate = result.aggregate()
     with open(f"{prefix}.json", "w", encoding="utf-8", newline="") as fh:

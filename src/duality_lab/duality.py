@@ -13,20 +13,31 @@ Three scenarios are covered:
 
 Every report records signed residuals, not just booleans, so regressions
 in numerical quality stay visible.
+
+Campaigns evaluate their trials in stacks: the raw draws of each trial are
+grouped by (n, detector dimension) and run through the same checks and
+formulas as one object, over the trailing axes of the stacked arrays, so
+each report is bit for bit what evaluating the trial alone gives.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .interference import _reduced_from_pure, scan_visibility, symmetric_detectors
-from .linalg import principal_submatrix_margin, validate_density
+from .linalg import _density, _partial_trace_pure, _submatrix_margin, principal_submatrix_margin, validate_density
 from .measures import (
+    _branch_coherence_bound,
+    _branch_distinguishability,
+    _coherence,
+    _slack,
+    _uqsd,
     coherence_bound_mixed_detector,
     coherence_normalized,
     distinguishability_mixed,
@@ -34,12 +45,20 @@ from .measures import (
     distinguishability_pure,
     mixed_duality_slack,
 )
-from .random import random_density, random_detectors, random_mixed_detector, random_pure, stream
+from .random import _haar, draw_trial, stream
 from .states import (
     DetectorSet,
     MixedDetectorInteraction,
     MixedQuanton,
     PureQuanton,
+    _branch_grams,
+    _branches,
+    _check_branches,
+    _check_composite,
+    _check_normalized,
+    _check_unitaries,
+    _detector_gram,
+    _overlap_factors,
     branch_overlaps,
     reduce_quanton_mixed_detector,
 )
@@ -48,6 +67,12 @@ TOLERANCE = 1e-9
 MARGIN_TOL = 1e-10
 SCENARIOS = ("pure_pure", "mixed_pure", "mixed_mixed")
 VISIBILITY_MAX_PATHS = 3  # the fringe correspondences of the two- and three-slit families
+#: bytes of raw draws a campaign holds before it evaluates its largest
+#: (n, dim) group, which caps the stacks and their temporaries. A mixed_mixed
+#: trial at n = 6 holds about 10 kB and its stack needs about five times its
+#: draws while it runs (QR copies, rotated branch kets); a pure_pure trial at
+#: n = 8 holds about 2 kB.
+STACK_BYTES = 1 << 16
 
 CSV_COLUMNS = (
     "trial",
@@ -131,41 +156,64 @@ class DualityReport:
         return cells
 
 
-def _report(scenario: str, reduced: MixedQuanton, coherence: float, dq: float, slack: float,
-            include_visibility: bool, *, saturated: bool = False,
-            relations: dict[str, tuple[float, bool]] | None = None,
-            checks: dict[str, bool] | None = None) -> DualityReport:
-    """Shared tail of the evaluate_* functions.
+def _report(scenario: str, n: int, coherence: float, dq: float, slack: float, psd_margin: float,
+            visibility: float | None, *, saturated: bool = False,
+            relations: tuple[tuple[str, float, bool], ...] = (),
+            checks: tuple[tuple[str, bool], ...] = ()) -> DualityReport:
+    """Shared tail of every evaluation path: one report from Python floats.
 
     Every scenario reports the signed duality sum C + D_Q - 1 (held to
     |.| <= TOLERANCE when the state saturates the duality, to <= TOLERANCE
     otherwise) and the PSD margin of its reduced state. `relations` adds the
-    scenario's own residuals with their verdicts and `checks` its
-    verdicts that carry no residual; the dict order is the report order.
+    scenario's own (residual, value, verdict) triples and `checks` its
+    verdicts that carry no residual; their order is the report order.
     """
     for name, value in (("coherence", coherence), ("distinguishability", dq), ("slack", slack)):
         if not math.isfinite(value):
             raise ValueError(f"{name} is not finite: {value!r}")
     duality_sum = coherence + dq - 1.0
-    psd_margin = principal_submatrix_margin(reduced.rho)
     residuals = {"duality_sum": duality_sum}
     verdicts = {"duality_sum": (abs(duality_sum) if saturated else duality_sum) <= TOLERANCE}
-    for key, (value, ok) in (relations or {}).items():
+    for key, value, ok in relations:
         residuals[key] = value
         verdicts[key] = ok
     residuals["psd_margin_min"] = psd_margin
     verdicts["psd_margin_min"] = psd_margin >= -MARGIN_TOL
-    verdicts.update(checks or {})
+    verdicts.update(checks)
     return DualityReport(
         scenario=scenario,
-        n=reduced.n,
+        n=n,
         coherence=coherence,
         distinguishability=dq,
         slack=slack,
-        visibility=scan_visibility(reduced).visibility if include_visibility else None,
+        visibility=visibility,
         relation_residuals=residuals,
         verdicts=verdicts,
     )
+
+
+def _pure_pure_report(n: int, coherence: float, dq: float, psd_margin: float,
+                      visibility: float | None = None) -> DualityReport:
+    return _report("pure_pure", n, coherence, dq, 0.0, psd_margin, visibility, saturated=True)
+
+
+def _mixed_pure_report(n: int, coherence: float, dq: float, slack: float, psd_margin: float,
+                       visibility: float | None = None) -> DualityReport:
+    slack_identity = coherence + dq + slack - 1.0
+    return _report("mixed_pure", n, coherence, dq, slack, psd_margin, visibility,
+                   relations=(("slack_identity", slack_identity, abs(slack_identity) <= TOLERANCE),),
+                   checks=(("slack_nonnegative", slack >= -MARGIN_TOL),))
+
+
+def _mixed_mixed_report(n: int, coherence: float, dq: float, bound: float, psd_margin: float,
+                        visibility: float | None = None) -> DualityReport:
+    bound_margin = bound - coherence
+    return _report("mixed_mixed", n, coherence, dq, 1.0 - coherence - dq, psd_margin, visibility,
+                   relations=(("coherence_bound_margin", bound_margin, bound_margin >= -MARGIN_TOL),))
+
+
+def _visibility(reduced: MixedQuanton, include_visibility: bool) -> float | None:
+    return scan_visibility(reduced).visibility if include_visibility else None
 
 
 def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = False) -> DualityReport:
@@ -176,9 +224,8 @@ def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = Fal
     rather than an algebraic shortcut.
     """
     reduced = _reduced_from_pure(q, d)
-    coherence = coherence_normalized(reduced.rho)
-    dq = distinguishability_pure(q, d)
-    return _report("pure_pure", reduced, coherence, dq, 0.0, include_visibility, saturated=True)
+    return _pure_pure_report(reduced.n, coherence_normalized(reduced.rho), distinguishability_pure(q, d),
+                             principal_submatrix_margin(reduced.rho), _visibility(reduced, include_visibility))
 
 
 def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = False) -> DualityReport:
@@ -190,13 +237,9 @@ def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = F
     if q.n != d.n:
         raise ValueError(f"path count mismatch: quanton has {q.n}, detectors have {d.n}")
     reduced = MixedQuanton(rho=validate_density(q.rho.matrix * d.gram.conj()))
-    coherence = coherence_normalized(reduced.rho)
-    dq = distinguishability_mixed(q, d.gram)
-    slack = mixed_duality_slack(q, d.gram)
-    slack_identity = coherence + dq + slack - 1.0
-    return _report("mixed_pure", reduced, coherence, dq, slack, include_visibility,
-                   relations={"slack_identity": (slack_identity, abs(slack_identity) <= TOLERANCE)},
-                   checks={"slack_nonnegative": slack >= -MARGIN_TOL})
+    return _mixed_pure_report(reduced.n, coherence_normalized(reduced.rho), distinguishability_mixed(q, d.gram),
+                              mixed_duality_slack(q, d.gram), principal_submatrix_margin(reduced.rho),
+                              _visibility(reduced, include_visibility))
 
 
 def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
@@ -209,11 +252,9 @@ def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
     reduced = reduce_quanton_mixed_detector(q, m)
     coherence = coherence_normalized(reduced.rho)
     branches = branch_overlaps(m)
-    bound = coherence_bound_mixed_detector(q, branches)
-    dq = distinguishability_mixed_detector(q, branches)
-    bound_margin = bound - coherence
-    return _report("mixed_mixed", reduced, coherence, dq, 1.0 - coherence - dq, include_visibility,
-                   relations={"coherence_bound_margin": (bound_margin, bound_margin >= -MARGIN_TOL)})
+    return _mixed_mixed_report(reduced.n, coherence, distinguishability_mixed_detector(q, branches),
+                               coherence_bound_mixed_detector(q, branches),
+                               principal_submatrix_margin(reduced.rho), _visibility(reduced, include_visibility))
 
 
 def sweep_overlap(n: int, gammas: Sequence[float],
@@ -243,22 +284,6 @@ def sweep_overlap(n: int, gammas: Sequence[float],
         else:
             reports.append(evaluate_mixed(quanton, detectors, include_visibility=include_v))
     return reports
-
-
-def _draw_report(scenario: str, rng: np.random.Generator, n_choices: Sequence[int],
-                 detector_dim: int | None, rank: int | None) -> DualityReport:
-    n = int(n_choices[rng.integers(len(n_choices))])
-    dim = detector_dim if detector_dim is not None else int(rng.integers(n, 2 * n, endpoint=True))
-    if scenario == "pure_pure":
-        return evaluate_pure(random_pure(n, rng), random_detectors(n, dim, rng))
-    if scenario == "mixed_pure":
-        r = rank if rank is not None else int(rng.integers(1, n, endpoint=True))
-        return evaluate_mixed(random_density(n, r, rng), random_detectors(n, dim, rng))
-    if scenario == "mixed_mixed":
-        r = rank if rank is not None else int(rng.integers(1, n, endpoint=True))
-        quanton = random_density(n, r, rng)
-        return evaluate_mixed_detector(quanton, random_mixed_detector(n, dim, rng))
-    raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
 
 
 @dataclass(frozen=True)
@@ -319,6 +344,83 @@ class CampaignResult:
             fh.write(",".join(cells[c] for c in CSV_COLUMNS) + "\n")
 
 
+def _stack_reports(make, n: int, *columns: np.ndarray) -> list[DualityReport]:
+    """make(n, *row) for each entry of a stack, from per-entry arrays. A check
+    that fails keeps the entry's index, as the stacked checks do."""
+    reports = []
+    for i, row in enumerate(zip(*(column.tolist() for column in columns))):
+        try:
+            reports.append(make(n, *row))
+        except ValueError as exc:
+            exc.index = (i,)
+            raise
+    return reports
+
+
+def _pure_pure_stack(n: int, dim: int, amps: np.ndarray, vecs: np.ndarray) -> list[DualityReport]:
+    """evaluate_pure over a stack: the joint state is never formed, its
+    partial trace is taken from the (path, detector) factors directly."""
+    _check_normalized(amps)
+    gram = _detector_gram(vecs)
+    _check_composite(n, dim)
+    reduced = _density(_partial_trace_pure(amps[..., :, None] * vecs))
+    return _stack_reports(_pure_pure_report, n, _coherence(reduced), _uqsd(np.abs(amps) ** 2, gram),
+                          _submatrix_margin(reduced))
+
+
+def _mixed_pure_stack(n: int, dim: int, rho: np.ndarray, vecs: np.ndarray) -> list[DualityReport]:
+    """evaluate_mixed over a stack."""
+    rho = _density(rho)
+    gram = _detector_gram(vecs)
+    reduced = _density(rho * gram.conj())
+    return _stack_reports(_mixed_pure_report, n, _coherence(reduced),
+                          _uqsd(rho.diagonal(axis1=-2, axis2=-1).real, gram), _slack(rho, gram),
+                          _submatrix_margin(reduced))
+
+
+def _mixed_mixed_stack(n: int, dim: int, rho: np.ndarray, rho_d: np.ndarray,
+                       z: np.ndarray) -> list[DualityReport]:
+    """evaluate_mixed_detector over a stack. Every trial keeps all dim
+    spectral branches; those below the weight cutoff carry weight zero and
+    add exact zeros to the branch averages."""
+    rho = _density(rho)
+    rho_d = _density(rho_d)
+    unitaries = _haar(z)
+    _check_unitaries(unitaries)
+    reduced = _density(rho * _overlap_factors(unitaries, rho_d))
+    coherence = _coherence(reduced)
+    weights, kets = _branches(rho_d)
+    grams = _branch_grams(unitaries, kets)
+    _check_branches(weights, grams)
+    dq = _branch_distinguishability(rho.diagonal(axis1=-2, axis2=-1).real, weights, grams)
+    return _stack_reports(_mixed_mixed_report, n, coherence, dq, _branch_coherence_bound(rho, weights, grams),
+                          _submatrix_margin(reduced))
+
+
+_STACKED = {"pure_pure": _pure_pure_stack, "mixed_pure": _mixed_pure_stack,
+            "mixed_mixed": _mixed_mixed_stack}
+
+
+def _held_bytes(draws: tuple[np.ndarray, ...]) -> int:
+    """Memory one trial's draws hold while they wait: data and array headers."""
+    return sum(sys.getsizeof(a) for a in draws)
+
+
+def _evaluate_stack(scenario: str, n: int, dim: int, entries: list, reports: list) -> None:
+    """Evaluate one (n, dim) group of drawn trials as one stack and file the
+    reports under their trial indices. A failing check names the trial."""
+    trials = [trial for trial, _ in entries]
+    stacks = [np.stack(parts) for parts in zip(*(draws for _, draws in entries))]
+    entries.clear()
+    try:
+        stacked = _STACKED[scenario](n, dim, *stacks)
+    except ValueError as exc:
+        index = getattr(exc, "index", None) or (0,)
+        raise type(exc)(f"trial {trials[index[0]]}: {exc}") from exc
+    for trial, report in zip(trials, stacked):
+        reports[trial] = report
+
+
 def run_campaign(scenario: str, trials: int, seed: int,
                  n: int | Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
                  detector_dim: int | None = None,
@@ -330,6 +432,13 @@ def run_campaign(scenario: str, trials: int, seed: int,
     isolation. `n` may be a single path count or a set to draw from;
     detector dimension defaults to a uniform draw over n..2n and Ginibre
     rank over 1..n (detector-state rank over 1..dim).
+
+    Trials are drawn in order and held as raw arrays, grouped by (n, dim).
+    Whenever the draws held reach STACK_BYTES, the largest group is
+    evaluated as one stack; the rest are evaluated at the end. A check that
+    fails raises its usual ValueError, prefixed with "trial k: " for the
+    first trial of its stack that fails it (the stack's first trial for a
+    check of the whole stack, such as the composite dimension).
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
@@ -340,6 +449,23 @@ def run_campaign(scenario: str, trials: int, seed: int,
         raise ValueError(f"path counts must all be >= 2, got {n_choices!r}")
     if detector_dim is not None and detector_dim < 1:
         raise ValueError(f"detector dimension must be >= 1, got {detector_dim}")
-    reports = tuple(_draw_report(scenario, stream(seed, trial), n_choices, detector_dim, rank)
-                    for trial in range(trials))
-    return CampaignResult(scenario=scenario, trials=trials, seed=seed, reports=reports)
+    if scenario != "pure_pure" and rank is not None and not 1 <= rank <= min(n_choices):
+        raise ValueError(f"rank must lie in 1..{min(n_choices)}, got {rank}")
+    reports: list = [None] * trials
+    pending: dict[tuple[int, int], list] = {}
+    held: dict[tuple[int, int], int] = {}
+    total = 0
+    for trial in range(trials):
+        n_t, dim, draws = draw_trial(scenario, stream(seed, trial), n_choices, detector_dim, rank)
+        key = (n_t, dim)
+        pending.setdefault(key, []).append((trial, draws))
+        size = _held_bytes(draws)
+        held[key] = held.get(key, 0) + size
+        total += size
+        if total >= STACK_BYTES:
+            key = max(held, key=held.get)
+            total -= held.pop(key)
+            _evaluate_stack(scenario, *key, pending.pop(key), reports)
+    for key, entries in pending.items():
+        _evaluate_stack(scenario, *key, entries, reports)
+    return CampaignResult(scenario=scenario, trials=trials, seed=seed, reports=tuple(reports))

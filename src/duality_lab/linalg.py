@@ -3,6 +3,10 @@
 All matrices and vectors are plain complex numpy arrays. Every function
 treats its inputs as immutable and returns freshly allocated, read-only
 arrays, so values can be shared freely across threads.
+
+The private helpers work over the trailing (n, n) axes of a stack of
+matrices, so one formula serves a single object and the campaign kernel
+in ``duality``, which evaluates many seeded trials at once.
 """
 
 from __future__ import annotations
@@ -29,6 +33,20 @@ class NotUnitTraceError(ValidationError):
 
 class NotPSDError(ValidationError):
     pass
+
+
+def _raise_first(bad, error: type[ValueError], describe) -> None:
+    """Raise ``error(describe(i))`` at the first index i where `bad` holds.
+
+    `bad` spans the leading (stack) axes of what was checked, so it is 0-d
+    and i is () for a single object. The exception keeps i as its `index`,
+    so a caller that evaluated a stack can name the entry that failed.
+    """
+    if bad.any() if bad.ndim else bad:  # a 0-d test is far cheaper as bool()
+        index = tuple(int(v) for v in np.argwhere(bad)[0])
+        exc = error(describe(index))
+        exc.index = index
+        raise exc
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -101,6 +119,19 @@ def partial_trace_second(m, dim_first: int, dim_second: int) -> np.ndarray:
     return np.einsum("ikjk->ij", blocks)
 
 
+def _partial_trace_pure(psi: np.ndarray) -> np.ndarray:
+    """partial_trace_second of |psi><psi| for psi of shape (..., n, dim), the
+    joint vector's (path, detector) factors, without the (n dim)^2 joint matrix.
+
+    The terms psi_ik conj(psi_jk) are added in the order k = 0, 1, ..., as the
+    einsum over the joint matrix adds them, so the result is the same to the bit.
+    """
+    acc = np.zeros(psi.shape[:-1] + psi.shape[-2:-1], dtype=complex)
+    for k in range(psi.shape[-1]):
+        acc += psi[..., :, None, k] * psi[..., None, :, k].conj()
+    return acc
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated Hermitian, PSD, unit-trace matrix.
@@ -134,26 +165,35 @@ def validate_density(m) -> DensityMatrix:
     Raises NotHermitianError, NotUnitTraceError, or NotPSDError naming
     the measured violation.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {m.shape}")
-    herm_dev = max_abs(m - dagger(m))
-    if herm_dev > DEFAULT_TOL:
-        raise NotHermitianError(f"Hermiticity deviation {herm_dev:.3e} exceeds {DEFAULT_TOL:.1e}")
-    trace_dev = abs(m.trace() - 1.0)
-    if trace_dev > DEFAULT_TOL:
-        raise NotUnitTraceError(f"trace deviates from 1 by {trace_dev:.3e}, over {DEFAULT_TOL:.1e}")
-    h = (m + dagger(m)) / 2.0
-    vals = np.linalg.eigvalsh(h)
-    if vals[0] < -DEFAULT_TOL:
-        raise NotPSDError(f"minimum eigenvalue {vals[0]:.3e} below -{DEFAULT_TOL:.1e}")
-    if vals[0] < 0.0:
-        vals_all, vecs = np.linalg.eigh(h)
-        clamped = np.clip(vals_all, 0.0, None)
-        h = (vecs * clamped) @ dagger(vecs)
-        h = (h + dagger(h)) / 2.0
-    h = h / h.trace().real
-    return DensityMatrix(matrix=frozen(h))
+    m = np.asarray(m.matrix if isinstance(m, DensityMatrix) else m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValueError(f"density matrix must be a non-empty square matrix, got shape {m.shape}")
+    return DensityMatrix(matrix=frozen(_density(m)))
+
+
+def _density(m: np.ndarray) -> np.ndarray:
+    """validate_density over the trailing (n, n) axes of a stack: the checked,
+    hermitized, eigenvalue-clamped and renormalized matrices, freshly allocated.
+    Every test is written so that NaN fails it."""
+    _raise_first(~np.isfinite(m).all(axis=(-2, -1)), ValueError,
+                 lambda i: "matrix contains NaN or Inf entries")
+    adjoint = dagger(m)
+    herm_dev = np.abs(m - adjoint).max(axis=(-2, -1))
+    _raise_first(~(herm_dev <= DEFAULT_TOL), NotHermitianError,
+                 lambda i: f"Hermiticity deviation {herm_dev[i]:.3e} exceeds {DEFAULT_TOL:.1e}")
+    trace_dev = np.abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+    _raise_first(~(trace_dev <= DEFAULT_TOL), NotUnitTraceError,
+                 lambda i: f"trace deviates from 1 by {trace_dev[i]:.3e}, over {DEFAULT_TOL:.1e}")
+    h = (m + adjoint) / 2.0
+    low = np.linalg.eigvalsh(h)[..., 0]
+    _raise_first(~(low >= -DEFAULT_TOL), NotPSDError,
+                 lambda i: f"minimum eigenvalue {low[i]:.3e} below -{DEFAULT_TOL:.1e}")
+    negative = low < 0.0
+    if negative.any():
+        vals, vecs = np.linalg.eigh(h[negative])
+        clamped = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ dagger(vecs)
+        h[negative] = (clamped + dagger(clamped)) / 2.0
+    return h / h.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def spectral_decompose(rho: DensityMatrix) -> list[tuple[float, np.ndarray]]:
@@ -177,11 +217,16 @@ def principal_submatrix_margin(m) -> float:
     Nonnegative for every PSD matrix: each principal 2x2 submatrix of a
     PSD matrix is itself PSD, so its determinant is nonnegative.
     """
-    m = as_matrix(m)
-    d = np.clip(m.diagonal().real, 0.0, None)
-    margins = np.sqrt(np.outer(d, d)) - np.abs(m)
-    np.fill_diagonal(margins, np.inf)
-    return float(margins.min())
+    return float(_submatrix_margin(as_matrix(m)))
+
+
+def _submatrix_margin(m: np.ndarray) -> np.ndarray:
+    """principal_submatrix_margin over the trailing (n, n) axes of a stack."""
+    d = np.clip(m.diagonal(axis1=-2, axis2=-1).real, 0.0, None)
+    margins = np.sqrt(d[..., :, None] * d[..., None, :]) - np.abs(m)
+    diagonal = np.arange(m.shape[-1])
+    margins[..., diagonal, diagonal] = np.inf
+    return margins.min(axis=(-2, -1))
 
 
 def gram_factor_vectors(gram) -> np.ndarray:

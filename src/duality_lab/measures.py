@@ -5,6 +5,10 @@ the conversion to the visibility-style distinguishability.
 Distinguishability here is always the unambiguous-discrimination success
 bound, not an optimal success probability; no claim of attainability is
 made anywhere.
+
+Each quantity is written once, as a private formula over the trailing
+axes of stacked arrays; the public functions apply it to one object and
+the campaign kernel in ``duality`` to a stack of trials.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_matrix
+from .linalg import DEFAULT_TOL, _raise_first, as_matrix
 from .states import BranchOverlaps, DetectorSet, MixedQuanton, PureQuanton
 
 #: numerical-dust window: results may poke out of [0, 1] by at most this
@@ -21,46 +25,60 @@ from .states import BranchOverlaps, DetectorSet, MixedQuanton, PureQuanton
 CLAMP_TOL = 1e-9
 
 
-def _clamp_unit(x: float, what: str) -> float:
-    # written so that NaN fails the test as well
-    if not -CLAMP_TOL <= x <= 1.0 + CLAMP_TOL:
-        raise ValueError(f"{what} = {x!r} leaves [0, 1] by more than {CLAMP_TOL:.0e}")
-    return float(min(1.0, max(0.0, x)))
+def _clamp_unit(x, what: str):
+    """Clamp values within CLAMP_TOL of [0, 1] into it; a float for a scalar,
+    an array for a stack. Written so that NaN fails the test as well."""
+    x = np.asarray(x, dtype=float)
+    _raise_first(~((x >= -CLAMP_TOL) & (x <= 1.0 + CLAMP_TOL)), ValueError,
+                 lambda i: f"{what} = {float(x[i])!r} leaves [0, 1] by more than {CLAMP_TOL:.0e}")
+    clamped = np.minimum(1.0, np.maximum(0.0, x))
+    return float(clamped) if clamped.ndim == 0 else clamped
+
+
+def _off_diagonal_sum(m: np.ndarray) -> np.ndarray:
+    """Sum of the off-diagonal entries over the trailing (n, n) axes.
+
+    numpy's summation order follows the memory layout, so the terms are made
+    C-contiguous first: each matrix of a stack then sums to the same bits as
+    the matrix alone.
+    """
+    m = np.ascontiguousarray(m)
+    return m.sum(axis=(-2, -1)) - m.trace(axis1=-2, axis2=-1)
 
 
 def coherence_l1(rho) -> float:
     """Sum of absolute values of the off-diagonal entries."""
-    m = np.abs(as_matrix(rho))
-    return float(m.sum() - m.trace())
+    return float(_off_diagonal_sum(np.abs(as_matrix(rho))))
 
 
 def coherence_normalized(rho) -> float:
     """l1 coherence divided by n - 1, lying in [0, 1] for density matrices."""
-    n = as_matrix(rho).shape[0]
-    if n < 2:
+    rho = as_matrix(rho)
+    if rho.shape[0] < 2:
         raise ValueError("normalized coherence needs dimension >= 2")
-    return _clamp_unit(coherence_l1(rho) / (n - 1), "normalized coherence")
+    return _coherence(rho)
 
 
-def _cross_sum(probs: np.ndarray, abs_gram: np.ndarray) -> float:
-    """sum_{i != j} sqrt(p_i p_j) |gram_ij|."""
+def _coherence(rho: np.ndarray):
+    """coherence_normalized over the trailing (n, n) axes."""
+    return _clamp_unit(_off_diagonal_sum(np.abs(rho)) / (rho.shape[-1] - 1), "normalized coherence")
+
+
+def _cross_sum(probs: np.ndarray, abs_gram: np.ndarray) -> np.ndarray:
+    """sum_{i != j} sqrt(p_i p_j) |gram_ij| over the trailing axes."""
     s = np.sqrt(np.clip(probs, 0.0, None))
-    weighted = np.outer(s, s) * abs_gram
-    return float(weighted.sum() - weighted.trace())
+    return _off_diagonal_sum(s[..., :, None] * s[..., None, :] * abs_gram)
 
 
-def _checked_probs(probs) -> np.ndarray:
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise ValueError("need at least two probabilities")
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"probabilities are not finite: {p!r}")
-    if np.any(p < -DEFAULT_TOL):
-        raise ValueError(f"negative probability {p.min()!r}")
-    total = float(p.sum())
-    if abs(total - 1.0) > DEFAULT_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    return p
+def _checked_probs(p: np.ndarray) -> None:
+    """Finite, nonnegative probabilities summing to one, over the trailing axis."""
+    _raise_first(~np.isfinite(p).all(axis=-1), ValueError,
+                 lambda i: f"probabilities are not finite: {p[i]!r}")
+    _raise_first((p < -DEFAULT_TOL).any(axis=-1), ValueError,
+                 lambda i: f"negative probability {p[i].min()!r}")
+    total = p.sum(axis=-1)
+    _raise_first(np.abs(total - 1.0) > DEFAULT_TOL, ValueError,
+                 lambda i: f"probabilities sum to {float(total[i])!r}, expected 1")
 
 
 def uqsd_bound(probs, gram) -> float:
@@ -73,14 +91,22 @@ def uqsd_bound(probs, gram) -> float:
     Equals 1 for orthogonal states. The bound is in general not
     attainable.
     """
-    p = _checked_probs(probs)
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 1 or p.shape[0] < 2:
+        raise ValueError("need at least two probabilities")
     g = as_matrix(gram)
     if g.shape != (p.shape[0], p.shape[0]):
         raise ValueError(f"Gram shape {g.shape} does not match {p.shape[0]} probabilities")
-    if np.max(np.abs(g.diagonal() - 1.0)) > 1e-8:
-        raise ValueError("Gram matrix must have unit diagonal (normalized states)")
-    n = p.shape[0]
-    return _clamp_unit(1.0 - _cross_sum(p, np.abs(g)) / (n - 1), "UQSD bound")
+    return _uqsd(p, g)
+
+
+def _uqsd(p: np.ndarray, gram: np.ndarray):
+    """uqsd_bound over stacks of (n,) probabilities and (n, n) Gram matrices."""
+    _checked_probs(p)
+    unit_dev = np.abs(gram.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1)
+    _raise_first(~(unit_dev <= 1e-8), ValueError,
+                 lambda i: "Gram matrix must have unit diagonal (normalized states)")
+    return _clamp_unit(1.0 - _cross_sum(p, np.abs(gram)) / (p.shape[-1] - 1), "UQSD bound")
 
 
 def distinguishability_pure(q: PureQuanton, d: DetectorSet) -> float:
@@ -101,12 +127,23 @@ def distinguishability_mixed_detector(q: MixedQuanton, b: BranchOverlaps) -> flo
     the mixed-quanton distinguishability against branch k's overlaps."""
     if b.n != q.n:
         raise ValueError(f"branch Gram size {b.n} does not match {q.n} paths")
-    probs = q.path_probabilities()
-    n = q.n
-    total = 0.0
-    for weight, gram in zip(b.weights, b.branch_grams):
-        total += weight * (1.0 - _cross_sum(probs, np.abs(gram)) / (n - 1))
-    return _clamp_unit(total, "branch-averaged distinguishability")
+    return _branch_distinguishability(q.path_probabilities(), b.weights, b.branch_grams)
+
+
+def _branch_average(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_k r_k x_k, added in branch order k = 0, 1, ... over the last axis."""
+    total = np.zeros(weights.shape[:-1])
+    for k in range(weights.shape[-1]):
+        total = total + weights[..., k] * values[..., k]
+    return total
+
+
+def _branch_distinguishability(probs: np.ndarray, weights: np.ndarray, grams: np.ndarray):
+    """distinguishability_mixed_detector over stacks of (n,) probabilities,
+    (k,) branch weights and (k, n, n) branch Grams."""
+    n = probs.shape[-1]
+    per_branch = 1.0 - _cross_sum(probs[..., None, :], np.abs(grams)) / (n - 1)
+    return _clamp_unit(_branch_average(weights, per_branch), "branch-averaged distinguishability")
 
 
 def coherence_bound_mixed_detector(q: MixedQuanton, b: BranchOverlaps) -> float:
@@ -119,13 +156,14 @@ def coherence_bound_mixed_detector(q: MixedQuanton, b: BranchOverlaps) -> float:
     """
     if b.n != q.n:
         raise ValueError(f"branch Gram size {b.n} does not match {q.n} paths")
-    absrho = np.abs(q.rho.matrix)
-    n = q.n
-    total = 0.0
-    for weight, gram in zip(b.weights, b.branch_grams):
-        weighted = absrho * np.abs(gram)
-        total += weight * float(weighted.sum() - weighted.trace())
-    return float(total) / (n - 1)
+    return float(_branch_coherence_bound(q.rho.matrix, b.weights, b.branch_grams))
+
+
+def _branch_coherence_bound(rho: np.ndarray, weights: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """coherence_bound_mixed_detector over stacks of (n, n) quanton states,
+    (k,) branch weights and (k, n, n) branch Grams."""
+    per_branch = _off_diagonal_sum(np.abs(rho)[..., None, :, :] * np.abs(grams))
+    return _branch_average(weights, per_branch) / (rho.shape[-1] - 1)
 
 
 def idp_limit(overlap: float) -> float:
@@ -157,7 +195,11 @@ def mixed_duality_slack(q: MixedQuanton, gram) -> float:
     g = as_matrix(gram)
     if g.shape != (q.n, q.n):
         raise ValueError(f"Gram shape {g.shape} does not match {q.n} paths")
-    rho = q.rho.matrix
-    p = np.clip(rho.diagonal().real, 0.0, None)
-    terms = (np.sqrt(np.outer(p, p)) - np.abs(rho)) * np.abs(g)
-    return float(terms.sum() - terms.trace()) / (q.n - 1)
+    return float(_slack(q.rho.matrix, g))
+
+
+def _slack(rho: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """mixed_duality_slack over stacks of (n, n) states and Gram matrices."""
+    p = np.clip(rho.diagonal(axis1=-2, axis2=-1).real, 0.0, None)
+    terms = (np.sqrt(p[..., :, None] * p[..., None, :]) - np.abs(rho)) * np.abs(gram)
+    return _off_diagonal_sum(terms) / (rho.shape[-1] - 1)

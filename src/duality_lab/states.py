@@ -17,6 +17,7 @@ from .linalg import (
     DEFAULT_TOL,
     MAX_COMPOSITE_DIM,
     DensityMatrix,
+    _raise_first,
     as_vector,
     dagger,
     frozen,
@@ -38,9 +39,7 @@ class PureQuanton:
         amps = as_vector(self.amplitudes)
         if amps.shape[0] < 2:
             raise ValueError("a quanton needs at least 2 paths")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"amplitudes not normalized: sum |c_i|^2 = {norm_sq!r}")
+        _check_normalized(amps)
         object.__setattr__(self, "amplitudes", frozen(amps))
 
     @property
@@ -55,6 +54,13 @@ class PureQuanton:
         """Rank-1 density matrix |c><c| in the path basis."""
         rho = np.outer(self.amplitudes, self.amplitudes.conj())
         return MixedQuanton(rho=validate_density(rho))
+
+
+def _check_normalized(amps: np.ndarray) -> None:
+    """PureQuanton's norm check over the trailing axis of a stack of amplitudes."""
+    norm_sq = np.sum(np.abs(amps) ** 2, axis=-1)
+    _raise_first(~(np.abs(norm_sq - 1.0) <= DEFAULT_TOL), ValueError,
+                 lambda i: f"amplitudes not normalized: sum |c_i|^2 = {float(norm_sq[i])!r}")
 
 
 @dataclass(frozen=True)
@@ -92,12 +98,8 @@ class DetectorSet:
             raise ValueError("vectors must be an (n, dim) array")
         if not np.all(np.isfinite(vecs)):
             raise ValueError("detector vectors contain NaN or Inf entries")
-        norms = np.linalg.norm(vecs, axis=1)
-        worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > DEFAULT_TOL:
-            raise ValueError(f"detector vectors not normalized, worst deviation {worst:.3e}")
         object.__setattr__(self, "vectors", frozen(vecs))
-        object.__setattr__(self, "gram", frozen(vecs.conj() @ vecs.T))
+        object.__setattr__(self, "gram", frozen(_detector_gram(vecs)))
 
     @property
     def n(self) -> int:
@@ -106,6 +108,14 @@ class DetectorSet:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+
+def _detector_gram(vecs: np.ndarray) -> np.ndarray:
+    """DetectorSet's norm check and Gram matrix over the trailing (n, dim) axes."""
+    worst = np.abs(np.linalg.norm(vecs, axis=-1) - 1.0).max(axis=-1)
+    _raise_first(~(worst <= DEFAULT_TOL), ValueError,
+                 lambda i: f"detector vectors not normalized, worst deviation {worst[i]:.3e}")
+    return vecs.conj() @ vecs.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -123,11 +133,7 @@ class MixedDetectorInteraction:
             raise ValueError(
                 f"unitary dimension {us.shape[1]} does not match detector dimension {self.rho_d.dim}"
             )
-        devs = np.abs(dagger(us) @ us - np.eye(us.shape[1])).max(axis=(1, 2))
-        failing = np.flatnonzero(~(devs <= DEFAULT_TOL))  # NaN fails as well
-        if failing.size:
-            i = failing[0]
-            raise ValueError(f"U_{i} is not unitary, deviation {devs[i]:.3e}")
+        _check_unitaries(us)
         object.__setattr__(self, "unitaries", frozen(us))
 
     @property
@@ -137,6 +143,16 @@ class MixedDetectorInteraction:
     @property
     def dim(self) -> int:
         return self.rho_d.dim
+
+
+def _check_unitaries(us: np.ndarray) -> None:
+    """MixedDetectorInteraction's U^dag U = I check over stacks of (n, dim, dim)
+    unitaries; the message names the first failing U_i."""
+    product = dagger(us) @ us
+    product -= np.eye(us.shape[-1])
+    devs = np.abs(product).max(axis=(-2, -1))
+    _raise_first(~(devs <= DEFAULT_TOL), ValueError,  # NaN fails as well
+                 lambda i: f"U_{i[-1]} is not unitary, deviation {devs[i]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -157,22 +173,7 @@ class BranchOverlaps:
             raise ValueError("weights and branch_grams shapes are inconsistent")
         if grams.shape[1] != grams.shape[2]:
             raise ValueError("branch Gram matrices must be square")
-        # every test below is written so that NaN fails it
-        if not np.all(w >= 0.0):
-            raise ValueError(f"branch weights must be nonnegative, got {w!r}")
-        if not abs(float(w.sum()) - 1.0) <= DEFAULT_TOL:
-            raise ValueError(f"branch weights sum to {w.sum()!r}, expected 1")
-        adjoint = dagger(grams)
-        not_hermitian = ~(np.abs(grams - adjoint).max(axis=(1, 2)) <= DEFAULT_TOL)
-        not_unit = ~(np.abs(np.diagonal(grams, axis1=1, axis2=2) - 1.0).max(axis=1) <= DEFAULT_TOL)
-        not_psd = ~(np.linalg.eigvalsh((grams + adjoint) / 2)[:, 0] >= -DEFAULT_TOL)
-        failing = np.flatnonzero(not_hermitian | not_unit | not_psd)
-        if failing.size:
-            k = failing[0]
-            what = ("is not Hermitian" if not_hermitian[k] else
-                    "does not have unit diagonal" if not_unit[k] else
-                    "is not positive semidefinite")
-            raise ValueError(f"branch Gram {k} {what}")
+        _check_branches(w, grams)
         wobj = np.array(w, copy=True)
         wobj.setflags(write=False)
         object.__setattr__(self, "weights", wobj)
@@ -181,6 +182,32 @@ class BranchOverlaps:
     @property
     def n(self) -> int:
         return self.branch_grams.shape[1]
+
+
+def _check_branches(w: np.ndarray, grams: np.ndarray) -> None:
+    """BranchOverlaps' checks over stacks of (k,) weights and (k, n, n) Grams:
+    weights nonnegative and summing to one, each Gram Hermitian with unit
+    diagonal and positive semidefinite (one batched eigvalsh). On a Gram
+    failing several checks the message names the first of them. Every test
+    is written so that NaN fails it."""
+    _raise_first(~(w >= 0.0).all(axis=-1), ValueError,
+                 lambda i: f"branch weights must be nonnegative, got {w[i]!r}")
+    total = w.sum(axis=-1)
+    _raise_first(~(np.abs(total - 1.0) <= DEFAULT_TOL), ValueError,
+                 lambda i: f"branch weights sum to {total[i]!r}, expected 1")
+    adjoint = dagger(grams)
+    not_hermitian = ~(np.abs(grams - adjoint).max(axis=(-2, -1)) <= DEFAULT_TOL)
+    diagonal = grams.diagonal(axis1=-2, axis2=-1)
+    not_unit = ~(np.abs(diagonal - 1.0).max(axis=-1) <= DEFAULT_TOL)
+    not_psd = ~(np.linalg.eigvalsh((grams + adjoint) / 2)[..., 0] >= -DEFAULT_TOL)
+
+    def describe(i) -> str:
+        what = ("is not Hermitian" if not_hermitian[i] else
+                "does not have unit diagonal" if not_unit[i] else
+                "is not positive semidefinite")
+        return f"branch Gram {i[-1]} {what}"
+
+    _raise_first(not_hermitian | not_unit | not_psd, ValueError, describe)
 
 
 def _check_composite(n: int, dim: int) -> None:
@@ -227,9 +254,13 @@ def reduce_quanton_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction) 
     """Reduced quanton state for a mixed detector, entries rho_ij Tr(U_i rho_d U_j^dag)."""
     if q.n != m.n:
         raise ValueError(f"path count mismatch: quanton has {q.n}, interaction has {m.n}")
-    moved = m.unitaries @ m.rho_d.matrix
-    overlap_factors = np.einsum("iab,jab->ij", moved, m.unitaries.conj())
-    return MixedQuanton(rho=validate_density(q.rho.matrix * overlap_factors))
+    return MixedQuanton(rho=validate_density(q.rho.matrix * _overlap_factors(m.unitaries, m.rho_d.matrix)))
+
+
+def _overlap_factors(unitaries: np.ndarray, rho_d: np.ndarray) -> np.ndarray:
+    """Tr(U_i rho_d U_j^dag) over stacks of (n, dim, dim) unitaries and (dim, dim) states."""
+    moved = unitaries @ rho_d[..., None, :, :]
+    return np.einsum("...iab,...jab->...ij", moved, unitaries.conj())
 
 
 def branch_overlaps(m: MixedDetectorInteraction) -> BranchOverlaps:
@@ -239,13 +270,29 @@ def branch_overlaps(m: MixedDetectorInteraction) -> BranchOverlaps:
     carry no probability and their Gram matrices are numerically
     meaningless.
     """
-    pairs = [(w, v) for w, v in spectral_decompose(m.rho_d) if w >= BRANCH_WEIGHT_CUTOFF]
-    weights = np.array([w for w, _ in pairs])
-    kets = np.array([v for _, v in pairs])
-    # moved[k, i] = U_i |d_k>
-    moved = np.einsum("iab,kb->kia", m.unitaries, kets)
-    grams = np.einsum("kia,kja->kij", moved.conj(), moved)
-    return BranchOverlaps(weights=weights, branch_grams=grams)
+    weights, kets = _branches(m.rho_d.matrix)
+    kept = weights > 0.0
+    return BranchOverlaps(weights=weights[kept], branch_grams=_branch_grams(m.unitaries, kets[kept]))
+
+
+def _branch_grams(unitaries: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Gram matrices <d_ki|d_kj> with |d_ki> = U_i |d_k>, over stacks of
+    (n, dim, dim) unitaries and (k, dim) branch kets."""
+    moved = np.einsum("...iab,...kb->...kia", unitaries, kets)
+    return np.einsum("...kia,...kja->...kij", moved.conj(), moved)
+
+
+def _branches(rho_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """branch_overlaps' spectral branches over a stack of detector states:
+    weights (..., dim) and kets (..., dim, dim), eigenvalues descending as in
+    spectral_decompose. Branches below BRANCH_WEIGHT_CUTOFF are kept in place
+    with weight zero, so every stack entry has dim of them."""
+    vals, vecs = np.linalg.eigh(rho_d)
+    order = np.argsort(vals, axis=-1)[..., ::-1]
+    weights = np.maximum(np.take_along_axis(vals, order, axis=-1), 0.0)
+    # rows, C-contiguous: einsum's summation order follows the memory layout
+    kets = np.ascontiguousarray(np.take_along_axis(vecs, order[..., None, :], axis=-1).swapaxes(-1, -2))
+    return np.where(weights >= BRANCH_WEIGHT_CUTOFF, weights, 0.0), kets
 
 
 def induced_detectors(m: MixedDetectorInteraction) -> DetectorSet:

@@ -172,6 +172,30 @@ def test_nonpositive_detector_dim_exits_two(capsys, tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["campaign", "--scenario", "pure_pure", "--n", "3", "--trials", "2"],
+    ["verify", "--scenario", "mixed_pure", "--n", "3"],
+    ["sweep", "--scenario", "mixed_pure", "--n", "3", "--gammas", "0,1"],
+])
+def test_negative_seed_exits_two(capsys, tmp_path, argv):
+    code, _, err = _run(capsys, argv + ["--seed", "-1", "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert "--seed must be a non-negative integer, got -1" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_campaign_checks_output_directory_first(capsys, tmp_path, monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran")
+
+    monkeypatch.setattr("duality_lab.cli.run_campaign", no_trials)
+    prefix = tmp_path / "missing" / "run"
+    code, _, err = _run(capsys, ["campaign", "--scenario", "pure_pure", "--n", "2", "--trials", "3",
+                                 "--seed", "1", "--output", str(prefix)])
+    assert code == 2
+    assert str(tmp_path / "missing") in err
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_two_path_rows(capsys):

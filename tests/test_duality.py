@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from duality_lab import duality
 from duality_lab.duality import (
     SCENARIOS,
     evaluate_mixed,
@@ -216,6 +217,18 @@ def test_run_campaign_validation():
         run_campaign("nope", 10, 1)
     with pytest.raises(ValueError, match="path counts"):
         run_campaign("pure_pure", 10, 1, n=1)
+
+
+def test_run_campaign_checks_rank_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(duality, "stream", no_draws)
+    for scenario in ("mixed_pure", "mixed_mixed"):
+        with pytest.raises(ValueError, match=r"rank must lie in 1\.\.2, got 3"):
+            run_campaign(scenario, 10, 1, n=(3, 2), rank=3)
+        with pytest.raises(ValueError, match=r"rank must lie in 1\.\.3, got 0"):
+            run_campaign(scenario, 10, 1, n=3, rank=0)
 
 
 def test_run_campaign_deterministic():
