@@ -206,9 +206,20 @@ def spectral_decompose(rho: DensityMatrix) -> list[tuple[float, np.ndarray]]:
     not rely on a specific choice. Eigensolver failures propagate as
     numpy.linalg.LinAlgError.
     """
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    order = np.argsort(vals)[::-1]
-    return [(max(float(vals[k]), 0.0), frozen(vecs[:, k])) for k in order]
+    weights, kets = _spectrum(rho.matrix)
+    return [(w, frozen(ket)) for w, ket in zip(weights.tolist(), kets)]
+
+
+def _spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """spectral_decompose over the trailing (n, n) axes of a stack: the
+    eigenvalues, descending and clamped at zero, and their eigenvectors as
+    rows. The rows are C-contiguous, because einsum's summation order
+    follows the memory layout of its operands."""
+    vals, vecs = np.linalg.eigh(m)
+    order = np.argsort(vals, axis=-1)[..., ::-1]
+    weights = np.maximum(np.take_along_axis(vals, order, axis=-1), 0.0)
+    rows = np.take_along_axis(vecs, order[..., None, :], axis=-1).swapaxes(-1, -2)
+    return weights, np.ascontiguousarray(rows)
 
 
 def principal_submatrix_margin(m) -> float:

@@ -18,6 +18,7 @@ from .linalg import (
     MAX_COMPOSITE_DIM,
     DensityMatrix,
     _raise_first,
+    _spectrum,
     as_vector,
     dagger,
     frozen,
@@ -284,14 +285,10 @@ def _branch_grams(unitaries: np.ndarray, kets: np.ndarray) -> np.ndarray:
 
 def _branches(rho_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """branch_overlaps' spectral branches over a stack of detector states:
-    weights (..., dim) and kets (..., dim, dim), eigenvalues descending as in
-    spectral_decompose. Branches below BRANCH_WEIGHT_CUTOFF are kept in place
-    with weight zero, so every stack entry has dim of them."""
-    vals, vecs = np.linalg.eigh(rho_d)
-    order = np.argsort(vals, axis=-1)[..., ::-1]
-    weights = np.maximum(np.take_along_axis(vals, order, axis=-1), 0.0)
-    # rows, C-contiguous: einsum's summation order follows the memory layout
-    kets = np.ascontiguousarray(np.take_along_axis(vecs, order[..., None, :], axis=-1).swapaxes(-1, -2))
+    weights (..., dim) and kets (..., dim, dim) as in spectral_decompose.
+    Branches below BRANCH_WEIGHT_CUTOFF are kept in place with weight zero,
+    so every stack entry has dim of them."""
+    weights, kets = _spectrum(rho_d)
     return np.where(weights >= BRANCH_WEIGHT_CUTOFF, weights, 0.0), kets
 
 
