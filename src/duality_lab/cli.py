@@ -154,8 +154,10 @@ def _merged_config(args: argparse.Namespace) -> dict:
             raise ConfigError("config file must contain a JSON object")
         flags = {action.dest: action for action in args.parser._actions}
         for key, value in loaded.items():
-            # null means unset; keys that are no flag of this command (rho) pass as they are
-            if value is not None:
+            # rho is the one key that is no flag: verify's explicit quanton state
+            if key not in flags and not (key == "rho" and args.command == "verify"):
+                raise ConfigError(f"config key {key!r} names no option of {args.command}")
+            if value is not None:  # null means unset
                 cfg[key] = _config_value(flags[key], value) if key in flags else value
     for key, value in vars(args).items():
         if key in ("config", "handler", "parser") or value is None:
@@ -188,17 +190,25 @@ def _report_csv(report: DualityReport, seed) -> str:
 
 def _verify_instance(cfg: dict) -> DualityReport:
     scenario = cfg.get("scenario", "pure_pure")
+    unread = {"pure_pure": ("rank", "rho"), "mixed_pure": ("amplitudes",), "mixed_mixed": ("gamma", "amplitudes")}
+    for key in unread[scenario]:
+        if cfg.get(key) is not None:
+            flag = "a config rho" if key == "rho" else f"--{key}"
+            raise ConfigError(f"{flag} is not read by the {scenario} scenario")
     seed = cfg.get("seed")
     gamma = cfg.get("gamma")
     rho = _parse_rho(cfg["rho"]) if cfg.get("rho") is not None else None
     n = cfg["n"] if cfg.get("n") is not None else (rho.shape[0] if rho is not None else None)
     if n is None:
         raise ConfigError("missing required option: --n (or a config rho)")
-    include_v = n <= VISIBILITY_MAX_PATHS
+    if rho is not None and rho.shape[0] != n:
+        raise ConfigError(f"--n {n} disagrees with the {rho.shape[0]}-row config rho")
 
     if scenario == "pure_pure":
         if cfg.get("amplitudes") is not None:
             quanton = PureQuanton(amplitudes=_parse_amplitudes(cfg["amplitudes"]))
+            if quanton.n != n:
+                raise ConfigError(f"--n {n} disagrees with the {quanton.n} amplitudes given")
         elif gamma is not None:
             quanton = _equal_amplitude_quanton(n)
         elif seed is not None:
@@ -206,19 +216,19 @@ def _verify_instance(cfg: dict) -> DualityReport:
         else:
             raise ConfigError("pure_pure needs --amplitudes, --gamma, or --seed")
         detectors = _verify_detectors(cfg, quanton.n)
-        return evaluate_pure(quanton, detectors, include_visibility=include_v)
+        return evaluate_pure(quanton, detectors, include_visibility=quanton.n <= VISIBILITY_MAX_PATHS)
 
     if scenario == "mixed_pure":
         quanton = _verify_mixed_quanton(cfg, n, rho)
         detectors = _verify_detectors(cfg, quanton.n)
-        return evaluate_mixed(quanton, detectors, include_visibility=include_v)
+        return evaluate_mixed(quanton, detectors, include_visibility=quanton.n <= VISIBILITY_MAX_PATHS)
 
     if seed is None:
         raise ConfigError("mixed_mixed needs --seed to draw the detector state and unitaries")
     quanton = _verify_mixed_quanton(cfg, n, rho)
     dim = cfg.get("detector_dim", quanton.n)
     interaction = random_mixed_detector(quanton.n, dim, np.random.default_rng([seed, 1]))
-    return evaluate_mixed_detector(quanton, interaction, include_visibility=include_v)
+    return evaluate_mixed_detector(quanton, interaction, include_visibility=quanton.n <= VISIBILITY_MAX_PATHS)
 
 
 def _verify_mixed_quanton(cfg: dict, n: int, rho) -> MixedQuanton:

@@ -14,10 +14,10 @@ Three scenarios are covered:
 Every report records signed residuals, not just booleans, so regressions
 in numerical quality stay visible.
 
-Campaigns evaluate their trials in stacks: the raw draws of each trial are
-grouped by (n, detector dimension) and run through the same checks and
-formulas as one object, over the trailing axes of the stacked arrays, so
-each report is bit for bit what evaluating the trial alone gives.
+Each scenario's composition is written once, as a kernel over stacks of
+checked arrays (``_*_stack``), and every command runs it: a campaign on its
+draws in (n, detector dimension) stacks, evaluate_* on one instance as a
+stack of one, sweep_overlap on all its gammas as one stack.
 """
 
 from __future__ import annotations
@@ -30,21 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .interference import _reduced_from_pure, scan_visibility, symmetric_detectors
-from .linalg import _density, _partial_trace_pure, _submatrix_margin, principal_submatrix_margin, validate_density
-from .measures import (
-    _branch_coherence_bound,
-    _branch_distinguishability,
-    _coherence,
-    _slack,
-    _uqsd,
-    coherence_bound_mixed_detector,
-    coherence_normalized,
-    distinguishability_mixed,
-    distinguishability_mixed_detector,
-    distinguishability_pure,
-    mixed_duality_slack,
-)
+from .interference import scan_visibility, symmetric_detectors
+from .linalg import DensityMatrix, _density, _partial_trace_pure, _submatrix_margin, frozen
+from .measures import _branch_coherence_bound, _branch_distinguishability, _coherence, _slack, _uqsd
 from .random import _haar, draw_trial, stream
 from .states import (
     DetectorSet,
@@ -59,8 +47,6 @@ from .states import (
     _check_unitaries,
     _detector_gram,
     _overlap_factors,
-    branch_overlaps,
-    reduce_quanton_mixed_detector,
 )
 
 TOLERANCE = 1e-9
@@ -194,12 +180,12 @@ def _report(scenario: str, n: int, coherence: float, dq: float, slack: float, ps
 
 
 def _pure_pure_report(n: int, coherence: float, dq: float, psd_margin: float,
-                      visibility: float | None = None) -> DualityReport:
+                      visibility: float | None) -> DualityReport:
     return _report("pure_pure", n, coherence, dq, 0.0, psd_margin, visibility, saturated=True)
 
 
 def _mixed_pure_report(n: int, coherence: float, dq: float, slack: float, psd_margin: float,
-                       visibility: float | None = None) -> DualityReport:
+                       visibility: float | None) -> DualityReport:
     slack_identity = coherence + dq + slack - 1.0
     return _report("mixed_pure", n, coherence, dq, slack, psd_margin, visibility,
                    relations=(("slack_identity", slack_identity, abs(slack_identity) <= TOLERANCE),),
@@ -207,26 +193,22 @@ def _mixed_pure_report(n: int, coherence: float, dq: float, slack: float, psd_ma
 
 
 def _mixed_mixed_report(n: int, coherence: float, dq: float, bound: float, psd_margin: float,
-                        visibility: float | None = None) -> DualityReport:
+                        visibility: float | None) -> DualityReport:
     bound_margin = bound - coherence
     return _report("mixed_mixed", n, coherence, dq, 1.0 - coherence - dq, psd_margin, visibility,
                    relations=(("coherence_bound_margin", bound_margin, bound_margin >= -MARGIN_TOL),))
-
-
-def _visibility(reduced: MixedQuanton, include_visibility: bool) -> float | None:
-    return scan_visibility(reduced).visibility if include_visibility else None
 
 
 def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = False) -> DualityReport:
     """Entangle, trace the detector out, and check C + D_Q = 1.
 
     Coherence is read off the reduced state produced by the actual
-    partial-trace pipeline, so the equality genuinely tests the numerics
-    rather than an algebraic shortcut.
+    partial trace, so the equality genuinely tests the numerics rather
+    than an algebraic shortcut.
     """
-    reduced = _reduced_from_pure(q, d)
-    return _pure_pure_report(reduced.n, coherence_normalized(reduced.rho), distinguishability_pure(q, d),
-                             principal_submatrix_margin(reduced.rho), _visibility(reduced, include_visibility))
+    if q.n != d.n:
+        raise ValueError(f"path count mismatch: quanton has {q.n}, detectors have {d.n}")
+    return _pure_pure_stack(q.amplitudes[None], d.vectors[None], d.gram[None], include_visibility)[0]
 
 
 def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = False) -> DualityReport:
@@ -237,10 +219,7 @@ def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = F
     """
     if q.n != d.n:
         raise ValueError(f"path count mismatch: quanton has {q.n}, detectors have {d.n}")
-    reduced = MixedQuanton(rho=validate_density(q.rho.matrix * d.gram.conj()))
-    return _mixed_pure_report(reduced.n, coherence_normalized(reduced.rho), distinguishability_mixed(q, d.gram),
-                              mixed_duality_slack(q, d.gram), principal_submatrix_margin(reduced.rho),
-                              _visibility(reduced, include_visibility))
+    return _mixed_pure_stack(q.rho.matrix[None], d.gram[None], include_visibility)[0]
 
 
 def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
@@ -250,17 +229,15 @@ def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
     Checks that the reduced coherence stays below its branch-averaged
     bound and that C + D_Q <= 1; ``slack`` records the observed gap.
     """
-    reduced = reduce_quanton_mixed_detector(q, m)
-    coherence = coherence_normalized(reduced.rho)
-    branches = branch_overlaps(m)
-    return _mixed_mixed_report(reduced.n, coherence, distinguishability_mixed_detector(q, branches),
-                               coherence_bound_mixed_detector(q, branches),
-                               principal_submatrix_margin(reduced.rho), _visibility(reduced, include_visibility))
+    if q.n != m.n:
+        raise ValueError(f"path count mismatch: quanton has {q.n}, interaction has {m.n}")
+    return _mixed_mixed_stack(q.rho.matrix[None], m.rho_d.matrix[None], m.unitaries[None],
+                              include_visibility)[0]
 
 
 def sweep_overlap(n: int, gammas: Sequence[float],
                   quanton: PureQuanton | MixedQuanton) -> list[DualityReport]:
-    """Evaluate the uniform-overlap detector family at each gamma.
+    """Evaluate the uniform-overlap detector family at each gamma, as one stack.
 
     Along the sweep the coherence is nondecreasing and the
     distinguishability nonincreasing: raising every overlap hides path
@@ -276,15 +253,12 @@ def sweep_overlap(n: int, gammas: Sequence[float],
         raise ValueError("gammas must be sorted ascending")
     if quanton.n != n:
         raise ValueError(f"quanton has {quanton.n} paths, sweep asked for {n}")
+    detectors = [symmetric_detectors(n, gamma) for gamma in gammas]
+    grams = np.stack([d.gram for d in detectors])
     include_v = n <= VISIBILITY_MAX_PATHS
-    reports = []
-    for gamma in gammas:
-        detectors = symmetric_detectors(n, gamma)
-        if isinstance(quanton, PureQuanton):
-            reports.append(evaluate_pure(quanton, detectors, include_visibility=include_v))
-        else:
-            reports.append(evaluate_mixed(quanton, detectors, include_visibility=include_v))
-    return reports
+    if isinstance(quanton, PureQuanton):
+        return _pure_pure_stack(quanton.amplitudes, np.stack([d.vectors for d in detectors]), grams, include_v)
+    return _mixed_pure_stack(quanton.rho.matrix, grams, include_v)
 
 
 @dataclass(frozen=True)
@@ -345,61 +319,55 @@ class CampaignResult:
             fh.write(",".join(cells[c] for c in CSV_COLUMNS) + "\n")
 
 
-def _stack_reports(make, n: int, *columns: np.ndarray) -> list[DualityReport]:
-    """make(n, *row) for each entry of a stack, from per-entry arrays. A check
-    that fails keeps the entry's index, as the stacked checks do."""
+def _stack_reports(make, reduced: np.ndarray, include_visibility: bool,
+                   *columns: np.ndarray) -> list[DualityReport]:
+    """make(n, *row, visibility) for each entry of a stack, from per-entry
+    arrays and, if asked for, the scan_visibility of its reduced state. A
+    check that fails keeps the entry's index, as the stacked checks do."""
     reports = []
     for i, row in enumerate(zip(*(column.tolist() for column in columns))):
         try:
-            reports.append(make(n, *row))
+            visibility = (scan_visibility(MixedQuanton(rho=DensityMatrix(frozen(reduced[i])))).visibility
+                          if include_visibility else None)
+            reports.append(make(reduced.shape[-1], *row, visibility))
         except ValueError as exc:
             exc.index = (i,)
             raise
     return reports
 
 
-def _pure_pure_stack(n: int, dim: int, amps: np.ndarray, vecs: np.ndarray) -> list[DualityReport]:
-    """evaluate_pure over a stack: the joint state is never formed, its
-    partial trace is taken from the (path, detector) factors directly."""
-    _check_normalized(amps)
-    gram = _detector_gram(vecs)
-    _check_composite(n, dim)
+def _pure_pure_stack(amps: np.ndarray, vecs: np.ndarray, gram: np.ndarray,
+                     include_visibility: bool = False) -> list[DualityReport]:
+    """pure_pure from normalized amplitudes, unit detector vectors and their
+    Gram. The joint state is never formed: its partial trace is taken from
+    the (path, detector) factors directly."""
+    _check_composite(*vecs.shape[-2:])
     reduced = _density(_partial_trace_pure(amps[..., :, None] * vecs))
-    return _stack_reports(_pure_pure_report, n, _coherence(reduced), _uqsd(np.abs(amps) ** 2, gram),
-                          _submatrix_margin(reduced))
+    return _stack_reports(_pure_pure_report, reduced, include_visibility, _coherence(reduced),
+                          _uqsd(np.abs(amps) ** 2, gram), _submatrix_margin(reduced))
 
 
-def _mixed_pure_stack(n: int, dim: int, rho: np.ndarray, vecs: np.ndarray) -> list[DualityReport]:
-    """evaluate_mixed over a stack."""
-    rho = _density(rho)
-    gram = _detector_gram(vecs)
+def _mixed_pure_stack(rho: np.ndarray, gram: np.ndarray, include_visibility: bool = False) -> list[DualityReport]:
+    """mixed_pure from density matrices and detector Grams: the reduced state is rho_ij <d_j|d_i>."""
     reduced = _density(rho * gram.conj())
-    return _stack_reports(_mixed_pure_report, n, _coherence(reduced),
+    return _stack_reports(_mixed_pure_report, reduced, include_visibility, _coherence(reduced),
                           _uqsd(rho.diagonal(axis1=-2, axis2=-1).real, gram), _slack(rho, gram),
                           _submatrix_margin(reduced))
 
 
-def _mixed_mixed_stack(n: int, dim: int, rho: np.ndarray, rho_d: np.ndarray,
-                       z: np.ndarray) -> list[DualityReport]:
-    """evaluate_mixed_detector over a stack. Every trial keeps all dim
-    spectral branches; those below the weight cutoff carry weight zero and
-    add exact zeros to the branch averages."""
-    rho = _density(rho)
-    rho_d = _density(rho_d)
-    unitaries = _haar(z)
-    _check_unitaries(unitaries)
+def _mixed_mixed_stack(rho: np.ndarray, rho_d: np.ndarray, unitaries: np.ndarray,
+                       include_visibility: bool = False) -> list[DualityReport]:
+    """mixed_mixed from density matrices, detector states and path unitaries. Every
+    entry keeps all dim spectral branches; those below the weight cutoff carry
+    weight zero and add exact zeros to the branch averages."""
     reduced = _density(rho * _overlap_factors(unitaries, rho_d))
     coherence = _coherence(reduced)
     weights, kets = _branches(rho_d)
     grams = _branch_grams(unitaries, kets)
     _check_branches(weights, grams)
     dq = _branch_distinguishability(rho.diagonal(axis1=-2, axis2=-1).real, weights, grams)
-    return _stack_reports(_mixed_mixed_report, n, coherence, dq, _branch_coherence_bound(rho, weights, grams),
-                          _submatrix_margin(reduced))
-
-
-_STACKED = {"pure_pure": _pure_pure_stack, "mixed_pure": _mixed_pure_stack,
-            "mixed_mixed": _mixed_mixed_stack}
+    return _stack_reports(_mixed_mixed_report, reduced, include_visibility, coherence, dq,
+                          _branch_coherence_bound(rho, weights, grams), _submatrix_margin(reduced))
 
 
 def _held_bytes(draws: tuple[np.ndarray, ...]) -> int:
@@ -407,14 +375,26 @@ def _held_bytes(draws: tuple[np.ndarray, ...]) -> int:
     return sum(sys.getsizeof(a) for a in draws)
 
 
-def _evaluate_stack(scenario: str, n: int, dim: int, entries: list, reports: list) -> None:
+def _evaluate_stack(scenario: str, entries: list, reports: list) -> None:
     """Evaluate one (n, dim) group of drawn trials as one stack and file the
-    reports under their trial indices. A failing check names the trial."""
+    reports under their trial indices. The draws are checked once, as the
+    per-object constructors check one instance; a failing check names the trial."""
     trials = [trial for trial, _ in entries]
     stacks = [np.stack(parts) for parts in zip(*(draws for _, draws in entries))]
     entries.clear()
     try:
-        stacked = _STACKED[scenario](n, dim, *stacks)
+        if scenario == "pure_pure":
+            amps, vecs = stacks
+            _check_normalized(amps)
+            stacked = _pure_pure_stack(amps, vecs, _detector_gram(vecs))
+        elif scenario == "mixed_pure":
+            rho, vecs = stacks
+            stacked = _mixed_pure_stack(_density(rho), _detector_gram(vecs))
+        else:
+            rho, rho_d, z = stacks
+            rho, rho_d, unitaries = _density(rho), _density(rho_d), _haar(z)
+            _check_unitaries(unitaries)
+            stacked = _mixed_mixed_stack(rho, rho_d, unitaries)
     except ValueError as exc:
         index = getattr(exc, "index", None) or (0,)
         raise type(exc)(f"trial {trials[index[0]]}: {exc}") from exc
@@ -466,7 +446,7 @@ def run_campaign(scenario: str, trials: int, seed: int,
         if total >= STACK_BYTES:
             key = max(held, key=held.get)
             total -= held.pop(key)
-            _evaluate_stack(scenario, *key, pending.pop(key), reports)
-    for key, entries in pending.items():
-        _evaluate_stack(scenario, *key, entries, reports)
+            _evaluate_stack(scenario, pending.pop(key), reports)
+    for entries in pending.values():
+        _evaluate_stack(scenario, entries, reports)
     return CampaignResult(scenario=scenario, trials=trials, seed=seed, reports=tuple(reports))

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gram_factor_vectors
+from .linalg import _partial_trace_pure, gram_factor_vectors, validate_density
 from .measures import coherence_normalized, distinguishability_pure
-from .states import DetectorSet, MixedQuanton, PureQuanton, entangle_pure, reduce_quanton
+from .states import DetectorSet, MixedQuanton, PureQuanton, _check_composite
 
 DEFAULT_GRID_POINTS = 4096
 MIN_GRID_POINTS = 256
@@ -127,8 +127,9 @@ def _equal_amplitude_quanton(n: int) -> PureQuanton:
 
 
 def _reduced_from_pure(q: PureQuanton, d: DetectorSet) -> MixedQuanton:
-    psi = entangle_pure(q, d)
-    return reduce_quanton(np.outer(psi, psi.conj()), q.n, d.dim)
+    """The detector traced out of sum_i c_i (e_i tensor d_i), without the joint matrix."""
+    _check_composite(q.n, d.dim)
+    return MixedQuanton(rho=validate_density(_partial_trace_pure(q.amplitudes[:, None] * d.vectors)))
 
 
 @dataclass(frozen=True)

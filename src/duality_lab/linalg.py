@@ -5,8 +5,9 @@ treats its inputs as immutable and returns freshly allocated, read-only
 arrays, so values can be shared freely across threads.
 
 The private helpers work over the trailing (n, n) axes of a stack of
-matrices, so one formula serves a single object and the campaign kernel
-in ``duality``, which evaluates many seeded trials at once.
+matrices, so one formula serves a single object and the kernels in
+``duality``. No command forms the joint matrix that tensor and
+partial_trace_second build and trace; they remain as API and test oracle.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ bound, not an optimal success probability; no claim of attainability is
 made anywhere.
 
 Each quantity is written once, as a private formula over the trailing
-axes of stacked arrays; the public functions apply it to one object and
-the campaign kernel in ``duality`` to a stack of trials.
+axes of stacked arrays: the kernels in ``duality`` apply it to stacks, and
+the public functions, the library API and the tests' oracle, to one object.
 """
 
 from __future__ import annotations
@@ -97,15 +97,15 @@ def uqsd_bound(probs, gram) -> float:
     g = as_matrix(gram)
     if g.shape != (p.shape[0], p.shape[0]):
         raise ValueError(f"Gram shape {g.shape} does not match {p.shape[0]} probabilities")
+    _checked_probs(p)
+    if not np.abs(g.diagonal() - 1.0).max() <= 1e-8:
+        raise ValueError("Gram matrix must have unit diagonal (normalized states)")
     return _uqsd(p, g)
 
 
 def _uqsd(p: np.ndarray, gram: np.ndarray):
-    """uqsd_bound over stacks of (n,) probabilities and (n, n) Gram matrices."""
-    _checked_probs(p)
-    unit_dev = np.abs(gram.diagonal(axis1=-2, axis2=-1) - 1.0).max(axis=-1)
-    _raise_first(~(unit_dev <= 1e-8), ValueError,
-                 lambda i: "Gram matrix must have unit diagonal (normalized states)")
+    """uqsd_bound over stacks of (n,) probabilities and (n, n) Gram matrices
+    that are already checked: those of validated quantons and detector sets."""
     return _clamp_unit(1.0 - _cross_sum(p, np.abs(gram)) / (p.shape[-1] - 1), "UQSD bound")
 
 

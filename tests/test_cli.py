@@ -81,6 +81,35 @@ def test_verify_rho_from_config(capsys, tmp_path):
     assert data["n"] == 2
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["--amplitudes", "1,0,0,1", "--gamma", "0.3"], {}, "--n 3 disagrees with the 4 amplitudes"),
+    (["--scenario", "mixed_pure", "--gamma", "0.5"], {"rho": [[0.5, 0.0], [0.0, 0.5]]},
+     "--n 3 disagrees with the 2-row config rho"),
+])
+def test_verify_n_must_match_the_instance(capsys, tmp_path, argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = _run(capsys, ["verify", "--n", "3", "--config", str(cfg), *argv])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("scenario, argv, config, flag", [
+    ("mixed_mixed", ["--gamma", "0.5"], {}, "--gamma"),
+    ("mixed_mixed", ["--amplitudes", "1,1,1"], {}, "--amplitudes"),
+    ("mixed_pure", ["--amplitudes", "1,1,1"], {}, "--amplitudes"),
+    ("pure_pure", ["--rank", "2"], {}, "--rank"),
+    ("pure_pure", [], {"rho": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]}, "a config rho"),
+])
+def test_verify_rejects_options_its_scenario_never_reads(capsys, tmp_path, scenario, argv, config, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = _run(capsys, ["verify", "--scenario", scenario, "--n", "3", "--seed", "5",
+                                   "--config", str(cfg), *argv])
+    assert (code, out) == (2, "")
+    assert f"{flag} is not read by the {scenario} scenario" in err
+
+
 def test_config_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "pure_pure", "n": 2, "gamma": 0.3}))
@@ -110,6 +139,8 @@ def test_config_values_checked_like_flags(capsys, tmp_path):
         (["verify"], {"n": 2, "gamma": 1, "format": "yaml"}, "'format'"),
         (["verify"], {"scenario": "mixed_pure", "rho": [1, 2], "gamma": 0.5}, "rho"),
         (["sweep"], {"n": 2, "gammas": [[0.5]]}, "gammas"),
+        (["verify"], {"n": 2, "gamma": 0.5, "detector_dm": 9}, "'detector_dm'"),
+        (campaign, {"n": 3, "rho": [[1.0]]}, "'rho'"),
     )
     for argv, config, key in cases:
         cfg.write_text(json.dumps(config))
