@@ -37,12 +37,10 @@ from .interference import (
     DEFAULT_GRID_POINTS,
     MIN_GRID_POINTS,
     _equal_amplitude_quanton,
-    _reduced_from_pure,
-    scan_visibility,
+    _pure_fringe,
     symmetric_detectors,
 )
 from .linalg import validate_density
-from .measures import coherence_normalized, distinguishability_pure
 from .random import (
     random_density,
     random_detectors,
@@ -71,6 +69,12 @@ VERIFY_CSV_COLUMNS = (
     "seed",
 )
 SWEEP_CSV_COLUMNS = ("gamma", "coherence", "distinguishability", "slack", "visibility")
+
+
+# options a command's scenario never reads: giving one is a malformed configuration
+_UNREAD = {"verify": {"pure_pure": ("rank", "rho"), "mixed_pure": ("amplitudes",),
+                      "mixed_mixed": ("gamma", "amplitudes")},
+           "sweep": {"pure_pure": ("rank",)}, "campaign": {"pure_pure": ("rank",)}}
 
 
 class ConfigError(ValueError):
@@ -169,6 +173,16 @@ def _merged_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _reject_unread(command: str, cfg: dict) -> None:
+    scenario = cfg.get("scenario", "pure_pure")
+    for key in _UNREAD[command].get(scenario, ()):
+        if cfg.get(key) is not None:
+            flag = "a config rho" if key == "rho" else f"--{key}"
+            raise ConfigError(f"{flag} is not read by the {scenario} scenario")
+    if cfg.get("rho") is not None and cfg.get("rank") is not None:
+        raise ConfigError(f"--rank is not read by the {scenario} scenario once a config rho gives the state")
+
+
 def _require(cfg: dict, key: str, hint: str):
     if cfg.get(key) is None:
         raise ConfigError(f"missing required option: {hint}")
@@ -190,11 +204,7 @@ def _report_csv(report: DualityReport, seed) -> str:
 
 def _verify_instance(cfg: dict) -> DualityReport:
     scenario = cfg.get("scenario", "pure_pure")
-    unread = {"pure_pure": ("rank", "rho"), "mixed_pure": ("amplitudes",), "mixed_mixed": ("gamma", "amplitudes")}
-    for key in unread[scenario]:
-        if cfg.get(key) is not None:
-            flag = "a config rho" if key == "rho" else f"--{key}"
-            raise ConfigError(f"{flag} is not read by the {scenario} scenario")
+    _reject_unread("verify", cfg)
     seed = cfg.get("seed")
     gamma = cfg.get("gamma")
     rho = _parse_rho(cfg["rho"]) if cfg.get("rho") is not None else None
@@ -268,6 +278,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_campaign(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     scenario = _require(cfg, "scenario", "--scenario")
+    _reject_unread("campaign", cfg)
     n = _require(cfg, "n", "--n")
     trials = _require(cfg, "trials", "--trials")
     seed = _require(cfg, "seed", "--seed (campaigns never use a silent entropy source)")
@@ -297,6 +308,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     n = _require(cfg, "n", "--n")
     gammas = _parse_gammas(cfg)
+    _reject_unread("sweep", cfg)
     if cfg.get("scenario", "pure_pure") == "pure_pure":
         if cfg.get("seed") is not None:
             quanton = random_pure(n, cfg["seed"])
@@ -322,12 +334,7 @@ def cmd_fringe(args: argparse.Namespace) -> int:
     grid_points = cfg.get("grid_points", DEFAULT_GRID_POINTS)
     if grid_points < MIN_GRID_POINTS:
         raise ConfigError(f"--grid-points must be >= {MIN_GRID_POINTS}, got {grid_points}")
-    quanton = _equal_amplitude_quanton(n)
-    detectors = symmetric_detectors(n, gamma)
-    reduced = _reduced_from_pure(quanton, detectors)
-    scan = scan_visibility(reduced, grid_points)
-    coherence = coherence_normalized(reduced.rho)
-    dq = distinguishability_pure(quanton, detectors)
+    scan, coherence, dq = _pure_fringe(_equal_amplitude_quanton(n), symmetric_detectors(n, gamma), grid_points)
     header = (
         f"n={n} gamma={gamma!r} visibility={scan.visibility!r} "
         f"coherence={coherence!r} distinguishability={dq!r}"

@@ -53,12 +53,11 @@ TOLERANCE = 1e-9
 MARGIN_TOL = 1e-10
 SCENARIOS = ("pure_pure", "mixed_pure", "mixed_mixed")
 VISIBILITY_MAX_PATHS = 3  # the fringe correspondences of the two- and three-slit families
-#: bytes of raw draws a campaign holds before it evaluates its largest
-#: (n, dim) group, which caps the stacks and their temporaries. A mixed_mixed
-#: trial at n = 6 holds about 10 kB and its stack needs about five times its
-#: draws while it runs (QR copies, rotated branch kets); a pure_pure trial at
-#: n = 8 holds about 2 kB. Halving the budget cost mixed_mixed a fifth of its
-#: speed-up and saved only about 0.2 MB of peak RSS.
+#: bytes of raw draws one (n, dim) group of a campaign holds before it is
+#: evaluated as one stack, which caps the stacks and their temporaries. A
+#: mixed_mixed trial at n = 6 holds about 10 kB, and its stack needs about five
+#: times that while it runs (QR copies, rotated branch kets). On 1000 such
+#: trials, budgets of 32 and 128 KiB moved peak RSS by -0.3 and +0.6 MB.
 STACK_BYTES = 1 << 16
 
 CSV_COLUMNS = (
@@ -415,11 +414,12 @@ def run_campaign(scenario: str, trials: int, seed: int,
     rank over 1..n (detector-state rank over 1..dim).
 
     Trials are drawn in order and held as raw arrays, grouped by (n, dim).
-    Whenever the draws held reach STACK_BYTES, the largest group is
-    evaluated as one stack; the rest are evaluated at the end. A check that
-    fails raises its usual ValueError, prefixed with "trial k: " for the
-    first trial of its stack that fails it (the stack's first trial for a
-    check of the whole stack, such as the composite dimension).
+    A group is evaluated as one stack once it alone holds STACK_BYTES of
+    draws, and what is left of it at the end, so the draws held stay below
+    STACK_BYTES per group (n+1 groups per path count, one with detector_dim).
+    A check that fails raises its usual ValueError, prefixed with "trial k: "
+    for the first trial of its stack that fails it (the stack's first trial
+    for a check of the whole stack, such as the composite dimension).
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
@@ -434,19 +434,13 @@ def run_campaign(scenario: str, trials: int, seed: int,
         raise ValueError(f"rank must lie in 1..{min(n_choices)}, got {rank}")
     reports: list = [None] * trials
     pending: dict[tuple[int, int], list] = {}
-    held: dict[tuple[int, int], int] = {}
-    total = 0
     for trial in range(trials):
         n_t, dim, draws = draw_trial(scenario, stream(seed, trial), n_choices, detector_dim, rank)
-        key = (n_t, dim)
-        pending.setdefault(key, []).append((trial, draws))
-        size = _held_bytes(draws)
-        held[key] = held.get(key, 0) + size
-        total += size
-        if total >= STACK_BYTES:
-            key = max(held, key=held.get)
-            total -= held.pop(key)
-            _evaluate_stack(scenario, pending.pop(key), reports)
+        entries = pending.setdefault((n_t, dim), [])
+        entries.append((trial, draws))
+        # every trial of a group holds arrays of the same shapes
+        if len(entries) * _held_bytes(draws) >= STACK_BYTES:
+            _evaluate_stack(scenario, pending.pop((n_t, dim)), reports)
     for entries in pending.values():
         _evaluate_stack(scenario, entries, reports)
     return CampaignResult(scenario=scenario, trials=trials, seed=seed, reports=tuple(reports))

@@ -132,6 +132,12 @@ def _reduced_from_pure(q: PureQuanton, d: DetectorSet) -> MixedQuanton:
     return MixedQuanton(rho=validate_density(_partial_trace_pure(q.amplitudes[:, None] * d.vectors)))
 
 
+def _pure_fringe(q: PureQuanton, d: DetectorSet, grid_points: int = DEFAULT_GRID_POINTS):
+    """(FringeScan, normalized l1 coherence, D_Q) of a pure quanton behind pure detectors."""
+    reduced = _reduced_from_pure(q, d)
+    return scan_visibility(reduced, grid_points), coherence_normalized(reduced.rho), distinguishability_pure(q, d)
+
+
 @dataclass(frozen=True)
 class TwoSlitReport:
     visibility: float
@@ -163,10 +169,7 @@ def check_two_slit_relation(q: PureQuanton, d: DetectorSet) -> TwoSlitReport:
     probs = q.probabilities()
     if abs(probs[0] - 0.5) > 1e-10:
         raise ValueError(f"two-slit check needs equal amplitudes, got probabilities {probs!r}")
-    reduced = _reduced_from_pure(q, d)
-    scan = scan_visibility(reduced)
-    coherence = coherence_normalized(reduced.rho)
-    dq = distinguishability_pure(q, d)
+    scan, coherence, dq = _pure_fringe(q, d)
     return TwoSlitReport(
         visibility=scan.visibility,
         coherence=coherence,
@@ -179,12 +182,7 @@ def check_two_slit_relation(q: PureQuanton, d: DetectorSet) -> TwoSlitReport:
 def check_three_slit_relation(gamma: float) -> ThreeSlitReport:
     """Scan the symmetric three-slit pattern at uniform overlap gamma and
     compare against C = 2V / (3 - V) and D_Q + 2V / (3 - V) = 1."""
-    d = symmetric_detectors(3, gamma)
-    q = _equal_amplitude_quanton(3)
-    reduced = _reduced_from_pure(q, d)
-    scan = scan_visibility(reduced)
-    coherence = coherence_normalized(reduced.rho)
-    dq = distinguishability_pure(q, d)
+    scan, coherence, dq = _pure_fringe(_equal_amplitude_quanton(3), symmetric_detectors(3, gamma))
     mapped = 2.0 * scan.visibility / (3.0 - scan.visibility)
     return ThreeSlitReport(
         gamma=gamma,

@@ -129,7 +129,7 @@ def test_kernel_matches_oracle_at_each_path_count(scenario, n):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_kernel_matches_oracle_with_interleaved_buckets(scenario, stacks):
     _assert_matches_oracle(scenario, 150, 17, tuple(range(2, 9)))
-    assert len(stacks) > 7  # every path count, most in several stacks
+    assert len(stacks) > 7  # every path count, most split over several detector dimensions
 
 
 @pytest.mark.parametrize("scenario, n, detector_dim, rank", [
@@ -164,6 +164,28 @@ def test_stacks_hold_at_most_the_byte_budget(scenario, n, stacks):
     # a stack is evaluated once the draws held reach the budget, so it may
     # exceed the budget by at most the trial that tipped it over
     assert max(held for _, held in stacks) < STACK_BYTES + largest
+
+
+def test_each_group_is_evaluated_once_it_alone_reaches_the_budget(monkeypatch):
+    # mixed_mixed over n = (3, 4) draws nine interleaved (n, dim) groups, and
+    # all but one of them fill the budget at least once
+    seen = []
+    evaluate = duality._evaluate_stack
+
+    def recording(scenario, entries, reports):
+        draws = entries[0][1]
+        seen.append((tuple(a.shape for a in draws), len(entries), duality._held_bytes(draws)))
+        return evaluate(scenario, entries, reports)
+
+    monkeypatch.setattr(duality, "_evaluate_stack", recording)
+    _assert_matches_oracle("mixed_mixed", 400, 29, (3, 4))
+    last = {group: i for i, (group, _, _) in enumerate(seen)}
+    full = [(count, size) for i, (group, count, size) in enumerate(seen) if i != last[group]]
+    assert len(last) == 9 and len(full) >= len(last)
+    # every stack but a group's last was evaluated by the trial that brought
+    # its own group to the budget
+    for count, size in full:
+        assert STACK_BYTES <= count * size < STACK_BYTES + size
 
 
 def _nan_in_trial(monkeypatch, k):

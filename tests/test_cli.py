@@ -100,6 +100,9 @@ def test_verify_n_must_match_the_instance(capsys, tmp_path, argv, config, messag
     ("mixed_pure", ["--amplitudes", "1,1,1"], {}, "--amplitudes"),
     ("pure_pure", ["--rank", "2"], {}, "--rank"),
     ("pure_pure", [], {"rho": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]}, "a config rho"),
+    # a config rho gives the state, so no rank is drawn
+    ("mixed_pure", ["--rank", "2"], {"rho": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]}, "--rank"),
+    ("mixed_mixed", ["--rank", "2"], {"rho": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]}, "--rank"),
 ])
 def test_verify_rejects_options_its_scenario_never_reads(capsys, tmp_path, scenario, argv, config, flag):
     cfg = tmp_path / "cfg.json"
@@ -108,6 +111,20 @@ def test_verify_rejects_options_its_scenario_never_reads(capsys, tmp_path, scena
                                    "--config", str(cfg), *argv])
     assert (code, out) == (2, "")
     assert f"{flag} is not read by the {scenario} scenario" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "3", "--scenario", "pure_pure", "--rank", "5", "--gammas", "0,1"],
+    ["sweep", "--n", "3", "--rank", "2", "--gammas", "0,1"],
+    # out of range as well as unread: the scenario is what makes it malformed
+    ["campaign", "--scenario", "pure_pure", "--n", "3", "--rank", "9", "--trials", "3", "--seed", "1"],
+    ["campaign", "--scenario", "pure_pure", "--n", "3", "--rank", "1", "--trials", "3", "--seed", "1"],
+])
+def test_sweep_and_campaign_reject_options_their_scenario_never_reads(capsys, tmp_path, argv):
+    code, out, err = _run(capsys, [*argv, "--output", str(tmp_path / "out")])
+    assert (code, out) == (2, "")
+    assert "--rank is not read by the pure_pure scenario" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_flag_precedence(capsys, tmp_path):
