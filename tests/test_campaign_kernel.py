@@ -213,6 +213,22 @@ def test_failing_check_names_the_trial(monkeypatch, scenario, k):
     assert type(info.value) is ValueError
 
 
+@pytest.mark.parametrize("k", [0, 5, 19])
+def test_nonfinite_slack_names_its_stack_entry(monkeypatch, stacks, k):
+    # one (n, dim) group and one stack, so stack entry k is trial k
+    slack = duality._slack
+
+    def poisoned(rho, gram):
+        out = slack(rho, gram)
+        out[k] = np.nan
+        return out
+
+    monkeypatch.setattr(duality, "_slack", poisoned)
+    with pytest.raises(ValueError, match=rf"^trial {k}: slack is not finite: nan$"):
+        run_campaign("mixed_pure", 20, 8, n=3, detector_dim=3)
+    assert [count for count, _ in stacks] == [20]
+
+
 def test_failing_trial_exits_two_from_the_cli(monkeypatch, capsys, tmp_path):
     _nan_in_trial(monkeypatch, 5)
     code = main(["campaign", "--scenario", "mixed_pure", "--n", "4", "--trials", "20", "--seed", "2",

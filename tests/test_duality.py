@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from duality_lab import duality
+from duality_lab.cli import main
 from duality_lab.duality import (
     SCENARIOS,
     evaluate_mixed,
@@ -294,3 +295,80 @@ def test_report_verdict_keys_per_scenario():
     )
     general = evaluate_mixed_detector(random_density(3, 2, rng), interaction)
     assert set(general.verdicts) == {"duality_sum", "coherence_bound_margin", "psd_margin_min"}
+
+
+# ---------------------------------------------- the failing side of each verdict
+
+def _shift_coherence(monkeypatch, delta):
+    """Every kernel then reports the coherence it computes plus delta."""
+    coherence = duality._coherence
+    monkeypatch.setattr(duality, "_coherence", lambda rho: coherence(rho) + delta)
+
+
+def _saturating_mixed_mixed(n, dim, seed):
+    """A rank-1 quanton and a rank-1 detector state: C + D_Q = 1 and the
+    coherence equals its branch-average bound."""
+    rng = np.random.default_rng(seed)
+    quanton = random_density(n, 1, rng)
+    rho_d = np.zeros((dim, dim), dtype=complex)
+    rho_d[0, 0] = 1.0
+    interaction = MixedDetectorInteraction(rho_d=validate_density(rho_d),
+                                           unitaries=np.stack([haar_unitary(dim, rng) for _ in range(n)]))
+    return quanton, interaction
+
+
+@pytest.mark.parametrize("factor, passes", [(2.0, False), (-2.0, False), (0.5, True), (-0.5, True)])
+def test_pure_pure_duality_sum_verdict_is_two_sided(monkeypatch, factor, passes):
+    _shift_coherence(monkeypatch, factor * duality.TOLERANCE)
+    report = evaluate_pure(random_pure(4, 31), random_detectors(4, 5, 32))
+    assert report.verdicts == {"duality_sum": passes, "psd_margin_min": True}
+    assert report.passed is passes
+
+
+@pytest.mark.parametrize("factor, passes", [(2.0, False), (-2.0, False), (0.5, True), (-0.5, True)])
+def test_mixed_pure_slack_identity_verdict_is_two_sided(monkeypatch, factor, passes):
+    _shift_coherence(monkeypatch, factor * duality.TOLERANCE)
+    report = evaluate_mixed(random_density(4, 2, 33), random_detectors(4, 5, 34))
+    assert report.verdicts == {"duality_sum": True, "slack_identity": passes, "psd_margin_min": True,
+                               "slack_nonnegative": True}
+    assert report.passed is passes
+
+
+@pytest.mark.parametrize("delta, duality_ok, bound_ok", [
+    (2 * duality.TOLERANCE, False, False),
+    (-2 * duality.TOLERANCE, True, True),
+    (2 * duality.MARGIN_TOL, True, False),
+])
+def test_mixed_mixed_verdicts_at_saturation(monkeypatch, delta, duality_ok, bound_ok):
+    quanton, interaction = _saturating_mixed_mixed(3, 4, 35)
+    unshifted = evaluate_mixed_detector(quanton, interaction)
+    assert abs(unshifted.relation_residuals["duality_sum"]) < 1e-14
+    assert abs(unshifted.relation_residuals["coherence_bound_margin"]) < 1e-14
+    _shift_coherence(monkeypatch, delta)
+    report = evaluate_mixed_detector(quanton, interaction)
+    assert report.verdicts == {"duality_sum": duality_ok, "coherence_bound_margin": bound_ok,
+                               "psd_margin_min": True}
+    assert report.passed is (duality_ok and bound_ok)
+
+
+def test_verify_exits_one_on_a_violated_relation(monkeypatch, capsys):
+    _shift_coherence(monkeypatch, 2 * duality.TOLERANCE)
+    code = main(["verify", "--scenario", "pure_pure", "--n", "3", "--gamma", "0.4"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert '"passed": false' in out
+    assert json.loads(out)["verdicts"]["duality_sum"] is False
+
+
+def test_campaign_exits_one_and_lists_the_violations(monkeypatch, capsys, tmp_path):
+    _shift_coherence(monkeypatch, 2 * duality.TOLERANCE)
+    code = main(["campaign", "--scenario", "pure_pure", "--n", "3", "--trials", "20", "--seed", "4",
+                 "--output", str(tmp_path / "run")])
+    capsys.readouterr()
+    assert code == 1
+    aggregate = json.loads((tmp_path / "run.json").read_text())
+    assert aggregate["violations"] == 20
+    assert aggregate["violating_trials"] == list(range(16))
+    assert aggregate["passed"] is False
+    rows = (tmp_path / "run.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["false"] * 20
