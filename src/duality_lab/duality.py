@@ -411,7 +411,9 @@ def run_campaign(scenario: str, trials: int, seed: int,
     depend on execution order and any trial can be replayed in
     isolation. `n` may be a single path count or a set to draw from;
     detector dimension defaults to a uniform draw over n..2n and Ginibre
-    rank over 1..n (detector-state rank over 1..dim).
+    rank over 1..n (detector-state rank over 1..dim). pure_pure draws no
+    rank, so it rejects any `rank`, as the mixed scenarios reject one
+    outside 1..min(n).
 
     Trials are drawn in order and held as raw arrays, grouped by (n, dim).
     A group is evaluated as one stack once it alone holds STACK_BYTES of
@@ -430,7 +432,9 @@ def run_campaign(scenario: str, trials: int, seed: int,
         raise ValueError(f"path counts must all be >= 2, got {n_choices!r}")
     if detector_dim is not None and detector_dim < 1:
         raise ValueError(f"detector dimension must be >= 1, got {detector_dim}")
-    if scenario != "pure_pure" and rank is not None and not 1 <= rank <= min(n_choices):
+    if scenario == "pure_pure" and rank is not None:
+        raise ValueError(f"rank is not read by the pure_pure scenario, got {rank}")
+    if rank is not None and not 1 <= rank <= min(n_choices):
         raise ValueError(f"rank must lie in 1..{min(n_choices)}, got {rank}")
     reports: list = [None] * trials
     pending: dict[tuple[int, int], list] = {}

@@ -230,6 +230,9 @@ def test_run_campaign_checks_rank_before_drawing(monkeypatch):
             run_campaign(scenario, 10, 1, n=(3, 2), rank=3)
         with pytest.raises(ValueError, match=r"rank must lie in 1\.\.3, got 0"):
             run_campaign(scenario, 10, 1, n=3, rank=0)
+    for rank in (9, 0, 1):
+        with pytest.raises(ValueError, match=rf"rank is not read by the pure_pure scenario, got {rank}"):
+            run_campaign("pure_pure", 3, 1, n=3, rank=rank)
 
 
 def test_run_campaign_deterministic():
