@@ -17,13 +17,15 @@ in numerical quality stay visible.
 Each scenario's composition is written once, as a kernel over stacks of
 checked arrays (``_*_stack``), and every command runs it: a campaign on its
 draws in (n, detector dimension) stacks, evaluate_* on one instance as a
-stack of one, sweep_overlap on all its gammas as one stack.
+stack of one, sweep_overlap on all its gammas as one stack. Each kernel
+states its own relations as columns over its stack, and one tail
+(``_reports``) adds the duality sum, the PSD margin and the verdicts the
+same way and packs the rows into reports.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .interference import scan_visibility, symmetric_detectors
-from .linalg import DensityMatrix, _density, _partial_trace_pure, _submatrix_margin, frozen
+from .linalg import DensityMatrix, _density, _partial_trace_pure, _raise_first, _submatrix_margin, frozen
 from .measures import _branch_coherence_bound, _branch_distinguishability, _coherence, _slack, _uqsd
 from .random import _haar, draw_trial, stream
 from .states import (
@@ -140,62 +142,6 @@ class DualityReport:
             cells[key] = "" if value is None else f"{value:.17g}"
         cells["passed"] = "true" if self.passed else "false"
         return cells
-
-
-def _report(scenario: str, n: int, coherence: float, dq: float, slack: float, psd_margin: float,
-            visibility: float | None, *, saturated: bool = False,
-            relations: tuple[tuple[str, float, bool], ...] = (),
-            checks: tuple[tuple[str, bool], ...] = ()) -> DualityReport:
-    """Shared tail of every evaluation path: one report from Python floats.
-
-    Every scenario reports the signed duality sum C + D_Q - 1 (held to
-    |.| <= TOLERANCE when the state saturates the duality, to <= TOLERANCE
-    otherwise) and the PSD margin of its reduced state. `relations` adds the
-    scenario's own (residual, value, verdict) triples and `checks` its
-    verdicts that carry no residual; their order is the report order.
-    """
-    for name, value in (("coherence", coherence), ("distinguishability", dq), ("slack", slack)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} is not finite: {value!r}")
-    duality_sum = coherence + dq - 1.0
-    residuals = {"duality_sum": duality_sum}
-    verdicts = {"duality_sum": (abs(duality_sum) if saturated else duality_sum) <= TOLERANCE}
-    for key, value, ok in relations:
-        residuals[key] = value
-        verdicts[key] = ok
-    residuals["psd_margin_min"] = psd_margin
-    verdicts["psd_margin_min"] = psd_margin >= -MARGIN_TOL
-    verdicts.update(checks)
-    return DualityReport(
-        scenario=scenario,
-        n=n,
-        coherence=coherence,
-        distinguishability=dq,
-        slack=slack,
-        visibility=visibility,
-        relation_residuals=residuals,
-        verdicts=verdicts,
-    )
-
-
-def _pure_pure_report(n: int, coherence: float, dq: float, psd_margin: float,
-                      visibility: float | None) -> DualityReport:
-    return _report("pure_pure", n, coherence, dq, 0.0, psd_margin, visibility, saturated=True)
-
-
-def _mixed_pure_report(n: int, coherence: float, dq: float, slack: float, psd_margin: float,
-                       visibility: float | None) -> DualityReport:
-    slack_identity = coherence + dq + slack - 1.0
-    return _report("mixed_pure", n, coherence, dq, slack, psd_margin, visibility,
-                   relations=(("slack_identity", slack_identity, abs(slack_identity) <= TOLERANCE),),
-                   checks=(("slack_nonnegative", slack >= -MARGIN_TOL),))
-
-
-def _mixed_mixed_report(n: int, coherence: float, dq: float, bound: float, psd_margin: float,
-                        visibility: float | None) -> DualityReport:
-    bound_margin = bound - coherence
-    return _report("mixed_mixed", n, coherence, dq, 1.0 - coherence - dq, psd_margin, visibility,
-                   relations=(("coherence_bound_margin", bound_margin, bound_margin >= -MARGIN_TOL),))
 
 
 def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = False) -> DualityReport:
@@ -318,55 +264,85 @@ class CampaignResult:
             fh.write(",".join(cells[c] for c in CSV_COLUMNS) + "\n")
 
 
-def _stack_reports(make, reduced: np.ndarray, include_visibility: bool,
-                   *columns: np.ndarray) -> list[DualityReport]:
-    """make(n, *row, visibility) for each entry of a stack, from per-entry
-    arrays and, if asked for, the scan_visibility of its reduced state. A
-    check that fails keeps the entry's index, as the stacked checks do."""
+def _reports(scenario: str, reduced: np.ndarray, include_visibility: bool, coherence: np.ndarray,
+             dq: np.ndarray, slack: np.ndarray, *, saturated: bool = False,
+             relations: tuple[tuple[str, np.ndarray, np.ndarray], ...] = (),
+             checks: tuple[tuple[str, np.ndarray], ...] = ()) -> list[DualityReport]:
+    """Shared tail of every kernel: one report per entry of a stack.
+
+    Every scenario reports the signed duality sum C + D_Q - 1 (held to
+    |.| <= TOLERANCE when the state saturates the duality, to <= TOLERANCE
+    otherwise) and the PSD margin of its reduced state. `relations` adds the
+    kernel's own (residual, values, verdicts) columns and `checks` its
+    verdicts that carry no residual; their order is the report order. Every
+    column is an array over the stack; the loop only scans the visibility of
+    an entry's reduced state, if asked for, and packs its row into a report.
+    A check that fails keeps the entry's index, as the stacked checks do.
+    """
+    _raise_first(~np.isfinite(slack), ValueError, lambda i: f"slack is not finite: {float(slack[i])!r}")
+    duality_sum = coherence + dq - 1.0
+    psd_margin = _submatrix_margin(reduced)
+    residuals = {"duality_sum": duality_sum, **{key: value for key, value, _ in relations},
+                 "psd_margin_min": psd_margin}
+    verdicts = {"duality_sum": (np.abs(duality_sum) if saturated else duality_sum) <= TOLERANCE,
+                **{key: ok for key, _, ok in relations}, "psd_margin_min": psd_margin >= -MARGIN_TOL,
+                **dict(checks)}
+    columns = (coherence, dq, slack, *residuals.values(), *verdicts.values())
     reports = []
-    for i, row in enumerate(zip(*(column.tolist() for column in columns))):
+    for i, (c, d, s, *row) in enumerate(zip(*(column.tolist() for column in columns))):
         try:
             visibility = (scan_visibility(MixedQuanton(rho=DensityMatrix(frozen(reduced[i])))).visibility
                           if include_visibility else None)
-            reports.append(make(reduced.shape[-1], *row, visibility))
         except ValueError as exc:
             exc.index = (i,)
             raise
+        reports.append(DualityReport(scenario=scenario, n=reduced.shape[-1], coherence=c, distinguishability=d,
+                                     slack=s, visibility=visibility,
+                                     relation_residuals=dict(zip(residuals, row)),
+                                     verdicts=dict(zip(verdicts, row[len(residuals):]))))
     return reports
 
 
 def _pure_pure_stack(amps: np.ndarray, vecs: np.ndarray, gram: np.ndarray,
                      include_visibility: bool = False) -> list[DualityReport]:
     """pure_pure from normalized amplitudes, unit detector vectors and their
-    Gram. The joint state is never formed: its partial trace is taken from
-    the (path, detector) factors directly."""
+    Gram: C + D_Q = 1, with no slack. The joint state is never formed: its
+    partial trace is taken from the (path, detector) factors directly."""
     _check_composite(*vecs.shape[-2:])
     reduced = _density(_partial_trace_pure(amps[..., :, None] * vecs))
-    return _stack_reports(_pure_pure_report, reduced, include_visibility, _coherence(reduced),
-                          _uqsd(np.abs(amps) ** 2, gram), _submatrix_margin(reduced))
+    coherence = _coherence(reduced)
+    return _reports("pure_pure", reduced, include_visibility, coherence, _uqsd(np.abs(amps) ** 2, gram),
+                    np.zeros_like(coherence), saturated=True)
 
 
 def _mixed_pure_stack(rho: np.ndarray, gram: np.ndarray, include_visibility: bool = False) -> list[DualityReport]:
-    """mixed_pure from density matrices and detector Grams: the reduced state is rho_ij <d_j|d_i>."""
+    """mixed_pure from density matrices and detector Grams: the reduced state is
+    rho_ij <d_j|d_i>, and C + D_Q + slack = 1 with slack >= 0."""
     reduced = _density(rho * gram.conj())
-    return _stack_reports(_mixed_pure_report, reduced, include_visibility, _coherence(reduced),
-                          _uqsd(rho.diagonal(axis1=-2, axis2=-1).real, gram), _slack(rho, gram),
-                          _submatrix_margin(reduced))
+    coherence = _coherence(reduced)
+    dq = _uqsd(rho.diagonal(axis1=-2, axis2=-1).real, gram)
+    slack = _slack(rho, gram)
+    identity = coherence + dq + slack - 1.0
+    return _reports("mixed_pure", reduced, include_visibility, coherence, dq, slack,
+                    relations=(("slack_identity", identity, np.abs(identity) <= TOLERANCE),),
+                    checks=(("slack_nonnegative", slack >= -MARGIN_TOL),))
 
 
 def _mixed_mixed_stack(rho: np.ndarray, rho_d: np.ndarray, unitaries: np.ndarray,
                        include_visibility: bool = False) -> list[DualityReport]:
-    """mixed_mixed from density matrices, detector states and path unitaries. Every
-    entry keeps all dim spectral branches; those below the weight cutoff carry
-    weight zero and add exact zeros to the branch averages."""
+    """mixed_mixed from density matrices, detector states and path unitaries:
+    C stays below its branch-average bound, and the slack is the gap 1 - C - D_Q.
+    Every entry keeps all dim spectral branches; those below the weight cutoff
+    carry weight zero and add exact zeros to the branch averages."""
     reduced = _density(rho * _overlap_factors(unitaries, rho_d))
     coherence = _coherence(reduced)
     weights, kets = _branches(rho_d)
     grams = _branch_grams(unitaries, kets)
     _check_branches(weights, grams)
     dq = _branch_distinguishability(rho.diagonal(axis1=-2, axis2=-1).real, weights, grams)
-    return _stack_reports(_mixed_mixed_report, reduced, include_visibility, coherence, dq,
-                          _branch_coherence_bound(rho, weights, grams), _submatrix_margin(reduced))
+    bound_margin = _branch_coherence_bound(rho, weights, grams) - coherence
+    return _reports("mixed_mixed", reduced, include_visibility, coherence, dq, 1.0 - coherence - dq,
+                    relations=(("coherence_bound_margin", bound_margin, bound_margin >= -MARGIN_TOL),))
 
 
 def _held_bytes(draws: tuple[np.ndarray, ...]) -> int:

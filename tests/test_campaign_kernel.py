@@ -4,7 +4,8 @@ Campaigns, evaluate_* and sweep_overlap all run each scenario's kernel
 (`duality._*_stack`). The oracle here composes the same scenario from the
 public per-object functions instead: entangle_pure and reduce_quanton,
 validate_density of rho * conj(G), reduce_quanton_mixed_detector with
-branch_overlaps, and the public measures. `_draw_report` draws trial k
+branch_overlaps, and the public measures; it then builds the report
+field by field from the README's schema. `_draw_report` draws trial k
 with the public random_* generators and composes it that way. Every
 report must equal the oracle's with ==, field by field, not within a
 tolerance.
@@ -21,6 +22,7 @@ from duality_lab.duality import (
     SCENARIOS,
     STACK_BYTES,
     VISIBILITY_MAX_PATHS,
+    DualityReport,
     evaluate_mixed,
     evaluate_mixed_detector,
     evaluate_pure,
@@ -59,25 +61,47 @@ from duality_lab.states import (
 EVALUATE = {"pure_pure": evaluate_pure, "mixed_pure": evaluate_mixed, "mixed_mixed": evaluate_mixed_detector}
 
 
+# the README's thresholds: |duality_sum| <= 1e-9 for pure_pure and <= 1e-9 from
+# above for the mixed scenarios, |slack_identity| <= 1e-9, every margin >= -1e-10
+SUM_TOL = 1e-9
+MARGIN_TOL = 1e-10
+
+
 def _oracle_report(scenario, quanton, detector, include_visibility=False):
-    """One instance composed from the public per-object functions."""
+    """One instance composed from the public per-object functions, and its
+    report built field by field from the README's schema."""
     if scenario == "pure_pure":
         psi = entangle_pure(quanton, detector)
         reduced = reduce_quanton(np.outer(psi, psi.conj()), quanton.n, detector.dim)
-        terms = (distinguishability_pure(quanton, detector),)
+        dq = distinguishability_pure(quanton, detector)
     elif scenario == "mixed_pure":
         reduced = MixedQuanton(rho=validate_density(quanton.rho.matrix * detector.gram.conj()))
-        terms = (distinguishability_mixed(quanton, detector.gram), mixed_duality_slack(quanton, detector.gram))
+        dq, slack = distinguishability_mixed(quanton, detector.gram), mixed_duality_slack(quanton, detector.gram)
     else:
         reduced = reduce_quanton_mixed_detector(quanton, detector)
         branches = branch_overlaps(detector)
-        terms = (distinguishability_mixed_detector(quanton, branches),
-                 coherence_bound_mixed_detector(quanton, branches))
-    make = {"pure_pure": duality._pure_pure_report, "mixed_pure": duality._mixed_pure_report,
-            "mixed_mixed": duality._mixed_mixed_report}[scenario]
-    visibility = scan_visibility(reduced).visibility if include_visibility else None
-    return make(reduced.n, coherence_normalized(reduced.rho), *terms, principal_submatrix_margin(reduced.rho),
-                visibility)
+        dq = distinguishability_mixed_detector(quanton, branches)
+        bound = coherence_bound_mixed_detector(quanton, branches)
+    coherence = coherence_normalized(reduced.rho)
+    duality_sum = coherence + dq - 1.0
+    residuals = {"duality_sum": duality_sum}
+    verdicts = {"duality_sum": (abs(duality_sum) if scenario == "pure_pure" else duality_sum) <= SUM_TOL}
+    if scenario == "pure_pure":
+        slack = 0.0
+    elif scenario == "mixed_pure":
+        residuals["slack_identity"] = coherence + dq + slack - 1.0
+        verdicts["slack_identity"] = abs(residuals["slack_identity"]) <= SUM_TOL
+    else:
+        slack = 1.0 - coherence - dq
+        residuals["coherence_bound_margin"] = bound - coherence
+        verdicts["coherence_bound_margin"] = residuals["coherence_bound_margin"] >= -MARGIN_TOL
+    residuals["psd_margin_min"] = principal_submatrix_margin(reduced.rho)
+    verdicts["psd_margin_min"] = residuals["psd_margin_min"] >= -MARGIN_TOL
+    if scenario == "mixed_pure":
+        verdicts["slack_nonnegative"] = slack >= -MARGIN_TOL
+    return DualityReport(scenario=scenario, n=reduced.n, coherence=coherence, distinguishability=dq, slack=slack,
+                         visibility=scan_visibility(reduced).visibility if include_visibility else None,
+                         relation_residuals=residuals, verdicts=verdicts)
 
 
 def _draw_report(scenario, rng, n_choices, detector_dim, rank):

@@ -354,6 +354,27 @@ def test_mixed_mixed_verdicts_at_saturation(monkeypatch, delta, duality_ok, boun
     assert report.passed is (duality_ok and bound_ok)
 
 
+@pytest.mark.parametrize("factor, passes", [(-2.0, False), (-0.5, True)])
+def test_mixed_pure_slack_nonnegative_verdict(monkeypatch, factor, passes):
+    # a pure quanton state has slack 0, so the shift alone decides the sign
+    slack = duality._slack
+    monkeypatch.setattr(duality, "_slack", lambda rho, gram: slack(rho, gram) + factor * duality.MARGIN_TOL)
+    report = evaluate_mixed(random_density(4, 1, 36), random_detectors(4, 5, 37))
+    assert report.verdicts == {"duality_sum": True, "slack_identity": True, "psd_margin_min": True,
+                               "slack_nonnegative": passes}
+
+
+@pytest.mark.parametrize("factor, passes", [(-2.0, False), (-0.5, True)])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_psd_margin_verdict(monkeypatch, scenario, factor, passes):
+    margin = factor * duality.MARGIN_TOL
+    monkeypatch.setattr(duality, "_submatrix_margin", lambda m: np.full(m.shape[:-2], margin))
+    report = run_campaign(scenario, 1, 38, n=3).reports[0]
+    assert report.relation_residuals["psd_margin_min"] == margin
+    assert report.verdicts["psd_margin_min"] is passes
+    assert report.passed is passes
+
+
 def test_verify_exits_one_on_a_violated_relation(monkeypatch, capsys):
     _shift_coherence(monkeypatch, 2 * duality.TOLERANCE)
     code = main(["verify", "--scenario", "pure_pure", "--n", "3", "--gamma", "0.4"])
@@ -375,3 +396,29 @@ def test_campaign_exits_one_and_lists_the_violations(monkeypatch, capsys, tmp_pa
     assert aggregate["passed"] is False
     rows = (tmp_path / "run.csv").read_text().splitlines()[1:]
     assert [row.rsplit(",", 1)[1] for row in rows] == ["false"] * 20
+
+
+def test_report_keys_follow_the_json_order_and_fields_are_builtins():
+    """The key order of relation_residuals and verdicts is the order of the
+    JSON report; every field is a Python float or bool, not a numpy scalar."""
+    reports = [
+        evaluate_pure(random_pure(3, 41), random_detectors(3, 3, 42), include_visibility=True),
+        evaluate_mixed(random_density(3, 2, 43), random_detectors(3, 4, 44)),
+        *run_campaign("mixed_mixed", 3, 45, n=3).reports,
+    ]
+    keys = {
+        "pure_pure": (["duality_sum", "psd_margin_min"], ["duality_sum", "psd_margin_min"]),
+        "mixed_pure": (["duality_sum", "slack_identity", "psd_margin_min"],
+                       ["duality_sum", "slack_identity", "psd_margin_min", "slack_nonnegative"]),
+        "mixed_mixed": (["duality_sum", "coherence_bound_margin", "psd_margin_min"],
+                        ["duality_sum", "coherence_bound_margin", "psd_margin_min"]),
+    }
+    for report in reports:
+        assert (list(report.relation_residuals), list(report.verdicts)) == keys[report.scenario]
+        assert list(json.loads(report.to_json())["verdicts"]) == keys[report.scenario][1]
+        floats = [report.coherence, report.distinguishability, report.slack, *report.relation_residuals.values()]
+        if report.visibility is not None:
+            floats.append(report.visibility)
+        assert all(type(v) is float for v in floats)
+        assert all(type(v) is bool for v in report.verdicts.values())
+        assert type(report.n) is int
