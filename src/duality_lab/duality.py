@@ -279,6 +279,7 @@ def _reports(scenario: str, reduced: np.ndarray, include_visibility: bool, coher
     an entry's reduced state, if asked for, and packs its row into a report.
     A check that fails keeps the entry's index, as the stacked checks do.
     """
+    # C and D_Q passed _clamp_unit, which rejects NaN and inf; the slack did not
     _raise_first(~np.isfinite(slack), ValueError, lambda i: f"slack is not finite: {float(slack[i])!r}")
     duality_sum = coherence + dq - 1.0
     psd_margin = _submatrix_margin(reduced)
