@@ -35,6 +35,7 @@ from .duality import (
 )
 from .interference import (
     DEFAULT_GRID_POINTS,
+    MAX_GRID_POINTS,
     MIN_GRID_POINTS,
     _equal_amplitude_quanton,
     _pure_fringe,
@@ -334,6 +335,8 @@ def cmd_fringe(args: argparse.Namespace) -> int:
     grid_points = cfg.get("grid_points", DEFAULT_GRID_POINTS)
     if grid_points < MIN_GRID_POINTS:
         raise ConfigError(f"--grid-points must be >= {MIN_GRID_POINTS}, got {grid_points}")
+    if grid_points > MAX_GRID_POINTS:
+        raise ConfigError(f"--grid-points must be <= {MAX_GRID_POINTS}, got {grid_points}")
     scan, coherence, dq = _pure_fringe(_equal_amplitude_quanton(n), symmetric_detectors(n, gamma), grid_points)
     header = (
         f"n={n} gamma={gamma!r} visibility={scan.visibility!r} "

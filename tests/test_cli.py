@@ -328,3 +328,11 @@ def test_fringe_rejects_small_grid(capsys):
     code, _, err = _run(capsys, ["fringe", "--n", "2", "--gamma", "0.5", "--grid-points", "64"])
     assert code == 2
     assert "grid-points" in err
+
+
+def test_fringe_rejects_large_grid(capsys):
+    # one point above MAX_GRID_POINTS is a malformed option (exit 2), not a violation
+    code, out, err = _run(capsys, ["fringe", "--n", "2", "--gamma", "0.5", "--grid-points", "65537"])
+    assert code == 2
+    assert out == ""
+    assert "--grid-points must be <= 65536" in err

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duality_lab import interference
+from duality_lab.duality import sweep_overlap
 from duality_lab.interference import (
     FLAT_PATTERN_TOL,
     FringeScan,
@@ -27,6 +29,12 @@ def _equal_pure(n):
 def _symmetric_reduced(n, gamma):
     gram = (1.0 - gamma) * np.eye(n) + gamma * np.ones((n, n))
     return MixedQuanton(rho=validate_density(gram / n))
+
+
+def _einsum_grid(rho, thetas):
+    """The complex-exponential pattern, the oracle the real-arithmetic grid must equal bit for bit."""
+    amp = np.exp(1j * np.outer(thetas, np.arange(rho.shape[0])))
+    return np.clip(np.real(np.einsum("ti,ij,tj->t", amp, rho, amp.conj())), 0.0, None)
 
 
 # ----------------------------------------------------------------- intensity
@@ -126,6 +134,48 @@ def test_scan_subnormal_far_corner():
 def test_scan_rejects_small_grid():
     with pytest.raises(ValueError, match=">= 256"):
         scan_visibility(_symmetric_reduced(2, 0.5), grid_points=100)
+
+
+def test_scan_rejects_large_grid():
+    with pytest.raises(ValueError, match="<= 65536"):
+        scan_visibility(_symmetric_reduced(2, 0.5), grid_points=2**16 + 1)
+
+
+# ----------------------------------------------------------------- grid oracle
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.sampled_from([256, 4096, 4099]), st.data())
+def test_grid_equals_einsum_oracle(seed, n, grid_points, data):
+    # Ginibre states of every rank, some with vanishing populations
+    rng = np.random.default_rng(seed)
+    rank = data.draw(st.integers(1, n))
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    g[: data.draw(st.integers(0, n - 1))] = 0.0
+    reduced = MixedQuanton(rho=validate_density(g @ g.conj().T / np.vdot(g, g).real))
+    scan = scan_visibility(reduced, grid_points)
+    thetas = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
+    assert np.array_equal(scan.phases, thetas)
+    assert np.array_equal(scan.intensities, _einsum_grid(reduced.rho.matrix, thetas))
+
+
+def test_scan_phases_are_the_callers_copy():
+    reduced = _symmetric_reduced(2, 0.5)
+    first = scan_visibility(reduced, 256)
+    first.phases[:] = 7.0
+    second = scan_visibility(reduced, 256)
+    assert np.array_equal(second.phases, np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False))
+    assert np.array_equal(second.intensities, first.intensities)
+
+
+def test_phase_table_cache_is_bounded_and_shared_along_a_sweep():
+    table = interference._phase_table
+    assert table.cache_info().maxsize <= 4
+    assert not any(array.flags.writeable for array in table(256, 2))
+    table.cache_clear()
+    reports = sweep_overlap(2, np.linspace(0.0, 1.0, 11), _equal_pure(2))
+    assert len(reports) == 11
+    info = table.cache_info()
+    assert (info.misses, info.hits) == (1, 10)
 
 
 def test_scan_visibility_matches_overlap_for_any_pair():
