@@ -24,9 +24,11 @@ import sys
 import numpy as np
 
 from .duality import (
+    REPORT_COLUMNS,
     SCENARIOS,
     VISIBILITY_MAX_PATHS,
     DualityReport,
+    _write_csv,
     evaluate_mixed,
     evaluate_mixed_detector,
     evaluate_pure,
@@ -55,20 +57,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 
-VERIFY_CSV_COLUMNS = (
-    "scenario",
-    "n",
-    "coherence",
-    "distinguishability",
-    "slack",
-    "visibility",
-    "duality_sum",
-    "slack_identity",
-    "coherence_bound_margin",
-    "psd_margin_min",
-    "passed",
-    "seed",
-)
+VERIFY_CSV_COLUMNS = (*REPORT_COLUMNS, "seed")
 SWEEP_CSV_COLUMNS = ("gamma", "coherence", "distinguishability", "slack", "visibility")
 
 
@@ -198,9 +187,10 @@ def _write_text(output: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _report_csv(report: DualityReport, seed) -> str:
-    cells = {**report.csv_cells(), "seed": "" if seed is None else str(seed)}
-    return ",".join(VERIFY_CSV_COLUMNS) + "\n" + ",".join(cells[c] for c in VERIFY_CSV_COLUMNS) + "\n"
+def _report_columns(reports: list[DualityReport], **extra) -> dict:
+    """CSV columns of reports: each field and residual, then the `extra` columns."""
+    rows = [{**r.to_dict(), **r.relation_residuals} for r in reports]
+    return {**{key: [row[key] for row in rows] for key in rows[0]}, **extra}
 
 
 def _verify_instance(cfg: dict) -> DualityReport:
@@ -268,11 +258,12 @@ def _verify_detectors(cfg: dict, n: int):
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     report = _verify_instance(cfg)
+    output = cfg.get("output")
     if cfg.get("format", "json") == "csv":
-        text = _report_csv(report, cfg.get("seed"))
+        columns = _report_columns([report], seed=[cfg.get("seed")])
+        _write_csv(sys.stdout if output is None else output, VERIFY_CSV_COLUMNS, columns)
     else:
-        text = report.to_json() + "\n"
-    _write_text(cfg.get("output"), text)
+        _write_text(output, report.to_json() + "\n")
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
@@ -296,8 +287,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     )
     result.to_csv(f"{prefix}.csv")
     aggregate = result.aggregate()
-    with open(f"{prefix}.json", "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(aggregate, indent=2) + "\n")
+    _write_text(f"{prefix}.json", json.dumps(aggregate, indent=2) + "\n")
     print(
         f"{scenario}: {trials} trials, {aggregate['violations']} violations, "
         f"max duality sum {aggregate['max_duality_sum']:.3e} -> {prefix}.csv, {prefix}.json"
@@ -320,11 +310,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(seed)
         quanton = random_density(n, cfg.get("rank", 2), rng)
     reports = sweep_overlap(n, gammas, quanton)
-    lines = [",".join(SWEEP_CSV_COLUMNS)]
-    for gamma, report in zip(gammas, reports):
-        cells = {**report.csv_cells(), "gamma": f"{gamma:.17g}"}
-        lines.append(",".join(cells[c] for c in SWEEP_CSV_COLUMNS))
-    _write_text(cfg.get("output"), "\n".join(lines) + "\n")
+    output = cfg.get("output")
+    _write_csv(sys.stdout if output is None else output, SWEEP_CSV_COLUMNS, _report_columns(reports, gamma=gammas))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
 
 
@@ -343,10 +330,7 @@ def cmd_fringe(args: argparse.Namespace) -> int:
         f"coherence={coherence!r} distinguishability={dq!r}"
     )
     output = cfg.get("output")
-    if output is None:
-        scan.to_csv(sys.stdout, header_comment=header)
-    else:
-        scan.to_csv(output, header_comment=header)
+    scan.to_csv(sys.stdout if output is None else output, header_comment=header)
     return EXIT_OK
 
 

@@ -19,16 +19,18 @@ checked arrays (``_*_stack``), and every command runs it: a campaign on its
 draws in (n, detector dimension) stacks, evaluate_* on one instance as a
 stack of one, sweep_overlap on all its gammas as one stack. Each kernel
 states its own relations as columns over its stack, and one tail
-(``_reports``) adds the duality sum, the PSD margin and the verdicts the
-same way and packs the rows into reports.
+(``_tabulate``) adds the duality sum, the PSD margin and the verdicts the
+same way, as columns that evaluate_* and sweep_overlap pack into reports.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,20 +64,22 @@ VISIBILITY_MAX_PATHS = 3  # the fringe correspondences of the two- and three-sli
 #: trials, budgets of 32 and 128 KiB moved peak RSS by -0.3 and +0.6 MB.
 STACK_BYTES = 1 << 16
 
-CSV_COLUMNS = (
-    "trial",
-    "seed",
+#: the CSV columns of one report; `verify --format csv` adds the seed, and a
+#: campaign, which scans no visibility, its trial and seed (CSV_COLUMNS)
+REPORT_COLUMNS = (
     "scenario",
     "n",
     "coherence",
     "distinguishability",
     "slack",
+    "visibility",
     "duality_sum",
     "slack_identity",
     "coherence_bound_margin",
     "psd_margin_min",
     "passed",
 )
+CSV_COLUMNS = ("trial", "seed", *(column for column in REPORT_COLUMNS if column != "visibility"))
 
 
 @dataclass(frozen=True)
@@ -110,38 +114,32 @@ class DualityReport:
         return all(self.verdicts.values())
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "n": self.n,
-            "coherence": self.coherence,
-            "distinguishability": self.distinguishability,
-            "slack": self.slack,
-            "visibility": self.visibility,
-            "relation_residuals": {k: float(v) for k, v in self.relation_residuals.items()},
-            "verdicts": {k: bool(v) for k, v in self.verdicts.items()},
-            "passed": bool(self.passed),
-        }
+        return {**vars(self), "relation_residuals": dict(self.relation_residuals), "verdicts": dict(self.verdicts),
+                "passed": self.passed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    def csv_cells(self) -> dict[str, str]:
-        """CSV cells keyed by column name: floats with 17 significant
-        digits (they round-trip exactly), an empty cell for a visibility
-        or residual the report lacks, and passed as true/false."""
-        cells = {
-            "scenario": self.scenario,
-            "n": str(self.n),
-            "coherence": f"{self.coherence:.17g}",
-            "distinguishability": f"{self.distinguishability:.17g}",
-            "slack": f"{self.slack:.17g}",
-            "visibility": "" if self.visibility is None else f"{self.visibility:.17g}",
-        }
-        for key in ("duality_sum", "slack_identity", "coherence_bound_margin", "psd_margin_min"):
-            value = self.relation_residuals.get(key)
-            cells[key] = "" if value is None else f"{value:.17g}"
-        cells["passed"] = "true" if self.passed else "false"
-        return cells
+
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """A stack's results as columns in report order; `values` holds n, C, D_Q, slack and any visibility."""
+
+    scenario: str
+    values: dict[str, np.ndarray]
+    residuals: dict[str, np.ndarray]
+    verdicts: dict[str, np.ndarray]
+
+    @property
+    def passed(self) -> np.ndarray:
+        return np.logical_and.reduce(list(self.verdicts.values()))
+
+    def reports(self) -> list[DualityReport]:
+        """One report per entry, every field a Python float, int or bool."""
+        rows = [[dict(zip(part, row)) for row in zip(*[column.tolist() for column in part.values()])]
+                for part in (self.values, self.residuals, self.verdicts)]
+        return [DualityReport(self.scenario, **{"visibility": None, **values}, relation_residuals=residuals,
+                              verdicts=verdicts) for values, residuals, verdicts in zip(*rows)]
 
 
 def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = False) -> DualityReport:
@@ -153,7 +151,7 @@ def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = Fal
     """
     if q.n != d.n:
         raise ValueError(f"path count mismatch: quanton has {q.n}, detectors have {d.n}")
-    return _pure_pure_stack(q.amplitudes[None], d.vectors[None], d.gram[None], include_visibility)[0]
+    return _pure_pure_stack(q.amplitudes[None], d.vectors[None], d.gram[None], include_visibility).reports()[0]
 
 
 def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = False) -> DualityReport:
@@ -164,7 +162,7 @@ def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = F
     """
     if q.n != d.n:
         raise ValueError(f"path count mismatch: quanton has {q.n}, detectors have {d.n}")
-    return _mixed_pure_stack(q.rho.matrix[None], d.gram[None], include_visibility)[0]
+    return _mixed_pure_stack(q.rho.matrix[None], d.gram[None], include_visibility).reports()[0]
 
 
 def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
@@ -177,7 +175,7 @@ def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
     if q.n != m.n:
         raise ValueError(f"path count mismatch: quanton has {q.n}, interaction has {m.n}")
     return _mixed_mixed_stack(q.rho.matrix[None], m.rho_d.matrix[None], m.unitaries[None],
-                              include_visibility)[0]
+                              include_visibility).reports()[0]
 
 
 def sweep_overlap(n: int, gammas: Sequence[float],
@@ -202,32 +200,35 @@ def sweep_overlap(n: int, gammas: Sequence[float],
     grams = np.stack([d.gram for d in detectors])
     include_v = n <= VISIBILITY_MAX_PATHS
     if isinstance(quanton, PureQuanton):
-        return _pure_pure_stack(quanton.amplitudes, np.stack([d.vectors for d in detectors]), grams, include_v)
-    return _mixed_pure_stack(quanton.rho.matrix, grams, include_v)
+        return _pure_pure_stack(quanton.amplitudes, np.stack([d.vectors for d in detectors]), grams,
+                                include_v).reports()
+    return _mixed_pure_stack(quanton.rho.matrix, grams, include_v).reports()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CampaignResult:
-    """Per-trial reports plus order-independent aggregate statistics."""
+    """Per-trial results as trial-indexed columns plus order-independent aggregate statistics."""
 
     scenario: str
     trials: int
     seed: int
-    reports: tuple[DualityReport, ...]
+    table: _Table
+
+    @functools.cached_property
+    def reports(self) -> tuple[DualityReport, ...]:
+        """One report per trial, packed from the columns when first read."""
+        return tuple(self.table.reports())
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.reports)
+        return bool(self.table.passed.all())
 
     def violations(self) -> list[int]:
         """Trial indices whose reports failed; replay with stream(seed, index)."""
-        return [i for i, r in enumerate(self.reports) if not r.passed]
+        return np.flatnonzero(~self.table.passed).tolist()
 
     def aggregate(self) -> dict:
-        abs_residuals: dict[str, list[float]] = {}
-        for r in self.reports:
-            for k, v in r.relation_residuals.items():
-                abs_residuals.setdefault(k, []).append(abs(v))
+        residuals = self.table.residuals
         violating = self.violations()
         out = {
             "scenario": self.scenario,
@@ -235,88 +236,95 @@ class CampaignResult:
             "seed": self.seed,
             "violations": len(violating),
             "violating_trials": violating[:16],
-            "max_abs_residuals": {k: max(v) for k, v in abs_residuals.items()},
-            "mean_abs_residuals": {k: float(np.mean(v)) for k, v in abs_residuals.items()},
-            "max_duality_sum": max(r.relation_residuals["duality_sum"] for r in self.reports),
-            "min_slack": min(r.slack for r in self.reports),
-            "min_psd_margin": min(r.relation_residuals["psd_margin_min"] for r in self.reports),
+            "max_abs_residuals": {k: float(np.abs(v).max()) for k, v in residuals.items()},
+            "mean_abs_residuals": {k: float(np.mean(np.abs(v))) for k, v in residuals.items()},
+            "max_duality_sum": float(residuals["duality_sum"].max()),
+            "min_slack": float(self.table.values["slack"].min()),
+            "min_psd_margin": float(residuals["psd_margin_min"].min()),
             "passed": not violating,
         }
         if self.scenario == "mixed_mixed":
-            out["min_coherence_bound_margin"] = min(
-                r.relation_residuals["coherence_bound_margin"] for r in self.reports
-            )
+            out["min_coherence_bound_margin"] = float(residuals["coherence_bound_margin"].min())
         return out
 
     def to_csv(self, path_or_file) -> None:
         """One row per trial, fixed column order, 17 significant digits."""
-        if hasattr(path_or_file, "write"):
-            self._write_csv(path_or_file)
+        _write_csv(path_or_file, CSV_COLUMNS, {"trial": range(self.trials), "seed": itertools.repeat(self.seed),
+                                               "scenario": itertools.repeat(self.scenario), **self.table.values,
+                                               **self.table.residuals, "passed": self.table.passed})
+
+
+def _cells(column) -> Iterator[str]:
+    """One CSV column's cells: floats with 17 significant digits (they
+    round-trip exactly), bools as true/false and None as an empty cell."""
+    for value in column.tolist() if isinstance(column, np.ndarray) else column:
+        if isinstance(value, float):
+            yield f"{value:.17g}"
+        elif isinstance(value, bool):
+            yield "true" if value else "false"
         else:
-            with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh) -> None:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        seed = str(self.seed)
-        for i, r in enumerate(self.reports):
-            cells = {"trial": str(i), "seed": seed, **r.csv_cells()}
-            fh.write(",".join(cells[c] for c in CSV_COLUMNS) + "\n")
+            yield "" if value is None else str(value)
 
 
-def _reports(scenario: str, reduced: np.ndarray, include_visibility: bool, coherence: np.ndarray,
-             dq: np.ndarray, slack: np.ndarray, *, saturated: bool = False,
-             relations: tuple[tuple[str, np.ndarray, np.ndarray], ...] = (),
-             checks: tuple[tuple[str, np.ndarray], ...] = ()) -> list[DualityReport]:
-    """Shared tail of every kernel: one report per entry of a stack.
+def _write_csv(path_or_file, header: Sequence[str], columns: dict) -> None:
+    """Write the `header` columns as CSV rows, each formatted as it is written; a missing column is empty."""
+    if not hasattr(path_or_file, "write"):
+        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
+            return _write_csv(fh, header, columns)
+    cells = [_cells(columns[name]) if name in columns else itertools.repeat("") for name in header]
+    path_or_file.write(",".join(header) + "\n")
+    path_or_file.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _tabulate(scenario: str, reduced: np.ndarray, include_visibility: bool, coherence: np.ndarray,
+              dq: np.ndarray, slack: np.ndarray, *, saturated: bool = False,
+              relations: tuple[tuple[str, np.ndarray, np.ndarray], ...] = (),
+              checks: tuple[tuple[str, np.ndarray], ...] = ()) -> _Table:
+    """Shared tail of every kernel: the stack's table.
 
     Every scenario reports the signed duality sum C + D_Q - 1 (held to
     |.| <= TOLERANCE when the state saturates the duality, to <= TOLERANCE
     otherwise) and the PSD margin of its reduced state. `relations` adds the
     kernel's own (residual, values, verdicts) columns and `checks` its
-    verdicts that carry no residual; their order is the report order. Every
-    column is an array over the stack; the loop only scans the visibility of
-    an entry's reduced state, if asked for, and packs its row into a report.
-    A check that fails keeps the entry's index, as the stacked checks do.
+    verdicts that carry no residual; their order is the report order. A
+    visibility scan that fails keeps the entry's index, as the stacked checks do.
     """
     # C and D_Q passed _clamp_unit, which rejects NaN and inf; the slack did not
     _raise_first(~np.isfinite(slack), ValueError, lambda i: f"slack is not finite: {float(slack[i])!r}")
     duality_sum = coherence + dq - 1.0
     psd_margin = _submatrix_margin(reduced)
+    values = {"n": np.full(len(reduced), reduced.shape[-1]), "coherence": coherence, "distinguishability": dq,
+              "slack": slack}
+    if include_visibility:
+        visibility = []
+        for i, rho in enumerate(reduced):
+            try:
+                visibility.append(scan_visibility(MixedQuanton(rho=DensityMatrix(frozen(rho)))).visibility)
+            except ValueError as exc:
+                exc.index = (i,)
+                raise
+        values["visibility"] = np.array(visibility)
     residuals = {"duality_sum": duality_sum, **{key: value for key, value, _ in relations},
                  "psd_margin_min": psd_margin}
     verdicts = {"duality_sum": (np.abs(duality_sum) if saturated else duality_sum) <= TOLERANCE,
                 **{key: ok for key, _, ok in relations}, "psd_margin_min": psd_margin >= -MARGIN_TOL,
                 **dict(checks)}
-    columns = (coherence, dq, slack, *residuals.values(), *verdicts.values())
-    reports = []
-    for i, (c, d, s, *row) in enumerate(zip(*(column.tolist() for column in columns))):
-        try:
-            visibility = (scan_visibility(MixedQuanton(rho=DensityMatrix(frozen(reduced[i])))).visibility
-                          if include_visibility else None)
-        except ValueError as exc:
-            exc.index = (i,)
-            raise
-        reports.append(DualityReport(scenario=scenario, n=reduced.shape[-1], coherence=c, distinguishability=d,
-                                     slack=s, visibility=visibility,
-                                     relation_residuals=dict(zip(residuals, row)),
-                                     verdicts=dict(zip(verdicts, row[len(residuals):]))))
-    return reports
+    return _Table(scenario, values, residuals, verdicts)
 
 
 def _pure_pure_stack(amps: np.ndarray, vecs: np.ndarray, gram: np.ndarray,
-                     include_visibility: bool = False) -> list[DualityReport]:
+                     include_visibility: bool = False) -> _Table:
     """pure_pure from normalized amplitudes, unit detector vectors and their
     Gram: C + D_Q = 1, with no slack. The joint state is never formed: its
     partial trace is taken from the (path, detector) factors directly."""
     _check_composite(*vecs.shape[-2:])
     reduced = _density(_partial_trace_pure(amps[..., :, None] * vecs))
     coherence = _coherence(reduced)
-    return _reports("pure_pure", reduced, include_visibility, coherence, _uqsd(np.abs(amps) ** 2, gram),
-                    np.zeros_like(coherence), saturated=True)
+    return _tabulate("pure_pure", reduced, include_visibility, coherence, _uqsd(np.abs(amps) ** 2, gram),
+                     np.zeros_like(coherence), saturated=True)
 
 
-def _mixed_pure_stack(rho: np.ndarray, gram: np.ndarray, include_visibility: bool = False) -> list[DualityReport]:
+def _mixed_pure_stack(rho: np.ndarray, gram: np.ndarray, include_visibility: bool = False) -> _Table:
     """mixed_pure from density matrices and detector Grams: the reduced state is
     rho_ij <d_j|d_i>, and C + D_Q + slack = 1 with slack >= 0."""
     reduced = _density(rho * gram.conj())
@@ -324,13 +332,13 @@ def _mixed_pure_stack(rho: np.ndarray, gram: np.ndarray, include_visibility: boo
     dq = _uqsd(rho.diagonal(axis1=-2, axis2=-1).real, gram)
     slack = _slack(rho, gram)
     identity = coherence + dq + slack - 1.0
-    return _reports("mixed_pure", reduced, include_visibility, coherence, dq, slack,
-                    relations=(("slack_identity", identity, np.abs(identity) <= TOLERANCE),),
-                    checks=(("slack_nonnegative", slack >= -MARGIN_TOL),))
+    return _tabulate("mixed_pure", reduced, include_visibility, coherence, dq, slack,
+                     relations=(("slack_identity", identity, np.abs(identity) <= TOLERANCE),),
+                     checks=(("slack_nonnegative", slack >= -MARGIN_TOL),))
 
 
 def _mixed_mixed_stack(rho: np.ndarray, rho_d: np.ndarray, unitaries: np.ndarray,
-                       include_visibility: bool = False) -> list[DualityReport]:
+                       include_visibility: bool = False) -> _Table:
     """mixed_mixed from density matrices, detector states and path unitaries:
     C stays below its branch-average bound, and the slack is the gap 1 - C - D_Q.
     Every entry keeps all dim spectral branches; those below the weight cutoff
@@ -342,8 +350,8 @@ def _mixed_mixed_stack(rho: np.ndarray, rho_d: np.ndarray, unitaries: np.ndarray
     _check_branches(weights, grams)
     dq = _branch_distinguishability(rho.diagonal(axis1=-2, axis2=-1).real, weights, grams)
     bound_margin = _branch_coherence_bound(rho, weights, grams) - coherence
-    return _reports("mixed_mixed", reduced, include_visibility, coherence, dq, 1.0 - coherence - dq,
-                    relations=(("coherence_bound_margin", bound_margin, bound_margin >= -MARGIN_TOL),))
+    return _tabulate("mixed_mixed", reduced, include_visibility, coherence, dq, 1.0 - coherence - dq,
+                     relations=(("coherence_bound_margin", bound_margin, bound_margin >= -MARGIN_TOL),))
 
 
 def _held_bytes(draws: tuple[np.ndarray, ...]) -> int:
@@ -351,9 +359,9 @@ def _held_bytes(draws: tuple[np.ndarray, ...]) -> int:
     return sum(sys.getsizeof(a) for a in draws)
 
 
-def _evaluate_stack(scenario: str, entries: list, reports: list) -> None:
-    """Evaluate one (n, dim) group of drawn trials as one stack and file the
-    reports under their trial indices. The draws are checked once, as the
+def _evaluate_stack(scenario: str, entries: list, tables: list) -> None:
+    """Evaluate one (n, dim) group of drawn trials as one stack and file its
+    table with their trial indices. The draws are checked once, as the
     per-object constructors check one instance; a failing check names the trial."""
     trials = [trial for trial, _ in entries]
     stacks = [np.stack(parts) for parts in zip(*(draws for _, draws in entries))]
@@ -362,20 +370,28 @@ def _evaluate_stack(scenario: str, entries: list, reports: list) -> None:
         if scenario == "pure_pure":
             amps, vecs = stacks
             _check_normalized(amps)
-            stacked = _pure_pure_stack(amps, vecs, _detector_gram(vecs))
+            table = _pure_pure_stack(amps, vecs, _detector_gram(vecs))
         elif scenario == "mixed_pure":
             rho, vecs = stacks
-            stacked = _mixed_pure_stack(_density(rho), _detector_gram(vecs))
+            table = _mixed_pure_stack(_density(rho), _detector_gram(vecs))
         else:
             rho, rho_d, z = stacks
             rho, rho_d, unitaries = _density(rho), _density(rho_d), _haar(z)
             _check_unitaries(unitaries)
-            stacked = _mixed_mixed_stack(rho, rho_d, unitaries)
+            table = _mixed_mixed_stack(rho, rho_d, unitaries)
     except ValueError as exc:
         index = getattr(exc, "index", None) or (0,)
         raise type(exc)(f"trial {trials[index[0]]}: {exc}") from exc
-    for trial, report in zip(trials, stacked):
-        reports[trial] = report
+    tables.append((trials, table))
+
+
+def _merged(tables: list[tuple[list[int], _Table]]) -> _Table:
+    """The stacks' tables as one, in trial order."""
+    order = np.argsort(np.concatenate([trials for trials, _ in tables]))
+    stacks = [table for _, table in tables]
+    parts = ([getattr(table, part) for table in stacks] for part in ("values", "residuals", "verdicts"))
+    merged = ({key: np.concatenate([d[key] for d in dicts])[order] for key in dicts[0]} for dicts in parts)
+    return _Table(stacks[0].scenario, *merged)
 
 
 def run_campaign(scenario: str, trials: int, seed: int,
@@ -413,7 +429,7 @@ def run_campaign(scenario: str, trials: int, seed: int,
         raise ValueError(f"rank is not read by the pure_pure scenario, got {rank}")
     if rank is not None and not 1 <= rank <= min(n_choices):
         raise ValueError(f"rank must lie in 1..{min(n_choices)}, got {rank}")
-    reports: list = [None] * trials
+    tables: list = []
     pending: dict[tuple[int, int], list] = {}
     for trial in range(trials):
         n_t, dim, draws = draw_trial(scenario, stream(seed, trial), n_choices, detector_dim, rank)
@@ -421,7 +437,7 @@ def run_campaign(scenario: str, trials: int, seed: int,
         entries.append((trial, draws))
         # every trial of a group holds arrays of the same shapes
         if len(entries) * _held_bytes(draws) >= STACK_BYTES:
-            _evaluate_stack(scenario, pending.pop((n_t, dim)), reports)
+            _evaluate_stack(scenario, pending.pop((n_t, dim)), tables)
     for entries in pending.values():
-        _evaluate_stack(scenario, entries, reports)
-    return CampaignResult(scenario=scenario, trials=trials, seed=seed, reports=tuple(reports))
+        _evaluate_stack(scenario, entries, tables)
+    return CampaignResult(scenario=scenario, trials=trials, seed=seed, table=_merged(tables))

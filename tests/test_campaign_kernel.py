@@ -9,16 +9,23 @@ field by field from the README's schema. `_draw_report` draws trial k
 with the public random_* generators and composes it that way. Every
 report must equal the oracle's with ==, field by field, not within a
 tolerance.
+
+The CSV rows of campaigns, `verify` and `sweep` must equal, byte for byte,
+the cells `_csv_cells` formats from a report by the README's rules, and a
+campaign's aggregate must equal `_aggregate_oracle`, which walks its reports
+one by one.
 """
 
+import json
 import sys
 
 import numpy as np
 import pytest
 
 from duality_lab import duality
-from duality_lab.cli import main
+from duality_lab.cli import SWEEP_CSV_COLUMNS, VERIFY_CSV_COLUMNS, main
 from duality_lab.duality import (
+    CSV_COLUMNS,
     SCENARIOS,
     STACK_BYTES,
     VISIBILITY_MAX_PATHS,
@@ -136,9 +143,9 @@ def stacks(monkeypatch):
     seen = []
     evaluate = duality._evaluate_stack
 
-    def recording(scenario, entries, reports):
+    def recording(scenario, entries, tables):
         seen.append((len(entries), sum(duality._held_bytes(draws) for _, draws in entries)))
-        return evaluate(scenario, entries, reports)
+        return evaluate(scenario, entries, tables)
 
     monkeypatch.setattr(duality, "_evaluate_stack", recording)
     return seen
@@ -196,10 +203,10 @@ def test_each_group_is_evaluated_once_it_alone_reaches_the_budget(monkeypatch):
     seen = []
     evaluate = duality._evaluate_stack
 
-    def recording(scenario, entries, reports):
+    def recording(scenario, entries, tables):
         draws = entries[0][1]
         seen.append((tuple(a.shape for a in draws), len(entries), duality._held_bytes(draws)))
-        return evaluate(scenario, entries, reports)
+        return evaluate(scenario, entries, tables)
 
     monkeypatch.setattr(duality, "_evaluate_stack", recording)
     _assert_matches_oracle("mixed_mixed", 400, 29, (3, 4))
@@ -347,3 +354,137 @@ def test_no_command_forms_the_joint_state(monkeypatch, capsys, tmp_path):
     for argv in commands:
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+def _csv_cells(report):
+    """A report's CSV cells keyed by column: floats with 17 significant digits
+    (they round-trip exactly), an empty cell for a visibility or residual the
+    report lacks, and passed as true/false."""
+    cells = {
+        "scenario": report.scenario,
+        "n": str(report.n),
+        "coherence": f"{report.coherence:.17g}",
+        "distinguishability": f"{report.distinguishability:.17g}",
+        "slack": f"{report.slack:.17g}",
+        "visibility": "" if report.visibility is None else f"{report.visibility:.17g}",
+    }
+    for key in ("duality_sum", "slack_identity", "coherence_bound_margin", "psd_margin_min"):
+        value = report.relation_residuals.get(key)
+        cells[key] = "" if value is None else f"{value:.17g}"
+    cells["passed"] = "true" if report.passed else "false"
+    return cells
+
+
+def _csv_text(header, rows):
+    return ",".join(header) + "\n" + "".join(",".join(row[c] for c in header) + "\n" for row in rows)
+
+
+def _aggregate_oracle(result):
+    """CampaignResult.aggregate, computed by walking the reports one by one."""
+    abs_residuals = {}
+    for r in result.reports:
+        for k, v in r.relation_residuals.items():
+            abs_residuals.setdefault(k, []).append(abs(v))
+    violating = [i for i, r in enumerate(result.reports) if not r.passed]
+    out = {
+        "scenario": result.scenario,
+        "trials": result.trials,
+        "seed": result.seed,
+        "violations": len(violating),
+        "violating_trials": violating[:16],
+        "max_abs_residuals": {k: max(v) for k, v in abs_residuals.items()},
+        "mean_abs_residuals": {k: float(np.mean(v)) for k, v in abs_residuals.items()},
+        "max_duality_sum": max(r.relation_residuals["duality_sum"] for r in result.reports),
+        "min_slack": min(r.slack for r in result.reports),
+        "min_psd_margin": min(r.relation_residuals["psd_margin_min"] for r in result.reports),
+        "passed": not violating,
+    }
+    if result.scenario == "mixed_mixed":
+        out["min_coherence_bound_margin"] = min(r.relation_residuals["coherence_bound_margin"] for r in result.reports)
+    return out
+
+
+def _violating_campaign(monkeypatch, scenario):
+    """A campaign whose kernels report their coherence plus 0.5 at every odd
+    stack entry, so that it holds passing and violating trials."""
+    coherence = duality._coherence
+    monkeypatch.setattr(duality, "_coherence", lambda rho: coherence(rho) + 0.5 * (np.arange(len(rho)) % 2))
+    result = run_campaign(scenario, 60, 19, n=(2, 3, 4))
+    assert 16 < len(result.violations()) < 60
+    return result
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_campaign_csv_equals_the_cell_oracle(scenario, tmp_path):
+    seed, n = 61, tuple(range(2, 9))
+    run_campaign(scenario, 40, seed, n=n).to_csv(tmp_path / "run.csv")
+    reports = [_draw_report(scenario, stream(seed, k), n, None, None)[1] for k in range(40)]
+    rows = [{"trial": str(k), "seed": str(seed), **_csv_cells(report)} for k, report in enumerate(reports)]
+    assert (tmp_path / "run.csv").read_bytes() == _csv_text(CSV_COLUMNS, rows).encode()
+
+
+def test_violating_campaign_csv_equals_the_cell_oracle(monkeypatch, tmp_path):
+    result = _violating_campaign(monkeypatch, "pure_pure")
+    result.to_csv(tmp_path / "run.csv")
+    text = (tmp_path / "run.csv").read_text()
+    assert {row.rsplit(",", 1)[1] for row in text.splitlines()[1:]} == {"true", "false"}
+    rows = [{"trial": str(k), "seed": "19", **_csv_cells(report)} for k, report in enumerate(result.reports)]
+    assert text == _csv_text(CSV_COLUMNS, rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenario", "pure_pure", "--n", "3", "--gamma", "0.4"],
+    ["--scenario", "pure_pure", "--n", "5", "--seed", "12"],
+    ["--scenario", "mixed_pure", "--n", "3", "--seed", "5", "--rank", "2", "--gamma", "0.3"],
+    ["--scenario", "mixed_mixed", "--n", "4", "--seed", "9", "--detector-dim", "3"],
+], ids=["pure_pure-no_seed", "pure_pure-seed", "mixed_pure-seed", "mixed_mixed-seed"])
+def test_verify_csv_equals_the_cell_oracle(argv, capsys):
+    # the JSON report round-trips every float exactly
+    assert main(["verify", *argv]) == 0
+    fields = json.loads(capsys.readouterr().out)
+    report = DualityReport(**{key: value for key, value in fields.items() if key != "passed"})
+    assert main(["verify", *argv, "--format", "csv"]) == 0
+    seed = argv[argv.index("--seed") + 1] if "--seed" in argv else ""
+    assert capsys.readouterr().out == _csv_text(VERIFY_CSV_COLUMNS, [{**_csv_cells(report), "seed": seed}])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sweep_csv_equals_the_cell_oracle(n, capsys):
+    gammas = [0.0, 0.3, 0.55, 1.0]
+    assert main(["sweep", "--n", str(n), "--gammas", ",".join(map(str, gammas))]) == 0
+    reports = sweep_overlap(n, gammas, _equal_pure(n))
+    assert all((r.visibility is None) == (n > VISIBILITY_MAX_PATHS) for r in reports)
+    rows = [{**_csv_cells(report), "gamma": f"{gamma:.17g}"} for gamma, report in zip(gammas, reports)]
+    assert capsys.readouterr().out == _csv_text(SWEEP_CSV_COLUMNS, rows)
+
+
+def _assert_aggregate_matches_oracle(result):
+    expected = _aggregate_oracle(result)
+    assert result.aggregate() == expected
+    assert json.dumps(result.aggregate()) == json.dumps(expected)  # and with it the sign of every zero
+    return expected
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_aggregate_equals_the_report_walk(scenario):
+    assert _assert_aggregate_matches_oracle(run_campaign(scenario, 60, 71, n=tuple(range(2, 9))))["passed"]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_violating_aggregate_equals_the_report_walk(monkeypatch, scenario):
+    expected = _assert_aggregate_matches_oracle(_violating_campaign(monkeypatch, scenario))
+    assert len(expected["violating_trials"]) == 16 < expected["violations"]
+
+
+def test_campaign_builds_reports_only_when_they_are_read(monkeypatch, capsys, tmp_path):
+    with monkeypatch.context() as patched:
+        patched.setattr(duality, "DualityReport", lambda *args, **kwargs: pytest.fail("a report was built"))
+        for scenario in SCENARIOS:
+            assert main(["campaign", "--scenario", scenario, "--n", "3", "--trials", "30", "--seed", "3",
+                         "--output", str(tmp_path / scenario)]) == 0
+    capsys.readouterr()
+    result = run_campaign("mixed_pure", 30, 3, n=3)
+    assert result.reports is result.reports
+    assert len(result.reports) == 30
+    # results compare by identity, as their columns are arrays
+    assert result == result and result != run_campaign("mixed_pure", 30, 3, n=3)
