@@ -54,6 +54,8 @@ VERIFIES = {
 OTHERS = {
     "sweep_n3": ["sweep", "--n", "3", "--gamma-range", "0:1:6", "--output", "sweep.csv"],
     "fringe_n2": ["fringe", "--n", "2", "--gamma", "0.6", "--output", "fringe.csv"],
+    # n = 3, a grid other than the default, and the CSV written to stdout
+    "fringe_n3_stdout": ["fringe", "--n", "3", "--gamma", "0.35", "--grid-points", "256"],
 }
 
 COMMANDS = {**CAMPAIGNS, **VERIFIES, **OTHERS}
@@ -183,6 +185,10 @@ DIGESTS = {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         'fringe.csv': 'e55a8a237c2e0603b5d77f2ac4234c47a064841b457f01ad66e503ab4566bcc0',
+    },
+    'fringe_n3_stdout': {
+        'exit': '0',
+        'stdout': '4e257b00742e27711331a7b121f82db1b3f55d73e4433a9ab4a16bae5390fe5d',
     },
     'sweep_n3': {
         'exit': '0',
