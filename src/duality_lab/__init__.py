@@ -15,6 +15,10 @@ from .duality import (
     SCENARIOS,
     CampaignResult,
     DualityReport,
+    ThreeSlitReport,
+    TwoSlitReport,
+    check_three_slit_relation,
+    check_two_slit_relation,
     evaluate_mixed,
     evaluate_mixed_detector,
     evaluate_pure,
@@ -23,10 +27,6 @@ from .duality import (
 )
 from .interference import (
     FringeScan,
-    ThreeSlitReport,
-    TwoSlitReport,
-    check_three_slit_relation,
-    check_two_slit_relation,
     intensity,
     scan_visibility,
     symmetric_detectors,

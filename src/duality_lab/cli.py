@@ -28,6 +28,8 @@ from .duality import (
     SCENARIOS,
     VISIBILITY_MAX_PATHS,
     DualityReport,
+    _equal_amplitude_quanton,
+    _pure_fringe,
     _write_csv,
     evaluate_mixed,
     evaluate_mixed_detector,
@@ -35,14 +37,7 @@ from .duality import (
     run_campaign,
     sweep_overlap,
 )
-from .interference import (
-    DEFAULT_GRID_POINTS,
-    MAX_GRID_POINTS,
-    MIN_GRID_POINTS,
-    _equal_amplitude_quanton,
-    _pure_fringe,
-    symmetric_detectors,
-)
+from .interference import DEFAULT_GRID_POINTS, MAX_GRID_POINTS, MIN_GRID_POINTS, symmetric_detectors
 from .linalg import validate_density
 from .random import (
     random_density,
@@ -324,13 +319,14 @@ def cmd_fringe(args: argparse.Namespace) -> int:
         raise ConfigError(f"--grid-points must be >= {MIN_GRID_POINTS}, got {grid_points}")
     if grid_points > MAX_GRID_POINTS:
         raise ConfigError(f"--grid-points must be <= {MAX_GRID_POINTS}, got {grid_points}")
-    scan, coherence, dq = _pure_fringe(_equal_amplitude_quanton(n), symmetric_detectors(n, gamma), grid_points)
-    header = (
+    scan, report = _pure_fringe(_equal_amplitude_quanton(n), symmetric_detectors(n, gamma), grid_points)
+    comment = (
         f"n={n} gamma={gamma!r} visibility={scan.visibility!r} "
-        f"coherence={coherence!r} distinguishability={dq!r}"
+        f"coherence={report.coherence!r} distinguishability={report.distinguishability!r}"
     )
     output = cfg.get("output")
-    scan.to_csv(sys.stdout if output is None else output, header_comment=header)
+    _write_csv(sys.stdout if output is None else output, ("theta", "intensity"),
+               {"theta": scan.phases, "intensity": scan.intensities}, comment)
     return EXIT_OK
 
 

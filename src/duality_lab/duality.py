@@ -17,7 +17,8 @@ in numerical quality stay visible.
 Each scenario's composition is written once, as a kernel over stacks of
 checked arrays (``_*_stack``), and every command runs it: a campaign on its
 draws in (n, detector dimension) stacks, evaluate_* on one instance as a
-stack of one, sweep_overlap on all its gammas as one stack. Each kernel
+stack of one, sweep_overlap on all its gammas as one stack; the fringe and
+the two- and three-slit checks read C and D_Q from evaluate_pure. Each kernel
 states its own relations as columns over its stack, and one tail
 (``_tabulate``) adds the duality sum, the PSD margin and the verdicts the
 same way, as columns that evaluate_* and sweep_overlap pack into reports.
@@ -28,13 +29,14 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .interference import scan_visibility, symmetric_detectors
+from .interference import DEFAULT_GRID_POINTS, FringeScan, scan_visibility, symmetric_detectors
 from .linalg import DensityMatrix, _density, _partial_trace_pure, _raise_first, _submatrix_margin, frozen
 from .measures import _branch_coherence_bound, _branch_distinguishability, _coherence, _slack, _uqsd
 from .random import _haar, draw_trial, stream
@@ -205,6 +207,74 @@ def sweep_overlap(n: int, gammas: Sequence[float],
     return _mixed_pure_stack(quanton.rho.matrix, grams, include_v).reports()
 
 
+def _equal_amplitude_quanton(n: int) -> PureQuanton:
+    return PureQuanton(amplitudes=np.full(n, 1.0 / math.sqrt(n), dtype=complex))
+
+
+def _pure_fringe(q: PureQuanton, d: DetectorSet,
+                 grid_points: int = DEFAULT_GRID_POINTS) -> tuple[FringeScan, DualityReport]:
+    """The sampled fringe of a pure quanton behind pure detectors, and its pure_pure report."""
+    report = evaluate_pure(q, d)
+    reduced = _pure_reduced(q.amplitudes, d.vectors)
+    return scan_visibility(MixedQuanton(rho=DensityMatrix(frozen(reduced))), grid_points), report
+
+
+@dataclass(frozen=True)
+class TwoSlitReport:
+    visibility: float
+    coherence: float
+    distinguishability: float
+    residual_visibility_coherence: float
+    residual_duality: float
+
+
+@dataclass(frozen=True)
+class ThreeSlitReport:
+    gamma: float
+    visibility: float
+    coherence: float
+    distinguishability: float
+    residual_coherence_visibility: float
+    residual_duality: float
+
+
+def check_two_slit_relation(q: PureQuanton, d: DetectorSet) -> TwoSlitReport:
+    """Scan the two-slit pattern and compare V against the coherence and
+    the duality sum V + D_Q.
+
+    Only the equal-amplitude case is covered; the closed forms V = C =
+    |<d_1|d_2>| hold there.
+    """
+    if q.n != 2 or d.n != 2:
+        raise ValueError("two-slit check needs exactly 2 paths")
+    probs = q.probabilities()
+    if abs(probs[0] - 0.5) > 1e-10:
+        raise ValueError(f"two-slit check needs equal amplitudes, got probabilities {probs!r}")
+    r = evaluate_pure(q, d, include_visibility=True)
+    return TwoSlitReport(
+        visibility=r.visibility,
+        coherence=r.coherence,
+        distinguishability=r.distinguishability,
+        residual_visibility_coherence=abs(r.visibility - r.coherence),
+        residual_duality=abs(r.visibility + r.distinguishability - 1.0),
+    )
+
+
+def check_three_slit_relation(gamma: float) -> ThreeSlitReport:
+    """Scan the symmetric three-slit pattern at uniform overlap gamma and
+    compare against C = 2V / (3 - V) and D_Q + 2V / (3 - V) = 1."""
+    r = evaluate_pure(_equal_amplitude_quanton(3), symmetric_detectors(3, gamma), include_visibility=True)
+    mapped = 2.0 * r.visibility / (3.0 - r.visibility)
+    return ThreeSlitReport(
+        gamma=gamma,
+        visibility=r.visibility,
+        coherence=r.coherence,
+        distinguishability=r.distinguishability,
+        residual_coherence_visibility=abs(r.coherence - mapped),
+        residual_duality=abs(r.distinguishability + mapped - 1.0),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class CampaignResult:
     """Per-trial results as trial-indexed columns plus order-independent aggregate statistics."""
@@ -259,21 +329,28 @@ def _cells(column) -> Iterator[str]:
     round-trip exactly), bools as true/false and None as an empty cell."""
     for value in column.tolist() if isinstance(column, np.ndarray) else column:
         if isinstance(value, float):
-            yield f"{value:.17g}"
+            yield "%.17g" % value
         elif isinstance(value, bool):
             yield "true" if value else "false"
         else:
             yield "" if value is None else str(value)
 
 
-def _write_csv(path_or_file, header: Sequence[str], columns: dict) -> None:
-    """Write the `header` columns as CSV rows, each formatted as it is written; a missing column is empty."""
+def _write_csv(path_or_file, header: Sequence[str], columns: dict, comment: str | None = None) -> None:
+    """Write an optional `# comment` line, then the `header` columns as CSV rows;
+    a missing column is empty. Each row is formatted by one printf template:
+    %.17g for a float array's column, %s over `_cells` for any other column."""
     if not hasattr(path_or_file, "write"):
         with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            return _write_csv(fh, header, columns)
-    cells = [_cells(columns[name]) if name in columns else itertools.repeat("") for name in header]
+            return _write_csv(fh, header, columns, comment)
+    floats = [isinstance(columns.get(name), np.ndarray) and columns[name].dtype.kind == "f" for name in header]
+    template = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
+    cells = [columns[name].tolist() if f else _cells(columns.get(name, itertools.repeat(None)))
+             for name, f in zip(header, floats)]
+    if comment is not None:
+        path_or_file.write(f"# {comment}\n")
     path_or_file.write(",".join(header) + "\n")
-    path_or_file.writelines(",".join(row) + "\n" for row in zip(*cells))
+    path_or_file.writelines(template % row for row in zip(*cells))
 
 
 def _tabulate(scenario: str, reduced: np.ndarray, include_visibility: bool, coherence: np.ndarray,
@@ -312,13 +389,19 @@ def _tabulate(scenario: str, reduced: np.ndarray, include_visibility: bool, cohe
     return _Table(scenario, values, residuals, verdicts)
 
 
+def _pure_reduced(amps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The checked reduced quanton states of sum_i c_i (e_i tensor d_i). The joint
+    state is never formed: its partial trace is taken from the (path, detector)
+    factors directly."""
+    _check_composite(*vecs.shape[-2:])
+    return _density(_partial_trace_pure(amps[..., :, None] * vecs))
+
+
 def _pure_pure_stack(amps: np.ndarray, vecs: np.ndarray, gram: np.ndarray,
                      include_visibility: bool = False) -> _Table:
     """pure_pure from normalized amplitudes, unit detector vectors and their
-    Gram: C + D_Q = 1, with no slack. The joint state is never formed: its
-    partial trace is taken from the (path, detector) factors directly."""
-    _check_composite(*vecs.shape[-2:])
-    reduced = _density(_partial_trace_pure(amps[..., :, None] * vecs))
+    Gram: C + D_Q = 1, with no slack."""
+    reduced = _pure_reduced(amps, vecs)
     coherence = _coherence(reduced)
     return _tabulate("pure_pure", reduced, include_visibility, coherence, _uqsd(np.abs(amps) ** 2, gram),
                      np.zeros_like(coherence), saturated=True)
@@ -412,9 +495,11 @@ def run_campaign(scenario: str, trials: int, seed: int,
     A group is evaluated as one stack once it alone holds STACK_BYTES of
     draws, and what is left of it at the end, so the draws held stay below
     STACK_BYTES per group (n+1 groups per path count, one with detector_dim).
-    A check that fails raises its usual ValueError, prefixed with "trial k: "
-    for the first trial of its stack that fails it (the stack's first trial
-    for a check of the whole stack, such as the composite dimension).
+    pure_pure checks the largest composite dimension its options allow before
+    the first draw, so whether it fits does not depend on the seed. A check
+    that fails on the draws raises its usual ValueError, prefixed with
+    "trial k: " for the first trial of its stack that fails it (the stack's
+    first trial for a check of the whole stack).
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
@@ -429,6 +514,8 @@ def run_campaign(scenario: str, trials: int, seed: int,
         raise ValueError(f"rank is not read by the pure_pure scenario, got {rank}")
     if rank is not None and not 1 <= rank <= min(n_choices):
         raise ValueError(f"rank must lie in 1..{min(n_choices)}, got {rank}")
+    if scenario == "pure_pure":  # the largest composite any seed may draw
+        _check_composite(max(n_choices), detector_dim or 2 * max(n_choices))
     tables: list = []
     pending: dict[tuple[int, int], list] = {}
     for trial in range(trials):

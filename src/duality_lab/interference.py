@@ -37,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _partial_trace_pure, gram_factor_vectors, validate_density
-from .measures import coherence_normalized, distinguishability_pure
-from .states import DetectorSet, MixedQuanton, PureQuanton, _check_composite
+from .linalg import gram_factor_vectors
+from .states import DetectorSet, MixedQuanton
 
 DEFAULT_GRID_POINTS = 4096
 MIN_GRID_POINTS = 256
@@ -56,21 +55,6 @@ class FringeScan:
     i_max: float
     i_min: float
     visibility: float
-
-    def to_csv(self, path_or_file, header_comment: str | None = None) -> None:
-        """Write theta, intensity rows; floats carry 17 significant digits."""
-        if hasattr(path_or_file, "write"):
-            self._write_csv(path_or_file, header_comment)
-        else:
-            with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-                self._write_csv(fh, header_comment)
-
-    def _write_csv(self, fh, header_comment) -> None:
-        if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
-        fh.write("theta,intensity\n")
-        rows = zip(self.phases.tolist(), self.intensities.tolist())
-        fh.writelines(f"{theta:.17g},{value:.17g}\n" for theta, value in rows)
 
 
 def intensity(rho_reduced: MixedQuanton, theta: float) -> float:
@@ -157,75 +141,3 @@ def uniform_overlap_gram(n: int, gamma: float) -> np.ndarray:
 def symmetric_detectors(n: int, gamma: float) -> DetectorSet:
     """Deterministic n-state detector set with all pairwise overlaps gamma."""
     return DetectorSet(gram_factor_vectors(uniform_overlap_gram(n, gamma)))
-
-
-def _equal_amplitude_quanton(n: int) -> PureQuanton:
-    return PureQuanton(amplitudes=np.full(n, 1.0 / math.sqrt(n), dtype=complex))
-
-
-def _reduced_from_pure(q: PureQuanton, d: DetectorSet) -> MixedQuanton:
-    """The detector traced out of sum_i c_i (e_i tensor d_i), without the joint matrix."""
-    _check_composite(q.n, d.dim)
-    return MixedQuanton(rho=validate_density(_partial_trace_pure(q.amplitudes[:, None] * d.vectors)))
-
-
-def _pure_fringe(q: PureQuanton, d: DetectorSet, grid_points: int = DEFAULT_GRID_POINTS):
-    """(FringeScan, normalized l1 coherence, D_Q) of a pure quanton behind pure detectors."""
-    reduced = _reduced_from_pure(q, d)
-    return scan_visibility(reduced, grid_points), coherence_normalized(reduced.rho), distinguishability_pure(q, d)
-
-
-@dataclass(frozen=True)
-class TwoSlitReport:
-    visibility: float
-    coherence: float
-    distinguishability: float
-    residual_visibility_coherence: float
-    residual_duality: float
-
-
-@dataclass(frozen=True)
-class ThreeSlitReport:
-    gamma: float
-    visibility: float
-    coherence: float
-    distinguishability: float
-    residual_coherence_visibility: float
-    residual_duality: float
-
-
-def check_two_slit_relation(q: PureQuanton, d: DetectorSet) -> TwoSlitReport:
-    """Scan the two-slit pattern and compare V against the coherence and
-    the duality sum V + D_Q.
-
-    Only the equal-amplitude case is covered; the closed forms V = C =
-    |<d_1|d_2>| hold there.
-    """
-    if q.n != 2 or d.n != 2:
-        raise ValueError("two-slit check needs exactly 2 paths")
-    probs = q.probabilities()
-    if abs(probs[0] - 0.5) > 1e-10:
-        raise ValueError(f"two-slit check needs equal amplitudes, got probabilities {probs!r}")
-    scan, coherence, dq = _pure_fringe(q, d)
-    return TwoSlitReport(
-        visibility=scan.visibility,
-        coherence=coherence,
-        distinguishability=dq,
-        residual_visibility_coherence=abs(scan.visibility - coherence),
-        residual_duality=abs(scan.visibility + dq - 1.0),
-    )
-
-
-def check_three_slit_relation(gamma: float) -> ThreeSlitReport:
-    """Scan the symmetric three-slit pattern at uniform overlap gamma and
-    compare against C = 2V / (3 - V) and D_Q + 2V / (3 - V) = 1."""
-    scan, coherence, dq = _pure_fringe(_equal_amplitude_quanton(3), symmetric_detectors(3, gamma))
-    mapped = 2.0 * scan.visibility / (3.0 - scan.visibility)
-    return ThreeSlitReport(
-        gamma=gamma,
-        visibility=scan.visibility,
-        coherence=coherence,
-        distinguishability=dq,
-        residual_coherence_visibility=abs(coherence - mapped),
-        residual_duality=abs(dq + mapped - 1.0),
-    )

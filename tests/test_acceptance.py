@@ -11,12 +11,13 @@ import numpy as np
 
 from duality_lab.cli import main as cli_main
 from duality_lab.duality import (
+    check_three_slit_relation,
+    check_two_slit_relation,
     evaluate_mixed,
     evaluate_mixed_detector,
     run_campaign,
     sweep_overlap,
 )
-from duality_lab.interference import check_three_slit_relation, check_two_slit_relation
 from duality_lab.linalg import principal_submatrix_margin
 from duality_lab.measures import (
     distinguishability_pure,

@@ -16,12 +16,16 @@ campaign's aggregate must equal `_aggregate_oracle`, which walks its reports
 one by one.
 """
 
+import io
 import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import duality_lab
 from duality_lab import duality
 from duality_lab.cli import SWEEP_CSV_COLUMNS, VERIFY_CSV_COLUMNS, main
 from duality_lab.duality import (
@@ -356,6 +360,30 @@ def test_no_command_forms_the_joint_state(monkeypatch, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_no_command_composes_pure_pure_outside_the_kernel(monkeypatch, capsys):
+    """fringe, verify, sweep and both slit checks take C and D_Q from the
+    pure_pure kernel, not from the per-object quantifiers."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pure_pure was composed outside its kernel")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("duality_lab")]:
+        for name in ("coherence_normalized", "distinguishability_pure"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    commands = [
+        ["fringe", "--n", "2", "--gamma", "0.6"],
+        ["fringe", "--n", "3", "--gamma", "0.5", "--grid-points", "256"],
+        ["verify", "--scenario", "pure_pure", "--n", "3", "--gamma", "0.4"],
+        ["sweep", "--n", "3", "--gammas", "0,0.5,1"],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    q = PureQuanton(amplitudes=np.full(2, 2 ** -0.5, dtype=complex))
+    assert duality_lab.check_two_slit_relation(q, symmetric_detectors(2, 0.6)).residual_duality <= SUM_TOL
+    assert duality_lab.check_three_slit_relation(0.5).residual_duality <= SUM_TOL
+
+
 def _csv_cells(report):
     """A report's CSV cells keyed by column: floats with 17 significant digits
     (they round-trip exactly), an empty cell for a visibility or residual the
@@ -488,3 +516,39 @@ def test_campaign_builds_reports_only_when_they_are_read(monkeypatch, capsys, tm
     assert len(result.reports) == 30
     # results compare by identity, as their columns are arrays
     assert result == result and result != run_campaign("mixed_pure", 30, 3, n=3)
+
+
+@pytest.mark.parametrize("n, gamma, grid_points", [(2, 0.6, 4096), (3, 0.35, 256), (5, 0.8, 5000)])
+def test_fringe_csv_equals_the_row_oracle(n, gamma, grid_points, capsys):
+    """Fringe rows by the rule of the removed FringeScan.to_csv: theta and
+    intensity with 17 significant digits each."""
+    scan, report = duality._pure_fringe(duality._equal_amplitude_quanton(n), symmetric_detectors(n, gamma),
+                                        grid_points)
+    assert main(["fringe", "--n", str(n), "--gamma", repr(gamma), "--grid-points", str(grid_points)]) == 0
+    comment = (f"# n={n} gamma={gamma!r} visibility={scan.visibility!r} coherence={report.coherence!r} "
+               f"distinguishability={report.distinguishability!r}\n")
+    rows = "".join(f"{theta:.17g},{value:.17g}\n"
+                   for theta, value in zip(scan.phases.tolist(), scan.intensities.tolist()))
+    assert capsys.readouterr().out == comment + "theta,intensity\n" + rows
+
+
+def test_mixed_column_cells_use_17_significant_digits():
+    """A column that is no float array still writes each float with .17g,
+    None as an empty cell and bools as true/false."""
+    mixed = [0.1, None, float("nan"), -0.0, float("-inf"), 5e-324, 2.0]
+    buf = io.StringIO()
+    duality._write_csv(buf, ("x", "array", "flag", "absent"),
+                       {"x": mixed, "array": np.array([1 / 3, np.nan, -0.0, np.inf, -np.inf, 1e300, 2.0]),
+                        "flag": np.arange(7) % 2 == 0})
+    expected = ["x,array,flag,absent", "0.10000000000000001,0.33333333333333331,true,", ",nan,false,",
+                "nan,-0,true,", "-0,inf,false,", "-inf,-inf,true,",
+                "4.9406564584124654e-324,1.0000000000000001e+300,false,", "2,2,true,"]
+    assert buf.getvalue() == "".join(line + "\n" for line in expected)
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=16))
+def test_float_array_cells_equal_format_17g(values):
+    """The row template's %.17g equals f"{x:.17g}" on any float, NaN, infinities and -0.0 included."""
+    buf = io.StringIO()
+    duality._write_csv(buf, ("array", "cells"), {"array": np.array(values, dtype=float), "cells": values})
+    assert buf.getvalue() == "array,cells\n" + "".join(f"{v:.17g},{v:.17g}\n" for v in values)

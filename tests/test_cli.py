@@ -324,6 +324,18 @@ def test_fringe_flat_at_zero_overlap(capsys):
     assert values[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_fringe_csv_roundtrip(capsys):
+    code, out, _ = _run(capsys, ["fringe", "--n", "2", "--gamma", "0.5", "--grid-points", "256"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("# n=2 gamma=0.5 ")
+    assert lines[1] == "theta,intensity"
+    assert len(lines) == 2 + 256
+    theta0, i0 = lines[2].split(",")
+    assert float(theta0) == 0.0
+    assert abs(float(i0) - 1.5) <= 1e-12
+
+
 def test_fringe_rejects_small_grid(capsys):
     code, _, err = _run(capsys, ["fringe", "--n", "2", "--gamma", "0.5", "--grid-points", "64"])
     assert code == 2

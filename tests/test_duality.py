@@ -235,6 +235,22 @@ def test_run_campaign_checks_rank_before_drawing(monkeypatch):
             run_campaign("pure_pure", 3, 1, n=3, rank=rank)
 
 
+@pytest.mark.parametrize("n", [23, (2, 23)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pure_pure_composite_bound_is_checked_before_the_first_draw(monkeypatch, n, seed):
+    """The largest composite the options allow (n * 2n by default) is checked
+    before any draw, so whether a campaign fits does not depend on the seed."""
+    def no_draws(*args):
+        raise AssertionError("a trial was drawn")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(duality, "draw_trial", no_draws)
+        with pytest.raises(ValueError, match=r"composite dimension 23\*46 exceeds the configured maximum 1024"):
+            run_campaign("pure_pure", 8, seed, n=n)
+    assert run_campaign("pure_pure", 8, seed, n=22).passed
+    assert run_campaign("pure_pure", 8, seed, n=n, detector_dim=44).passed
+
+
 def test_run_campaign_deterministic():
     a = run_campaign("mixed_pure", 40, 7, n=3)
     b = run_campaign("mixed_pure", 40, 7, n=3)

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -7,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duality_lab import interference
-from duality_lab.duality import sweep_overlap
+from duality_lab.duality import check_three_slit_relation, check_two_slit_relation, sweep_overlap
 from duality_lab.interference import (
     FLAT_PATTERN_TOL,
     FringeScan,
-    check_three_slit_relation,
-    check_two_slit_relation,
     intensity,
     scan_visibility,
     symmetric_detectors,
@@ -195,19 +192,6 @@ def test_scan_visibility_monotone_in_overlap():
         values = [scan_visibility(_symmetric_reduced(n, g)).visibility
                   for g in np.linspace(0, 1, 11)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-
-def test_fringe_scan_csv_roundtrip():
-    scan = scan_visibility(_symmetric_reduced(2, 0.5), grid_points=256)
-    buf = io.StringIO()
-    scan.to_csv(buf, header_comment="demo")
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# demo"
-    assert lines[1] == "theta,intensity"
-    assert len(lines) == 2 + 256
-    theta0, i0 = lines[2].split(",")
-    assert float(theta0) == 0.0
-    assert abs(float(i0) - 1.5) <= 1e-12
 
 
 # ------------------------------------------------------------- two-slit check
