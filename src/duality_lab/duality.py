@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .interference import DEFAULT_GRID_POINTS, FringeScan, scan_visibility, symmetric_detectors
+from .interference import FringeScan, scan_visibility, symmetric_detectors
 from .linalg import DensityMatrix, _density, _partial_trace_pure, _raise_first, _submatrix_margin, frozen
 from .measures import _branch_coherence_bound, _branch_distinguishability, _coherence, _slack, _uqsd
 from .random import _haar, draw_trial, stream
@@ -211,8 +211,7 @@ def _equal_amplitude_quanton(n: int) -> PureQuanton:
     return PureQuanton(amplitudes=np.full(n, 1.0 / math.sqrt(n), dtype=complex))
 
 
-def _pure_fringe(q: PureQuanton, d: DetectorSet,
-                 grid_points: int = DEFAULT_GRID_POINTS) -> tuple[FringeScan, DualityReport]:
+def _pure_fringe(q: PureQuanton, d: DetectorSet, grid_points: int) -> tuple[FringeScan, DualityReport]:
     """The sampled fringe of a pure quanton behind pure detectors, and its pure_pure report."""
     report = evaluate_pure(q, d)
     reduced = _pure_reduced(q.amplitudes, d.vectors)
@@ -329,7 +328,7 @@ def _cells(column) -> Iterator[str]:
     round-trip exactly), bools as true/false and None as an empty cell."""
     for value in column.tolist() if isinstance(column, np.ndarray) else column:
         if isinstance(value, float):
-            yield "%.17g" % value
+            yield f"{value:.17g}"
         elif isinstance(value, bool):
             yield "true" if value else "false"
         else:
