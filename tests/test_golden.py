@@ -25,9 +25,9 @@ PATH_COUNTS = {"pure_pure": (2, 3, 4, 5, 6, 7, 8), "mixed_pure": (2, 3, 4, 5, 6,
                "mixed_mixed": (2, 3, 4, 5, 6)}
 
 
-def _campaign(scenario: str, n: int, trials: int) -> list[str]:
+def _campaign(scenario: str, n: int, trials: int, seed: int | None = None) -> list[str]:
     return ["campaign", "--scenario", scenario, "--n", str(n), "--trials", str(trials),
-            "--seed", str(100 + n), "--output", "run"]
+            "--seed", str(100 + n if seed is None else seed), "--output", "run"]
 
 
 CAMPAIGNS = {
@@ -37,6 +37,8 @@ CAMPAIGNS = {
 }
 # a trial count that is a multiple of no small stack size
 CAMPAIGNS["campaign_pure_pure_n4_131_trials"] = _campaign("pure_pure", 4, 131)
+# a seed of five 32-bit words, so the mixing of the seed words past the first is pinned
+CAMPAIGNS["campaign_mixed_pure_n5_seed_2p130"] = _campaign("mixed_pure", 5, 50, seed=2**130 + 3)
 
 VERIFY_CONFIGS = {
     "pure_pure_gamma": ["--scenario", "pure_pure", "--n", "3", "--gamma", "0.4", "--detector-dim", "5"],
@@ -114,6 +116,12 @@ DIGESTS = {
         'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
         'run.csv': '908674ed58f6b7ea61ea8cd7056ae08fc97dc35219694157ec09878a937837ab',
         'run.json': '929fbb3242e3c19e70b3789a2b35f4817f67f7428873fe9bc6586816cf918b6a',
+    },
+    'campaign_mixed_pure_n5_seed_2p130': {
+        'exit': '0',
+        'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
+        'run.csv': '18688ab51136f0108be88f29436644e4b78ad66fc499e76f63c641adaf0a4a01',
+        'run.json': '1798a8d078afd1be5a8339e570e3535e5e6ef1769abf8299885f774da7710a07',
     },
     'campaign_mixed_pure_n6': {
         'exit': '0',
