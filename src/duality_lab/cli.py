@@ -37,7 +37,7 @@ from .duality import (
     run_campaign,
     sweep_overlap,
 )
-from .interference import DEFAULT_GRID_POINTS, MAX_GRID_POINTS, MIN_GRID_POINTS, symmetric_detectors
+from .interference import DEFAULT_GRID_POINTS, GridSizeError, symmetric_detectors
 from .linalg import validate_density
 from .random import (
     random_density,
@@ -315,11 +315,10 @@ def cmd_fringe(args: argparse.Namespace) -> int:
     n = _require(cfg, "n", "--n")
     gamma = _require(cfg, "gamma", "--gamma")
     grid_points = cfg.get("grid_points", DEFAULT_GRID_POINTS)
-    if grid_points < MIN_GRID_POINTS:
-        raise ConfigError(f"--grid-points must be >= {MIN_GRID_POINTS}, got {grid_points}")
-    if grid_points > MAX_GRID_POINTS:
-        raise ConfigError(f"--grid-points must be <= {MAX_GRID_POINTS}, got {grid_points}")
-    scan, report = _pure_fringe(_equal_amplitude_quanton(n), symmetric_detectors(n, gamma), grid_points)
+    try:
+        scan, report = _pure_fringe(_equal_amplitude_quanton(n), symmetric_detectors(n, gamma), grid_points)
+    except GridSizeError as exc:  # scan_visibility checks the grid; the message names the flag
+        raise ConfigError(f"--grid-points {exc.bound}") from exc
     comment = (
         f"n={n} gamma={gamma!r} visibility={scan.visibility!r} "
         f"coherence={report.coherence!r} distinguishability={report.distinguishability!r}"

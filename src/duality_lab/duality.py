@@ -39,7 +39,7 @@ import numpy as np
 from .interference import FringeScan, scan_visibility, symmetric_detectors
 from .linalg import DensityMatrix, _density, _partial_trace_pure, _raise_first, _submatrix_margin, frozen
 from .measures import _branch_coherence_bound, _branch_distinguishability, _coherence, _slack, _uqsd
-from .random import _haar, draw_trial, stream
+from .random import _assemble_trials, draw_trial, streams
 from .states import (
     DetectorSet,
     MixedDetectorInteraction,
@@ -441,24 +441,30 @@ def _held_bytes(draws: tuple[np.ndarray, ...]) -> int:
     return sum(sys.getsizeof(a) for a in draws)
 
 
-def _evaluate_stack(scenario: str, entries: list, tables: list) -> None:
+def _evaluate_stack(scenario: str, group: tuple[int, int], entries: list, tables: list) -> None:
     """Evaluate one (n, dim) group of drawn trials as one stack and file its
-    table with their trial indices. The draws are checked once, as the
-    per-object constructors check one instance; a failing check names the trial."""
+    table with their trial indices. The raw Gaussian blocks are assembled
+    over the whole stack, as the random_* generators assemble one instance,
+    and the draws are checked once, as the per-object constructors check one
+    instance; a failing check names the trial."""
     trials = [trial for trial, _ in entries]
     stacks = [np.stack(parts) for parts in zip(*(draws for _, draws in entries))]
     entries.clear()
     try:
+        # a NaN in a raw block spreads through the assembly unwarned, and the
+        # checks after it reject it and name its trial
+        with np.errstate(invalid="ignore"):
+            arrays = _assemble_trials(scenario, *group, stacks)
         if scenario == "pure_pure":
-            amps, vecs = stacks
+            amps, vecs = arrays
             _check_normalized(amps)
             table = _pure_pure_stack(amps, vecs, _detector_gram(vecs))
         elif scenario == "mixed_pure":
-            rho, vecs = stacks
+            rho, vecs = arrays
             table = _mixed_pure_stack(_density(rho), _detector_gram(vecs))
         else:
-            rho, rho_d, z = stacks
-            rho, rho_d, unitaries = _density(rho), _density(rho_d), _haar(z)
+            rho, rho_d, unitaries = arrays
+            rho, rho_d = _density(rho), _density(rho_d)
             _check_unitaries(unitaries)
             table = _mixed_mixed_stack(rho, rho_d, unitaries)
     except ValueError as exc:
@@ -484,13 +490,15 @@ def run_campaign(scenario: str, trials: int, seed: int,
 
     Trial k draws everything from stream(seed, k), so results do not
     depend on execution order and any trial can be replayed in
-    isolation. `n` may be a single path count or a set to draw from;
+    isolation; the trials run those streams through one reused generator
+    (random.streams). `n` may be a single path count or a set to draw from;
     detector dimension defaults to a uniform draw over n..2n and Ginibre
     rank over 1..n (detector-state rank over 1..dim). pure_pure draws no
     rank, so it rejects any `rank`, as the mixed scenarios reject one
     outside 1..min(n).
 
-    Trials are drawn in order and held as raw arrays, grouped by (n, dim).
+    Trials are drawn in order and held as raw arrays (random.draw_trial),
+    grouped by (n, dim).
     A group is evaluated as one stack once it alone holds STACK_BYTES of
     draws, and what is left of it at the end, so the draws held stay below
     STACK_BYTES per group (n+1 groups per path count, one with detector_dim).
@@ -517,13 +525,13 @@ def run_campaign(scenario: str, trials: int, seed: int,
         _check_composite(max(n_choices), detector_dim or 2 * max(n_choices))
     tables: list = []
     pending: dict[tuple[int, int], list] = {}
-    for trial in range(trials):
-        n_t, dim, draws = draw_trial(scenario, stream(seed, trial), n_choices, detector_dim, rank)
+    for trial, rng in enumerate(streams(seed, range(trials))):
+        n_t, dim, draws = draw_trial(scenario, rng, n_choices, detector_dim, rank)
         entries = pending.setdefault((n_t, dim), [])
         entries.append((trial, draws))
         # every trial of a group holds arrays of the same shapes
         if len(entries) * _held_bytes(draws) >= STACK_BYTES:
-            _evaluate_stack(scenario, pending.pop((n_t, dim)), tables)
-    for entries in pending.values():
-        _evaluate_stack(scenario, entries, tables)
+            _evaluate_stack(scenario, (n_t, dim), pending.pop((n_t, dim)), tables)
+    for group, entries in pending.items():
+        _evaluate_stack(scenario, group, entries, tables)
     return CampaignResult(scenario=scenario, trials=trials, seed=seed, table=_merged(tables))

@@ -46,6 +46,14 @@ MAX_GRID_POINTS = 1 << 16
 FLAT_PATTERN_TOL = 1e-12
 
 
+class GridSizeError(ValueError):
+    """A grid size outside MIN_GRID_POINTS..MAX_GRID_POINTS; `bound` is the limit it breaks."""
+
+    def __init__(self, bound: str):
+        super().__init__(f"grid_points {bound}")
+        self.bound = bound
+
+
 @dataclass(frozen=True)
 class FringeScan:
     """Sampled intensity pattern with exact extrema and visibility."""
@@ -106,9 +114,9 @@ def scan_visibility(rho_reduced: MixedQuanton, grid_points: int = DEFAULT_GRID_P
     spread below FLAT_PATTERN_TOL reports zero visibility.
     """
     if grid_points < MIN_GRID_POINTS:
-        raise ValueError(f"grid_points must be >= {MIN_GRID_POINTS}, got {grid_points}")
+        raise GridSizeError(f"must be >= {MIN_GRID_POINTS}, got {grid_points}")
     if grid_points > MAX_GRID_POINTS:
-        raise ValueError(f"grid_points must be <= {MAX_GRID_POINTS}, got {grid_points}")
+        raise GridSizeError(f"must be <= {MAX_GRID_POINTS}, got {grid_points}")
     rho = rho_reduced.rho.matrix
     thetas, cos, sin = _phase_table(grid_points, rho.shape[0])
     values = _intensity_grid(rho, cos, sin)

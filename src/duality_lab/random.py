@@ -3,10 +3,22 @@
 All generators run on numpy's PCG64 bit generator. A plain integer seed
 always reproduces the same objects; independent streams for campaign
 trials come from SeedSequence spawn keys, so trial k of a campaign is a
-pure function of (root seed, k) regardless of execution order.
+pure function of (root seed, k) regardless of execution order, and
+stream(seed, k) replays it.
+
+A campaign runs the same streams through `streams`, which derives the
+PCG64 states of a block of spawn keys at once, by SeedSequence's own
+arithmetic, and sets one reused generator to each in turn. Its Gaussian
+draws are held raw, one block per draw call, real parts before imaginary
+ones, and `_assemble_trials` turns a stack of them into complex arrays
+with the helpers (`_amplitudes`, `_unit_vectors`, `_path_gaussians`) that
+the public random_* generators run on a single instance.
 """
 
 from __future__ import annotations
+
+import operator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -14,10 +26,93 @@ from .interference import uniform_overlap_gram
 from .linalg import DensityMatrix, gram_factor_vectors, validate_density
 from .states import DetectorSet, MixedDetectorInteraction, MixedQuanton, PureQuanton
 
+# SeedSequence's hash constants (numpy.random.bit_generator) and its pool size
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+#: PCG64's 128-bit LCG multiplier
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+#: spawn keys whose states are derived together, which bounds the arrays held
+_STATES_PER_BLOCK = 4096
+
 
 def stream(seed: int, index: int) -> np.random.Generator:
     """Generator for sub-stream `index` of the root `seed`."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays; each call moves to the next multiplier."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ result >> 16
+
+
+def _pcg64_states(seed: int, keys: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence(seed, spawn_key=(k,))) for each uint32 k of `keys`.
+
+    SeedSequence's pool mixing and generate_state(4, uint64) run on all keys
+    at once, as uint32 arrays: the seed's words, padded with zeros to the
+    pool size, then the key. PCG64's two seeding steps follow in Python ints.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(keys.shape, word, dtype=np.uint32) for word in words] + [keys]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    # generate_state's uint64 words are little-endian pairs of uint32 words
+    s_hi, s_lo, i_hi, i_lo = [(low | high << 32).tolist() for low, high in zip(state[::2], state[1::2])]
+    out = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(s_hi, s_lo, i_hi, i_lo):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        out.append((((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return out
+
+
+def streams(seed: int, keys: Sequence[int]) -> Iterator[np.random.Generator]:
+    """stream(seed, k) for each non-negative k of `keys`, in order, as one reused Generator.
+
+    The generator is stream(seed, keys[0]) itself, and before each later step
+    it is set to the exact state stream(seed, k) starts in, derived with
+    those of its block of keys (_pcg64_states). A key of 2^32 or more takes a
+    second SeedSequence word and comes from stream itself. A step's
+    generator is only valid until the next step.
+    """
+    if not keys:
+        return
+    rng = stream(seed, keys[0])
+    bit_generator, seed = rng.bit_generator, operator.index(seed)
+    for start in range(0, len(keys), _STATES_PER_BLOCK):
+        block = keys[start:start + _STATES_PER_BLOCK]
+        states = iter(_pcg64_states(seed, np.array([k for k in block if k <= _MASK32], dtype=np.uint32)))
+        for k in block:
+            if k > _MASK32:
+                yield stream(seed, k)
+                continue
+            state, inc = next(states)
+            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -26,34 +121,44 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _complex(raw: np.ndarray) -> np.ndarray:
+    """Complex matrices from raw Gaussians (..., 2, rows, cols): real parts, then imaginary."""
+    return raw[..., 0, :, :] + 1j * raw[..., 1, :, :]
 
 
-def _pure_amplitudes(n: int, rng: np.random.Generator) -> np.ndarray:
-    amps = _complex_normal(rng, n)
-    return amps / np.linalg.norm(amps)
+def _amplitudes(raw: np.ndarray) -> np.ndarray:
+    """Normalized amplitudes from raw Gaussians (..., 2, n). Each norm is
+    np.linalg.norm's on one vector: the real dot products of its real and
+    imaginary parts, taken as strided views of the complex array (BLAS
+    rounds the contiguous raw rows differently from n = 4 on)."""
+    amps = raw[..., 0, :] + 1j * raw[..., 1, :]
+    return amps / np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))[..., None]
+
+
+def _unit_vectors(raw: np.ndarray) -> np.ndarray:
+    """Unit detector vectors from raw Gaussians (..., 2, n, dim)."""
+    vecs = _complex(raw)
+    vecs /= np.linalg.norm(vecs, axis=-1)[..., None]
+    return vecs
+
+
+def _path_gaussians(raw: np.ndarray) -> np.ndarray:
+    """The complex Gaussian matrices that _haar turns into unitaries, from raw (..., 2, dim, dim)."""
+    return _complex(raw) / np.sqrt(2.0)
 
 
 def _ginibre(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Unvalidated G G^dag / Tr(G G^dag) with G of shape (dim, rank)."""
-    g = _complex_normal(rng, (dim, rank))
+    g = _complex(rng.standard_normal((2, dim, rank)))
     m = g @ g.conj().T
     return m / m.trace().real
 
 
-def _detector_vectors(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    vecs = _complex_normal(rng, (n, dim))
-    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-    return vecs
-
-
 def _mixed_detector_draws(n: int, dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Unvalidated detector state and the (n, dim, dim) Gaussian matrices
-    that _haar turns into the path unitaries."""
+    """Unvalidated detector state and the raw (n, 2, dim, dim) Gaussians of
+    the path unitaries (see _path_gaussians)."""
     rank = int(rng.integers(1, dim, endpoint=True))
-    rho_d = _ginibre(dim, rank, rng)
-    return rho_d, np.stack([_complex_normal(rng, (dim, dim)) / np.sqrt(2.0) for _ in range(n)])
+    return _ginibre(dim, rank, rng), rng.standard_normal((n, 2, dim, dim))
 
 
 def _haar(z: np.ndarray) -> np.ndarray:
@@ -75,28 +180,47 @@ def draw_trial(scenario: str, rng: np.random.Generator, n_choices, detector_dim:
 
     Returns (n, dim, arrays): the path count drawn from `n_choices`, the
     detector dimension (uniform over n..2n unless given), and the arrays
-    that the random_* generators would wrap: for pure_pure the amplitudes
-    and detector vectors; for mixed_pure the quanton state (Ginibre rank
-    uniform over 1..n unless given) and detector vectors; for mixed_mixed
-    the quanton state, the detector state and the Gaussian matrices of the
-    path unitaries.
+    the random_* generators draw, each Gaussian block raw from one
+    standard_normal call: for pure_pure one block of 2n(1 + dim) reals, the
+    amplitudes' (2, n) then the detector vectors' (2, n, dim); for
+    mixed_pure the quanton state (Ginibre rank uniform over 1..n unless
+    given) and the detector vectors' (2, n, dim) block; for mixed_mixed the
+    quanton state, the detector state and the path unitaries' (n, 2, dim,
+    dim) block. A campaign assembles them over a stack of trials
+    (_assemble_trials).
     """
     n = int(n_choices[rng.integers(len(n_choices))])
     dim = detector_dim if detector_dim is not None else int(rng.integers(n, 2 * n, endpoint=True))
     if scenario == "pure_pure":
-        return n, dim, (_pure_amplitudes(n, rng), _detector_vectors(n, dim, rng))
+        return n, dim, (rng.standard_normal(2 * n * (1 + dim)),)
     r = rank if rank is not None else int(rng.integers(1, n, endpoint=True))
     rho = _ginibre(n, r, rng)
     if scenario == "mixed_pure":
-        return n, dim, (rho, _detector_vectors(n, dim, rng))
+        return n, dim, (rho, rng.standard_normal((2, n, dim)))
     return n, dim, (rho, *_mixed_detector_draws(n, dim, rng))
+
+
+def _assemble_trials(scenario: str, n: int, dim: int, stacks: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The arrays that the random_* generators would wrap, over a stack of
+    draw_trial draws of one (n, dim) group, each draw stacked on axis 0:
+    amplitudes and detector vectors, the quanton state and detector vectors,
+    or the quanton state, detector state and path unitaries. The states
+    stay as drawn, unvalidated."""
+    if scenario == "pure_pure":
+        (raw,) = stacks
+        return _amplitudes(raw[:, :2 * n].reshape(-1, 2, n)), _unit_vectors(raw[:, 2 * n:].reshape(-1, 2, n, dim))
+    if scenario == "mixed_pure":
+        rho, raw = stacks
+        return rho, _unit_vectors(raw)
+    rho, rho_d, raw = stacks
+    return rho, rho_d, _haar(_path_gaussians(raw))
 
 
 def random_pure(n: int, seed) -> PureQuanton:
     """Haar-random pure quanton: a normalized complex Gaussian vector."""
     if n < 2:
         raise ValueError("need at least 2 paths")
-    return PureQuanton(amplitudes=_pure_amplitudes(n, _as_rng(seed)))
+    return PureQuanton(amplitudes=_amplitudes(_as_rng(seed).standard_normal((2, n))))
 
 
 def random_density_matrix(dim: int, rank: int, seed) -> DensityMatrix:
@@ -117,7 +241,7 @@ def random_detectors(n: int, dim: int, seed) -> DetectorSet:
     """n independent Haar-random unit vectors in dimension dim."""
     if dim < 1:
         raise ValueError("detector dimension must be >= 1")
-    return DetectorSet(_detector_vectors(n, dim, _as_rng(seed)))
+    return DetectorSet(_unit_vectors(_as_rng(seed).standard_normal((2, n, dim))))
 
 
 def uniform_overlap_detectors(n: int, gamma: float, dim: int, seed) -> DetectorSet:
@@ -145,12 +269,12 @@ def random_mixed_detector(n: int, dim: int, seed) -> MixedDetectorInteraction:
     in that order."""
     if dim < 1:
         raise ValueError("detector dimension must be >= 1")
-    rho_d, z = _mixed_detector_draws(n, dim, _as_rng(seed))
-    return MixedDetectorInteraction(rho_d=validate_density(rho_d), unitaries=_haar(z))
+    rho_d, raw = _mixed_detector_draws(n, dim, _as_rng(seed))
+    return MixedDetectorInteraction(rho_d=validate_density(rho_d), unitaries=_haar(_path_gaussians(raw)))
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix (see _haar)."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    return _haar(_complex_normal(_as_rng(seed), (dim, dim)) / np.sqrt(2.0))
+    return _haar(_path_gaussians(_as_rng(seed).standard_normal((2, dim, dim))))

@@ -147,9 +147,9 @@ def stacks(monkeypatch):
     seen = []
     evaluate = duality._evaluate_stack
 
-    def recording(scenario, entries, tables):
+    def recording(scenario, group, entries, tables):
         seen.append((len(entries), sum(duality._held_bytes(draws) for _, draws in entries)))
-        return evaluate(scenario, entries, tables)
+        return evaluate(scenario, group, entries, tables)
 
     monkeypatch.setattr(duality, "_evaluate_stack", recording)
     return seen
@@ -207,10 +207,9 @@ def test_each_group_is_evaluated_once_it_alone_reaches_the_budget(monkeypatch):
     seen = []
     evaluate = duality._evaluate_stack
 
-    def recording(scenario, entries, tables):
-        draws = entries[0][1]
-        seen.append((tuple(a.shape for a in draws), len(entries), duality._held_bytes(draws)))
-        return evaluate(scenario, entries, tables)
+    def recording(scenario, group, entries, tables):
+        seen.append((group, len(entries), duality._held_bytes(entries[0][1])))
+        return evaluate(scenario, group, entries, tables)
 
     monkeypatch.setattr(duality, "_evaluate_stack", recording)
     _assert_matches_oracle("mixed_mixed", 400, 29, (3, 4))
@@ -223,15 +222,15 @@ def test_each_group_is_evaluated_once_it_alone_reaches_the_budget(monkeypatch):
         assert STACK_BYTES <= count * size < STACK_BYTES + size
 
 
-def _nan_in_trial(monkeypatch, k):
-    """Make the first draw of campaign trial k hold a NaN."""
+def _nan_in_trial(monkeypatch, k, block=0):
+    """Make the first entry of raw draw `block` of campaign trial k a NaN."""
     draw = duality.draw_trial
     calls = iter(range(10**6))
 
     def poisoned(*args):
         n, dim, draws = draw(*args)
         if next(calls) == k:
-            draws[0].flat[0] = np.nan
+            draws[block].flat[0] = np.nan
         return n, dim, draws
 
     monkeypatch.setattr(duality, "draw_trial", poisoned)
@@ -246,6 +245,17 @@ def test_failing_check_names_the_trial(monkeypatch, scenario, k):
     # as on the per-trial path, the first check to see the NaN is a finiteness
     # check, which raises a plain ValueError, not a ValidationError subclass
     assert type(info.value) is ValueError
+
+
+# the raw blocks after a trial's first: the detector vectors' Gaussians, or
+# the detector state and the path unitaries' Gaussians
+@pytest.mark.parametrize("scenario, block", [("mixed_pure", 1), ("mixed_mixed", 1), ("mixed_mixed", 2)])
+@pytest.mark.parametrize("k", [0, 7, 40])
+def test_nan_in_any_raw_block_names_the_trial(monkeypatch, scenario, block, k):
+    # the NaN spreads through the stack's assembly without a warning
+    _nan_in_trial(monkeypatch, k, block)
+    with pytest.raises(ValueError, match=rf"^trial {k}: "):
+        run_campaign(scenario, 60, 11, n=3, detector_dim=3)
 
 
 @pytest.mark.parametrize("k", [0, 5, 19])

@@ -224,7 +224,9 @@ def test_run_campaign_checks_rank_before_drawing(monkeypatch):
     def no_draws(*args):
         raise AssertionError("a trial was drawn")
 
-    monkeypatch.setattr(duality, "stream", no_draws)
+    # every trial's generator comes from streams, and every draw from draw_trial
+    monkeypatch.setattr(duality, "streams", no_draws)
+    monkeypatch.setattr(duality, "draw_trial", no_draws)
     for scenario in ("mixed_pure", "mixed_mixed"):
         with pytest.raises(ValueError, match=r"rank must lie in 1\.\.2, got 3"):
             run_campaign(scenario, 10, 1, n=(3, 2), rank=3)

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duality_lab.linalg import validate_density
 from duality_lab.measures import distinguishability_pure
 from duality_lab.random import (
+    _amplitudes,
+    _pcg64_states,
+    _unit_vectors,
     haar_unitary,
     random_density,
     random_density_matrix,
     random_detectors,
     random_pure,
     stream,
+    streams,
     uniform_overlap_detectors,
 )
 from duality_lab.states import PureQuanton
@@ -135,3 +141,63 @@ def test_stream_splitting():
     a2 = stream(42, 0).standard_normal(4)
     np.testing.assert_array_equal(a, a2)
     assert np.max(np.abs(a - b)) > 1e-6
+
+
+def _spawned_state(seed, k):
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))).state
+
+
+def _draws(rng):
+    """Small-range integers (PCG64's 32-bit buffer), normals and uniforms, in
+    an order that leaves half a 64-bit word buffered for the next user."""
+    return (rng.integers(7, size=3).tolist(), rng.standard_normal(4).tolist(), rng.random(2).tolist(),
+            rng.integers(1, 9, size=2).tolist(), rng.standard_normal(1).tolist())
+
+
+STATE_SEEDS = [0, 102, 2**40 + 7, 2**130 + 3]
+STATE_KEYS = [*range(0, 2000, 7), 2**32 - 1]
+
+
+@pytest.mark.parametrize("seed", STATE_SEEDS)
+def test_derived_states_equal_spawned_pcg64_states(seed):
+    states = _pcg64_states(seed, np.array(STATE_KEYS, dtype=np.uint32))
+    for k, (state, inc) in zip(STATE_KEYS, states):
+        assert _spawned_state(seed, k)["state"] == {"state": state, "inc": inc}, k
+
+
+@pytest.mark.parametrize("seed", STATE_SEEDS)
+@pytest.mark.parametrize("keys", [STATE_KEYS, range(2**32 - 2, 2**32 + 2)], ids=["one_word", "two_word_fallback"])
+def test_streams_replay_each_fresh_stream(seed, keys):
+    """The reused generator starts each key in stream(seed, k)'s state, its
+    32-bit buffer emptied, and draws what a fresh stream(seed, k) draws."""
+    count = 0
+    for k, rng in zip(keys, streams(seed, keys)):
+        assert rng.bit_generator.state == _spawned_state(seed, k), k
+        assert _draws(rng) == _draws(stream(seed, k)), k
+        count += 1
+    assert count == len(keys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**160), st.lists(st.integers(0, 2**33), min_size=1, max_size=6))
+def test_streams_equal_stream_on_any_seed_and_keys(seed, keys):
+    assert [_draws(rng) for rng in streams(seed, keys)] == [_draws(stream(seed, k)) for k in keys]
+
+
+def test_streams_of_no_keys_draw_nothing():
+    assert list(streams(5, range(0))) == []
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_stacked_amplitudes_equal_per_vector_normalization(n):
+    """The stacked norm is np.linalg.norm's of each vector, bit for bit."""
+    raw = np.random.default_rng(n).standard_normal((200, 2, n))
+    expected = [z / np.linalg.norm(z) for z in raw[:, 0] + 1j * raw[:, 1]]
+    assert (_amplitudes(raw) == expected).all()
+
+
+@pytest.mark.parametrize("n, dim", [(2, 2), (3, 6), (8, 16), (8, 9), (20, 40)])
+def test_stacked_detector_vectors_equal_per_set_normalization(n, dim):
+    raw = np.random.default_rng(dim).standard_normal((100, 2, n, dim))
+    expected = [vecs / np.linalg.norm(vecs, axis=1)[:, None] for vecs in raw[:, 0] + 1j * raw[:, 1]]
+    assert (_unit_vectors(raw) == expected).all()
