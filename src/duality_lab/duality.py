@@ -30,7 +30,6 @@ import functools
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -39,7 +38,7 @@ import numpy as np
 from .interference import FringeScan, scan_visibility, symmetric_detectors
 from .linalg import DensityMatrix, _density, _partial_trace_pure, _raise_first, _submatrix_margin, frozen
 from .measures import _branch_coherence_bound, _branch_distinguishability, _coherence, _slack, _uqsd
-from .random import _assemble_trials, draw_trial, streams
+from .random import _assemble_trials, _draw_shape, _draw_stack, _position, _trial_bytes, streams
 from .states import (
     DetectorSet,
     MixedDetectorInteraction,
@@ -59,12 +58,14 @@ TOLERANCE = 1e-9
 MARGIN_TOL = 1e-10
 SCENARIOS = ("pure_pure", "mixed_pure", "mixed_mixed")
 VISIBILITY_MAX_PATHS = 3  # the fringe correspondences of the two- and three-slit families
-#: bytes of raw draws one (n, dim) group of a campaign holds before it is
-#: evaluated as one stack, which caps the stacks and their temporaries. A
-#: mixed_mixed trial at n = 6 holds about 10 kB, and its stack needs about five
-#: times that while it runs (QR copies, rotated branch kets). On 1000 such
-#: trials, budgets of 32 and 128 KiB moved peak RSS by -0.3 and +0.6 MB.
-STACK_BYTES = 1 << 16
+#: bytes of raw draws at which a campaign draws and evaluates an (n, dim)
+#: group of waiting trials as one stack, which caps the stacks and their
+#: temporaries; a waiting trial holds only its generator position. A
+#: mixed_mixed trial at n = 6 draws about 10 kB, and its stack needs about five
+#: times that while it runs (QR copies, rotated branch kets). On 1000-trial
+#: campaigns, against a 64 KiB budget with drawn trials waiting, peak RSS stayed
+#: flat at 128 KiB and rose 0.7-0.9 MB at 256 KiB and 2.6 MB at 512 KiB.
+STACK_BYTES = 1 << 18
 
 #: the CSV columns of one report; `verify --format csv` adds the seed, and a
 #: campaign, which scans no visibility, its trial and seed (CSV_COLUMNS)
@@ -436,20 +437,17 @@ def _mixed_mixed_stack(rho: np.ndarray, rho_d: np.ndarray, unitaries: np.ndarray
                      relations=(("coherence_bound_margin", bound_margin, bound_margin >= -MARGIN_TOL),))
 
 
-def _held_bytes(draws: tuple[np.ndarray, ...]) -> int:
-    """Memory one trial's draws hold while they wait: data and array headers."""
-    return sum(sys.getsizeof(a) for a in draws)
-
-
-def _evaluate_stack(scenario: str, group: tuple[int, int], entries: list, tables: list) -> None:
-    """Evaluate one (n, dim) group of drawn trials as one stack and file its
-    table with their trial indices. The raw Gaussian blocks are assembled
-    over the whole stack, as the random_* generators assemble one instance,
-    and the draws are checked once, as the per-object constructors check one
-    instance; a failing check names the trial."""
+def _evaluate_stack(scenario: str, group: tuple[int, int], rank: int | None, entries: list,
+                    rng: np.random.Generator, tables: list) -> None:
+    """Draw one (n, dim) group of waiting trials as one stack, evaluate it and
+    file its table with their trial indices. Each entry is a trial index and
+    the generator position after its shape draws; the rest of each trial is
+    drawn from there into its row of the stack, on `rng`. The raw Gaussian
+    blocks are assembled over the whole stack, as the random_* generators
+    assemble one instance, and the draws are checked once, as the per-object
+    constructors check one instance; a failing check names the trial."""
     trials = [trial for trial, _ in entries]
-    stacks = [np.stack(parts) for parts in zip(*(draws for _, draws in entries))]
-    entries.clear()
+    stacks = _draw_stack(scenario, *group, rank, rng, [position for _, position in entries])
     try:
         # a NaN in a raw block spreads through the assembly unwarned, and the
         # checks after it reject it and name its trial
@@ -497,11 +495,14 @@ def run_campaign(scenario: str, trials: int, seed: int,
     rank, so it rejects any `rank`, as the mixed scenarios reject one
     outside 1..min(n).
 
-    Trials are drawn in order and held as raw arrays (random.draw_trial),
-    grouped by (n, dim).
-    A group is evaluated as one stack once it alone holds STACK_BYTES of
-    draws, and what is left of it at the end, so the draws held stay below
-    STACK_BYTES per group (n+1 groups per path count, one with detector_dim).
+    Each trial's shape (n, dim) is drawn in trial order, and the trial waits
+    in its (n, dim) group as its generator position after those draws, four
+    ints (random._position). Once a group's trials would draw STACK_BYTES of
+    raw arrays, and for what is left of each group at the end, the group is
+    drawn as one stack, each trial resumed from its position on one generator
+    the campaign owns (random._draw_stack), and evaluated. So a stack's raw
+    draws stay below STACK_BYTES plus one trial, and only the stack being
+    evaluated holds any.
     pure_pure checks the largest composite dimension its options allow before
     the first draw, so whether it fits does not depend on the seed. A check
     that fails on the draws raises its usual ValueError, prefixed with
@@ -525,13 +526,13 @@ def run_campaign(scenario: str, trials: int, seed: int,
         _check_composite(max(n_choices), detector_dim or 2 * max(n_choices))
     tables: list = []
     pending: dict[tuple[int, int], list] = {}
+    resumed = np.random.default_rng(0)  # set to each waiting trial's position in turn
     for trial, rng in enumerate(streams(seed, range(trials))):
-        n_t, dim, draws = draw_trial(scenario, rng, n_choices, detector_dim, rank)
-        entries = pending.setdefault((n_t, dim), [])
-        entries.append((trial, draws))
-        # every trial of a group holds arrays of the same shapes
-        if len(entries) * _held_bytes(draws) >= STACK_BYTES:
-            _evaluate_stack(scenario, (n_t, dim), pending.pop((n_t, dim)), tables)
+        group = _draw_shape(rng, n_choices, detector_dim)
+        entries = pending.setdefault(group, [])
+        entries.append((trial, _position(rng)))
+        if len(entries) * _trial_bytes(scenario, *group) >= STACK_BYTES:
+            _evaluate_stack(scenario, group, rank, pending.pop(group), resumed, tables)
     for group, entries in pending.items():
-        _evaluate_stack(scenario, group, entries, tables)
+        _evaluate_stack(scenario, group, rank, entries, resumed, tables)
     return CampaignResult(scenario=scenario, trials=trials, seed=seed, table=_merged(tables))

@@ -8,15 +8,23 @@ stream(seed, k) replays it.
 
 A campaign runs the same streams through `streams`, which derives the
 PCG64 states of a block of spawn keys at once, by SeedSequence's own
-arithmetic, and sets one reused generator to each in turn. Its Gaussian
-draws are held raw, one block per draw call, real parts before imaginary
-ones, and `_assemble_trials` turns a stack of them into complex arrays
+arithmetic, and sets one reused generator to each in turn. It draws only
+each trial's shape there (`_draw_shape`: n and the detector dimension),
+and the trial then waits as its generator position (`_position`: four
+ints). When its (n, dim) group is evaluated, `_draw_stack` resumes each
+position on one generator and draws the rest of the trial straight into
+its row of the stack's arrays: each Gaussian block raw, from one
+standard_normal call, real parts before imaginary ones, and each Ginibre
+state assigned into its row. `draw_trial` is the same two steps on a stack
+of one. `_assemble_trials` turns a stack of raw rows into complex arrays
 with the helpers (`_amplitudes`, `_unit_vectors`, `_path_gaussians`) that
 the public random_* generators run on a single instance.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from typing import Iterator, Sequence
 
@@ -101,7 +109,7 @@ def streams(seed: int, keys: Sequence[int]) -> Iterator[np.random.Generator]:
     if not keys:
         return
     rng = stream(seed, keys[0])
-    bit_generator, seed = rng.bit_generator, operator.index(seed)
+    seed = operator.index(seed)
     for start in range(0, len(keys), _STATES_PER_BLOCK):
         block = keys[start:start + _STATES_PER_BLOCK]
         states = iter(_pcg64_states(seed, np.array([k for k in block if k <= _MASK32], dtype=np.uint32)))
@@ -109,10 +117,27 @@ def streams(seed: int, keys: Sequence[int]) -> Iterator[np.random.Generator]:
             if k > _MASK32:
                 yield stream(seed, k)
                 continue
-            state, inc = next(states)
-            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
+            _resume(rng, (*next(states), 0, 0))
             yield rng
+
+
+def _position(rng: np.random.Generator) -> tuple[int, int, int, int]:
+    """Where a PCG64 generator stands: its state, inc, has_uint32 and uinteger.
+
+    A bounded integer draw may leave half of a 64-bit output buffered
+    (has_uint32 = 1, uinteger the buffered half), so all four are needed for
+    _resume to continue exactly where `rng` would. A tuple of ints holds a
+    seventh of the memory of the generator's state dict.
+    """
+    state = rng.bit_generator.state
+    return state["state"]["state"], state["state"]["inc"], state["has_uint32"], state["uinteger"]
+
+
+def _resume(rng: np.random.Generator, position: tuple[int, int, int, int]) -> None:
+    """Set the PCG64 generator `rng` to `position` (see _position)."""
+    state, inc, has_uint32, uinteger = position
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": has_uint32, "uinteger": uinteger}
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -154,11 +179,9 @@ def _ginibre(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     return m / m.trace().real
 
 
-def _mixed_detector_draws(n: int, dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Unvalidated detector state and the raw (n, 2, dim, dim) Gaussians of
-    the path unitaries (see _path_gaussians)."""
-    rank = int(rng.integers(1, dim, endpoint=True))
-    return _ginibre(dim, rank, rng), rng.standard_normal((n, 2, dim, dim))
+def _detector_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Unvalidated Ginibre detector state, its rank drawn uniformly from 1..dim."""
+    return _ginibre(dim, int(rng.integers(1, dim, endpoint=True)), rng)
 
 
 def _haar(z: np.ndarray) -> np.ndarray:
@@ -174,35 +197,75 @@ def _haar(z: np.ndarray) -> np.ndarray:
     return q
 
 
+def _draw_shape(rng: np.random.Generator, n_choices, detector_dim: int | None) -> tuple[int, int]:
+    """A campaign trial's first draws: its path count from `n_choices` and its
+    detector dimension, uniform over n..2n unless given."""
+    n = int(n_choices[rng.integers(len(n_choices))])
+    return n, detector_dim if detector_dim is not None else int(rng.integers(n, 2 * n, endpoint=True))
+
+
+def _trial_rows(scenario: str, n: int, dim: int) -> tuple[tuple[tuple[int, ...], type], ...]:
+    """The shape and dtype of each array that a trial of an (n, dim) group
+    fills after its shape draws, in draw order: for pure_pure one block of
+    2n(1 + dim) reals, the amplitudes' (2, n) then the detector vectors'
+    (2, n, dim); for mixed_pure the quanton state and the detector vectors'
+    (2, n, dim) block; for mixed_mixed the quanton state, the detector state
+    and the path unitaries' (n, 2, dim, dim) block."""
+    if scenario == "pure_pure":
+        return ((2 * n * (1 + dim),), np.float64),
+    if scenario == "mixed_pure":
+        return ((n, n), np.complex128), ((2, n, dim), np.float64)
+    return ((n, n), np.complex128), ((dim, dim), np.complex128), ((n, 2, dim, dim), np.float64)
+
+
+@functools.lru_cache(maxsize=1024)  # read once per campaign trial
+def _trial_bytes(scenario: str, n: int, dim: int) -> int:
+    """The bytes of one trial's row of a stack (see _trial_rows)."""
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in _trial_rows(scenario, n, dim))
+
+
+def _draw_row(scenario: str, rng: np.random.Generator, rank: int | None, row: Sequence[np.ndarray]) -> None:
+    """Draw what a trial draws after its shape into `row`, its entry of each
+    stack array: the Ginibre quanton state (rank uniform over 1..n unless
+    given) and, for mixed_mixed, the detector state, each assigned into its
+    entry, then the Gaussian block with standard_normal(out=...)."""
+    if scenario != "pure_pure":
+        n = row[0].shape[-1]
+        row[0][...] = _ginibre(n, rank if rank is not None else int(rng.integers(1, n, endpoint=True)), rng)
+    if scenario == "mixed_mixed":
+        row[1][...] = _detector_state(row[1].shape[-1], rng)
+    rng.standard_normal(out=row[-1])
+
+
+def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.random.Generator,
+                positions: Sequence[tuple[int, int, int, int]]) -> list[np.ndarray]:
+    """The raw draws of a stack of trials of one (n, dim) group, unvalidated,
+    one array per _trial_rows entry with the trials on axis 0: `rng` is set
+    to each trial's position after its shape draws (_resume), and the rest of
+    the trial is drawn into its row (_draw_row)."""
+    stacks = [np.empty((len(positions), *shape), dtype) for shape, dtype in _trial_rows(scenario, n, dim)]
+    for position, row in zip(positions, zip(*stacks)):
+        _resume(rng, position)
+        _draw_row(scenario, rng, rank, row)
+    return stacks
+
+
 def draw_trial(scenario: str, rng: np.random.Generator, n_choices, detector_dim: int | None,
-               rank: int | None) -> tuple[int, int, tuple[np.ndarray, ...]]:
-    """The raw draws of one campaign trial, unvalidated, in the campaign's draw order.
+               rank: int | None) -> tuple[int, int, list[np.ndarray]]:
+    """The raw draws of one campaign trial, unvalidated, as a campaign draws them.
 
     Returns (n, dim, arrays): the path count drawn from `n_choices`, the
-    detector dimension (uniform over n..2n unless given), and the arrays
-    the random_* generators draw, each Gaussian block raw from one
-    standard_normal call: for pure_pure one block of 2n(1 + dim) reals, the
-    amplitudes' (2, n) then the detector vectors' (2, n, dim); for
-    mixed_pure the quanton state (Ginibre rank uniform over 1..n unless
-    given) and the detector vectors' (2, n, dim) block; for mixed_mixed the
-    quanton state, the detector state and the path unitaries' (n, 2, dim,
-    dim) block. A campaign assembles them over a stack of trials
-    (_assemble_trials).
+    detector dimension (uniform over n..2n unless given), and the trial's
+    raw draws as a stack of one (_draw_stack), which _assemble_trials turns
+    into the arrays the random_* generators draw.
     """
-    n = int(n_choices[rng.integers(len(n_choices))])
-    dim = detector_dim if detector_dim is not None else int(rng.integers(n, 2 * n, endpoint=True))
-    if scenario == "pure_pure":
-        return n, dim, (rng.standard_normal(2 * n * (1 + dim)),)
-    r = rank if rank is not None else int(rng.integers(1, n, endpoint=True))
-    rho = _ginibre(n, r, rng)
-    if scenario == "mixed_pure":
-        return n, dim, (rho, rng.standard_normal((2, n, dim)))
-    return n, dim, (rho, *_mixed_detector_draws(n, dim, rng))
+    n, dim = _draw_shape(rng, n_choices, detector_dim)
+    return n, dim, _draw_stack(scenario, n, dim, rank, rng, [_position(rng)])
 
 
 def _assemble_trials(scenario: str, n: int, dim: int, stacks: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     """The arrays that the random_* generators would wrap, over a stack of
-    draw_trial draws of one (n, dim) group, each draw stacked on axis 0:
+    raw draws of one (n, dim) group (_draw_stack):
     amplitudes and detector vectors, the quanton state and detector vectors,
     or the quanton state, detector state and path unitaries. The states
     stay as drawn, unvalidated."""
@@ -269,8 +332,10 @@ def random_mixed_detector(n: int, dim: int, seed) -> MixedDetectorInteraction:
     in that order."""
     if dim < 1:
         raise ValueError("detector dimension must be >= 1")
-    rho_d, raw = _mixed_detector_draws(n, dim, _as_rng(seed))
-    return MixedDetectorInteraction(rho_d=validate_density(rho_d), unitaries=_haar(_path_gaussians(raw)))
+    rng = _as_rng(seed)
+    rho_d = validate_density(_detector_state(dim, rng))
+    raw = rng.standard_normal((n, 2, dim, dim))
+    return MixedDetectorInteraction(rho_d=rho_d, unitaries=_haar(_path_gaussians(raw)))
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:

@@ -19,6 +19,8 @@ one by one.
 import io
 import json
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 
 import duality_lab
 from duality_lab import duality
+from duality_lab import random as lab_random
 from duality_lab.cli import SWEEP_CSV_COLUMNS, VERIFY_CSV_COLUMNS, main
 from duality_lab.duality import (
     CSV_COLUMNS,
@@ -51,6 +54,8 @@ from duality_lab.measures import (
     mixed_duality_slack,
 )
 from duality_lab.random import (
+    _assemble_trials,
+    draw_trial,
     haar_unitary,
     random_density,
     random_detectors,
@@ -143,15 +148,16 @@ def _assert_matches_oracle(scenario, trials, seed, n, detector_dim=None, rank=No
 
 @pytest.fixture
 def stacks(monkeypatch):
-    """Records (trials, held bytes) of every stack the kernel evaluates."""
+    """Records (trials, raw bytes) of every stack a campaign draws."""
     seen = []
-    evaluate = duality._evaluate_stack
+    draw = duality._draw_stack
 
-    def recording(scenario, group, entries, tables):
-        seen.append((len(entries), sum(duality._held_bytes(draws) for _, draws in entries)))
-        return evaluate(scenario, group, entries, tables)
+    def recording(*args):
+        arrays = draw(*args)
+        seen.append((len(arrays[0]), sum(a.nbytes for a in arrays)))
+        return arrays
 
-    monkeypatch.setattr(duality, "_evaluate_stack", recording)
+    monkeypatch.setattr(duality, "_draw_stack", recording)
     return seen
 
 
@@ -180,66 +186,180 @@ def test_kernel_matches_oracle_with_fixed_dimension_and_rank(scenario, n, detect
 @pytest.mark.parametrize("scenario, n, dim", [("pure_pure", 2, 2), ("mixed_mixed", 8, 8)])
 def test_kernel_matches_oracle_around_one_stack(scenario, n, dim, stacks):
     # a single (n, dim) bucket: its first stack is as large as STACK_BYTES allows
-    run_campaign(scenario, 2000, 5, n=n, detector_dim=dim)
+    run_campaign(scenario, 4000, 5, n=n, detector_dim=dim)
     stack = stacks[0][0]
-    assert 2 < stack < 2000
+    assert 2 < stack < 4000
     for trials, expected in ((1, [1]), (stack - 1, [stack - 1]), (stack + 1, [stack, 1])):
         stacks.clear()
         _assert_matches_oracle(scenario, trials, 5, n, dim)
         assert [count for count, _ in stacks] == expected
 
 
+def _nbytes(draws):
+    return sum(a.nbytes for a in draws)
+
+
 @pytest.mark.parametrize("scenario, n", [("pure_pure", 8), ("mixed_mixed", 6), ("mixed_pure", (2, 8))])
 def test_stacks_hold_at_most_the_byte_budget(scenario, n, stacks):
-    run_campaign(scenario, 300, 3, n=n)
+    run_campaign(scenario, 2000, 3, n=n)
     n_choices = (n,) if isinstance(n, int) else n
-    largest = max(duality._held_bytes(duality.draw_trial(scenario, stream(3, k), n_choices, None, None)[2])
-                  for k in range(300))
-    assert sum(count for count, _ in stacks) == 300
-    # a stack is evaluated once the draws held reach the budget, so it may
-    # exceed the budget by at most the trial that tipped it over
-    assert max(held for _, held in stacks) < STACK_BYTES + largest
+    largest = max(_nbytes(draw_trial(scenario, stream(3, k), n_choices, None, None)[2]) for k in range(2000))
+    assert sum(count for count, _ in stacks) == 2000
+    # a stack is drawn once its group's trials would draw the budget, so it
+    # may exceed the budget by at most the trial that tipped it over
+    assert STACK_BYTES <= max(held for _, held in stacks) < STACK_BYTES + largest
 
 
 def test_each_group_is_evaluated_once_it_alone_reaches_the_budget(monkeypatch):
     # mixed_mixed over n = (3, 4) draws nine interleaved (n, dim) groups, and
-    # all but one of them fill the budget at least once
+    # at a 64 KiB budget all but one of them fill it at least once
+    monkeypatch.setattr(duality, "STACK_BYTES", 1 << 16)
     seen = []
-    evaluate = duality._evaluate_stack
+    draw = duality._draw_stack
 
-    def recording(scenario, group, entries, tables):
-        seen.append((group, len(entries), duality._held_bytes(entries[0][1])))
-        return evaluate(scenario, group, entries, tables)
+    def recording(scenario, n, dim, rank, rng, positions):
+        arrays = draw(scenario, n, dim, rank, rng, positions)
+        seen.append(((n, dim), len(positions), _nbytes(arrays) // len(positions)))
+        return arrays
 
-    monkeypatch.setattr(duality, "_evaluate_stack", recording)
+    monkeypatch.setattr(duality, "_draw_stack", recording)
     _assert_matches_oracle("mixed_mixed", 400, 29, (3, 4))
     last = {group: i for i, (group, _, _) in enumerate(seen)}
     full = [(count, size) for i, (group, count, size) in enumerate(seen) if i != last[group]]
     assert len(last) == 9 and len(full) >= len(last)
-    # every stack but a group's last was evaluated by the trial that brought
-    # its own group to the budget
+    # every stack but a group's last was drawn by the trial that brought its
+    # own group to the budget
     for count, size in full:
-        assert STACK_BYTES <= count * size < STACK_BYTES + size
+        assert duality.STACK_BYTES <= count * size < duality.STACK_BYTES + size
 
 
-def _nan_in_trial(monkeypatch, k, block=0):
-    """Make the first entry of raw draw `block` of campaign trial k a NaN."""
-    draw = duality.draw_trial
-    calls = iter(range(10**6))
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_waiting_trials_hold_only_their_generator_positions(monkeypatch, scenario):
+    # every pending entry reaches _evaluate_stack, when its group is drawn
+    entries_seen = []
+    evaluate = duality._evaluate_stack
 
-    def poisoned(*args):
-        n, dim, draws = draw(*args)
-        if next(calls) == k:
-            draws[block].flat[0] = np.nan
-        return n, dim, draws
+    def recording(scenario, group, rank, entries, rng, tables):
+        entries_seen.extend(entries)
+        return evaluate(scenario, group, rank, entries, rng, tables)
 
-    monkeypatch.setattr(duality, "draw_trial", poisoned)
+    monkeypatch.setattr(duality, "_evaluate_stack", recording)
+    run_campaign(scenario, 300, 41, n=tuple(range(2, 9)))
+    assert sorted(trial for trial, _ in entries_seen) == list(range(300))
+    # ints only, so no entry holds an ndarray or a numpy scalar
+    for trial, position in entries_seen:
+        assert type(trial) is int and type(position) is tuple and len(position) == 4
+        assert all(type(value) is int for value in position), trial
+
+
+def test_campaign_traced_memory_peak_stays_below_3_mb():
+    run_campaign("mixed_mixed", 20, 5, n=6)  # numpy's lazy set-up is no campaign's memory
+    tracemalloc.start()
+    try:
+        run_campaign("mixed_mixed", 1000, 5, n=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
+def test_draw_trial_equals_the_public_generators():
+    """draw_trial, a stack of one on the campaign's draw path, assembles to
+    the arrays the random_* generators draw from the same stream; the states
+    are compared once validated, as both paths use them."""
+    for scenario in SCENARIOS:
+        for k in range(12):
+            n, dim, draws = draw_trial(scenario, stream(37, k), (2, 3, 5), None, None)
+            (quanton, detector), _ = _draw_report(scenario, stream(37, k), (2, 3, 5), None, None)
+            arrays = [a[0] for a in _assemble_trials(scenario, n, dim, draws)]
+            if scenario != "pure_pure":
+                arrays[0] = validate_density(arrays[0]).matrix
+            if scenario == "mixed_mixed":
+                arrays[1] = validate_density(arrays[1]).matrix
+            if scenario == "pure_pure":
+                expected = [quanton.amplitudes, detector.vectors]
+            elif scenario == "mixed_pure":
+                expected = [quanton.rho.matrix, detector.vectors]
+            else:
+                expected = [quanton.rho.matrix, detector.rho_d.matrix, detector.unitaries]
+            assert (n, dim) == (quanton.n, expected[-1].shape[-1])
+            for got, want in zip(arrays, expected):
+                np.testing.assert_array_equal(got, want)
+
+
+def _campaign_bytes(*args, **kwargs):
+    """A campaign's CSV and its JSON aggregate as the CLI writes them."""
+    result = run_campaign(*args, **kwargs)
+    buf = io.StringIO()
+    result.to_csv(buf)
+    return buf.getvalue(), json.dumps(result.aggregate(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("scenario, n, detector_dim, rank", [
+    ("pure_pure", tuple(range(2, 9)), None, None),
+    ("mixed_pure", tuple(range(2, 9)), None, None),
+    ("mixed_mixed", tuple(range(2, 9)), None, None),
+    ("pure_pure", 5, 2, None),
+    ("mixed_pure", (3, 5), 4, 2),
+    ("mixed_mixed", 4, 3, 1),
+    ("mixed_mixed", (2, 3), None, 2),
+])
+def test_campaign_bytes_do_not_depend_on_the_stack_budget(monkeypatch, scenario, n, detector_dim, rank):
+    """Stacks of one, the default budget and one stack per group write the same bytes."""
+    outputs = []
+    for budget in (1, STACK_BYTES, 1 << 30):
+        monkeypatch.setattr(duality, "STACK_BYTES", budget)
+        outputs.append(_campaign_bytes(scenario, 250, 43, n=n, detector_dim=detector_dim, rank=rank))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_campaigns_in_threads_equal_campaigns_in_sequence():
+    """Each campaign resumes its trials on its own generator, so campaigns
+    running at once in threads draw what they draw one after another."""
+    cases = [(scenario, seed) for scenario in ("mixed_pure", "mixed_mixed") for seed in (1, 2)]
+    expected = [_campaign_bytes(scenario, 200, seed, n=tuple(range(2, 9))) for scenario, seed in cases]
+    got = [None] * len(cases)
+
+    def run(i):
+        got[i] = _campaign_bytes(cases[i][0], 200, cases[i][1], n=tuple(range(2, 9)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
+
+
+def _nan_in_trial(monkeypatch, seed, k, n, detector_dim=None, block=0):
+    """Make the first entry of raw draw `block` of trial k of a campaign on
+    `seed` and path counts `n` a NaN, as its row is drawn: the row draw of
+    trial k is the one that starts where stream(seed, k) stands after its
+    shape draws."""
+    rng = stream(seed, k)
+    lab_random._draw_shape(rng, (n,) if isinstance(n, int) else n, detector_dim)
+    target = lab_random._position(rng)
+    draw = lab_random._draw_row
+
+    def poisoned(scenario, rng, rank, row):
+        start = lab_random._position(rng)
+        draw(scenario, rng, rank, row)
+        if start == target:
+            row[block].flat[0] = np.nan
+
+    monkeypatch.setattr(lab_random, "_draw_row", poisoned)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("k", [0, 7, 40])
 def test_failing_check_names_the_trial(monkeypatch, scenario, k):
-    _nan_in_trial(monkeypatch, k)
+    _nan_in_trial(monkeypatch, 11, k, 3, 3)
     with pytest.raises(ValueError, match=rf"^trial {k}: ") as info:
         run_campaign(scenario, 60, 11, n=3, detector_dim=3)
     # as on the per-trial path, the first check to see the NaN is a finiteness
@@ -253,7 +373,7 @@ def test_failing_check_names_the_trial(monkeypatch, scenario, k):
 @pytest.mark.parametrize("k", [0, 7, 40])
 def test_nan_in_any_raw_block_names_the_trial(monkeypatch, scenario, block, k):
     # the NaN spreads through the stack's assembly without a warning
-    _nan_in_trial(monkeypatch, k, block)
+    _nan_in_trial(monkeypatch, 11, k, 3, 3, block)
     with pytest.raises(ValueError, match=rf"^trial {k}: "):
         run_campaign(scenario, 60, 11, n=3, detector_dim=3)
 
@@ -275,7 +395,7 @@ def test_nonfinite_slack_names_its_stack_entry(monkeypatch, stacks, k):
 
 
 def test_failing_trial_exits_two_from_the_cli(monkeypatch, capsys, tmp_path):
-    _nan_in_trial(monkeypatch, 5)
+    _nan_in_trial(monkeypatch, 2, 5, 4)
     code = main(["campaign", "--scenario", "mixed_pure", "--n", "4", "--trials", "20", "--seed", "2",
                  "--output", str(tmp_path / "run")])
     assert code == 2

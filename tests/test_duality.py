@@ -224,9 +224,10 @@ def test_run_campaign_checks_rank_before_drawing(monkeypatch):
     def no_draws(*args):
         raise AssertionError("a trial was drawn")
 
-    # every trial's generator comes from streams, and every draw from draw_trial
-    monkeypatch.setattr(duality, "streams", no_draws)
-    monkeypatch.setattr(duality, "draw_trial", no_draws)
+    # every trial's generator comes from streams, its first draws from
+    # _draw_shape and the rest from _draw_stack
+    for name in ("streams", "_draw_shape", "_draw_stack"):
+        monkeypatch.setattr(duality, name, no_draws)
     for scenario in ("mixed_pure", "mixed_mixed"):
         with pytest.raises(ValueError, match=r"rank must lie in 1\.\.2, got 3"):
             run_campaign(scenario, 10, 1, n=(3, 2), rank=3)
@@ -246,7 +247,7 @@ def test_pure_pure_composite_bound_is_checked_before_the_first_draw(monkeypatch,
         raise AssertionError("a trial was drawn")
 
     with monkeypatch.context() as patched:
-        patched.setattr(duality, "draw_trial", no_draws)
+        patched.setattr(duality, "_draw_shape", no_draws)
         with pytest.raises(ValueError, match=r"composite dimension 23\*46 exceeds the configured maximum 1024"):
             run_campaign("pure_pure", 8, seed, n=n)
     assert run_campaign("pure_pure", 8, seed, n=22).passed
