@@ -8,10 +8,10 @@ Subcommands:
 * ``fringe``    emit a plot-ready intensity pattern with extracted V, C, D_Q
 
 Exit status: 0 all relations passed, 1 a relation was violated, 2 the
-configuration was malformed. Options may come from a JSON config file
-(--config); explicit flags override the file, the file overrides
-defaults. Campaigns require an explicit seed so reruns are exactly
-reproducible.
+configuration was malformed or too large to allocate. Options may come
+from a JSON config file (--config); explicit flags override the file,
+the file overrides defaults. Campaigns require an explicit seed so
+reruns are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ def _verify_mixed_quanton(cfg: dict, n: int, rho) -> MixedQuanton:
     seed = cfg.get("seed")
     if seed is None:
         raise ConfigError("mixed scenarios need a config rho or --seed")
-    # spawn key 0: the quanton; detectors use key 1 so the streams differ
+    # spawn key 0: the quanton; detectors use key 1 so the two draws differ
     rng = np.random.default_rng([seed, 0])
     rank = cfg["rank"] if cfg.get("rank") is not None else int(rng.integers(1, n, endpoint=True))
     return random_density(n, rank, rng)
@@ -382,6 +382,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: configuration too large: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from .interference import FringeScan, scan_visibility, symmetric_detectors
 from .linalg import DensityMatrix, _density, _partial_trace_pure, _raise_first, _submatrix_margin, frozen
 from .measures import _branch_coherence_bound, _branch_distinguishability, _coherence, _slack, _uqsd
-from .random import _assemble_trials, _draw_shape, _draw_stack, _position, _trial_bytes, streams
+from .random import _draw_stack, _trial_bytes, _trial_shapes, stream
 from .states import (
     DetectorSet,
     MixedDetectorInteraction,
@@ -441,18 +441,14 @@ def _evaluate_stack(scenario: str, group: tuple[int, int], rank: int | None, ent
                     rng: np.random.Generator, tables: list) -> None:
     """Draw one (n, dim) group of waiting trials as one stack, evaluate it and
     file its table with their trial indices. Each entry is a trial index and
-    the generator position after its shape draws; the rest of each trial is
-    drawn from there into its row of the stack, on `rng`. The raw Gaussian
-    blocks are assembled over the whole stack, as the random_* generators
-    assemble one instance, and the draws are checked once, as the per-object
-    constructors check one instance; a failing check names the trial."""
+    the generator position after its shape draws; _draw_stack draws the rest
+    of each trial from there on `rng`, the campaign's generator, and
+    assembles the stack as the random_* generators assemble one instance.
+    The draws are checked once, as the per-object constructors check one
+    instance; a failing check names the trial."""
     trials = [trial for trial, _ in entries]
-    stacks = _draw_stack(scenario, *group, rank, rng, [position for _, position in entries])
     try:
-        # a NaN in a raw block spreads through the assembly unwarned, and the
-        # checks after it reject it and name its trial
-        with np.errstate(invalid="ignore"):
-            arrays = _assemble_trials(scenario, *group, stacks)
+        arrays = _draw_stack(scenario, *group, rank, rng, [position for _, position in entries])
         if scenario == "pure_pure":
             amps, vecs = arrays
             _check_normalized(amps)
@@ -488,21 +484,21 @@ def run_campaign(scenario: str, trials: int, seed: int,
 
     Trial k draws everything from stream(seed, k), so results do not
     depend on execution order and any trial can be replayed in
-    isolation; the trials run those streams through one reused generator
-    (random.streams). `n` may be a single path count or a set to draw from;
-    detector dimension defaults to a uniform draw over n..2n and Ginibre
-    rank over 1..n (detector-state rank over 1..dim). pure_pure draws no
-    rank, so it rejects any `rank`, as the mixed scenarios reject one
-    outside 1..min(n).
+    isolation; `trials` lies in 1..2^32, so k takes one spawn-key word. `n`
+    may be a single path count or a set to draw from; detector dimension
+    defaults to a uniform draw over n..2n and Ginibre rank over 1..n
+    (detector-state rank over 1..dim). pure_pure draws no rank, so it
+    rejects any `rank`, as the mixed scenarios reject one outside 1..min(n).
 
-    Each trial's shape (n, dim) is drawn in trial order, and the trial waits
-    in its (n, dim) group as its generator position after those draws, four
-    ints (random._position). Once a group's trials would draw STACK_BYTES of
-    raw arrays, and for what is left of each group at the end, the group is
-    drawn as one stack, each trial resumed from its position on one generator
-    the campaign owns (random._draw_stack), and evaluated. So a stack's raw
-    draws stay below STACK_BYTES plus one trial, and only the stack being
-    evaluated holds any.
+    The campaign draws on one generator, stream(seed, 0), which
+    random._trial_shapes sets to each trial's stream in turn to draw its
+    shape (n, dim). The trial then waits in its (n, dim) group as its
+    generator position after those draws, four ints. Once a group's trials
+    would draw STACK_BYTES of raw arrays, and for what is left of each group
+    at the end, the group is drawn as one stack, each trial resumed from its
+    position on the same generator (random._draw_stack), and evaluated. So a
+    stack's raw draws stay below STACK_BYTES plus one trial, and only the
+    stack being evaluated holds any.
     pure_pure checks the largest composite dimension its options allow before
     the first draw, so whether it fits does not depend on the seed. A check
     that fails on the draws raises its usual ValueError, prefixed with
@@ -511,8 +507,8 @@ def run_campaign(scenario: str, trials: int, seed: int,
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= 1 << 32:
+        raise ValueError(f"trials must lie in 1..2^32, got {trials}")
     n_choices = (n,) if isinstance(n, int) else tuple(int(v) for v in n)
     if not n_choices or any(v < 2 for v in n_choices):
         raise ValueError(f"path counts must all be >= 2, got {n_choices!r}")
@@ -526,13 +522,12 @@ def run_campaign(scenario: str, trials: int, seed: int,
         _check_composite(max(n_choices), detector_dim or 2 * max(n_choices))
     tables: list = []
     pending: dict[tuple[int, int], list] = {}
-    resumed = np.random.default_rng(0)  # set to each waiting trial's position in turn
-    for trial, rng in enumerate(streams(seed, range(trials))):
-        group = _draw_shape(rng, n_choices, detector_dim)
+    rng = stream(seed, 0)  # rejects a negative seed; _trial_shapes sets it to each trial's stream
+    for trial, (group, position) in enumerate(_trial_shapes(seed, trials, n_choices, detector_dim, rng)):
         entries = pending.setdefault(group, [])
-        entries.append((trial, _position(rng)))
+        entries.append((trial, position))
         if len(entries) * _trial_bytes(scenario, *group) >= STACK_BYTES:
-            _evaluate_stack(scenario, group, rank, pending.pop(group), resumed, tables)
+            _evaluate_stack(scenario, group, rank, pending.pop(group), rng, tables)
     for group, entries in pending.items():
-        _evaluate_stack(scenario, group, rank, entries, resumed, tables)
+        _evaluate_stack(scenario, group, rank, entries, rng, tables)
     return CampaignResult(scenario=scenario, trials=trials, seed=seed, table=_merged(tables))

@@ -1,24 +1,24 @@
 """Reproducible random instance generation.
 
 All generators run on numpy's PCG64 bit generator. A plain integer seed
-always reproduces the same objects; independent streams for campaign
-trials come from SeedSequence spawn keys, so trial k of a campaign is a
-pure function of (root seed, k) regardless of execution order, and
-stream(seed, k) replays it.
+always reproduces the same objects; each campaign trial draws from its
+own SeedSequence spawn key, so trial k of a campaign is a pure function
+of (root seed, k) regardless of execution order, and stream(seed, k)
+replays it.
 
-A campaign runs the same streams through `streams`, which derives the
-PCG64 states of a block of spawn keys at once, by SeedSequence's own
-arithmetic, and sets one reused generator to each in turn. It draws only
-each trial's shape there (`_draw_shape`: n and the detector dimension),
-and the trial then waits as its generator position (`_position`: four
-ints). When its (n, dim) group is evaluated, `_draw_stack` resumes each
-position on one generator and draws the rest of the trial straight into
-its row of the stack's arrays: each Gaussian block raw, from one
-standard_normal call, real parts before imaginary ones, and each Ginibre
-state assigned into its row. `draw_trial` is the same two steps on a stack
-of one. `_assemble_trials` turns a stack of raw rows into complex arrays
-with the helpers (`_amplitudes`, `_unit_vectors`, `_path_gaussians`) that
-the public random_* generators run on a single instance.
+A campaign runs on one PCG64 generator that it owns. `_trial_shapes`
+sets it to the state stream(seed, k) starts in for each trial k, derived
+with those of a block of spawn keys at once by SeedSequence's own
+arithmetic, and draws only the trial's shape there (`_draw_shape`: n and
+the detector dimension); the trial then waits as its generator position
+(`_position`: four ints). When its (n, dim) group is evaluated,
+`_draw_stack` resumes each position on the same generator and draws the
+rest of the trial straight into its row of the stack's raw arrays: each
+Gaussian block from one standard_normal call, real parts before imaginary
+ones, and each Ginibre state assigned into its row. It then assembles the
+raw rows into complex arrays with the helpers (`_amplitudes`,
+`_unit_vectors`, `_path_gaussians`) that the public random_* generators
+run on a single instance.
 """
 
 from __future__ import annotations
@@ -95,30 +95,6 @@ def _pcg64_states(seed: int, keys: np.ndarray) -> list[tuple[int, int]]:
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
         out.append((((seed_hi << 64 | seed_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
     return out
-
-
-def streams(seed: int, keys: Sequence[int]) -> Iterator[np.random.Generator]:
-    """stream(seed, k) for each non-negative k of `keys`, in order, as one reused Generator.
-
-    The generator is stream(seed, keys[0]) itself, and before each later step
-    it is set to the exact state stream(seed, k) starts in, derived with
-    those of its block of keys (_pcg64_states). A key of 2^32 or more takes a
-    second SeedSequence word and comes from stream itself. A step's
-    generator is only valid until the next step.
-    """
-    if not keys:
-        return
-    rng = stream(seed, keys[0])
-    seed = operator.index(seed)
-    for start in range(0, len(keys), _STATES_PER_BLOCK):
-        block = keys[start:start + _STATES_PER_BLOCK]
-        states = iter(_pcg64_states(seed, np.array([k for k in block if k <= _MASK32], dtype=np.uint32)))
-        for k in block:
-            if k > _MASK32:
-                yield stream(seed, k)
-                continue
-            _resume(rng, (*next(states), 0, 0))
-            yield rng
 
 
 def _position(rng: np.random.Generator) -> tuple[int, int, int, int]:
@@ -204,6 +180,24 @@ def _draw_shape(rng: np.random.Generator, n_choices, detector_dim: int | None) -
     return n, detector_dim if detector_dim is not None else int(rng.integers(n, 2 * n, endpoint=True))
 
 
+def _trial_shapes(seed: int, trials: int, n_choices, detector_dim: int | None,
+                  rng: np.random.Generator) -> Iterator[tuple[tuple[int, int], tuple[int, int, int, int]]]:
+    """For each trial k in 0..trials - 1 (at most 2^32 of them), the shape
+    draws of stream(seed, k) (_draw_shape) and the generator position after
+    them (_position), both made on the PCG64 generator `rng`.
+
+    Before each trial `rng` is set to the exact state stream(seed, k) starts
+    in, derived with those of its block of keys (_pcg64_states), so the
+    caller may draw with `rng` between two steps.
+    """
+    seed = operator.index(seed)
+    for start in range(0, trials, _STATES_PER_BLOCK):
+        keys = np.arange(start, min(start + _STATES_PER_BLOCK, trials), dtype=np.uint32)
+        for state, inc in _pcg64_states(seed, keys):
+            _resume(rng, (state, inc, 0, 0))
+            yield _draw_shape(rng, n_choices, detector_dim), _position(rng)
+
+
 def _trial_rows(scenario: str, n: int, dim: int) -> tuple[tuple[tuple[int, ...], type], ...]:
     """The shape and dtype of each array that a trial of an (n, dim) group
     fills after its shape draws, in draw order: for pure_pure one block of
@@ -238,45 +232,30 @@ def _draw_row(scenario: str, rng: np.random.Generator, rank: int | None, row: Se
 
 
 def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.random.Generator,
-                positions: Sequence[tuple[int, int, int, int]]) -> list[np.ndarray]:
-    """The raw draws of a stack of trials of one (n, dim) group, unvalidated,
-    one array per _trial_rows entry with the trials on axis 0: `rng` is set
-    to each trial's position after its shape draws (_resume), and the rest of
-    the trial is drawn into its row (_draw_row)."""
+                positions: Sequence[tuple[int, int, int, int]]) -> tuple[np.ndarray, ...]:
+    """The arrays that the random_* generators would wrap (amplitudes and
+    detector vectors; the quanton state and detector vectors; or the quanton
+    state, detector state and path unitaries) over a stack of trials of one
+    (n, dim) group, unvalidated: `rng` is set to each trial's position after
+    its shape draws (_resume), the rest of the trial is drawn into its row of
+    the raw stack (_draw_row), and the raw blocks are assembled over the
+    whole stack. A complex entry holds the bytes of its two raw reals."""
     stacks = [np.empty((len(positions), *shape), dtype) for shape, dtype in _trial_rows(scenario, n, dim)]
     for position, row in zip(positions, zip(*stacks)):
         _resume(rng, position)
         _draw_row(scenario, rng, rank, row)
-    return stacks
-
-
-def draw_trial(scenario: str, rng: np.random.Generator, n_choices, detector_dim: int | None,
-               rank: int | None) -> tuple[int, int, list[np.ndarray]]:
-    """The raw draws of one campaign trial, unvalidated, as a campaign draws them.
-
-    Returns (n, dim, arrays): the path count drawn from `n_choices`, the
-    detector dimension (uniform over n..2n unless given), and the trial's
-    raw draws as a stack of one (_draw_stack), which _assemble_trials turns
-    into the arrays the random_* generators draw.
-    """
-    n, dim = _draw_shape(rng, n_choices, detector_dim)
-    return n, dim, _draw_stack(scenario, n, dim, rank, rng, [_position(rng)])
-
-
-def _assemble_trials(scenario: str, n: int, dim: int, stacks: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """The arrays that the random_* generators would wrap, over a stack of
-    raw draws of one (n, dim) group (_draw_stack):
-    amplitudes and detector vectors, the quanton state and detector vectors,
-    or the quanton state, detector state and path unitaries. The states
-    stay as drawn, unvalidated."""
-    if scenario == "pure_pure":
-        (raw,) = stacks
-        return _amplitudes(raw[:, :2 * n].reshape(-1, 2, n)), _unit_vectors(raw[:, 2 * n:].reshape(-1, 2, n, dim))
-    if scenario == "mixed_pure":
-        rho, raw = stacks
-        return rho, _unit_vectors(raw)
-    rho, rho_d, raw = stacks
-    return rho, rho_d, _haar(_path_gaussians(raw))
+    # a NaN in a raw block spreads through the assembly unwarned, and the
+    # checks after it reject it and name its trial
+    with np.errstate(invalid="ignore"):
+        if scenario == "pure_pure":
+            (raw,) = stacks
+            amps, vecs = raw[:, :2 * n].reshape(-1, 2, n), raw[:, 2 * n:].reshape(-1, 2, n, dim)
+            return _amplitudes(amps), _unit_vectors(vecs)
+        if scenario == "mixed_pure":
+            rho, raw = stacks
+            return rho, _unit_vectors(raw)
+        rho, rho_d, raw = stacks
+        return rho, rho_d, _haar(_path_gaussians(raw))
 
 
 def random_pure(n: int, seed) -> PureQuanton:

@@ -54,8 +54,9 @@ from duality_lab.measures import (
     mixed_duality_slack,
 )
 from duality_lab.random import (
-    _assemble_trials,
-    draw_trial,
+    _draw_shape,
+    _draw_stack,
+    _position,
     haar_unitary,
     random_density,
     random_detectors,
@@ -148,13 +149,17 @@ def _assert_matches_oracle(scenario, trials, seed, n, detector_dim=None, rank=No
 
 @pytest.fixture
 def stacks(monkeypatch):
-    """Records (trials, raw bytes) of every stack a campaign draws."""
+    """Records (trials, bytes) of every stack a campaign draws. A complex
+    entry holds its two raw reals, so the assembled stack holds the bytes
+    of the raw draws."""
     seen = []
     draw = duality._draw_stack
 
-    def recording(*args):
-        arrays = draw(*args)
-        seen.append((len(arrays[0]), sum(a.nbytes for a in arrays)))
+    def recording(scenario, n, dim, rank, rng, positions):
+        arrays = draw(scenario, n, dim, rank, rng, positions)
+        held = sum(a.nbytes for a in arrays)
+        assert held == len(positions) * lab_random._trial_bytes(scenario, n, dim)
+        seen.append((len(positions), held))
         return arrays
 
     monkeypatch.setattr(duality, "_draw_stack", recording)
@@ -199,11 +204,18 @@ def _nbytes(draws):
     return sum(a.nbytes for a in draws)
 
 
+def _draw_trial(scenario, rng, n_choices, detector_dim, rank):
+    """One campaign trial as a campaign draws it: its shape, then the rest
+    from its position after the shape draws, as a stack of one."""
+    n, dim = _draw_shape(rng, n_choices, detector_dim)
+    return n, dim, _draw_stack(scenario, n, dim, rank, rng, [_position(rng)])
+
+
 @pytest.mark.parametrize("scenario, n", [("pure_pure", 8), ("mixed_mixed", 6), ("mixed_pure", (2, 8))])
 def test_stacks_hold_at_most_the_byte_budget(scenario, n, stacks):
     run_campaign(scenario, 2000, 3, n=n)
     n_choices = (n,) if isinstance(n, int) else n
-    largest = max(_nbytes(draw_trial(scenario, stream(3, k), n_choices, None, None)[2]) for k in range(2000))
+    largest = max(_nbytes(_draw_trial(scenario, stream(3, k), n_choices, None, None)[2]) for k in range(2000))
     assert sum(count for count, _ in stacks) == 2000
     # a stack is drawn once its group's trials would draw the budget, so it
     # may exceed the budget by at most the trial that tipped it over
@@ -264,14 +276,14 @@ def test_campaign_traced_memory_peak_stays_below_3_mb():
 
 
 def test_draw_trial_equals_the_public_generators():
-    """draw_trial, a stack of one on the campaign's draw path, assembles to
-    the arrays the random_* generators draw from the same stream; the states
-    are compared once validated, as both paths use them."""
+    """A trial drawn as a stack of one on the campaign's draw path assembles
+    to the arrays the random_* generators draw from the same stream; the
+    states are compared once validated, as both paths use them."""
     for scenario in SCENARIOS:
         for k in range(12):
-            n, dim, draws = draw_trial(scenario, stream(37, k), (2, 3, 5), None, None)
+            n, dim, draws = _draw_trial(scenario, stream(37, k), (2, 3, 5), None, None)
             (quanton, detector), _ = _draw_report(scenario, stream(37, k), (2, 3, 5), None, None)
-            arrays = [a[0] for a in _assemble_trials(scenario, n, dim, draws)]
+            arrays = [a[0] for a in draws]
             if scenario != "pure_pure":
                 arrays[0] = validate_density(arrays[0]).matrix
             if scenario == "mixed_mixed":

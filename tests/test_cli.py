@@ -207,6 +207,17 @@ def test_campaign_rejects_zero_trials(capsys):
     assert "trials" in err
 
 
+def test_campaign_rejects_more_trials_than_one_key_word_holds(capsys, tmp_path):
+    code, out, err = _run(capsys, [
+        "campaign", "--scenario", "pure_pure", "--n", "2", "--trials", str(2**32 + 1), "--seed", "1",
+        "--output", str(tmp_path / "run"),
+    ])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: trials must lie in 1..2^32, got {2**32 + 1}\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--scenario", "mixed_mixed", "--n", "3", "--seed", "5"],
     ["verify", "--scenario", "pure_pure", "--n", "3", "--seed", "5"],
@@ -348,3 +359,25 @@ def test_fringe_rejects_large_grid(capsys):
     assert code == 2
     assert out == ""
     assert "--grid-points must be <= 65536" in err
+
+
+# ------------------------------------------------------------ exit codes
+
+@pytest.mark.parametrize("argv, builder", [
+    (["sweep", "--n", "1000000", "--gammas", "0.5"], "duality_lab.duality.symmetric_detectors"),
+    (["fringe", "--n", "1000000", "--gamma", "0.5"], "duality_lab.cli.symmetric_detectors"),
+    (["verify", "--n", "1000000", "--gamma", "0.5"], "duality_lab.cli.uniform_overlap_detectors"),
+])
+def test_configuration_too_large_to_allocate_exits_two(capsys, monkeypatch, argv, builder):
+    """An allocation that fails is a configuration error (exit 2), not a
+    violated relation (exit 1). The builder raises as numpy does on an
+    oversized array, so nothing large is allocated here."""
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+    monkeypatch.setattr(builder, too_large)
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: configuration too large: Unable to allocate 7.28 TiB for an array with shape " \
+                  "(1000000, 1000000)\n"

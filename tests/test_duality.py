@@ -220,14 +220,19 @@ def test_run_campaign_validation():
         run_campaign("pure_pure", 10, 1, n=1)
 
 
-def test_run_campaign_checks_rank_before_drawing(monkeypatch):
-    def no_draws(*args):
-        raise AssertionError("a trial was drawn")
+def _no_draws(*args):
+    raise AssertionError("a trial was drawn")
 
-    # every trial's generator comes from streams, its first draws from
-    # _draw_shape and the rest from _draw_stack
-    for name in ("streams", "_draw_shape", "_draw_stack"):
-        monkeypatch.setattr(duality, name, no_draws)
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    # the campaign's one generator comes from stream, every trial's first
+    # draws from _trial_shapes and the rest from _draw_stack
+    for name in ("stream", "_trial_shapes", "_draw_stack"):
+        monkeypatch.setattr(duality, name, _no_draws)
+
+
+def test_run_campaign_checks_rank_before_drawing(no_draws):
     for scenario in ("mixed_pure", "mixed_mixed"):
         with pytest.raises(ValueError, match=r"rank must lie in 1\.\.2, got 3"):
             run_campaign(scenario, 10, 1, n=(3, 2), rank=3)
@@ -238,16 +243,21 @@ def test_run_campaign_checks_rank_before_drawing(monkeypatch):
             run_campaign("pure_pure", 3, 1, n=3, rank=rank)
 
 
+@pytest.mark.parametrize("trials", [0, -1, 2**32 + 1])
+def test_run_campaign_checks_the_trial_count_before_drawing(no_draws, trials):
+    """A trial index takes one spawn-key word, so 2^32 trials is the most."""
+    for scenario in SCENARIOS:
+        with pytest.raises(ValueError, match=rf"^trials must lie in 1\.\.2\^32, got {trials}$"):
+            run_campaign(scenario, trials, 1, n=3)
+
+
 @pytest.mark.parametrize("n", [23, (2, 23)])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_pure_pure_composite_bound_is_checked_before_the_first_draw(monkeypatch, n, seed):
     """The largest composite the options allow (n * 2n by default) is checked
     before any draw, so whether a campaign fits does not depend on the seed."""
-    def no_draws(*args):
-        raise AssertionError("a trial was drawn")
-
     with monkeypatch.context() as patched:
-        patched.setattr(duality, "_draw_shape", no_draws)
+        patched.setattr(duality, "_trial_shapes", _no_draws)
         with pytest.raises(ValueError, match=r"composite dimension 23\*46 exceeds the configured maximum 1024"):
             run_campaign("pure_pure", 8, seed, n=n)
     assert run_campaign("pure_pure", 8, seed, n=22).passed

@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duality_lab import random as lab_random
 from duality_lab.linalg import validate_density
 from duality_lab.measures import distinguishability_pure
 from duality_lab.random import (
     _amplitudes,
+    _draw_shape,
     _pcg64_states,
+    _position,
+    _trial_shapes,
     _unit_vectors,
     haar_unitary,
     random_density,
@@ -15,7 +19,6 @@ from duality_lab.random import (
     random_detectors,
     random_pure,
     stream,
-    streams,
     uniform_overlap_detectors,
 )
 from duality_lab.states import PureQuanton
@@ -165,27 +168,57 @@ def test_derived_states_equal_spawned_pcg64_states(seed):
         assert _spawned_state(seed, k)["state"] == {"state": state, "inc": inc}, k
 
 
+def _fresh_shape(seed, k, n_choices, detector_dim):
+    """The shape draws of a fresh stream(seed, k) and its position after them."""
+    rng = stream(seed, k)
+    return _draw_shape(rng, n_choices, detector_dim), _position(rng)
+
+
+def _shapes_with_draws_between(seed, trials, n_choices, detector_dim):
+    """_trial_shapes on a generator of another seed, which the caller draws
+    with after every step, leaving half a 64-bit word buffered."""
+    rng = np.random.default_rng(1)
+    steps = []
+    for step in _trial_shapes(seed, trials, n_choices, detector_dim, rng):
+        steps.append(step)
+        _draws(rng)
+    return steps
+
+
 @pytest.mark.parametrize("seed", STATE_SEEDS)
-@pytest.mark.parametrize("keys", [STATE_KEYS, range(2**32 - 2, 2**32 + 2)], ids=["one_word", "two_word_fallback"])
-def test_streams_replay_each_fresh_stream(seed, keys):
-    """The reused generator starts each key in stream(seed, k)'s state, its
-    32-bit buffer emptied, and draws what a fresh stream(seed, k) draws."""
-    count = 0
-    for k, rng in zip(keys, streams(seed, keys)):
-        assert rng.bit_generator.state == _spawned_state(seed, k), k
-        assert _draws(rng) == _draws(stream(seed, k)), k
-        count += 1
-    assert count == len(keys)
+@pytest.mark.parametrize("n_choices, detector_dim", [((2, 3, 5), None), ((4,), None), ((2, 8), 3)],
+                         ids=["drawn_dim", "one_n", "given_dim"])
+def test_trial_shapes_replay_each_fresh_stream(monkeypatch, seed, n_choices, detector_dim):
+    """Each trial starts in stream(seed, k)'s state, its 32-bit buffer
+    emptied, across blocks of derived states, even when the caller draws
+    with the generator between two steps."""
+    monkeypatch.setattr(lab_random, "_STATES_PER_BLOCK", 7)
+    expected = [_fresh_shape(seed, k, n_choices, detector_dim) for k in range(30)]
+    assert list(_trial_shapes(seed, 30, n_choices, detector_dim, stream(seed, 0))) == expected
+    assert _shapes_with_draws_between(seed, 30, n_choices, detector_dim) == expected
+
+
+def test_trial_shapes_cross_a_full_block_of_derived_states():
+    seed, trials = 2**130 + 3, lab_random._STATES_PER_BLOCK + 2
+    expected = [_fresh_shape(seed, k, (2, 3), None) for k in range(trials)]
+    assert _shapes_with_draws_between(seed, trials, (2, 3), None) == expected
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**160), st.lists(st.integers(0, 2**33), min_size=1, max_size=6))
-def test_streams_equal_stream_on_any_seed_and_keys(seed, keys):
-    assert [_draws(rng) for rng in streams(seed, keys)] == [_draws(stream(seed, k)) for k in keys]
+@given(st.integers(0, 2**160), st.integers(1, 12), st.lists(st.integers(2, 9), min_size=1, max_size=4),
+       st.none() | st.integers(1, 12))
+def test_trial_shapes_equal_fresh_streams_on_any_seed(seed, trials, n_choices, detector_dim):
+    n_choices = tuple(n_choices)
+    expected = [_fresh_shape(seed, k, n_choices, detector_dim) for k in range(trials)]
+    assert list(_trial_shapes(seed, trials, n_choices, detector_dim, stream(seed, 0))) == expected
+    assert _shapes_with_draws_between(seed, trials, n_choices, detector_dim) == expected
 
 
-def test_streams_of_no_keys_draw_nothing():
-    assert list(streams(5, range(0))) == []
+def test_trial_shapes_of_no_trials_draw_nothing():
+    rng = stream(5, 0)
+    before = rng.bit_generator.state
+    assert list(_trial_shapes(5, 0, (2,), None, rng)) == []
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("n", range(2, 33))
