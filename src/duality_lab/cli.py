@@ -67,6 +67,10 @@ class ConfigError(ValueError):
 
 
 def _parse_complex(value) -> complex:
+    # JSON true and false are ints to Python, but no config value reads them as numbers
+    parts = value if isinstance(value, (list, tuple)) else [value]
+    if any(isinstance(v, bool) for v in parts):
+        raise ConfigError(f"cannot read complex number from boolean {value!r}")
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, str):

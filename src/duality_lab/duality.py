@@ -30,6 +30,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -363,8 +364,7 @@ def _tabulate(scenario: str, reduced: np.ndarray, include_visibility: bool, cohe
     |.| <= TOLERANCE when the state saturates the duality, to <= TOLERANCE
     otherwise) and the PSD margin of its reduced state. `relations` adds the
     kernel's own (residual, values, verdicts) columns and `checks` its
-    verdicts that carry no residual; their order is the report order. A
-    visibility scan that fails keeps the entry's index, as the stacked checks do.
+    verdicts that carry no residual; their order is the report order.
     """
     # C and D_Q passed _clamp_unit, which rejects NaN and inf; the slack did not
     _raise_first(~np.isfinite(slack), ValueError, lambda i: f"slack is not finite: {float(slack[i])!r}")
@@ -373,14 +373,8 @@ def _tabulate(scenario: str, reduced: np.ndarray, include_visibility: bool, cohe
     values = {"n": np.full(len(reduced), reduced.shape[-1]), "coherence": coherence, "distinguishability": dq,
               "slack": slack}
     if include_visibility:
-        visibility = []
-        for i, rho in enumerate(reduced):
-            try:
-                visibility.append(scan_visibility(MixedQuanton(rho=DensityMatrix(frozen(rho)))).visibility)
-            except ValueError as exc:
-                exc.index = (i,)
-                raise
-        values["visibility"] = np.array(visibility)
+        values["visibility"] = np.array([scan_visibility(MixedQuanton(rho=DensityMatrix(frozen(rho)))).visibility
+                                         for rho in reduced])
     residuals = {"duality_sum": duality_sum, **{key: value for key, value, _ in relations},
                  "psd_margin_min": psd_margin}
     verdicts = {"duality_sum": (np.abs(duality_sum) if saturated else duality_sum) <= TOLERANCE,
@@ -485,10 +479,11 @@ def run_campaign(scenario: str, trials: int, seed: int,
     Trial k draws everything from stream(seed, k), so results do not
     depend on execution order and any trial can be replayed in
     isolation; `trials` lies in 1..2^32, so k takes one spawn-key word. `n`
-    may be a single path count or a set to draw from; detector dimension
-    defaults to a uniform draw over n..2n and Ginibre rank over 1..n
-    (detector-state rank over 1..dim). pure_pure draws no rank, so it
-    rejects any `rank`, as the mixed scenarios reject one outside 1..min(n).
+    may be a single path count or a set to draw from, of Python or numpy
+    integers; detector dimension defaults to a uniform draw over n..2n and
+    Ginibre rank over 1..n (detector-state rank over 1..dim). pure_pure
+    draws no rank, so it rejects any `rank`, as the mixed scenarios reject
+    one outside 1..min(n).
 
     The campaign draws on one generator, stream(seed, 0), which
     random._trial_shapes sets to each trial's stream in turn to draw its
@@ -509,7 +504,13 @@ def run_campaign(scenario: str, trials: int, seed: int,
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
     if not 1 <= trials <= 1 << 32:
         raise ValueError(f"trials must lie in 1..2^32, got {trials}")
-    n_choices = (n,) if isinstance(n, int) else tuple(int(v) for v in n)
+    try:
+        n_choices = (operator.index(n),)
+    except TypeError:
+        try:
+            n_choices = tuple(operator.index(v) for v in n)
+        except TypeError:
+            raise ValueError(f"path counts must be integers, got {n!r}") from None
     if not n_choices or any(v < 2 for v in n_choices):
         raise ValueError(f"path counts must all be >= 2, got {n_choices!r}")
     if detector_dim is not None and detector_dim < 1:

@@ -13,25 +13,11 @@ only serves plotting. For the symmetric two- and three-slit families this
 model reproduces the closed-form visibility / coherence correspondences
 exactly.
 
-The sampled grid is evaluated in real arithmetic. A bounded cache keeps,
-per (grid_points, n), the read-only phase table: the grid phases and the
-rows c_k = cos(k theta), s_k = sin(k theta) of exp(i k theta), k < n, so
-scans that share a grid size and path count build it once. With
-rho_ij = a + ib, each term
-
-    (c_i a - s_i b) c_j + (c_i b + s_i a) s_j
-
-is the real part of (amp_i rho_ij) conj(amp_j), amp_k = exp(i k theta),
-with its products taken in the order of
-np.einsum("ti,ij,tj->t", amp, rho, amp.conj()), and the terms are added
-to a zero accumulator in row-major (i, j) order, einsum's own summation
-order. So the grid equals that einsum bit for bit. The golden digests of
-the seeded fringe CSVs rely on this order.
+The sampled grid at theta_t = 2 pi t / N is the inverse DFT of the c_m.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -76,30 +62,6 @@ def intensity(rho_reduced: MixedQuanton, theta: float) -> float:
     return max(value, 0.0)
 
 
-# At most 4 tables of MAX_GRID_POINTS * (2n + 1) * 8 B each: 4 * 8.9 MB at n = 8.
-@functools.lru_cache(maxsize=4)
-def _phase_table(grid_points: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (thetas, cos rows, sin rows) of exp(i k theta), k < n, over one period."""
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
-    amp = np.exp(1j * np.outer(thetas, np.arange(n)))
-    table = (thetas, np.ascontiguousarray(amp.real.T), np.ascontiguousarray(amp.imag.T))
-    for array in table:
-        array.flags.writeable = False
-    return table
-
-
-def _intensity_grid(rho: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    # The product and summation order below is einsum's (module docstring);
-    # the golden digests rely on it, so regroup nothing.
-    n = rho.shape[0]
-    acc = np.zeros(cos.shape[1])
-    for i in range(n):
-        for j in range(n):
-            a, b = rho[i, j].real, rho[i, j].imag
-            acc += (cos[i] * a - sin[i] * b) * cos[j] + (cos[i] * b + sin[i] * a) * sin[j]
-    return np.clip(acc, 0.0, None)
-
-
 def scan_visibility(rho_reduced: MixedQuanton, grid_points: int = DEFAULT_GRID_POINTS) -> FringeScan:
     """Sample one period and take the visibility (i_max - i_min) / (i_max + i_min)
     from the exact extrema, which do not depend on `grid_points`.
@@ -118,10 +80,12 @@ def scan_visibility(rho_reduced: MixedQuanton, grid_points: int = DEFAULT_GRID_P
     if grid_points > MAX_GRID_POINTS:
         raise GridSizeError(f"must be <= {MAX_GRID_POINTS}, got {grid_points}")
     rho = rho_reduced.rho.matrix
-    thetas, cos, sin = _phase_table(grid_points, rho.shape[0])
-    values = _intensity_grid(rho, cos, sin)
     orders = np.arange(rho.shape[0] - 1, -rho.shape[0], -1)
     coeffs = np.array([np.trace(rho, offset=-m) for m in orders])
+    # orders that alias modulo grid_points (2n - 1 > N) must add
+    spectrum = np.zeros(grid_points, dtype=complex)
+    np.add.at(spectrum, orders % grid_points, coeffs)
+    values = np.clip(np.fft.ifft(spectrum).real * grid_points, 0.0, None)
     coeffs[np.abs(coeffs) < np.finfo(float).eps] = 0.0
     phases = np.append(np.angle(np.roots(orders * coeffs)), 0.0)
     extrema = [intensity(rho_reduced, theta) for theta in phases]
@@ -129,7 +93,7 @@ def scan_visibility(rho_reduced: MixedQuanton, grid_points: int = DEFAULT_GRID_P
     spread = i_max - i_min
     visibility = 0.0 if spread < FLAT_PATTERN_TOL else spread / (i_max + i_min)
     return FringeScan(
-        phases=thetas.copy(),
+        phases=np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False),
         intensities=values,
         i_max=i_max,
         i_min=i_min,

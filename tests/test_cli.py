@@ -166,6 +166,21 @@ def test_config_values_checked_like_flags(capsys, tmp_path):
         assert key in err
 
 
+def test_config_booleans_are_not_complex_numbers(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cases = (
+        (["--scenario", "mixed_pure", "--n", "2", "--gamma", "0.5"], {"rho": [[True, 0], [0, False]]}),
+        (["--scenario", "mixed_pure", "--n", "2", "--gamma", "0.5"], {"rho": [[0.5, [0, True]], [0, 0.5]]}),
+        (["--scenario", "pure_pure", "--n", "2", "--gamma", "0.5"], {"amplitudes": [True, True]}),
+        (["--scenario", "pure_pure", "--n", "2", "--gamma", "0.5"], {"amplitudes": [[1, False], 1]}),
+    )
+    for argv, config in cases:
+        cfg.write_text(json.dumps(config))
+        code, _, err = _run(capsys, ["verify", *argv, "--config", str(cfg)])
+        assert code == 2
+        assert "cannot read complex number from boolean" in err
+
+
 # ----------------------------------------------------------------- campaign
 
 def test_campaign_writes_csv_and_json(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -241,6 +242,23 @@ def test_run_campaign_checks_rank_before_drawing(no_draws):
     for rank in (9, 0, 1):
         with pytest.raises(ValueError, match=rf"rank is not read by the pure_pure scenario, got {rank}"):
             run_campaign("pure_pure", 3, 1, n=3, rank=rank)
+
+
+@pytest.mark.parametrize("n", [[2.9, 3.7], 3.0, np.array([2.0, 3.0]), "23", [3, None]])
+def test_run_campaign_rejects_path_counts_that_are_not_integers(no_draws, n):
+    with pytest.raises(ValueError, match="^path counts must be integers, got "):
+        run_campaign("pure_pure", 5, 1, n=n)
+
+
+def _csv(result):
+    out = io.StringIO()
+    result.to_csv(out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("n", [np.int64(3), np.array(3), [np.int32(3)], np.array([3])])
+def test_run_campaign_takes_numpy_path_counts(n):
+    assert _csv(run_campaign("mixed_pure", 5, 1, n=n)) == _csv(run_campaign("mixed_pure", 5, 1, n=3))
 
 
 @pytest.mark.parametrize("trials", [0, -1, 2**32 + 1])

@@ -192,11 +192,11 @@ DIGESTS = {
     'fringe_n2': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'fringe.csv': 'e55a8a237c2e0603b5d77f2ac4234c47a064841b457f01ad66e503ab4566bcc0',
+        'fringe.csv': '5e2f60d13d4e7825fd5bbed0cff4612432012749867c3818a437997da4faa3c4',
     },
     'fringe_n3_stdout': {
         'exit': '0',
-        'stdout': '4e257b00742e27711331a7b121f82db1b3f55d73e4433a9ab4a16bae5390fe5d',
+        'stdout': '105748738ae614137e9c90c3cff3728967972a8956d4f8d4a1033dd8c6fcc7e7',
     },
     'sweep_n3': {
         'exit': '0',

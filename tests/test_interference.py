@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duality_lab import interference
-from duality_lab.duality import check_three_slit_relation, check_two_slit_relation, sweep_overlap
+from duality_lab.duality import check_three_slit_relation, check_two_slit_relation
 from duality_lab.interference import (
     FLAT_PATTERN_TOL,
     FringeScan,
@@ -29,9 +30,18 @@ def _symmetric_reduced(n, gamma):
 
 
 def _einsum_grid(rho, thetas):
-    """The complex-exponential pattern, the oracle the real-arithmetic grid must equal bit for bit."""
+    """The complex-exponential pattern summed term by term, the oracle the
+    inverse-DFT grid must lie within 4 eps log2(N) sum_ij |rho_ij| of."""
     amp = np.exp(1j * np.outer(thetas, np.arange(rho.shape[0])))
     return np.clip(np.real(np.einsum("ti,ij,tj->t", amp, rho, amp.conj())), 0.0, None)
+
+
+def _grid_error(reduced, scan):
+    return np.abs(scan.intensities - _einsum_grid(reduced.rho.matrix, scan.phases)).max()
+
+
+def _grid_bound(reduced, grid_points):
+    return 4 * np.finfo(float).eps * math.log2(grid_points) * np.abs(reduced.rho.matrix).sum()
 
 
 # ----------------------------------------------------------------- intensity
@@ -152,7 +162,16 @@ def test_grid_equals_einsum_oracle(seed, n, grid_points, data):
     scan = scan_visibility(reduced, grid_points)
     thetas = np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False)
     assert np.array_equal(scan.phases, thetas)
-    assert np.array_equal(scan.intensities, _einsum_grid(reduced.rho.matrix, thetas))
+    assert _grid_error(reduced, scan) <= _grid_bound(reduced, grid_points)
+
+
+def test_grid_adds_orders_that_alias_on_a_small_grid():
+    # 2n - 1 = 399 orders on 256 points: orders m and m - 256 share a bin
+    rng = np.random.default_rng(63)
+    g = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+    reduced = MixedQuanton(rho=validate_density(g @ g.conj().T / np.vdot(g, g).real))
+    scan = scan_visibility(reduced, 256)
+    assert _grid_error(reduced, scan) <= _grid_bound(reduced, 256)
 
 
 def test_scan_phases_are_the_callers_copy():
@@ -164,15 +183,17 @@ def test_scan_phases_are_the_callers_copy():
     assert np.array_equal(second.intensities, first.intensities)
 
 
-def test_phase_table_cache_is_bounded_and_shared_along_a_sweep():
-    table = interference._phase_table
-    assert table.cache_info().maxsize <= 4
-    assert not any(array.flags.writeable for array in table(256, 2))
-    table.cache_clear()
-    reports = sweep_overlap(2, np.linspace(0.0, 1.0, 11), _equal_pure(2))
-    assert len(reports) == 11
-    info = table.cache_info()
-    assert (info.misses, info.hits) == (1, 10)
+def test_scans_keep_no_memory_between_calls():
+    states = [_symmetric_reduced(n, 0.5) for n in range(5, 9)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for reduced in states:
+            scan_visibility(reduced, interference.MAX_GRID_POINTS)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20
 
 
 def test_scan_visibility_matches_overlap_for_any_pair():
