@@ -61,11 +61,12 @@ SCENARIOS = ("pure_pure", "mixed_pure", "mixed_mixed")
 VISIBILITY_MAX_PATHS = 3  # the fringe correspondences of the two- and three-slit families
 #: bytes of raw draws at which a campaign draws and evaluates an (n, dim)
 #: group of waiting trials as one stack, which caps the stacks and their
-#: temporaries; a waiting trial holds only its generator position. A
-#: mixed_mixed trial at n = 6 draws about 10 kB, and its stack needs about five
-#: times that while it runs (QR copies, rotated branch kets). On 1000-trial
-#: campaigns, against a 64 KiB budget with drawn trials waiting, peak RSS stayed
-#: flat at 128 KiB and rose 0.7-0.9 MB at 256 KiB and 2.6 MB at 512 KiB.
+#: temporaries; a waiting trial holds only its generator position and any
+#: drawn rank. A mixed_mixed trial at n = 6 draws about 10 kB, and its stack
+#: needs about five times that while it runs (QR copies, rotated branch kets).
+#: On 1000-trial campaigns, against a 64 KiB budget with drawn trials waiting,
+#: peak RSS stayed flat at 128 KiB and rose 0.7-0.9 MB at 256 KiB and 2.6 MB at
+#: 512 KiB.
 STACK_BYTES = 1 << 18
 
 #: the CSV columns of one report; `verify --format csv` adds the seed, and a
@@ -435,14 +436,15 @@ def _evaluate_stack(scenario: str, group: tuple[int, int], rank: int | None, ent
                     rng: np.random.Generator, tables: list) -> None:
     """Draw one (n, dim) group of waiting trials as one stack, evaluate it and
     file its table with their trial indices. Each entry is a trial index and
-    the generator position after its shape draws; _draw_stack draws the rest
-    of each trial from there on `rng`, the campaign's generator, and
-    assembles the stack as the random_* generators assemble one instance.
+    its start (the generator position after its shape and rank draws, see
+    random._trial_shapes); _draw_stack draws the rest of each trial from
+    there on `rng`, the campaign's generator, and assembles the stack as the
+    random_* generators assemble one instance.
     The draws are checked once, as the per-object constructors check one
     instance; a failing check names the trial."""
     trials = [trial for trial, _ in entries]
     try:
-        arrays = _draw_stack(scenario, *group, rank, rng, [position for _, position in entries])
+        arrays = _draw_stack(scenario, *group, rank, rng, [start for _, start in entries])
         if scenario == "pure_pure":
             amps, vecs = arrays
             _check_normalized(amps)
@@ -470,6 +472,17 @@ def _merged(tables: list[tuple[list[int], _Table]]) -> _Table:
     return _Table(stacks[0].scenario, *merged)
 
 
+def _integer(name: str, value) -> int:
+    """`value` as a Python int, as operator.index takes it; a bool or a value
+    that is not an integer raises ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def run_campaign(scenario: str, trials: int, seed: int,
                  n: int | Sequence[int] = (2, 3, 4, 5, 6, 7, 8),
                  detector_dim: int | None = None,
@@ -485,15 +498,15 @@ def run_campaign(scenario: str, trials: int, seed: int,
     draws no rank, so it rejects any `rank`, as the mixed scenarios reject
     one outside 1..min(n).
 
-    The campaign draws on one generator, stream(seed, 0), which
-    random._trial_shapes sets to each trial's stream in turn to draw its
-    shape (n, dim). The trial then waits in its (n, dim) group as its
-    generator position after those draws, four ints. Once a group's trials
-    would draw STACK_BYTES of raw arrays, and for what is left of each group
-    at the end, the group is drawn as one stack, each trial resumed from its
-    position on the same generator (random._draw_stack), and evaluated. So a
-    stack's raw draws stay below STACK_BYTES plus one trial, and only the
-    stack being evaluated holds any.
+    random._trial_shapes computes each trial's first draws on stream(seed, k),
+    its shape (n, dim) and a drawn quanton rank, in integer arithmetic, with
+    no generator. The trial then waits in its (n, dim) group as the generator
+    position after those draws: four ints, and the drawn rank. Once a group's
+    trials would draw STACK_BYTES of raw arrays, and for what is left of each
+    group at the end, the group is drawn as one stack on the campaign's one
+    generator, stream(seed, 0), set once to each trial's position
+    (random._draw_stack), and evaluated. So a stack's raw draws stay below
+    STACK_BYTES plus one trial, and only the stack being evaluated holds any.
     pure_pure checks the largest composite dimension its options allow before
     the first draw, so whether it fits does not depend on the seed. A check
     that fails on the draws raises its usual ValueError, prefixed with
@@ -502,14 +515,17 @@ def run_campaign(scenario: str, trials: int, seed: int,
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
+    trials, seed = _integer("trials", trials), _integer("seed", seed)
+    detector_dim = None if detector_dim is None else _integer("detector dimension", detector_dim)
+    rank = None if rank is None else _integer("rank", rank)
     if not 1 <= trials <= 1 << 32:
         raise ValueError(f"trials must lie in 1..2^32, got {trials}")
     try:
-        n_choices = (operator.index(n),)
-    except TypeError:
+        n_choices = (_integer("path counts", n),)
+    except ValueError:
         try:
-            n_choices = tuple(operator.index(v) for v in n)
-        except TypeError:
+            n_choices = tuple(_integer("path counts", v) for v in n)
+        except (TypeError, ValueError):
             raise ValueError(f"path counts must be integers, got {n!r}") from None
     if not n_choices or any(v < 2 for v in n_choices):
         raise ValueError(f"path counts must all be >= 2, got {n_choices!r}")
@@ -523,10 +539,11 @@ def run_campaign(scenario: str, trials: int, seed: int,
         _check_composite(max(n_choices), detector_dim or 2 * max(n_choices))
     tables: list = []
     pending: dict[tuple[int, int], list] = {}
-    rng = stream(seed, 0)  # rejects a negative seed; _trial_shapes sets it to each trial's stream
-    for trial, (group, position) in enumerate(_trial_shapes(seed, trials, n_choices, detector_dim, rng)):
+    rng = stream(seed, 0)  # rejects a negative seed; _draw_stack sets it to each trial's start
+    draw_rank = scenario != "pure_pure" and rank is None
+    for trial, (group, start) in enumerate(_trial_shapes(seed, trials, n_choices, detector_dim, draw_rank)):
         entries = pending.setdefault(group, [])
-        entries.append((trial, position))
+        entries.append((trial, start))
         if len(entries) * _trial_bytes(scenario, *group) >= STACK_BYTES:
             _evaluate_stack(scenario, group, rank, pending.pop(group), rng, tables)
     for group, entries in pending.items():

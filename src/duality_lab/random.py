@@ -7,18 +7,19 @@ of (root seed, k) regardless of execution order, and stream(seed, k)
 replays it.
 
 A campaign runs on one PCG64 generator that it owns. `_trial_shapes`
-sets it to the state stream(seed, k) starts in for each trial k, derived
-with those of a block of spawn keys at once by SeedSequence's own
-arithmetic, and draws only the trial's shape there (`_draw_shape`: n and
-the detector dimension); the trial then waits as its generator position
-(`_position`: four ints). When its (n, dim) group is evaluated,
-`_draw_stack` resumes each position on the same generator and draws the
-rest of the trial straight into its row of the stack's raw arrays: each
-Gaussian block from one standard_normal call, real parts before imaginary
-ones, and each Ginibre state assigned into its row. It then assembles the
-raw rows into complex arrays with the helpers (`_amplitudes`,
-`_unit_vectors`, `_path_gaussians`) that the public random_* generators
-run on a single instance.
+derives the state stream(seed, k) starts in for each trial k, with those
+of a block of spawn keys at once, by SeedSequence's own arithmetic, and
+computes the trial's first bounded draws from it in Python ints
+(`_bounded`: n, the detector dimension and any quanton rank); the trial
+waits as the generator position after them, four ints and the drawn rank.
+When its (n, dim) group is evaluated, `_draw_stack` sets the generator
+once to each trial's position and draws the rest of the trial straight
+into its row of the stack's raw arrays: each Gaussian block from one
+standard_normal call, real parts before imaginary ones. It forms the
+quanton states per rank over the stack and assembles the raw rows with
+the helpers (`_amplitudes`, `_unit_vectors`, `_path_gaussians`,
+`_normalized_gram`) that the public random_* generators run on a single
+instance.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 #: PCG64's 128-bit LCG multiplier
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 #: spawn keys whose states are derived together, which bounds the arrays held
 _STATES_PER_BLOCK = 4096
 
@@ -97,13 +98,38 @@ def _pcg64_states(seed: int, keys: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
+def _bounded(r: int, state: int, inc: int, has_uint32: int, uinteger: int) -> tuple[int, int, int, int]:
+    """Generator.integers(off, off + r, endpoint=True) - off for 0 <= r < 2^32 on
+    a PCG64 generator at (state, inc, has_uint32, uinteger), and the state,
+    has_uint32 and uinteger it leaves. r = 0 draws nothing. Otherwise Lemire's
+    method redraws u (r + 1) while its low 32 bits are < (2^32 - 1 - r) mod
+    (r + 1) and returns its high bits. A u is the buffered half if one is held;
+    else PCG64 steps (state mult + inc mod 2^128), outputs rotr64(hi ^ lo,
+    state >> 122), and u is the output's low half and its high half is buffered.
+    """
+    if r == 0:
+        return 0, state, has_uint32, uinteger
+    threshold = (_MASK32 - r) % (r + 1)
+    while True:
+        if has_uint32:
+            u, has_uint32 = uinteger, 0
+        else:
+            state = state * _PCG_MULT + inc & _MASK128
+            word, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+            output = (word >> rot | word << 64 - rot) & _MASK64
+            u, has_uint32, uinteger = output & _MASK32, 1, output >> 32
+        m = u * (r + 1)
+        if m & _MASK32 >= threshold:
+            return m >> 32, state, has_uint32, uinteger
+
+
 def _position(rng: np.random.Generator) -> tuple[int, int, int, int]:
-    """Where a PCG64 generator stands: its state, inc, has_uint32 and uinteger.
+    """Where a PCG64 generator stands: its state, inc, has_uint32 and uinteger
+    (test oracle only; a campaign computes its positions with _bounded).
 
     A bounded integer draw may leave half of a 64-bit output buffered
     (has_uint32 = 1, uinteger the buffered half), so all four are needed for
-    _resume to continue exactly where `rng` would. A tuple of ints holds a
-    seventh of the memory of the generator's state dict.
+    _resume to continue exactly where `rng` would.
     """
     state = rng.bit_generator.state
     return state["state"]["state"], state["state"]["inc"], state["has_uint32"], state["uinteger"]
@@ -148,11 +174,17 @@ def _path_gaussians(raw: np.ndarray) -> np.ndarray:
     return _complex(raw) / np.sqrt(2.0)
 
 
+def _normalized_gram(g: np.ndarray) -> np.ndarray:
+    """Unvalidated G G^dag / Tr(G G^dag) over the trailing axes of complex G.
+    A stack of one rank is the per-matrix product bit for bit, where
+    zero-padding G to a common rank is not."""
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def _ginibre(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Unvalidated G G^dag / Tr(G G^dag) with G of shape (dim, rank)."""
-    g = _complex(rng.standard_normal((2, dim, rank)))
-    m = g @ g.conj().T
-    return m / m.trace().real
+    return _normalized_gram(_complex(rng.standard_normal((2, dim, rank))))
 
 
 def _detector_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,28 +206,40 @@ def _haar(z: np.ndarray) -> np.ndarray:
 
 
 def _draw_shape(rng: np.random.Generator, n_choices, detector_dim: int | None) -> tuple[int, int]:
-    """A campaign trial's first draws: its path count from `n_choices` and its
-    detector dimension, uniform over n..2n unless given."""
+    """A campaign trial's first draws on a generator (test oracle only; see
+    _trial_shapes): its path count from `n_choices` and its detector
+    dimension, uniform over n..2n unless given."""
     n = int(n_choices[rng.integers(len(n_choices))])
     return n, detector_dim if detector_dim is not None else int(rng.integers(n, 2 * n, endpoint=True))
 
 
-def _trial_shapes(seed: int, trials: int, n_choices, detector_dim: int | None,
-                  rng: np.random.Generator) -> Iterator[tuple[tuple[int, int], tuple[int, int, int, int]]]:
-    """For each trial k in 0..trials - 1 (at most 2^32 of them), the shape
-    draws of stream(seed, k) (_draw_shape) and the generator position after
-    them (_position), both made on the PCG64 generator `rng`.
+def _trial_shapes(seed: int, trials: int, n_choices: Sequence[int], detector_dim: int | None,
+                  draw_rank: bool) -> Iterator[tuple[tuple[int, int], tuple[int, ...]]]:
+    """For each trial k in 0..trials - 1 (at most 2^32 of them), its shape
+    (n, dim) and its start, computed from the state stream(seed, k) starts
+    in (_pcg64_states) without a generator.
 
-    Before each trial `rng` is set to the exact state stream(seed, k) starts
-    in, derived with those of its block of keys (_pcg64_states), so the
-    caller may draw with `rng` between two steps.
+    The shape is what _draw_shape draws on stream(seed, k); with `draw_rank`,
+    the quanton rank, uniform over 1..n, is the next bounded draw (_bounded).
+    The start is the generator position after those draws, four ints as
+    _position reads them, followed by the drawn rank.
     """
     seed = operator.index(seed)
-    for start in range(0, trials, _STATES_PER_BLOCK):
-        keys = np.arange(start, min(start + _STATES_PER_BLOCK, trials), dtype=np.uint32)
+    last = len(n_choices) - 1
+    for first in range(0, trials, _STATES_PER_BLOCK):
+        keys = np.arange(first, min(first + _STATES_PER_BLOCK, trials), dtype=np.uint32)
         for state, inc in _pcg64_states(seed, keys):
-            _resume(rng, (state, inc, 0, 0))
-            yield _draw_shape(rng, n_choices, detector_dim), _position(rng)
+            i, state, has_uint32, uinteger = _bounded(last, state, inc, 0, 0)
+            n = n_choices[i]
+            dim = detector_dim
+            if dim is None:
+                dim, state, has_uint32, uinteger = _bounded(n, state, inc, has_uint32, uinteger)
+                dim += n
+            if draw_rank:
+                rank, state, has_uint32, uinteger = _bounded(n - 1, state, inc, has_uint32, uinteger)
+                yield (n, dim), (state, inc, has_uint32, uinteger, 1 + rank)
+            else:
+                yield (n, dim), (state, inc, has_uint32, uinteger)
 
 
 def _trial_rows(scenario: str, n: int, dim: int) -> tuple[tuple[tuple[int, ...], type], ...]:
@@ -212,38 +256,45 @@ def _trial_rows(scenario: str, n: int, dim: int) -> tuple[tuple[tuple[int, ...],
     return ((n, n), np.complex128), ((dim, dim), np.complex128), ((n, 2, dim, dim), np.float64)
 
 
-@functools.lru_cache(maxsize=1024)  # read once per campaign trial
+@functools.lru_cache(maxsize=1024)  # read once per campaign trial, as it joins its group
 def _trial_bytes(scenario: str, n: int, dim: int) -> int:
-    """The bytes of one trial's row of a stack (see _trial_rows)."""
+    """The bytes of one trial's row of a stack (see _trial_rows). They do not
+    depend on the quanton rank: its Gaussians wait in the quanton state's row."""
     return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in _trial_rows(scenario, n, dim))
 
 
-def _draw_row(scenario: str, rng: np.random.Generator, rank: int | None, row: Sequence[np.ndarray]) -> None:
-    """Draw what a trial draws after its shape into `row`, its entry of each
-    stack array: the Ginibre quanton state (rank uniform over 1..n unless
-    given) and, for mixed_mixed, the detector state, each assigned into its
-    entry, then the Gaussian block with standard_normal(out=...)."""
+def _draw_row(scenario: str, rng: np.random.Generator, row: Sequence[np.ndarray]) -> None:
+    """Draw what a trial draws after its shape and quanton rank into `row`,
+    its entry of each stack array: the quanton's Ginibre Gaussians, for
+    mixed_mixed the detector state, then the Gaussian block."""
     if scenario != "pure_pure":
-        n = row[0].shape[-1]
-        row[0][...] = _ginibre(n, rank if rank is not None else int(rng.integers(1, n, endpoint=True)), rng)
+        rng.standard_normal(out=row[0])
     if scenario == "mixed_mixed":
         row[1][...] = _detector_state(row[1].shape[-1], rng)
     rng.standard_normal(out=row[-1])
 
 
 def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.random.Generator,
-                positions: Sequence[tuple[int, int, int, int]]) -> tuple[np.ndarray, ...]:
+                starts: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
     """The arrays that the random_* generators would wrap (amplitudes and
     detector vectors; the quanton state and detector vectors; or the quanton
     state, detector state and path unitaries) over a stack of trials of one
-    (n, dim) group, unvalidated: `rng` is set to each trial's position after
-    its shape draws (_resume), the rest of the trial is drawn into its row of
-    the raw stack (_draw_row), and the raw blocks are assembled over the
-    whole stack. A complex entry holds the bytes of its two raw reals."""
-    stacks = [np.empty((len(positions), *shape), dtype) for shape, dtype in _trial_rows(scenario, n, dim)]
-    for position, row in zip(positions, zip(*stacks)):
-        _resume(rng, position)
-        _draw_row(scenario, rng, rank, row)
+    (n, dim) group, unvalidated: `rng` is set once to each trial's start
+    (_resume; see _trial_shapes), the rest of the trial is drawn into its row
+    of the raw stack (_draw_row), and the raw blocks are assembled over the
+    whole stack. A mixed trial's quanton rank is `rank`, or its start's last
+    int; its 2 n rank Gaussians wait in its quanton state's row until the
+    states of each rank are formed together. A complex entry holds the bytes
+    of its two raw reals."""
+    stacks = [np.empty((len(starts), *shape), dtype) for shape, dtype in _trial_rows(scenario, n, dim)]
+    rows = zip(*stacks)
+    if scenario != "pure_pure":
+        ranks = [start[4] if rank is None else rank for start in starts]
+        gaussians = stacks[0].view(np.float64).reshape(len(starts), -1)
+        rows = zip([gaussians[i, :2 * n * r] for i, r in enumerate(ranks)], *stacks[1:])
+    for start, row in zip(starts, rows):
+        _resume(rng, start[:4])
+        _draw_row(scenario, rng, row)
     # a NaN in a raw block spreads through the assembly unwarned, and the
     # checks after it reject it and name its trial
     with np.errstate(invalid="ignore"):
@@ -251,6 +302,12 @@ def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.rando
             (raw,) = stacks
             amps, vecs = raw[:, :2 * n].reshape(-1, 2, n), raw[:, 2 * n:].reshape(-1, 2, n, dim)
             return _amplitudes(amps), _unit_vectors(vecs)
+        # sorted(set()), not np.unique: numpy 2.4's first np.unique call in a
+        # process raises its peak RSS by 1.4-1.7 MB
+        for r in sorted(set(ranks)):
+            of_rank = [i for i, trial_rank in enumerate(ranks) if trial_rank == r]
+            g = _complex(gaussians[of_rank, :2 * n * r].reshape(-1, 2, n, r))
+            stacks[0][of_rank] = _normalized_gram(g)
         if scenario == "mixed_pure":
             rho, raw = stacks
             return rho, _unit_vectors(raw)

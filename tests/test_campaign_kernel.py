@@ -155,11 +155,11 @@ def stacks(monkeypatch):
     seen = []
     draw = duality._draw_stack
 
-    def recording(scenario, n, dim, rank, rng, positions):
-        arrays = draw(scenario, n, dim, rank, rng, positions)
+    def recording(scenario, n, dim, rank, rng, starts):
+        arrays = draw(scenario, n, dim, rank, rng, starts)
         held = sum(a.nbytes for a in arrays)
-        assert held == len(positions) * lab_random._trial_bytes(scenario, n, dim)
-        seen.append((len(positions), held))
+        assert held == len(starts) * lab_random._trial_bytes(scenario, n, dim)
+        seen.append((len(starts), held))
         return arrays
 
     monkeypatch.setattr(duality, "_draw_stack", recording)
@@ -204,11 +204,19 @@ def _nbytes(draws):
     return sum(a.nbytes for a in draws)
 
 
-def _draw_trial(scenario, rng, n_choices, detector_dim, rank):
-    """One campaign trial as a campaign draws it: its shape, then the rest
-    from its position after the shape draws, as a stack of one."""
+def _start(scenario, rng, n_choices, detector_dim, rank):
+    """A campaign trial's shape, drawn on `rng`, then any quanton rank draw,
+    and its start: the position after those draws, followed by a drawn rank."""
     n, dim = _draw_shape(rng, n_choices, detector_dim)
-    return n, dim, _draw_stack(scenario, n, dim, rank, rng, [_position(rng)])
+    drawn = () if scenario == "pure_pure" or rank is not None else (int(rng.integers(1, n, endpoint=True)),)
+    return (n, dim), (*_position(rng), *drawn)
+
+
+def _draw_trial(scenario, rng, n_choices, detector_dim, rank):
+    """One campaign trial as a campaign draws it: its shape and rank, then
+    the rest from its start, as a stack of one."""
+    (n, dim), start = _start(scenario, rng, n_choices, detector_dim, rank)
+    return n, dim, _draw_stack(scenario, n, dim, rank, rng, [start])
 
 
 @pytest.mark.parametrize("scenario, n", [("pure_pure", 8), ("mixed_mixed", 6), ("mixed_pure", (2, 8))])
@@ -229,9 +237,9 @@ def test_each_group_is_evaluated_once_it_alone_reaches_the_budget(monkeypatch):
     seen = []
     draw = duality._draw_stack
 
-    def recording(scenario, n, dim, rank, rng, positions):
-        arrays = draw(scenario, n, dim, rank, rng, positions)
-        seen.append(((n, dim), len(positions), _nbytes(arrays) // len(positions)))
+    def recording(scenario, n, dim, rank, rng, starts):
+        arrays = draw(scenario, n, dim, rank, rng, starts)
+        seen.append(((n, dim), len(starts), _nbytes(arrays) // len(starts)))
         return arrays
 
     monkeypatch.setattr(duality, "_draw_stack", recording)
@@ -258,10 +266,26 @@ def test_waiting_trials_hold_only_their_generator_positions(monkeypatch, scenari
     monkeypatch.setattr(duality, "_evaluate_stack", recording)
     run_campaign(scenario, 300, 41, n=tuple(range(2, 9)))
     assert sorted(trial for trial, _ in entries_seen) == list(range(300))
-    # ints only, so no entry holds an ndarray or a numpy scalar
-    for trial, position in entries_seen:
-        assert type(trial) is int and type(position) is tuple and len(position) == 4
-        assert all(type(value) is int for value in position), trial
+    # ints only, so no entry holds an ndarray or a numpy scalar: the four of
+    # the generator position, and a mixed trial's drawn quanton rank
+    for trial, start in entries_seen:
+        assert type(trial) is int and type(start) is tuple and len(start) == (4 if scenario == "pure_pure" else 5)
+        assert all(type(value) is int for value in start), trial
+
+
+@pytest.mark.parametrize("scenario, rank", [("pure_pure", None), ("mixed_pure", None), ("mixed_pure", 2),
+                                            ("mixed_mixed", None), ("mixed_mixed", 1)])
+def test_campaign_sets_its_generator_once_per_trial(monkeypatch, scenario, rank):
+    sets = []
+    resume = lab_random._resume
+
+    def counting(rng, position):
+        sets.append(position)
+        resume(rng, position)
+
+    monkeypatch.setattr(lab_random, "_resume", counting)
+    run_campaign(scenario, 300, 41, n=tuple(range(2, 9)), rank=rank)
+    assert len(sets) == 300
 
 
 def test_campaign_traced_memory_peak_stays_below_3_mb():
@@ -349,20 +373,19 @@ def test_campaigns_in_threads_equal_campaigns_in_sequence():
     assert got == expected
 
 
-def _nan_in_trial(monkeypatch, seed, k, n, detector_dim=None, block=0):
-    """Make the first entry of raw draw `block` of trial k of a campaign on
-    `seed` and path counts `n` a NaN, as its row is drawn: the row draw of
-    trial k is the one that starts where stream(seed, k) stands after its
-    shape draws."""
-    rng = stream(seed, k)
-    lab_random._draw_shape(rng, (n,) if isinstance(n, int) else n, detector_dim)
-    target = lab_random._position(rng)
+def _nan_in_trial(monkeypatch, scenario, seed, k, n, detector_dim=None, block=0):
+    """Make the first entry of raw draw `block` of trial k of a `scenario`
+    campaign on `seed` and path counts `n` a NaN, as its row is drawn: the
+    row draw of trial k is the one that starts where stream(seed, k) stands
+    after its shape draws and, for a mixed scenario, its quanton rank draw.
+    A mixed trial's first raw draw is its quanton's Ginibre Gaussians."""
+    _, target = _start(scenario, stream(seed, k), (n,) if isinstance(n, int) else n, detector_dim, None)
     draw = lab_random._draw_row
 
-    def poisoned(scenario, rng, rank, row):
+    def poisoned(scenario, rng, row):
         start = lab_random._position(rng)
-        draw(scenario, rng, rank, row)
-        if start == target:
+        draw(scenario, rng, row)
+        if start == target[:4]:
             row[block].flat[0] = np.nan
 
     monkeypatch.setattr(lab_random, "_draw_row", poisoned)
@@ -371,7 +394,7 @@ def _nan_in_trial(monkeypatch, seed, k, n, detector_dim=None, block=0):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("k", [0, 7, 40])
 def test_failing_check_names_the_trial(monkeypatch, scenario, k):
-    _nan_in_trial(monkeypatch, 11, k, 3, 3)
+    _nan_in_trial(monkeypatch, scenario, 11, k, 3, 3)
     with pytest.raises(ValueError, match=rf"^trial {k}: ") as info:
         run_campaign(scenario, 60, 11, n=3, detector_dim=3)
     # as on the per-trial path, the first check to see the NaN is a finiteness
@@ -385,7 +408,7 @@ def test_failing_check_names_the_trial(monkeypatch, scenario, k):
 @pytest.mark.parametrize("k", [0, 7, 40])
 def test_nan_in_any_raw_block_names_the_trial(monkeypatch, scenario, block, k):
     # the NaN spreads through the stack's assembly without a warning
-    _nan_in_trial(monkeypatch, 11, k, 3, 3, block)
+    _nan_in_trial(monkeypatch, scenario, 11, k, 3, 3, block)
     with pytest.raises(ValueError, match=rf"^trial {k}: "):
         run_campaign(scenario, 60, 11, n=3, detector_dim=3)
 
@@ -407,7 +430,7 @@ def test_nonfinite_slack_names_its_stack_entry(monkeypatch, stacks, k):
 
 
 def test_failing_trial_exits_two_from_the_cli(monkeypatch, capsys, tmp_path):
-    _nan_in_trial(monkeypatch, 2, 5, 4)
+    _nan_in_trial(monkeypatch, "mixed_pure", 2, 5, 4)
     code = main(["campaign", "--scenario", "mixed_pure", "--n", "4", "--trials", "20", "--seed", "2",
                  "--output", str(tmp_path / "run")])
     assert code == 2

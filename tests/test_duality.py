@@ -250,6 +250,25 @@ def test_run_campaign_rejects_path_counts_that_are_not_integers(no_draws, n):
         run_campaign("pure_pure", 5, 1, n=n)
 
 
+@pytest.mark.parametrize("scenario, kwargs, message", [
+    ("pure_pure", {"trials": True}, "trials must be an integer, got True"),
+    ("pure_pure", {"trials": 3.0}, "trials must be an integer, got 3.0"),
+    ("pure_pure", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ("pure_pure", {"seed": True}, "seed must be an integer, got True"),
+    ("mixed_pure", {"rank": 2.0}, "rank must be an integer, got 2.0"),
+    ("mixed_mixed", {"rank": True}, "rank must be an integer, got True"),
+    ("mixed_pure", {"detector_dim": 3.5}, "detector dimension must be an integer, got 3.5"),
+    ("pure_pure", {"detector_dim": True}, "detector dimension must be an integer, got True"),
+    ("pure_pure", {"n": True}, "path counts must be integers, got True"),
+    ("mixed_pure", {"n": (3, False)}, r"path counts must be integers, got \(3, False\)"),
+])
+def test_run_campaign_rejects_counts_that_are_not_integers(no_draws, scenario, kwargs, message):
+    """A bool or a float is no count, even where its value would pass the range checks."""
+    args = {"trials": 3, "seed": 1, "n": 3, **kwargs}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_campaign(scenario, args.pop("trials"), args.pop("seed"), **args)
+
+
 def _csv(result):
     out = io.StringIO()
     result.to_csv(out)
@@ -259,6 +278,12 @@ def _csv(result):
 @pytest.mark.parametrize("n", [np.int64(3), np.array(3), [np.int32(3)], np.array([3])])
 def test_run_campaign_takes_numpy_path_counts(n):
     assert _csv(run_campaign("mixed_pure", 5, 1, n=n)) == _csv(run_campaign("mixed_pure", 5, 1, n=3))
+
+
+def test_run_campaign_takes_numpy_counts():
+    result = run_campaign("mixed_mixed", np.int64(5), np.uint32(1), n=3, detector_dim=np.int32(4), rank=np.int16(2))
+    assert _csv(result) == _csv(run_campaign("mixed_mixed", 5, 1, n=3, detector_dim=4, rank=2))
+    assert type(result.aggregate()["trials"]) is int and type(result.aggregate()["seed"]) is int
 
 
 @pytest.mark.parametrize("trials", [0, -1, 2**32 + 1])

@@ -8,9 +8,13 @@ from duality_lab.linalg import validate_density
 from duality_lab.measures import distinguishability_pure
 from duality_lab.random import (
     _amplitudes,
+    _bounded,
     _draw_shape,
+    _draw_stack,
+    _ginibre,
     _pcg64_states,
     _position,
+    _resume,
     _trial_shapes,
     _unit_vectors,
     haar_unitary,
@@ -150,13 +154,6 @@ def _spawned_state(seed, k):
     return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))).state
 
 
-def _draws(rng):
-    """Small-range integers (PCG64's 32-bit buffer), normals and uniforms, in
-    an order that leaves half a 64-bit word buffered for the next user."""
-    return (rng.integers(7, size=3).tolist(), rng.standard_normal(4).tolist(), rng.random(2).tolist(),
-            rng.integers(1, 9, size=2).tolist(), rng.standard_normal(1).tolist())
-
-
 STATE_SEEDS = [0, 102, 2**40 + 7, 2**130 + 3]
 STATE_KEYS = [*range(0, 2000, 7), 2**32 - 1]
 
@@ -168,21 +165,33 @@ def test_derived_states_equal_spawned_pcg64_states(seed):
         assert _spawned_state(seed, k)["state"] == {"state": state, "inc": inc}, k
 
 
-def _fresh_shape(seed, k, n_choices, detector_dim):
-    """The shape draws of a fresh stream(seed, k) and its position after them."""
+# r = 0 draws nothing; just above 2^31 about half of the 32-bit words are rejected
+RANGES = (st.sampled_from([0, 1, 2**32 - 2, 2**32 - 1]) | st.integers(2, 64)
+          | st.integers(2**31, 2**31 + 2**12) | st.integers(0, 2**32 - 1))
+
+
+# derandomized, so every numpy that CI runs is tested on the same inputs
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(RANGES, st.integers(-2**40, 2**40), st.integers(0, 2**128 - 1), st.integers(0, 2**127 - 1),
+       st.integers(0, 1), st.integers(0, 2**32 - 1))
+def test_bounded_draw_equals_generator_integers(r, off, state, half_inc, has_uint32, uinteger):
+    """_bounded is Generator.integers(off, off + r, endpoint=True) less off, and
+    leaves the generator where integers leaves it, its 32-bit buffer included."""
+    inc = 2 * half_inc + 1
+    rng = np.random.default_rng(0)
+    _resume(rng, (state, inc, has_uint32, uinteger))
+    value = int(rng.integers(off, off + r, endpoint=True))
+    drawn, state, has_uint32, uinteger = _bounded(r, state, inc, has_uint32, uinteger)
+    assert (drawn, state, inc, has_uint32, uinteger) == (value - off, *_position(rng))
+
+
+def _fresh_shape(seed, k, n_choices, detector_dim, draw_rank):
+    """The shape draws of a fresh stream(seed, k), with `draw_rank` its quanton
+    rank draw, and its position after them followed by any drawn rank."""
     rng = stream(seed, k)
-    return _draw_shape(rng, n_choices, detector_dim), _position(rng)
-
-
-def _shapes_with_draws_between(seed, trials, n_choices, detector_dim):
-    """_trial_shapes on a generator of another seed, which the caller draws
-    with after every step, leaving half a 64-bit word buffered."""
-    rng = np.random.default_rng(1)
-    steps = []
-    for step in _trial_shapes(seed, trials, n_choices, detector_dim, rng):
-        steps.append(step)
-        _draws(rng)
-    return steps
+    n, dim = _draw_shape(rng, n_choices, detector_dim)
+    rank = (int(rng.integers(1, n, endpoint=True)),) if draw_rank else ()
+    return (n, dim), (*_position(rng), *rank)
 
 
 @pytest.mark.parametrize("seed", STATE_SEEDS)
@@ -190,35 +199,46 @@ def _shapes_with_draws_between(seed, trials, n_choices, detector_dim):
                          ids=["drawn_dim", "one_n", "given_dim"])
 def test_trial_shapes_replay_each_fresh_stream(monkeypatch, seed, n_choices, detector_dim):
     """Each trial starts in stream(seed, k)'s state, its 32-bit buffer
-    emptied, across blocks of derived states, even when the caller draws
-    with the generator between two steps."""
+    emptied, across blocks of derived states, with and without a rank draw."""
     monkeypatch.setattr(lab_random, "_STATES_PER_BLOCK", 7)
-    expected = [_fresh_shape(seed, k, n_choices, detector_dim) for k in range(30)]
-    assert list(_trial_shapes(seed, 30, n_choices, detector_dim, stream(seed, 0))) == expected
-    assert _shapes_with_draws_between(seed, 30, n_choices, detector_dim) == expected
+    for draw_rank in (False, True):
+        expected = [_fresh_shape(seed, k, n_choices, detector_dim, draw_rank) for k in range(30)]
+        assert list(_trial_shapes(seed, 30, n_choices, detector_dim, draw_rank)) == expected
 
 
 def test_trial_shapes_cross_a_full_block_of_derived_states():
     seed, trials = 2**130 + 3, lab_random._STATES_PER_BLOCK + 2
-    expected = [_fresh_shape(seed, k, (2, 3), None) for k in range(trials)]
-    assert _shapes_with_draws_between(seed, trials, (2, 3), None) == expected
+    expected = [_fresh_shape(seed, k, (2, 3), None, True) for k in range(trials)]
+    assert list(_trial_shapes(seed, trials, (2, 3), None, True)) == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**160), st.integers(1, 12), st.lists(st.integers(2, 9), min_size=1, max_size=4),
-       st.none() | st.integers(1, 12))
-def test_trial_shapes_equal_fresh_streams_on_any_seed(seed, trials, n_choices, detector_dim):
+# path counts up to 2^31, where the dimension draw rejects about half of its 32-bit words
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2**160), st.integers(1, 12),
+       st.lists(st.integers(2, 9) | st.integers(2**31 - 2**12, 2**31) | st.just(2**31), min_size=1, max_size=4),
+       st.none() | st.integers(1, 12), st.booleans())
+def test_trial_shapes_equal_fresh_streams_on_any_seed(seed, trials, n_choices, detector_dim, draw_rank):
     n_choices = tuple(n_choices)
-    expected = [_fresh_shape(seed, k, n_choices, detector_dim) for k in range(trials)]
-    assert list(_trial_shapes(seed, trials, n_choices, detector_dim, stream(seed, 0))) == expected
-    assert _shapes_with_draws_between(seed, trials, n_choices, detector_dim) == expected
+    expected = [_fresh_shape(seed, k, n_choices, detector_dim, draw_rank) for k in range(trials)]
+    assert list(_trial_shapes(seed, trials, n_choices, detector_dim, draw_rank)) == expected
 
 
 def test_trial_shapes_of_no_trials_draw_nothing():
-    rng = stream(5, 0)
-    before = rng.bit_generator.state
-    assert list(_trial_shapes(5, 0, (2,), None, rng)) == []
-    assert rng.bit_generator.state == before
+    assert list(_trial_shapes(5, 0, (2,), None, True)) == []
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_stacked_ginibre_states_equal_per_state_products(n):
+    """A mixed stack's quanton states, formed per rank over the stack, are
+    _ginibre's products one trial at a time, bit for bit, at every rank and
+    in a stack that mixes the ranks."""
+    ranks = [*range(1, n + 1)] * 2
+    starts = [(*_position(stream(n, k)), rank) for k, rank in enumerate(ranks)]
+    rho, _ = _draw_stack("mixed_pure", n, 3, None, np.random.default_rng(0), starts)
+    for start, rank, state in zip(starts, ranks, rho):
+        rng = np.random.default_rng(0)
+        _resume(rng, start[:4])
+        assert (state == _ginibre(n, rank, rng)).all(), rank
 
 
 @pytest.mark.parametrize("n", range(2, 33))
