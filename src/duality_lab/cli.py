@@ -12,11 +12,16 @@ configuration was malformed or too large to allocate. Options may come
 from a JSON config file (--config); explicit flags override the file,
 the file overrides defaults. Campaigns require an explicit seed so
 reruns are exactly reproducible.
+
+`main` parses every call on the process's one parser (build_parser is
+cached), so a caller that runs many commands in one process pays for
+building argparse once and then only for parsing and its command's work.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -145,7 +150,10 @@ def _merged_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a JSON object")
-        flags = {action.dest: action for action in args.parser._actions}
+        # --help and --config are flags of the command line only: a nested
+        # config file would be neither followed nor read
+        flags = {action.dest: action for action in args.parser._actions
+                 if action.dest not in ("help", "config")}
         for key, value in loaded.items():
             # rho is the one key that is no flag: verify's explicit quanton state
             if key not in flags and not (key == "rho" and args.command == "verify"):
@@ -153,7 +161,7 @@ def _merged_config(args: argparse.Namespace) -> dict:
             if value is not None:  # null means unset
                 cfg[key] = _config_value(flags[key], value) if key in flags else value
     for key, value in vars(args).items():
-        if key in ("config", "handler", "parser") or value is None:
+        if key in ("config", "parser") or value is None:
             continue
         cfg[key] = value
     # numpy's own message for a negative seed would not name the flag
@@ -333,24 +341,37 @@ def cmd_fringe(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one, so that a `main` call in a running process pays only for
+    parsing its argv.
+
+    The shared parser is read-only once built. `parse_args` copies its
+    defaults into a fresh namespace and changes no action, so no call sees
+    another's flags. Each subparser rides in the namespace as `args.parser`
+    (bound by `set_defaults` when the parser is first built), where
+    _merged_config reads its actions to check config keys. The parser holds
+    no handler: `main` looks up `cmd_<command>` on each call, so a later
+    rebinding of one, such as a tracer's wrapper, is what runs.
+    """
     parser = argparse.ArgumentParser(
         prog="duality-lab",
         description="Verify coherence / path-distinguishability duality in n-path interferometers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, handler, seed=True):
+    def common(p, seed=True):
         p.add_argument("--config", help="JSON config file; explicit flags win over its values")
         p.add_argument("--n", type=int, help="number of paths/slits")
         if seed:
             p.add_argument("--seed", type=int, help="root seed (PCG64)")
         p.add_argument("--output", help="output path (default: stdout, campaigns: file prefix)")
         # the subparser rides along so that config values are checked against its flags
-        p.set_defaults(handler=handler, parser=p)
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("verify", help="evaluate one configuration")
-    common(p, cmd_verify)
+    common(p)
     p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--gamma", type=float, help="uniform pairwise detector overlap in [0, 1]")
     p.add_argument("--amplitudes", help="comma-separated path amplitudes (normalized for you)")
@@ -359,21 +380,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"))
 
     p = sub.add_parser("campaign", help="run seeded random trials")
-    common(p, cmd_campaign)
+    common(p)
     p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--trials", type=int)
     p.add_argument("--rank", type=int)
     p.add_argument("--detector-dim", dest="detector_dim", type=int)
 
     p = sub.add_parser("sweep", help="walk the uniform-overlap family over a gamma grid")
-    common(p, cmd_sweep)
+    common(p)
     p.add_argument("--scenario", choices=("pure_pure", "mixed_pure"))
     p.add_argument("--gammas", help="comma-separated gamma values, ascending")
     p.add_argument("--gamma-range", dest="gamma_range", help="start:stop:count, e.g. 0:1:11")
     p.add_argument("--rank", type=int)
 
     p = sub.add_parser("fringe", help="emit one intensity pattern as CSV")
-    common(p, cmd_fringe, seed=False)
+    common(p, seed=False)
     p.add_argument("--gamma", type=float)
     p.add_argument("--grid-points", dest="grid_points", type=int)
 
@@ -382,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.handler(args)
+        return handler(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

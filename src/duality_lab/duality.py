@@ -493,10 +493,10 @@ def run_campaign(scenario: str, trials: int, seed: int,
     depend on execution order and any trial can be replayed in
     isolation; `trials` lies in 1..2^32, so k takes one spawn-key word. `n`
     may be a single path count or a set to draw from, of Python or numpy
-    integers; detector dimension defaults to a uniform draw over n..2n and
-    Ginibre rank over 1..n (detector-state rank over 1..dim). pure_pure
-    draws no rank, so it rejects any `rank`, as the mixed scenarios reject
-    one outside 1..min(n).
+    integers in 2..2^32 - 1; detector dimension defaults to a uniform draw
+    over n..2n and Ginibre rank over 1..n (detector-state rank over
+    1..dim). pure_pure draws no rank, so it rejects any `rank`, as the
+    mixed scenarios reject one outside 1..min(n).
 
     random._trial_shapes computes each trial's first draws on stream(seed, k),
     its shape (n, dim) and a drawn quanton rank, in integer arithmetic, with
@@ -527,8 +527,10 @@ def run_campaign(scenario: str, trials: int, seed: int,
             n_choices = tuple(_integer("path counts", v) for v in n)
         except (TypeError, ValueError):
             raise ValueError(f"path counts must be integers, got {n!r}") from None
-    if not n_choices or any(v < 2 for v in n_choices):
-        raise ValueError(f"path counts must all be >= 2, got {n_choices!r}")
+    # random._bounded draws the detector dimension over n..2n, a range it can
+    # draw only below 2^32
+    if not n_choices or any(not 2 <= v < 1 << 32 for v in n_choices):
+        raise ValueError(f"path counts must lie in 2..2^32 - 1, got {n_choices!r}")
     if detector_dim is not None and detector_dim < 1:
         raise ValueError(f"detector dimension must be >= 1, got {detector_dim}")
     if scenario == "pure_pure" and rank is not None:

@@ -107,6 +107,8 @@ def _bounded(r: int, state: int, inc: int, has_uint32: int, uinteger: int) -> tu
     else PCG64 steps (state mult + inc mod 2^128), outputs rotr64(hi ^ lo,
     state >> 122), and u is the output's low half and its high half is buffered.
     """
+    if not 0 <= r <= _MASK32:  # at r >= 2^32 the threshold is >= 2^32 and no u is accepted
+        raise ValueError(f"a bounded draw's range must lie in 0..2^32 - 1, got {r}")
     if r == 0:
         return 0, state, has_uint32, uinteger
     threshold = (_MASK32 - r) % (r + 1)

@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
+from duality_lab import cli
 from duality_lab.cli import main
 
 
@@ -179,6 +181,78 @@ def test_config_booleans_are_not_complex_numbers(capsys, tmp_path):
         code, _, err = _run(capsys, ["verify", *argv, "--config", str(cfg)])
         assert code == 2
         assert "cannot read complex number from boolean" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "campaign", "sweep", "fringe"])
+@pytest.mark.parametrize("key, value", [("config", "other.json"), ("help", "x")])
+def test_command_line_only_flags_are_no_config_keys(capsys, tmp_path, command, key, value):
+    """--config and --help have a dest like any flag, but a config file that
+    names one is malformed: a nested file would be neither followed nor read."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, key: value}))
+    code, out, err = _run(capsys, [command, "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == f"error: config key {key!r} names no option of {command}\n"
+
+
+# ------------------------------------------------------------ shared parser
+
+def _parser_defaults():
+    """Every default the shared parser holds: each parser's set_defaults and
+    each action's default, the top-level parser's included."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: (dict(p._defaults), [(a.dest, a.default) for a in p._actions])
+            for name, p in {"": parser, **commands.choices}.items()}
+
+
+def test_parser_is_built_once_per_process(capsys, tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        assert main(["verify", "--n", "2", "--gamma", "0.5"]) == 0
+        assert main(["campaign", "--scenario", "pure_pure", "--n", "2", "--trials", "2", "--seed", "1",
+                     "--output", str(tmp_path / "run")]) == 0
+        assert main(["sweep", "--n", "2", "--gammas", "0,1"]) == 0
+        assert main(["fringe", "--n", "2", "--gamma", "0.5", "--grid-points", "256"]) == 0
+        with pytest.raises(SystemExit):
+            main(["verify", "--n", "two"])
+    capsys.readouterr()
+    assert len(built) == 5  # the parser and its four subparsers
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_shared_parser_leaks_nothing_between_calls(capsys, tmp_path):
+    before = _parser_defaults()
+    argv = ["verify", "--n", "2", "--scenario", "pure_pure", "--gamma", "0.6"]
+    code, report, _ = _run(capsys, argv)
+    assert code == 0 and json.loads(report)["coherence"] == pytest.approx(0.6, abs=1e-9)
+
+    # --format csv, then a plain call: JSON again
+    code, csv, _ = _run(capsys, [*argv, "--format", "csv"])
+    assert code == 0 and csv.startswith(",".join(cli.VERIFY_CSV_COLUMNS) + "\n")
+    assert _run(capsys, argv) == (0, report, "")
+
+    # a --config call, then a flag-only call that lacks what the file gave
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma": 0.6, "format": "csv"}))
+    assert _run(capsys, [*argv[:5], "--config", str(cfg)]) == (0, csv, "")
+    assert _run(capsys, argv[:5]) == (2, "", "error: pure_pure needs --amplitudes, --gamma, or --seed\n")
+
+    # a malformed flag, then a good call
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv", "--rank", "two"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert _run(capsys, argv) == (0, report, "")
+    assert _parser_defaults() == before
 
 
 # ----------------------------------------------------------------- campaign

@@ -244,6 +244,36 @@ def test_run_campaign_checks_rank_before_drawing(no_draws):
             run_campaign("pure_pure", 3, 1, n=3, rank=rank)
 
 
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("n", [2**32, (3, 2**32), [2**40, 2]])
+def test_run_campaign_rejects_path_counts_from_2_to_the_32_before_drawing(no_draws, scenario, n):
+    """random._bounded draws the detector dimension over n..2n only for n < 2^32."""
+    with pytest.raises(ValueError, match=r"^path counts must lie in 2\.\.2\^32 - 1, got \("):
+        run_campaign(scenario, 1, 1, n=n)
+
+
+HUGE_PATHS = """
+from duality_lab.duality import run_campaign
+try:
+    run_campaign({scenario!r}, 1, 1, n=2**32)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("scenario", ["mixed_pure", "mixed_mixed"])
+def test_campaign_of_2_to_the_32_paths_exits_instead_of_hanging(child_python, tmp_path, scenario):
+    """At n = 2^32 a mixed campaign's dimension draw once looped forever, so
+    both calls run in a child process, which the fixture's timeout ends."""
+    message = "path counts must lie in 2..2^32 - 1, got (4294967296,)"
+    library = child_python("-c", HUGE_PATHS.format(scenario=scenario))
+    assert (library.returncode, library.stdout, library.stderr) == (0, message + "\n", "")
+    cli = child_python("-m", "duality_lab.cli", "campaign", "--scenario", scenario, "--n", str(2**32),
+                       "--trials", "1", "--seed", "1")
+    assert (cli.returncode, cli.stdout, cli.stderr) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("n", [[2.9, 3.7], 3.0, np.array([2.0, 3.0]), "23", [3, None]])
 def test_run_campaign_rejects_path_counts_that_are_not_integers(no_draws, n):
     with pytest.raises(ValueError, match="^path counts must be integers, got "):

@@ -185,6 +185,25 @@ def test_bounded_draw_equals_generator_integers(r, off, state, half_inc, has_uin
     assert (drawn, state, inc, has_uint32, uinteger) == (value - off, *_position(rng))
 
 
+OUT_OF_RANGE = """
+from duality_lab.random import _bounded
+for r in (-1, 2**32, 2**40):
+    try:
+        _bounded(r, 1, 1, 0, 0)
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_bounded_draw_rejects_ranges_it_cannot_draw(child_python):
+    """At r >= 2^32 Lemire's threshold is >= 2^32 and no word is ever accepted,
+    so the draws run in a child process, which the fixture's timeout ends."""
+    run = child_python("-c", OUT_OF_RANGE)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines() == [f"a bounded draw's range must lie in 0..2^32 - 1, got {r}"
+                                       for r in (-1, 2**32, 2**40)]
+
+
 def _fresh_shape(seed, k, n_choices, detector_dim, draw_rank):
     """The shape draws of a fresh stream(seed, k), with `draw_rank` its quanton
     rank draw, and its position after them followed by any drawn rank."""
