@@ -47,7 +47,8 @@ from .states import (
     PureQuanton,
     _branch_grams,
     _branches,
-    _check_branches,
+    _check_branch_grams,
+    _check_branch_weights,
     _check_composite,
     _check_normalized,
     _check_unitaries,
@@ -62,8 +63,10 @@ VISIBILITY_MAX_PATHS = 3  # the fringe correspondences of the two- and three-sli
 #: bytes of raw draws at which a campaign draws and evaluates an (n, dim)
 #: group of waiting trials as one stack, which caps the stacks and their
 #: temporaries; a waiting trial holds only its generator position and any
-#: drawn rank. A mixed_mixed trial at n = 6 draws about 10 kB, and its stack
-#: needs about five times that while it runs (QR copies, rotated branch kets).
+#: drawn rank. A mixed_mixed trial at n = 6 draws about 10 kB, its detector
+#: Gaussians waiting in its row of the detector states, and its stack needs
+#: about five times that while it runs (QR copies, rotated branch kets, the
+#: weighted branch Grams gathered for their check).
 #: On 1000-trial campaigns, against a 64 KiB budget with drawn trials waiting,
 #: peak RSS stayed flat at 128 KiB and rose 0.7-0.9 MB at 256 KiB and 2.6 MB at
 #: 512 KiB.
@@ -420,12 +423,15 @@ def _mixed_mixed_stack(rho: np.ndarray, rho_d: np.ndarray, unitaries: np.ndarray
     """mixed_mixed from density matrices, detector states and path unitaries:
     C stays below its branch-average bound, and the slack is the gap 1 - C - D_Q.
     Every entry keeps all dim spectral branches; those below the weight cutoff
-    carry weight zero and add exact zeros to the branch averages."""
+    carry weight zero and add exact zeros to the branch averages. So only the
+    weighted branches' Grams are checked, as BranchOverlaps checks the
+    branches that branch_overlaps keeps, in one batch over the stack."""
     reduced = _density(rho * _overlap_factors(unitaries, rho_d))
     coherence = _coherence(reduced)
     weights, kets = _branches(rho_d)
     grams = _branch_grams(unitaries, kets)
-    _check_branches(weights, grams)
+    _check_branch_weights(weights)
+    _check_branch_grams(grams, weights > 0.0)
     dq = _branch_distinguishability(rho.diagonal(axis1=-2, axis2=-1).real, weights, grams)
     bound_margin = _branch_coherence_bound(rho, weights, grams) - coherence
     return _tabulate("mixed_mixed", reduced, include_visibility, coherence, dq, 1.0 - coherence - dq,
@@ -441,10 +447,12 @@ def _evaluate_stack(scenario: str, group: tuple[int, int], rank: int | None, ent
     there on `rng`, the campaign's generator, and assembles the stack as the
     random_* generators assemble one instance.
     The draws are checked once, as the per-object constructors check one
-    instance; a failing check names the trial."""
+    instance; a failing check names the trial. The draws are made before
+    the checks, so a stack too large to allocate raises MemoryError, which
+    names no trial."""
     trials = [trial for trial, _ in entries]
+    arrays = _draw_stack(scenario, *group, rank, rng, [start for _, start in entries])
     try:
-        arrays = _draw_stack(scenario, *group, rank, rng, [start for _, start in entries])
         if scenario == "pure_pure":
             amps, vecs = arrays
             _check_normalized(amps)
@@ -511,7 +519,8 @@ def run_campaign(scenario: str, trials: int, seed: int,
     the first draw, so whether it fits does not depend on the seed. A check
     that fails on the draws raises its usual ValueError, prefixed with
     "trial k: " for the first trial of its stack that fails it (the stack's
-    first trial for a check of the whole stack).
+    first trial for a check of the whole stack). A stack too large to
+    allocate raises MemoryError, which names no trial.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")

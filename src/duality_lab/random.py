@@ -15,11 +15,13 @@ waits as the generator position after them, four ints and the drawn rank.
 When its (n, dim) group is evaluated, `_draw_stack` sets the generator
 once to each trial's position and draws the rest of the trial straight
 into its row of the stack's raw arrays: each Gaussian block from one
-standard_normal call, real parts before imaginary ones. It forms the
-quanton states per rank over the stack and assembles the raw rows with
-the helpers (`_amplitudes`, `_unit_vectors`, `_path_gaussians`,
-`_normalized_gram`) that the public random_* generators run on a single
-instance.
+standard_normal call, real parts before imaginary ones. A Ginibre state's
+Gaussians, the quanton's and a mixed_mixed trial's detector state's, wait
+in the first reals of its own row of the state stack, and `_form_per_rank`
+forms the states of each rank over the stack at once. The raw rows are
+assembled with the helpers (`_amplitudes`, `_unit_vectors`,
+`_path_gaussians`, `_normalized_gram`) that the public random_* generators
+run on a single instance.
 """
 
 from __future__ import annotations
@@ -189,9 +191,31 @@ def _ginibre(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     return _normalized_gram(_complex(rng.standard_normal((2, dim, rank))))
 
 
+def _detector_rank(dim: int, rng: np.random.Generator) -> int:
+    """A Ginibre detector state's rank, drawn uniformly from 1..dim."""
+    return int(rng.integers(1, dim, endpoint=True))
+
+
 def _detector_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Unvalidated Ginibre detector state, its rank drawn uniformly from 1..dim."""
-    return _ginibre(dim, int(rng.integers(1, dim, endpoint=True)), rng)
+    """Unvalidated Ginibre detector state of a drawn rank (_detector_rank)."""
+    return _ginibre(dim, _detector_rank(dim, rng), rng)
+
+
+def _form_per_rank(states: np.ndarray, ranks: Sequence[int]) -> None:
+    """Form a stack of Ginibre states in place: entry i of the (k, dim, dim)
+    complex `states` holds, in its first 2 dim ranks[i] reals, the raw
+    Gaussians of its (dim, ranks[i]) G, and becomes G G^dag / Tr(G G^dag).
+    One batched _normalized_gram forms the states of each rank, which is
+    _ginibre's product on each of them bit for bit."""
+    dim = states.shape[-1]
+    gaussians = states.view(np.float64).reshape(len(states), -1)
+    # a dict, not np.unique: numpy 2.4's first np.unique call in a process
+    # raises its peak RSS by 1.4-1.7 MB
+    of_rank: dict[int, list[int]] = {}
+    for i, rank in enumerate(ranks):
+        of_rank.setdefault(rank, []).append(i)
+    for rank, entries in of_rank.items():
+        states[entries] = _normalized_gram(_complex(gaussians[entries, :2 * dim * rank].reshape(-1, 2, dim, rank)))
 
 
 def _haar(z: np.ndarray) -> np.ndarray:
@@ -265,15 +289,21 @@ def _trial_bytes(scenario: str, n: int, dim: int) -> int:
     return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in _trial_rows(scenario, n, dim))
 
 
-def _draw_row(scenario: str, rng: np.random.Generator, row: Sequence[np.ndarray]) -> None:
+def _draw_row(scenario: str, rng: np.random.Generator, row: Sequence[np.ndarray]) -> int | None:
     """Draw what a trial draws after its shape and quanton rank into `row`,
-    its entry of each stack array: the quanton's Ginibre Gaussians, for
-    mixed_mixed the detector state, then the Gaussian block."""
+    its entry of each stack array: the quanton's Ginibre Gaussians; for
+    mixed_mixed the detector state's rank (_detector_rank) and its 2 dim rank
+    Ginibre Gaussians, into the first reals of the detector state's row; then
+    the Gaussian block. Returns the detector state's rank, or None."""
     if scenario != "pure_pure":
         rng.standard_normal(out=row[0])
+    detector_rank = None
     if scenario == "mixed_mixed":
-        row[1][...] = _detector_state(row[1].shape[-1], rng)
+        dim = row[-1].shape[-1]
+        detector_rank = _detector_rank(dim, rng)
+        rng.standard_normal(out=row[1][:2 * dim * detector_rank])
     rng.standard_normal(out=row[-1])
+    return detector_rank
 
 
 def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.random.Generator,
@@ -285,18 +315,28 @@ def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.rando
     (_resume; see _trial_shapes), the rest of the trial is drawn into its row
     of the raw stack (_draw_row), and the raw blocks are assembled over the
     whole stack. A mixed trial's quanton rank is `rank`, or its start's last
-    int; its 2 n rank Gaussians wait in its quanton state's row until the
-    states of each rank are formed together. A complex entry holds the bytes
-    of its two raw reals."""
-    stacks = [np.empty((len(starts), *shape), dtype) for shape, dtype in _trial_rows(scenario, n, dim)]
+    int. Its 2 n rank Gaussians wait in its quanton state's row, and a
+    mixed_mixed trial's detector Gaussians in its detector state's row, until
+    _form_per_rank forms the states of each rank together. A complex entry
+    holds the bytes of its two raw reals. A stack array whose bytes pass
+    numpy's size limit raises MemoryError, as one too large to allocate does."""
+    stacks = []
+    for shape, dtype in _trial_rows(scenario, n, dim):
+        shape = (len(starts), *shape)
+        try:
+            stacks.append(np.empty(shape, dtype))
+        except ValueError as exc:  # "array is too big"
+            raise MemoryError(f"Unable to allocate an array with shape {shape} and data type "
+                              f"{np.dtype(dtype)}: {exc}") from None
     rows = zip(*stacks)
     if scenario != "pure_pure":
         ranks = [start[4] if rank is None else rank for start in starts]
-        gaussians = stacks[0].view(np.float64).reshape(len(starts), -1)
-        rows = zip([gaussians[i, :2 * n * r] for i, r in enumerate(ranks)], *stacks[1:])
+        reals = [stack.view(np.float64).reshape(len(starts), -1) for stack in stacks[:-1]]
+        rows = zip([reals[0][i, :2 * n * r] for i, r in enumerate(ranks)], *reals[1:], stacks[-1])
+    detector_ranks = []
     for start, row in zip(starts, rows):
         _resume(rng, start[:4])
-        _draw_row(scenario, rng, row)
+        detector_ranks.append(_draw_row(scenario, rng, row))
     # a NaN in a raw block spreads through the assembly unwarned, and the
     # checks after it reject it and name its trial
     with np.errstate(invalid="ignore"):
@@ -304,16 +344,12 @@ def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.rando
             (raw,) = stacks
             amps, vecs = raw[:, :2 * n].reshape(-1, 2, n), raw[:, 2 * n:].reshape(-1, 2, n, dim)
             return _amplitudes(amps), _unit_vectors(vecs)
-        # sorted(set()), not np.unique: numpy 2.4's first np.unique call in a
-        # process raises its peak RSS by 1.4-1.7 MB
-        for r in sorted(set(ranks)):
-            of_rank = [i for i, trial_rank in enumerate(ranks) if trial_rank == r]
-            g = _complex(gaussians[of_rank, :2 * n * r].reshape(-1, 2, n, r))
-            stacks[0][of_rank] = _normalized_gram(g)
+        _form_per_rank(stacks[0], ranks)
         if scenario == "mixed_pure":
             rho, raw = stacks
             return rho, _unit_vectors(raw)
         rho, rho_d, raw = stacks
+        _form_per_rank(rho_d, detector_ranks)
         return rho, rho_d, _haar(_path_gaussians(raw))
 
 

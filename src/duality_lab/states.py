@@ -174,7 +174,8 @@ class BranchOverlaps:
             raise ValueError("weights and branch_grams shapes are inconsistent")
         if grams.shape[1] != grams.shape[2]:
             raise ValueError("branch Gram matrices must be square")
-        _check_branches(w, grams)
+        _check_branch_weights(w)
+        _check_branch_grams(grams)
         wobj = np.array(w, copy=True)
         wobj.setflags(write=False)
         object.__setattr__(self, "weights", wobj)
@@ -185,30 +186,39 @@ class BranchOverlaps:
         return self.branch_grams.shape[1]
 
 
-def _check_branches(w: np.ndarray, grams: np.ndarray) -> None:
-    """BranchOverlaps' checks over stacks of (k,) weights and (k, n, n) Grams:
-    weights nonnegative and summing to one, each Gram Hermitian with unit
-    diagonal and positive semidefinite (one batched eigvalsh). On a Gram
-    failing several checks the message names the first of them. Every test
-    is written so that NaN fails it."""
+def _check_branch_weights(w: np.ndarray) -> None:
+    """BranchOverlaps' weight checks over stacks of (k,) weights: nonnegative
+    and summing to one. Each test is written so that NaN fails it."""
     _raise_first(~(w >= 0.0).all(axis=-1), ValueError,
                  lambda i: f"branch weights must be nonnegative, got {w[i]!r}")
     total = w.sum(axis=-1)
     _raise_first(~(np.abs(total - 1.0) <= DEFAULT_TOL), ValueError,
                  lambda i: f"branch weights sum to {total[i]!r}, expected 1")
-    adjoint = dagger(grams)
-    not_hermitian = ~(np.abs(grams - adjoint).max(axis=(-2, -1)) <= DEFAULT_TOL)
-    diagonal = grams.diagonal(axis1=-2, axis2=-1)
-    not_unit = ~(np.abs(diagonal - 1.0).max(axis=-1) <= DEFAULT_TOL)
-    not_psd = ~(np.linalg.eigvalsh((grams + adjoint) / 2)[..., 0] >= -DEFAULT_TOL)
 
-    def describe(i) -> str:
-        what = ("is not Hermitian" if not_hermitian[i] else
-                "does not have unit diagonal" if not_unit[i] else
-                "is not positive semidefinite")
-        return f"branch Gram {i[-1]} {what}"
 
-    _raise_first(not_hermitian | not_unit | not_psd, ValueError, describe)
+_GRAM_FAULTS = ("", "is not Hermitian", "does not have unit diagonal", "is not positive semidefinite")
+
+
+def _check_branch_grams(grams: np.ndarray, checked: np.ndarray | None = None) -> None:
+    """BranchOverlaps' Gram checks over stacks of (k, n, n) Grams, or only over
+    the Grams where the mask `checked` of their leading axes holds: each
+    Hermitian with unit diagonal and positive semidefinite (one batched
+    eigvalsh over the checked Grams). The message names the first failing
+    Gram, by its index j along the branch axis, and the first check it fails;
+    the exception's index is the Gram's full index in `grams`. Every test is
+    written so that NaN fails it."""
+    tested = grams if checked is None else grams[checked]
+    adjoint = dagger(tested)
+    diagonal = tested.diagonal(axis1=-2, axis2=-1)
+    found = np.select([~(np.abs(tested - adjoint).max(axis=(-2, -1)) <= DEFAULT_TOL),
+                       ~(np.abs(diagonal - 1.0).max(axis=-1) <= DEFAULT_TOL),
+                       ~(np.linalg.eigvalsh((tested + adjoint) / 2)[..., 0] >= -DEFAULT_TOL)], [1, 2, 3])
+    if checked is None:
+        fault = found
+    else:
+        fault = np.zeros(checked.shape, dtype=found.dtype)
+        fault[checked] = found
+    _raise_first(fault > 0, ValueError, lambda i: f"branch Gram {i[-1]} {_GRAM_FAULTS[fault[i]]}")
 
 
 def _check_composite(n: int, dim: int) -> None:
@@ -287,7 +297,8 @@ def _branches(rho_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """branch_overlaps' spectral branches over a stack of detector states:
     weights (..., dim) and kets (..., dim, dim) as in spectral_decompose.
     Branches below BRANCH_WEIGHT_CUTOFF are kept in place with weight zero,
-    so every stack entry has dim of them."""
+    so every stack entry has dim of them; the weighted ones (weights > 0) are
+    those branch_overlaps keeps, and only their Grams need checking."""
     weights, kets = _spectrum(rho_d)
     return np.where(weights >= BRANCH_WEIGHT_CUTOFF, weights, 0.0), kets
 

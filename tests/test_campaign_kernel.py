@@ -59,6 +59,7 @@ from duality_lab.random import (
     _position,
     haar_unitary,
     random_density,
+    random_density_matrix,
     random_detectors,
     random_mixed_detector,
     random_pure,
@@ -66,6 +67,7 @@ from duality_lab.random import (
     uniform_overlap_detectors,
 )
 from duality_lab.states import (
+    BranchOverlaps,
     MixedDetectorInteraction,
     MixedQuanton,
     PureQuanton,
@@ -378,15 +380,18 @@ def _nan_in_trial(monkeypatch, scenario, seed, k, n, detector_dim=None, block=0)
     campaign on `seed` and path counts `n` a NaN, as its row is drawn: the
     row draw of trial k is the one that starts where stream(seed, k) stands
     after its shape draws and, for a mixed scenario, its quanton rank draw.
-    A mixed trial's first raw draw is its quanton's Ginibre Gaussians."""
+    A mixed trial's first raw draw is its quanton's Ginibre Gaussians, and a
+    mixed_mixed trial's second its detector state's; the detector rank that
+    _draw_row returns is passed through."""
     _, target = _start(scenario, stream(seed, k), (n,) if isinstance(n, int) else n, detector_dim, None)
     draw = lab_random._draw_row
 
     def poisoned(scenario, rng, row):
         start = lab_random._position(rng)
-        draw(scenario, rng, row)
+        detector_rank = draw(scenario, rng, row)
         if start == target[:4]:
             row[block].flat[0] = np.nan
+        return detector_rank
 
     monkeypatch.setattr(lab_random, "_draw_row", poisoned)
 
@@ -403,7 +408,7 @@ def test_failing_check_names_the_trial(monkeypatch, scenario, k):
 
 
 # the raw blocks after a trial's first: the detector vectors' Gaussians, or
-# the detector state and the path unitaries' Gaussians
+# the detector state's and the path unitaries' Gaussians
 @pytest.mark.parametrize("scenario, block", [("mixed_pure", 1), ("mixed_mixed", 1), ("mixed_mixed", 2)])
 @pytest.mark.parametrize("k", [0, 7, 40])
 def test_nan_in_any_raw_block_names_the_trial(monkeypatch, scenario, block, k):
@@ -485,6 +490,122 @@ def test_evaluate_matches_oracle_on_degenerate_states(scenario, quanton, detecto
     include_v = quanton.n <= VISIBILITY_MAX_PATHS
     expected = _oracle_report(scenario, quanton, detector, include_v)
     assert EVALUATE[scenario](quanton, detector, include_v) == expected
+
+
+def _near_parallel_detector(n, dim, seed):
+    """A mixed detector whose path unitaries differ by about 1e-7, so every
+    branch Gram is all but the all-ones matrix and nearly singular."""
+    rng = np.random.default_rng(seed)
+    base = haar_unitary(dim, rng)
+    nudges = [lab_random._haar(np.eye(dim) + 1e-7 * lab_random._path_gaussians(rng.standard_normal((2, dim, dim))))
+              for _ in range(n)]
+    return MixedDetectorInteraction(rho_d=random_density_matrix(dim, 3, rng),
+                                    unitaries=np.stack([base @ u for u in nudges]))
+
+
+def _rank_one_detector(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    return MixedDetectorInteraction(rho_d=random_density_matrix(dim, 1, rng),
+                                    unitaries=np.stack([haar_unitary(dim, rng) for _ in range(n)]))
+
+
+def test_stacked_kernel_checks_the_grams_branch_overlaps_checks(monkeypatch):
+    """On a stack of adversarial instances (an exact zero spectral weight, a
+    rank-1 detector state, near-parallel branches, a quanton state with a zero
+    eigenvalue) the kernel checks exactly the Grams that BranchOverlaps is
+    given by branch_overlaps, bit for bit, and its reports equal the oracle's."""
+    instances = [
+        (random_density(3, 2, 11), _zero_weight_detector(3, 4, 12)),
+        (_rank_deficient(3), _rank_one_detector(3, 4, 13)),
+        (random_density(3, 3, 14), _near_parallel_detector(3, 4, 15)),
+        (random_density(3, 1, 16), _rank_one_detector(3, 4, 17)),
+        (_rank_deficient(3), _near_parallel_detector(3, 4, 18)),
+        (random_density(3, 2, 19), random_mixed_detector(3, 4, 20)),
+    ]
+    seen = []
+    check = duality._check_branch_grams
+
+    def recording(grams, checked):
+        seen.append(grams[checked])
+        check(grams, checked)
+
+    monkeypatch.setattr(duality, "_check_branch_grams", recording)
+    rho = np.stack([quanton.rho.matrix for quanton, _ in instances])
+    rho_d = np.stack([detector.rho_d.matrix for _, detector in instances])
+    unitaries = np.stack([detector.unitaries for _, detector in instances])
+    table = duality._mixed_mixed_stack(rho, rho_d, unitaries)
+    branches = [branch_overlaps(detector) for _, detector in instances]
+    assert [len(b.weights) for b in branches[:5]] == [3, 1, 3, 1, 3]
+    (grams,) = seen
+    assert (grams == np.concatenate([b.branch_grams for b in branches])).all()
+    assert table.reports() == [_oracle_report("mixed_mixed", *instance) for instance in instances]
+
+
+# finite faults, one per check, in a 3-path branch Gram
+GRAM_FAULTS = {
+    "is not Hermitian": lambda g: g + np.array([[0, 0.5, 0], [0, 0, 0], [0, 0, 0]]),
+    "does not have unit diagonal": lambda g: g + np.diag([0.5, 0, 0]),
+    "is not positive semidefinite": lambda g: np.array([[1, 0.9, 0.9], [0.9, 1, -0.9], [0.9, -0.9, 1]], dtype=complex),
+}
+
+
+def _poison_branch_grams(monkeypatch, poison):
+    """Make the kernel's branch Grams `poison(grams, weights)`, which edits the
+    (trial, branch, n, n) Grams of a stack in place, given their weights."""
+    seen = {}
+    branches, branch_grams = duality._branches, duality._branch_grams
+
+    def recording(rho_d):
+        seen["weights"], kets = branches(rho_d)
+        return seen["weights"], kets
+
+    def poisoned(unitaries, kets):
+        grams = branch_grams(unitaries, kets)
+        poison(grams, seen["weights"])
+        return grams
+
+    monkeypatch.setattr(duality, "_branches", recording)
+    monkeypatch.setattr(duality, "_branch_grams", poisoned)
+
+
+@pytest.mark.parametrize("fault", GRAM_FAULTS)
+@pytest.mark.parametrize("k", [0, 7, 19])
+def test_bad_weighted_branch_gram_names_its_trial_and_branch(monkeypatch, stacks, fault, k):
+    # one (n, dim) group and one stack, so stack entry k is trial k; the last
+    # weighted branch of trial k is made bad, as BranchOverlaps would see it
+    expected = {}
+
+    def poison(grams, weights):
+        kept = weights[k] > 0.0
+        j = int(np.flatnonzero(kept)[-1])
+        grams[k, j] = GRAM_FAULTS[fault](grams[k, j])
+        with pytest.raises(ValueError) as oracle:
+            BranchOverlaps(weights=weights[k][kept], branch_grams=grams[k][kept])
+        expected["message"] = str(oracle.value)
+
+    _poison_branch_grams(monkeypatch, poison)
+    with pytest.raises(ValueError) as info:
+        run_campaign("mixed_mixed", 20, 8, n=3, detector_dim=4)
+    assert [count for count, _ in stacks] == [20]
+    assert str(info.value) == f"trial {k}: {expected['message']}"
+    assert expected["message"].startswith("branch Gram ") and expected["message"].endswith(fault)
+
+
+@pytest.mark.parametrize("fault", GRAM_FAULTS)
+def test_bad_zero_weight_branch_grams_change_no_output(monkeypatch, fault):
+    """branch_overlaps drops the zero-weight branches, and the kernel weighs
+    them by exact zeros, so their Grams, bad or not, reach no output."""
+    expected = _campaign_bytes("mixed_mixed", 40, 8, n=3, detector_dim=4)
+    poisoned = []
+
+    def poison(grams, weights):
+        for index in np.argwhere(weights == 0.0):
+            grams[tuple(index)] = GRAM_FAULTS[fault](grams[tuple(index)])
+            poisoned.append(index)
+
+    _poison_branch_grams(monkeypatch, poison)
+    assert _campaign_bytes("mixed_mixed", 40, 8, n=3, detector_dim=4) == expected
+    assert len(poisoned) > 10
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,29 @@ def test_campaign_of_2_to_the_32_paths_exits_instead_of_hanging(child_python, tm
     cli = child_python("-m", "duality_lab.cli", "campaign", "--scenario", scenario, "--n", str(2**32),
                        "--trials", "1", "--seed", "1")
     assert (cli.returncode, cli.stdout, cli.stderr) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# n = 2^31: a quanton stack of 2^66 bytes, past numpy's size limit, which numpy
+# reports as a ValueError; n = 2^28: 2^60 bytes, within it but past any 64-bit
+# address space, so the allocation fails on any host, however it overcommits
+TOO_LARGE_TO_ALLOCATE = [(scenario, n) for scenario in ("mixed_pure", "mixed_mixed") for n in (2**31, 2**28)]
+ALLOCATION_FAILED = r"^Unable to allocate .*an array with shape \(1, {n}, {n}\) and data type complex128"
+
+
+@pytest.mark.parametrize("scenario, n", TOO_LARGE_TO_ALLOCATE)
+def test_campaign_too_large_to_allocate_raises_memory_error_naming_no_trial(scenario, n):
+    with pytest.raises(MemoryError, match=ALLOCATION_FAILED.format(n=n)):
+        run_campaign(scenario, 1, 1, n=n)
+
+
+@pytest.mark.parametrize("scenario, n", TOO_LARGE_TO_ALLOCATE)
+def test_campaign_too_large_to_allocate_exits_two_as_too_large(capsys, tmp_path, scenario, n):
+    code = main(["campaign", "--scenario", scenario, "--n", str(n), "--trials", "1", "--seed", "1",
+                 "--output", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert re.match("error: configuration too large: " + ALLOCATION_FAILED.format(n=n)[1:], captured.err)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -21,6 +21,7 @@ from duality_lab.random import (
     random_density,
     random_density_matrix,
     random_detectors,
+    random_mixed_detector,
     random_pure,
     stream,
     uniform_overlap_detectors,
@@ -258,6 +259,28 @@ def test_stacked_ginibre_states_equal_per_state_products(n):
         rng = np.random.default_rng(0)
         _resume(rng, start[:4])
         assert (state == _ginibre(n, rank, rng)).all(), rank
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_stacked_detector_states_equal_the_public_generator(dim):
+    """A mixed_mixed stack's detector states, formed per rank over the stack,
+    and its path unitaries are random_mixed_detector's on each trial's
+    generator, bit for bit, at every detector rank, in a stack that mixes
+    the ranks; the states are compared once validated, as both paths use them."""
+    starts = [(*_position(stream(dim, k)), 1 + k % 2) for k in range(10 * dim + 10)]
+    _, rho_d, unitaries = _draw_stack("mixed_mixed", 2, dim, None, np.random.default_rng(0), starts)
+    ranks = set()
+    for start, state, us in zip(starts, rho_d, unitaries):
+        rng = np.random.default_rng(0)
+        _resume(rng, start[:4])
+        random_density(2, start[4], rng)
+        after_quanton = _position(rng)
+        ranks.add(int(rng.integers(1, dim, endpoint=True)))
+        _resume(rng, after_quanton)
+        expected = random_mixed_detector(2, dim, rng)
+        assert (validate_density(state).matrix == expected.rho_d.matrix).all()
+        assert (us == expected.unitaries).all()
+    assert ranks == set(range(1, dim + 1))
 
 
 @pytest.mark.parametrize("n", range(2, 33))
