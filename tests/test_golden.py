@@ -25,9 +25,9 @@ PATH_COUNTS = {"pure_pure": (2, 3, 4, 5, 6, 7, 8), "mixed_pure": (2, 3, 4, 5, 6,
                "mixed_mixed": (2, 3, 4, 5, 6)}
 
 
-def _campaign(scenario: str, n: int, trials: int, seed: int | None = None) -> list[str]:
+def _campaign(scenario: str, n: int, trials: int, seed: int | None = None, *options: str) -> list[str]:
     return ["campaign", "--scenario", scenario, "--n", str(n), "--trials", str(trials),
-            "--seed", str(100 + n if seed is None else seed), "--output", "run"]
+            "--seed", str(100 + n if seed is None else seed), "--output", "run", *options]
 
 
 CAMPAIGNS = {
@@ -39,6 +39,12 @@ CAMPAIGNS = {
 CAMPAIGNS["campaign_pure_pure_n4_131_trials"] = _campaign("pure_pure", 4, 131)
 # a seed of five 32-bit words, so the mixing of the seed words past the first is pinned
 CAMPAIGNS["campaign_mixed_pure_n5_seed_2p130"] = _campaign("mixed_pure", 5, 50, seed=2**130 + 3)
+# a given quanton rank or detector dimension, which no trial draws
+CAMPAIGNS["campaign_mixed_pure_n5_rank2_dim4"] = _campaign("mixed_pure", 5, 50, None, "--rank", "2",
+                                                           "--detector-dim", "4")
+CAMPAIGNS["campaign_mixed_mixed_n4_rank1_dim3"] = _campaign("mixed_mixed", 4, 50, None, "--rank", "1",
+                                                            "--detector-dim", "3")
+CAMPAIGNS["campaign_pure_pure_n5_dim2"] = _campaign("pure_pure", 5, 50, None, "--detector-dim", "2")
 
 VERIFY_CONFIGS = {
     "pure_pure_gamma": ["--scenario", "pure_pure", "--n", "3", "--gamma", "0.4", "--detector-dim", "5"],
@@ -81,6 +87,12 @@ DIGESTS = {
         'run.csv': 'd35c0ef47646fc1bc3665c10742c363e93e63457be6e01aca1144ed577867c1d',
         'run.json': 'e62ef30e446a846e144cb98d59429b98f836e096fc36362f1e9034c0e3fdcf65',
     },
+    'campaign_mixed_mixed_n4_rank1_dim3': {
+        'exit': '0',
+        'stdout': '9e8163d6c4d2c0adf77b4994b6adb8a22c8081a9a220669ea345cd6f93d342c0',
+        'run.csv': '6874287a0b3b465489771898d2af740f7e0da31cc3d1714e6c2661ff5d6dab81',
+        'run.json': '43442f76235b3267de6ddccde9e89667f4e996486197eaf2ed86dbfad71fb319',
+    },
     'campaign_mixed_mixed_n5': {
         'exit': '0',
         'stdout': '3488416262cf884d10975f214d9bb41a5c2522f4f36b96caa89dfc394c478314',
@@ -116,6 +128,12 @@ DIGESTS = {
         'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
         'run.csv': '908674ed58f6b7ea61ea8cd7056ae08fc97dc35219694157ec09878a937837ab',
         'run.json': '929fbb3242e3c19e70b3789a2b35f4817f67f7428873fe9bc6586816cf918b6a',
+    },
+    'campaign_mixed_pure_n5_rank2_dim4': {
+        'exit': '0',
+        'stdout': 'b949a354f79c0f44a373d87454f0932c2495014c5f2e865b24330d54e8020623',
+        'run.csv': '358cef9e5d25228e0702e29622f994495beae3c4444f457965350b655f30e79f',
+        'run.json': '99d94a832a9a0c8e4cebba9182d38110f3fd2b2dee024d17b6c09c356962d210',
     },
     'campaign_mixed_pure_n5_seed_2p130': {
         'exit': '0',
@@ -170,6 +188,12 @@ DIGESTS = {
         'stdout': 'e8a3d2a9bcd2be11ce4558233856e6399127c493cbbc1a3940e11e400aa5fcc2',
         'run.csv': '4750aa2e406f16f3ffee5c7a2a6460660b677d3bd9a5d1121932d59f44f6a6a8',
         'run.json': 'fe7c3c140f2c7c50ac436033f5943d81b86c28c311a6f8159a28cd814b712172',
+    },
+    'campaign_pure_pure_n5_dim2': {
+        'exit': '0',
+        'stdout': 'b0ab3940fd2e0637e2ff182a68290a98b6429265361f99065a7bca91c24fba46',
+        'run.csv': '2795a79915fa355f20cca9bac89a09e6009533b11226b6478e386b2ab2ae6749',
+        'run.json': '73fe62bbbf973732883f5480751f57ba150cbeb16f443c4447e52dc9fd53f3a4',
     },
     'campaign_pure_pure_n6': {
         'exit': '0',
