@@ -39,7 +39,7 @@ import numpy as np
 from .interference import FringeScan, scan_visibility, symmetric_detectors
 from .linalg import DensityMatrix, _density, _partial_trace_pure, _raise_first, _submatrix_margin, frozen
 from .measures import _branch_coherence_bound, _branch_distinguishability, _coherence, _slack, _uqsd
-from .random import _draw_stack, _trial_bytes, _trial_shapes, stream
+from .random import _draw_stack, _empty_stack, _trial_bytes, _trial_shapes, stream
 from .states import (
     DetectorSet,
     MixedDetectorInteraction,
@@ -62,11 +62,11 @@ SCENARIOS = ("pure_pure", "mixed_pure", "mixed_mixed")
 VISIBILITY_MAX_PATHS = 3  # the fringe correspondences of the two- and three-slit families
 #: bytes of raw draws at which a campaign draws and evaluates an (n, dim)
 #: group of waiting trials as one stack, which caps the stacks and their
-#: temporaries; a waiting trial holds only its generator position and any
-#: drawn rank. A mixed_mixed trial at n = 6 draws about 10 kB, its detector
-#: Gaussians waiting in its row of the detector states, and its stack needs
-#: about five times that while it runs (QR copies, rotated branch kets, the
-#: weighted branch Grams gathered for their check).
+#: temporaries; a waiting trial holds only its generator position. A
+#: mixed_mixed trial at n = 6 draws about 10 kB, its detector Gaussians
+#: waiting in its row of the detector states, and its stack needs about five
+#: times that while it runs (QR copies, rotated branch kets, the weighted
+#: branch Grams gathered for their check).
 #: On 1000-trial campaigns, against a 64 KiB budget with drawn trials waiting,
 #: peak RSS stayed flat at 128 KiB and rose 0.7-0.9 MB at 256 KiB and 2.6 MB at
 #: 512 KiB.
@@ -159,7 +159,8 @@ def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = Fal
     """
     if q.n != d.n:
         raise ValueError(f"path count mismatch: quanton has {q.n}, detectors have {d.n}")
-    return _pure_pure_stack(q.amplitudes[None], d.vectors[None], d.gram[None], include_visibility).reports()[0]
+    reduced = _pure_reduced(q.amplitudes[None], d.vectors[None])
+    return _pure_pure_stack(reduced, q.amplitudes[None], d.gram[None], include_visibility).reports()[0]
 
 
 def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = False) -> DualityReport:
@@ -208,8 +209,8 @@ def sweep_overlap(n: int, gammas: Sequence[float],
     grams = np.stack([d.gram for d in detectors])
     include_v = n <= VISIBILITY_MAX_PATHS
     if isinstance(quanton, PureQuanton):
-        return _pure_pure_stack(quanton.amplitudes, np.stack([d.vectors for d in detectors]), grams,
-                                include_v).reports()
+        reduced = _pure_reduced(quanton.amplitudes, np.stack([d.vectors for d in detectors]))
+        return _pure_pure_stack(reduced, quanton.amplitudes, grams, include_v).reports()
     return _mixed_pure_stack(quanton.rho.matrix, grams, include_v).reports()
 
 
@@ -218,10 +219,11 @@ def _equal_amplitude_quanton(n: int) -> PureQuanton:
 
 
 def _pure_fringe(q: PureQuanton, d: DetectorSet, grid_points: int) -> tuple[FringeScan, DualityReport]:
-    """The sampled fringe of a pure quanton behind pure detectors, and its pure_pure report."""
-    report = evaluate_pure(q, d)
-    reduced = _pure_reduced(q.amplitudes, d.vectors)
-    return scan_visibility(MixedQuanton(rho=DensityMatrix(frozen(reduced))), grid_points), report
+    """The sampled fringe of a pure quanton behind pure detectors, and its
+    pure_pure report, from one reduced state."""
+    reduced = _pure_reduced(q.amplitudes[None], d.vectors[None])
+    report = _pure_pure_stack(reduced, q.amplitudes[None], d.gram[None]).reports()[0]
+    return scan_visibility(MixedQuanton(rho=DensityMatrix(frozen(reduced[0]))), grid_points), report
 
 
 @dataclass(frozen=True)
@@ -395,11 +397,10 @@ def _pure_reduced(amps: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return _density(_partial_trace_pure(amps[..., :, None] * vecs))
 
 
-def _pure_pure_stack(amps: np.ndarray, vecs: np.ndarray, gram: np.ndarray,
+def _pure_pure_stack(reduced: np.ndarray, amps: np.ndarray, gram: np.ndarray,
                      include_visibility: bool = False) -> _Table:
-    """pure_pure from normalized amplitudes, unit detector vectors and their
-    Gram: C + D_Q = 1, with no slack."""
-    reduced = _pure_reduced(amps, vecs)
+    """pure_pure from the reduced states (_pure_reduced), the normalized
+    amplitudes and the detector Gram: C + D_Q = 1, with no slack."""
     coherence = _coherence(reduced)
     return _tabulate("pure_pure", reduced, include_visibility, coherence, _uqsd(np.abs(amps) ** 2, gram),
                      np.zeros_like(coherence), saturated=True)
@@ -442,21 +443,18 @@ def _evaluate_stack(scenario: str, group: tuple[int, int], rank: int | None, ent
                     rng: np.random.Generator, tables: list) -> None:
     """Draw one (n, dim) group of waiting trials as one stack, evaluate it and
     file its table with their trial indices. Each entry is a trial index and
-    its start (the generator position after its shape and rank draws, see
-    random._trial_shapes); _draw_stack draws the rest of each trial from
-    there on `rng`, the campaign's generator, and assembles the stack as the
-    random_* generators assemble one instance.
-    The draws are checked once, as the per-object constructors check one
-    instance; a failing check names the trial. The draws are made before
-    the checks, so a stack too large to allocate raises MemoryError, which
-    names no trial."""
+    its position after its shape draws (random._trial_shapes), from which
+    random._draw_stack draws the rest of the trial on `rng`. The draws are
+    checked once, as the per-object constructors check one instance; a
+    failing check names the trial."""
     trials = [trial for trial, _ in entries]
-    arrays = _draw_stack(scenario, *group, rank, rng, [start for _, start in entries])
+    arrays = _draw_stack(scenario, *group, rank, rng, [position for _, position in entries])
     try:
         if scenario == "pure_pure":
             amps, vecs = arrays
             _check_normalized(amps)
-            table = _pure_pure_stack(amps, vecs, _detector_gram(vecs))
+            gram = _detector_gram(vecs)  # checked before the reduced states, as DetectorSet checks them
+            table = _pure_pure_stack(_pure_reduced(amps, vecs), amps, gram)
         elif scenario == "mixed_pure":
             rho, vecs = arrays
             table = _mixed_pure_stack(_density(rho), _detector_gram(vecs))
@@ -506,21 +504,18 @@ def run_campaign(scenario: str, trials: int, seed: int,
     1..dim). pure_pure draws no rank, so it rejects any `rank`, as the
     mixed scenarios reject one outside 1..min(n).
 
-    random._trial_shapes computes each trial's first draws on stream(seed, k),
-    its shape (n, dim) and a drawn quanton rank, in integer arithmetic, with
-    no generator. The trial then waits in its (n, dim) group as the generator
-    position after those draws: four ints, and the drawn rank. Once a group's
-    trials would draw STACK_BYTES of raw arrays, and for what is left of each
-    group at the end, the group is drawn as one stack on the campaign's one
-    generator, stream(seed, 0), set once to each trial's position
-    (random._draw_stack), and evaluated. So a stack's raw draws stay below
-    STACK_BYTES plus one trial, and only the stack being evaluated holds any.
-    pure_pure checks the largest composite dimension its options allow before
-    the first draw, so whether it fits does not depend on the seed. A check
-    that fails on the draws raises its usual ValueError, prefixed with
-    "trial k: " for the first trial of its stack that fails it (the stack's
-    first trial for a check of the whole stack). A stack too large to
-    allocate raises MemoryError, which names no trial.
+    A trial waits in its (n, dim) group as the position stream(seed, k)
+    stands at after its shape draws (random._trial_shapes). A group is drawn
+    as one stack (random._draw_stack) on the campaign's generator and
+    evaluated once its trials would draw STACK_BYTES of raw arrays, and at
+    the end, as the README's campaign section describes. Before the first
+    draw, the largest trial the options allow, max(n) paths by a detector
+    dimension of `detector_dim` or 2 max(n), must fit: pure_pure's composite
+    dimension and one trial's arrays. So whether a campaign fits does not
+    depend on the seed. A check that fails on the draws raises its usual
+    ValueError, prefixed with "trial k: " for the first trial of its stack
+    that fails it (the stack's first trial for a check of the whole stack).
+    A stack too large to allocate raises MemoryError, which names no trial.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
@@ -546,16 +541,20 @@ def run_campaign(scenario: str, trials: int, seed: int,
         raise ValueError(f"rank is not read by the pure_pure scenario, got {rank}")
     if rank is not None and not 1 <= rank <= min(n_choices):
         raise ValueError(f"rank must lie in 1..{min(n_choices)}, got {rank}")
-    if scenario == "pure_pure":  # the largest composite any seed may draw
-        _check_composite(max(n_choices), detector_dim or 2 * max(n_choices))
+    largest = (max(n_choices), detector_dim or 2 * max(n_choices))  # the largest trial any seed may draw
+    if scenario == "pure_pure":
+        _check_composite(*largest)
+    _empty_stack(scenario, *largest, 1)  # raises MemoryError on every seed, or on none
     tables: list = []
     pending: dict[tuple[int, int], list] = {}
-    rng = stream(seed, 0)  # rejects a negative seed; _draw_stack sets it to each trial's start
-    draw_rank = scenario != "pure_pure" and rank is None
-    for trial, (group, start) in enumerate(_trial_shapes(seed, trials, n_choices, detector_dim, draw_rank)):
+    row_bytes: dict[tuple[int, int], int] = {}  # one trial's draws in each group
+    rng = stream(seed, 0)  # rejects a negative seed; _draw_stack sets it to each trial's position
+    for trial, (group, position) in enumerate(_trial_shapes(seed, trials, n_choices, detector_dim)):
+        if group not in row_bytes:
+            row_bytes[group] = _trial_bytes(scenario, *group)
         entries = pending.setdefault(group, [])
-        entries.append((trial, start))
-        if len(entries) * _trial_bytes(scenario, *group) >= STACK_BYTES:
+        entries.append((trial, position))
+        if len(entries) * row_bytes[group] >= STACK_BYTES:
             _evaluate_stack(scenario, group, rank, pending.pop(group), rng, tables)
     for group, entries in pending.items():
         _evaluate_stack(scenario, group, rank, entries, rng, tables)

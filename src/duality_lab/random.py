@@ -6,29 +6,16 @@ own SeedSequence spawn key, so trial k of a campaign is a pure function
 of (root seed, k) regardless of execution order, and stream(seed, k)
 replays it.
 
-A campaign runs on one PCG64 generator that it owns. `_trial_shapes`
-derives the state stream(seed, k) starts in for each trial k, with those
-of a block of spawn keys at once, by SeedSequence's own arithmetic, and
-computes the trial's first bounded draws from it in Python ints
-(`_bounded`: n, the detector dimension and any quanton rank); the trial
-waits as the generator position after them, four ints and the drawn rank.
-When its (n, dim) group is evaluated, `_draw_stack` sets the generator
-once to each trial's position and draws the rest of the trial straight
-into its row of the stack's raw arrays: each Gaussian block from one
-standard_normal call, real parts before imaginary ones. A Ginibre state's
-Gaussians, the quanton's and a mixed_mixed trial's detector state's, wait
-in the first reals of its own row of the state stack, and `_form_per_rank`
-forms the states of each rank over the stack at once. The raw rows are
-assembled with the helpers (`_amplitudes`, `_unit_vectors`,
-`_path_gaussians`, `_normalized_gram`) that the public random_* generators
-run on a single instance.
+A campaign draws as the README's campaign section describes:
+`_trial_shapes` computes each trial's shape and the PCG64 position after
+it without a generator, and `_draw_stack` draws the rest of an (n, dim)
+group's trials from their positions into one stack, assembled with the
+helpers that the public random_* generators run on a single instance.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -100,19 +87,20 @@ def _pcg64_states(seed: int, keys: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
-def _bounded(r: int, state: int, inc: int, has_uint32: int, uinteger: int) -> tuple[int, int, int, int]:
+def _bounded(r: int, position: tuple[int, int, int, int]) -> tuple[int, tuple[int, int, int, int]]:
     """Generator.integers(off, off + r, endpoint=True) - off for 0 <= r < 2^32 on
-    a PCG64 generator at (state, inc, has_uint32, uinteger), and the state,
-    has_uint32 and uinteger it leaves. r = 0 draws nothing. Otherwise Lemire's
-    method redraws u (r + 1) while its low 32 bits are < (2^32 - 1 - r) mod
-    (r + 1) and returns its high bits. A u is the buffered half if one is held;
-    else PCG64 steps (state mult + inc mod 2^128), outputs rotr64(hi ^ lo,
-    state >> 122), and u is the output's low half and its high half is buffered.
+    a PCG64 generator at `position` (see _position), and the position it
+    leaves. r = 0 draws nothing. Otherwise Lemire's method redraws u (r + 1)
+    while its low 32 bits are < (2^32 - 1 - r) mod (r + 1) and returns its
+    high bits. A u is the buffered half if one is held; else PCG64 steps
+    (state mult + inc mod 2^128), outputs rotr64(hi ^ lo, state >> 122), and
+    u is the output's low half and its high half is buffered.
     """
     if not 0 <= r <= _MASK32:  # at r >= 2^32 the threshold is >= 2^32 and no u is accepted
         raise ValueError(f"a bounded draw's range must lie in 0..2^32 - 1, got {r}")
     if r == 0:
-        return 0, state, has_uint32, uinteger
+        return 0, position
+    state, inc, has_uint32, uinteger = position
     threshold = (_MASK32 - r) % (r + 1)
     while True:
         if has_uint32:
@@ -124,7 +112,7 @@ def _bounded(r: int, state: int, inc: int, has_uint32: int, uinteger: int) -> tu
             u, has_uint32, uinteger = output & _MASK32, 1, output >> 32
         m = u * (r + 1)
         if m & _MASK32 >= threshold:
-            return m >> 32, state, has_uint32, uinteger
+            return m >> 32, (state, inc, has_uint32, uinteger)
 
 
 def _position(rng: np.random.Generator) -> tuple[int, int, int, int]:
@@ -239,33 +227,23 @@ def _draw_shape(rng: np.random.Generator, n_choices, detector_dim: int | None) -
     return n, detector_dim if detector_dim is not None else int(rng.integers(n, 2 * n, endpoint=True))
 
 
-def _trial_shapes(seed: int, trials: int, n_choices: Sequence[int], detector_dim: int | None,
-                  draw_rank: bool) -> Iterator[tuple[tuple[int, int], tuple[int, ...]]]:
-    """For each trial k in 0..trials - 1 (at most 2^32 of them), its shape
-    (n, dim) and its start, computed from the state stream(seed, k) starts
-    in (_pcg64_states) without a generator.
-
-    The shape is what _draw_shape draws on stream(seed, k); with `draw_rank`,
-    the quanton rank, uniform over 1..n, is the next bounded draw (_bounded).
-    The start is the generator position after those draws, four ints as
-    _position reads them, followed by the drawn rank.
-    """
-    seed = operator.index(seed)
+def _trial_shapes(seed: int, trials: int, n_choices: Sequence[int],
+                  detector_dim: int | None) -> Iterator[tuple[tuple[int, int], tuple[int, int, int, int]]]:
+    """For each trial k in 0..trials - 1 (at most 2^32 of them), the shape
+    (n, dim) that _draw_shape draws on stream(seed, k) and the position
+    (_position) it leaves, computed with _bounded from the state
+    stream(seed, k) starts in (_pcg64_states), with no generator."""
     last = len(n_choices) - 1
     for first in range(0, trials, _STATES_PER_BLOCK):
         keys = np.arange(first, min(first + _STATES_PER_BLOCK, trials), dtype=np.uint32)
         for state, inc in _pcg64_states(seed, keys):
-            i, state, has_uint32, uinteger = _bounded(last, state, inc, 0, 0)
+            i, position = _bounded(last, (state, inc, 0, 0))
             n = n_choices[i]
             dim = detector_dim
             if dim is None:
-                dim, state, has_uint32, uinteger = _bounded(n, state, inc, has_uint32, uinteger)
+                dim, position = _bounded(n, position)
                 dim += n
-            if draw_rank:
-                rank, state, has_uint32, uinteger = _bounded(n - 1, state, inc, has_uint32, uinteger)
-                yield (n, dim), (state, inc, has_uint32, uinteger, 1 + rank)
-            else:
-                yield (n, dim), (state, inc, has_uint32, uinteger)
+            yield (n, dim), position
 
 
 def _trial_rows(scenario: str, n: int, dim: int) -> tuple[tuple[tuple[int, ...], type], ...]:
@@ -282,11 +260,25 @@ def _trial_rows(scenario: str, n: int, dim: int) -> tuple[tuple[tuple[int, ...],
     return ((n, n), np.complex128), ((dim, dim), np.complex128), ((n, 2, dim, dim), np.float64)
 
 
-@functools.lru_cache(maxsize=1024)  # read once per campaign trial, as it joins its group
 def _trial_bytes(scenario: str, n: int, dim: int) -> int:
     """The bytes of one trial's row of a stack (see _trial_rows). They do not
     depend on the quanton rank: its Gaussians wait in the quanton state's row."""
     return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in _trial_rows(scenario, n, dim))
+
+
+def _empty_stack(scenario: str, n: int, dim: int, trials: int) -> list[np.ndarray]:
+    """Uninitialized stack arrays (_trial_rows) for `trials` trials of an (n, dim)
+    group. An array whose bytes pass numpy's size limit raises MemoryError, as
+    one too large to allocate does."""
+    stacks = []
+    for shape, dtype in _trial_rows(scenario, n, dim):
+        shape = (trials, *shape)
+        try:
+            stacks.append(np.empty(shape, dtype))
+        except ValueError as exc:  # "array is too big"
+            raise MemoryError(f"Unable to allocate an array with shape {shape} and data type "
+                              f"{np.dtype(dtype)}: {exc}") from None
+    return stacks
 
 
 def _draw_row(scenario: str, rng: np.random.Generator, row: Sequence[np.ndarray]) -> int | None:
@@ -307,35 +299,28 @@ def _draw_row(scenario: str, rng: np.random.Generator, row: Sequence[np.ndarray]
 
 
 def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.random.Generator,
-                starts: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+                positions: Sequence[tuple[int, int, int, int]]) -> tuple[np.ndarray, ...]:
     """The arrays that the random_* generators would wrap (amplitudes and
     detector vectors; the quanton state and detector vectors; or the quanton
     state, detector state and path unitaries) over a stack of trials of one
-    (n, dim) group, unvalidated: `rng` is set once to each trial's start
-    (_resume; see _trial_shapes), the rest of the trial is drawn into its row
-    of the raw stack (_draw_row), and the raw blocks are assembled over the
-    whole stack. A mixed trial's quanton rank is `rank`, or its start's last
-    int. Its 2 n rank Gaussians wait in its quanton state's row, and a
-    mixed_mixed trial's detector Gaussians in its detector state's row, until
-    _form_per_rank forms the states of each rank together. A complex entry
-    holds the bytes of its two raw reals. A stack array whose bytes pass
-    numpy's size limit raises MemoryError, as one too large to allocate does."""
-    stacks = []
-    for shape, dtype in _trial_rows(scenario, n, dim):
-        shape = (len(starts), *shape)
-        try:
-            stacks.append(np.empty(shape, dtype))
-        except ValueError as exc:  # "array is too big"
-            raise MemoryError(f"Unable to allocate an array with shape {shape} and data type "
-                              f"{np.dtype(dtype)}: {exc}") from None
+    (n, dim) group, unvalidated, from each trial's position after its shape
+    (see _trial_shapes). A mixed trial's quanton rank is `rank`, or else its
+    next draw (_bounded); `rng` is then set once to where the trial stands
+    (_resume), the rest of the trial is drawn into its row of the raw stack
+    (_draw_row), and the raw blocks are assembled over the whole stack. A
+    complex entry holds the bytes of its two raw reals (_empty_stack)."""
+    stacks = _empty_stack(scenario, n, dim, len(positions))
     rows = zip(*stacks)
     if scenario != "pure_pure":
-        ranks = [start[4] if rank is None else rank for start in starts]
-        reals = [stack.view(np.float64).reshape(len(starts), -1) for stack in stacks[:-1]]
+        ranks = [rank] * len(positions)
+        if rank is None:
+            draws = [_bounded(n - 1, position) for position in positions]
+            ranks, positions = [1 + r for r, _ in draws], [position for _, position in draws]
+        reals = [stack.view(np.float64).reshape(len(positions), -1) for stack in stacks[:-1]]
         rows = zip([reals[0][i, :2 * n * r] for i, r in enumerate(ranks)], *reals[1:], stacks[-1])
     detector_ranks = []
-    for start, row in zip(starts, rows):
-        _resume(rng, start[:4])
+    for position, row in zip(positions, rows):
+        _resume(rng, position)
         detector_ranks.append(_draw_row(scenario, rng, row))
     # a NaN in a raw block spreads through the assembly unwarned, and the
     # checks after it reject it and name its trial

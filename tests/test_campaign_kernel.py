@@ -206,19 +206,16 @@ def _nbytes(draws):
     return sum(a.nbytes for a in draws)
 
 
-def _start(scenario, rng, n_choices, detector_dim, rank):
-    """A campaign trial's shape, drawn on `rng`, then any quanton rank draw,
-    and its start: the position after those draws, followed by a drawn rank."""
-    n, dim = _draw_shape(rng, n_choices, detector_dim)
-    drawn = () if scenario == "pure_pure" or rank is not None else (int(rng.integers(1, n, endpoint=True)),)
-    return (n, dim), (*_position(rng), *drawn)
+def _start(rng, n_choices, detector_dim):
+    """A campaign trial's shape, drawn on `rng`, and the position after it."""
+    return _draw_shape(rng, n_choices, detector_dim), _position(rng)
 
 
 def _draw_trial(scenario, rng, n_choices, detector_dim, rank):
-    """One campaign trial as a campaign draws it: its shape and rank, then
-    the rest from its start, as a stack of one."""
-    (n, dim), start = _start(scenario, rng, n_choices, detector_dim, rank)
-    return n, dim, _draw_stack(scenario, n, dim, rank, rng, [start])
+    """One campaign trial as a campaign draws it: its shape, then the rest
+    from the position after it, as a stack of one."""
+    (n, dim), position = _start(rng, n_choices, detector_dim)
+    return n, dim, _draw_stack(scenario, n, dim, rank, rng, [position])
 
 
 @pytest.mark.parametrize("scenario, n", [("pure_pure", 8), ("mixed_mixed", 6), ("mixed_pure", (2, 8))])
@@ -269,10 +266,10 @@ def test_waiting_trials_hold_only_their_generator_positions(monkeypatch, scenari
     run_campaign(scenario, 300, 41, n=tuple(range(2, 9)))
     assert sorted(trial for trial, _ in entries_seen) == list(range(300))
     # ints only, so no entry holds an ndarray or a numpy scalar: the four of
-    # the generator position, and a mixed trial's drawn quanton rank
-    for trial, start in entries_seen:
-        assert type(trial) is int and type(start) is tuple and len(start) == (4 if scenario == "pure_pure" else 5)
-        assert all(type(value) is int for value in start), trial
+    # the generator position, in every scenario
+    for trial, position in entries_seen:
+        assert type(trial) is int and type(position) is tuple and len(position) == 4
+        assert all(type(value) is int for value in position), trial
 
 
 @pytest.mark.parametrize("scenario, rank", [("pure_pure", None), ("mixed_pure", None), ("mixed_pure", 2),
@@ -383,13 +380,17 @@ def _nan_in_trial(monkeypatch, scenario, seed, k, n, detector_dim=None, block=0)
     A mixed trial's first raw draw is its quanton's Ginibre Gaussians, and a
     mixed_mixed trial's second its detector state's; the detector rank that
     _draw_row returns is passed through."""
-    _, target = _start(scenario, stream(seed, k), (n,) if isinstance(n, int) else n, detector_dim, None)
+    rng = stream(seed, k)
+    (paths, _), _ = _start(rng, (n,) if isinstance(n, int) else n, detector_dim)
+    if scenario != "pure_pure":
+        rng.integers(1, paths, endpoint=True)
+    target = _position(rng)
     draw = lab_random._draw_row
 
     def poisoned(scenario, rng, row):
         start = lab_random._position(rng)
         detector_rank = draw(scenario, rng, row)
-        if start == target[:4]:
+        if start == target:
             row[block].flat[0] = np.nan
         return detector_rank
 
@@ -644,6 +645,21 @@ def test_no_command_forms_the_joint_state(monkeypatch, capsys, tmp_path):
     for argv in commands:
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+def test_fringe_reduces_its_state_once(monkeypatch, capsys):
+    """fringe scans the reduced state that the pure_pure kernel reads."""
+    traces = []
+    trace = duality._partial_trace_pure
+
+    def counting(psi):
+        traces.append(psi.shape)
+        return trace(psi)
+
+    monkeypatch.setattr(duality, "_partial_trace_pure", counting)
+    assert main(["fringe", "--n", "3", "--gamma", "0.5", "--grid-points", "256"]) == 0
+    capsys.readouterr()
+    assert traces == [(1, 3, 3)]
 
 
 def test_no_command_composes_pure_pure_outside_the_kernel(monkeypatch, capsys):

@@ -288,6 +288,15 @@ def test_campaign_too_large_to_allocate_raises_memory_error_naming_no_trial(scen
         run_campaign(scenario, 1, 1, n=n)
 
 
+@pytest.mark.parametrize("scenario", ["mixed_pure", "mixed_mixed"])
+@pytest.mark.parametrize("seed", range(6))
+def test_campaign_that_may_draw_too_large_a_trial_fails_on_every_seed(no_draws, scenario, seed):
+    """Whether a campaign fits does not depend on the path counts its seed draws:
+    the largest trial its options allow is allocated before the first draw."""
+    with pytest.raises(MemoryError, match=ALLOCATION_FAILED.format(n=2**28)):
+        run_campaign(scenario, 1, seed, n=(2, 2**28))
+
+
 @pytest.mark.parametrize("scenario, n", TOO_LARGE_TO_ALLOCATE)
 def test_campaign_too_large_to_allocate_exits_two_as_too_large(capsys, tmp_path, scenario, n):
     code = main(["campaign", "--scenario", scenario, "--n", str(n), "--trials", "1", "--seed", "1",

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,15 +184,14 @@ def test_bounded_draw_equals_generator_integers(r, off, state, half_inc, has_uin
     rng = np.random.default_rng(0)
     _resume(rng, (state, inc, has_uint32, uinteger))
     value = int(rng.integers(off, off + r, endpoint=True))
-    drawn, state, has_uint32, uinteger = _bounded(r, state, inc, has_uint32, uinteger)
-    assert (drawn, state, inc, has_uint32, uinteger) == (value - off, *_position(rng))
+    assert _bounded(r, (state, inc, has_uint32, uinteger)) == (value - off, _position(rng))
 
 
 OUT_OF_RANGE = """
 from duality_lab.random import _bounded
 for r in (-1, 2**32, 2**40):
     try:
-        _bounded(r, 1, 1, 0, 0)
+        _bounded(r, (1, 1, 0, 0))
     except ValueError as exc:
         print(exc)
 """
@@ -205,13 +206,10 @@ def test_bounded_draw_rejects_ranges_it_cannot_draw(child_python):
                                        for r in (-1, 2**32, 2**40)]
 
 
-def _fresh_shape(seed, k, n_choices, detector_dim, draw_rank):
-    """The shape draws of a fresh stream(seed, k), with `draw_rank` its quanton
-    rank draw, and its position after them followed by any drawn rank."""
+def _fresh_shape(seed, k, n_choices, detector_dim):
+    """The shape draws of a fresh stream(seed, k) and its position after them."""
     rng = stream(seed, k)
-    n, dim = _draw_shape(rng, n_choices, detector_dim)
-    rank = (int(rng.integers(1, n, endpoint=True)),) if draw_rank else ()
-    return (n, dim), (*_position(rng), *rank)
+    return _draw_shape(rng, n_choices, detector_dim), _position(rng)
 
 
 @pytest.mark.parametrize("seed", STATE_SEEDS)
@@ -219,46 +217,54 @@ def _fresh_shape(seed, k, n_choices, detector_dim, draw_rank):
                          ids=["drawn_dim", "one_n", "given_dim"])
 def test_trial_shapes_replay_each_fresh_stream(monkeypatch, seed, n_choices, detector_dim):
     """Each trial starts in stream(seed, k)'s state, its 32-bit buffer
-    emptied, across blocks of derived states, with and without a rank draw."""
+    emptied, across blocks of derived states."""
     monkeypatch.setattr(lab_random, "_STATES_PER_BLOCK", 7)
-    for draw_rank in (False, True):
-        expected = [_fresh_shape(seed, k, n_choices, detector_dim, draw_rank) for k in range(30)]
-        assert list(_trial_shapes(seed, 30, n_choices, detector_dim, draw_rank)) == expected
+    expected = [_fresh_shape(seed, k, n_choices, detector_dim) for k in range(30)]
+    assert list(_trial_shapes(seed, 30, n_choices, detector_dim)) == expected
 
 
 def test_trial_shapes_cross_a_full_block_of_derived_states():
     seed, trials = 2**130 + 3, lab_random._STATES_PER_BLOCK + 2
-    expected = [_fresh_shape(seed, k, (2, 3), None, True) for k in range(trials)]
-    assert list(_trial_shapes(seed, trials, (2, 3), None, True)) == expected
+    expected = [_fresh_shape(seed, k, (2, 3), None) for k in range(trials)]
+    assert list(_trial_shapes(seed, trials, (2, 3), None)) == expected
 
 
 # path counts up to 2^31, where the dimension draw rejects about half of its 32-bit words
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(0, 2**160), st.integers(1, 12),
        st.lists(st.integers(2, 9) | st.integers(2**31 - 2**12, 2**31) | st.just(2**31), min_size=1, max_size=4),
-       st.none() | st.integers(1, 12), st.booleans())
-def test_trial_shapes_equal_fresh_streams_on_any_seed(seed, trials, n_choices, detector_dim, draw_rank):
+       st.none() | st.integers(1, 12))
+def test_trial_shapes_equal_fresh_streams_on_any_seed(seed, trials, n_choices, detector_dim):
     n_choices = tuple(n_choices)
-    expected = [_fresh_shape(seed, k, n_choices, detector_dim, draw_rank) for k in range(trials)]
-    assert list(_trial_shapes(seed, trials, n_choices, detector_dim, draw_rank)) == expected
+    shapes = list(_trial_shapes(seed, trials, n_choices, detector_dim))
+    assert shapes == [_fresh_shape(seed, k, n_choices, detector_dim) for k in range(trials)]
+    # a mixed trial's quanton rank, which its stack draws next from that position
+    for k, ((n, _), position) in enumerate(shapes):
+        rng = stream(seed, k)
+        _draw_shape(rng, n_choices, detector_dim)
+        rank = int(rng.integers(1, n, endpoint=True))
+        assert _bounded(n - 1, position) == (rank - 1, _position(rng)), k
 
 
 def test_trial_shapes_of_no_trials_draw_nothing():
-    assert list(_trial_shapes(5, 0, (2,), None, True)) == []
+    assert list(_trial_shapes(5, 0, (2,), None)) == []
 
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_stacked_ginibre_states_equal_per_state_products(n):
-    """A mixed stack's quanton states, formed per rank over the stack, are
-    _ginibre's products one trial at a time, bit for bit, at every rank and
-    in a stack that mixes the ranks."""
-    ranks = [*range(1, n + 1)] * 2
-    starts = [(*_position(stream(n, k)), rank) for k, rank in enumerate(ranks)]
-    rho, _ = _draw_stack("mixed_pure", n, 3, None, np.random.default_rng(0), starts)
-    for start, rank, state in zip(starts, ranks, rho):
+    """A mixed stack's quanton states, their ranks drawn by the stack and
+    formed per rank over it, are _ginibre's products one trial at a time,
+    bit for bit, at every rank and in a stack that mixes the ranks."""
+    positions = [_position(stream(n, k)) for k in range(10 * n)]
+    rho, _ = _draw_stack("mixed_pure", n, 3, None, np.random.default_rng(0), positions)
+    ranks = Counter()
+    for position, state in zip(positions, rho):
         rng = np.random.default_rng(0)
-        _resume(rng, start[:4])
+        _resume(rng, position)
+        rank = int(rng.integers(1, n, endpoint=True))
+        ranks[rank] += 1
         assert (state == _ginibre(n, rank, rng)).all(), rank
+    assert min(ranks[rank] for rank in range(1, n + 1)) >= 2
 
 
 @pytest.mark.parametrize("dim", range(1, 17))
@@ -267,20 +273,22 @@ def test_stacked_detector_states_equal_the_public_generator(dim):
     and its path unitaries are random_mixed_detector's on each trial's
     generator, bit for bit, at every detector rank, in a stack that mixes
     the ranks; the states are compared once validated, as both paths use them."""
-    starts = [(*_position(stream(dim, k)), 1 + k % 2) for k in range(10 * dim + 10)]
-    _, rho_d, unitaries = _draw_stack("mixed_mixed", 2, dim, None, np.random.default_rng(0), starts)
-    ranks = set()
-    for start, state, us in zip(starts, rho_d, unitaries):
+    positions = [_position(stream(dim, k)) for k in range(10 * dim + 10)]
+    _, rho_d, unitaries = _draw_stack("mixed_mixed", 2, dim, None, np.random.default_rng(0), positions)
+    quanton_ranks, ranks = Counter(), Counter()
+    for position, state, us in zip(positions, rho_d, unitaries):
         rng = np.random.default_rng(0)
-        _resume(rng, start[:4])
-        random_density(2, start[4], rng)
+        _resume(rng, position)
+        quanton_rank = int(rng.integers(1, 2, endpoint=True))
+        quanton_ranks[quanton_rank] += 1
+        random_density(2, quanton_rank, rng)
         after_quanton = _position(rng)
-        ranks.add(int(rng.integers(1, dim, endpoint=True)))
+        ranks[int(rng.integers(1, dim, endpoint=True))] += 1
         _resume(rng, after_quanton)
         expected = random_mixed_detector(2, dim, rng)
         assert (validate_density(state).matrix == expected.rho_d.matrix).all()
         assert (us == expected.unitaries).all()
-    assert ranks == set(range(1, dim + 1))
+    assert min(quanton_ranks[1], quanton_ranks[2], *(ranks[rank] for rank in range(1, dim + 1))) >= 2
 
 
 @pytest.mark.parametrize("n", range(2, 33))
