@@ -27,7 +27,6 @@ same way, as columns that evaluate_* and sweep_overlap pack into reports.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import operator
@@ -326,15 +325,16 @@ class CampaignResult:
 
     def to_csv(self, path_or_file) -> None:
         """One row per trial, fixed column order, 17 significant digits."""
-        _write_csv(path_or_file, CSV_COLUMNS, {"trial": range(self.trials), "seed": itertools.repeat(self.seed),
-                                               "scenario": itertools.repeat(self.scenario), **self.table.values,
+        _write_csv(path_or_file, CSV_COLUMNS, {"trial": range(self.trials), "seed": self.seed,
+                                               "scenario": self.scenario, **self.table.values,
                                                **self.table.residuals, "passed": self.table.passed})
 
 
 def _cells(column) -> Iterator[str]:
-    """One CSV column's cells: floats with 17 significant digits (they
-    round-trip exactly), bools as true/false and None as an empty cell."""
-    for value in column.tolist() if isinstance(column, np.ndarray) else column:
+    """The cells of a column of Python values: floats with 17 significant
+    digits (they round-trip exactly), bools as true/false and None as an
+    empty cell."""
+    for value in column:
         if isinstance(value, float):
             yield f"{value:.17g}"
         elif isinstance(value, bool):
@@ -344,16 +344,34 @@ def _cells(column) -> Iterator[str]:
 
 
 def _write_csv(path_or_file, header: Sequence[str], columns: dict, comment: str | None = None) -> None:
-    """Write an optional `# comment` line, then the `header` columns as CSV rows;
-    a missing column is empty. Each row is formatted by one printf template:
-    %.17g for a float array's column, %s over `_cells` for any other column."""
+    """Write an optional `# comment` line, then the `header` columns as CSV rows,
+    each formatted by one printf template. A constant column (a scalar, such
+    as a campaign's seed) is a literal in the template, its cell formatted by
+    `_cells`, and a missing column an empty one. A float array is written
+    with %.17g, an int array or a range with %d, a bool array as true/false,
+    and any other column, such as a list that holds None, by `_cells`."""
     if not hasattr(path_or_file, "write"):
         with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
             return _write_csv(fh, header, columns, comment)
-    floats = [isinstance(columns.get(name), np.ndarray) and columns[name].dtype.kind == "f" for name in header]
-    template = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
-    cells = [columns[name].tolist() if f else _cells(columns.get(name, itertools.repeat(None)))
-             for name, f in zip(header, floats)]
+    fields, cells = [], []
+    for name in header:
+        column = columns.get(name)
+        if column is None or np.isscalar(column):
+            fields.append(next(_cells([column])).replace("%", "%%"))
+        elif isinstance(column, range):
+            fields.append("%d")
+            cells.append(column)
+        elif isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
+            if column.dtype.kind == "b":
+                fields.append("%s")
+                column = np.where(column, "true", "false")
+            else:
+                fields.append("%.17g" if column.dtype.kind == "f" else "%d")
+            cells.append(column.tolist())
+        else:
+            fields.append("%s")
+            cells.append(_cells(column))
+    template = ",".join(fields) + "\n"
     if comment is not None:
         path_or_file.write(f"# {comment}\n")
     path_or_file.write(",".join(header) + "\n")

@@ -17,6 +17,7 @@ from .linalg import (
     DEFAULT_TOL,
     MAX_COMPOSITE_DIM,
     DensityMatrix,
+    _lowest_eigenvalues,
     _raise_first,
     _spectrum,
     as_vector,
@@ -202,17 +203,19 @@ _GRAM_FAULTS = ("", "is not Hermitian", "does not have unit diagonal", "is not p
 def _check_branch_grams(grams: np.ndarray, checked: np.ndarray | None = None) -> None:
     """BranchOverlaps' Gram checks over stacks of (k, n, n) Grams, or only over
     the Grams where the mask `checked` of their leading axes holds: each
-    Hermitian with unit diagonal and positive semidefinite (one batched
-    eigvalsh over the checked Grams). The message names the first failing
-    Gram, by its index j along the branch axis, and the first check it fails;
-    the exception's index is the Gram's full index in `grams`. Every test is
-    written so that NaN fails it."""
+    Hermitian with unit diagonal and positive semidefinite, its lowest
+    eigenvalue no lower than -DEFAULT_TOL. One batched Cholesky certifies that
+    for all the checked Grams at once; only when it cannot does one batched
+    eigvalsh over them decide (linalg._lowest_eigenvalues). The message
+    names the first failing Gram, by its index j along the branch axis, and
+    the first check it fails; the exception's index is the Gram's full index
+    in `grams`. Every test is written so that NaN fails it."""
     tested = grams if checked is None else grams[checked]
     adjoint = dagger(tested)
     diagonal = tested.diagonal(axis1=-2, axis2=-1)
     found = np.select([~(np.abs(tested - adjoint).max(axis=(-2, -1)) <= DEFAULT_TOL),
                        ~(np.abs(diagonal - 1.0).max(axis=-1) <= DEFAULT_TOL),
-                       ~(np.linalg.eigvalsh((tested + adjoint) / 2)[..., 0] >= -DEFAULT_TOL)], [1, 2, 3])
+                       ~(_lowest_eigenvalues((tested + adjoint) / 2, -DEFAULT_TOL) >= -DEFAULT_TOL)], [1, 2, 3])
     if checked is None:
         fault = found
     else:

@@ -836,15 +836,16 @@ def test_fringe_csv_equals_the_row_oracle(n, gamma, grid_points, capsys):
 
 def test_mixed_column_cells_use_17_significant_digits():
     """A column that is no float array still writes each float with .17g,
-    None as an empty cell and bools as true/false."""
+    None as an empty cell and bools as true/false; a constant column repeats
+    its one cell, a % in it included, and an int array writes its ints."""
     mixed = [0.1, None, float("nan"), -0.0, float("-inf"), 5e-324, 2.0]
     buf = io.StringIO()
-    duality._write_csv(buf, ("x", "array", "flag", "absent"),
+    duality._write_csv(buf, ("x", "array", "flag", "absent", "constant", "count"),
                        {"x": mixed, "array": np.array([1 / 3, np.nan, -0.0, np.inf, -np.inf, 1e300, 2.0]),
-                        "flag": np.arange(7) % 2 == 0})
-    expected = ["x,array,flag,absent", "0.10000000000000001,0.33333333333333331,true,", ",nan,false,",
-                "nan,-0,true,", "-0,inf,false,", "-inf,-inf,true,",
-                "4.9406564584124654e-324,1.0000000000000001e+300,false,", "2,2,true,"]
+                        "flag": np.arange(7) % 2 == 0, "constant": "50%d", "count": np.arange(7) - 3})
+    expected = ["x,array,flag,absent,constant,count", "0.10000000000000001,0.33333333333333331,true,,50%d,-3",
+                ",nan,false,,50%d,-2", "nan,-0,true,,50%d,-1", "-0,inf,false,,50%d,0", "-inf,-inf,true,,50%d,1",
+                "4.9406564584124654e-324,1.0000000000000001e+300,false,,50%d,2", "2,2,true,,50%d,3"]
     assert buf.getvalue() == "".join(line + "\n" for line in expected)
 
 
