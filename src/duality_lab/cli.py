@@ -32,15 +32,13 @@ from .duality import (
     REPORT_COLUMNS,
     SCENARIOS,
     VISIBILITY_MAX_PATHS,
-    DualityReport,
     _equal_amplitude_quanton,
+    _instance_table,
     _pure_fringe,
+    _sweep_table,
+    _Table,
     _write_csv,
-    evaluate_mixed,
-    evaluate_mixed_detector,
-    evaluate_pure,
     run_campaign,
-    sweep_overlap,
 )
 from .interference import DEFAULT_GRID_POINTS, GridSizeError, symmetric_detectors
 from .linalg import validate_density
@@ -194,13 +192,7 @@ def _write_text(output: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _report_columns(reports: list[DualityReport], **extra) -> dict:
-    """CSV columns of reports: each field and residual, then the `extra` columns."""
-    rows = [{**r.to_dict(), **r.relation_residuals} for r in reports]
-    return {**{key: [row[key] for row in rows] for key in rows[0]}, **extra}
-
-
-def _verify_instance(cfg: dict) -> DualityReport:
+def _verify_instance(cfg: dict) -> _Table:
     scenario = cfg.get("scenario", "pure_pure")
     _reject_unread("verify", cfg)
     seed = cfg.get("seed")
@@ -224,19 +216,16 @@ def _verify_instance(cfg: dict) -> DualityReport:
         else:
             raise ConfigError("pure_pure needs --amplitudes, --gamma, or --seed")
         detectors = _verify_detectors(cfg, quanton.n)
-        return evaluate_pure(quanton, detectors, include_visibility=quanton.n <= VISIBILITY_MAX_PATHS)
-
-    if scenario == "mixed_pure":
+    elif scenario == "mixed_pure":
         quanton = _verify_mixed_quanton(cfg, n, rho)
         detectors = _verify_detectors(cfg, quanton.n)
-        return evaluate_mixed(quanton, detectors, include_visibility=quanton.n <= VISIBILITY_MAX_PATHS)
-
-    if seed is None:
-        raise ConfigError("mixed_mixed needs --seed to draw the detector state and unitaries")
-    quanton = _verify_mixed_quanton(cfg, n, rho)
-    dim = cfg.get("detector_dim", quanton.n)
-    interaction = random_mixed_detector(quanton.n, dim, np.random.default_rng([seed, 1]))
-    return evaluate_mixed_detector(quanton, interaction, include_visibility=quanton.n <= VISIBILITY_MAX_PATHS)
+    else:
+        if seed is None:
+            raise ConfigError("mixed_mixed needs --seed to draw the detector state and unitaries")
+        quanton = _verify_mixed_quanton(cfg, n, rho)
+        dim = cfg.get("detector_dim", quanton.n)
+        detectors = random_mixed_detector(quanton.n, dim, np.random.default_rng([seed, 1]))
+    return _instance_table(quanton, detectors, include_visibility=quanton.n <= VISIBILITY_MAX_PATHS)
 
 
 def _verify_mixed_quanton(cfg: dict, n: int, rho) -> MixedQuanton:
@@ -264,14 +253,14 @@ def _verify_detectors(cfg: dict, n: int):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
-    report = _verify_instance(cfg)
+    table = _verify_instance(cfg)
     output = cfg.get("output")
     if cfg.get("format", "json") == "csv":
-        columns = _report_columns([report], seed=[cfg.get("seed")])
-        _write_csv(sys.stdout if output is None else output, VERIFY_CSV_COLUMNS, columns)
+        _write_csv(sys.stdout if output is None else output, VERIFY_CSV_COLUMNS,
+                   {**table.columns(), "seed": cfg.get("seed")})
     else:
-        _write_text(output, report.to_json() + "\n")
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+        _write_text(output, table.reports()[0].to_json() + "\n")
+    return EXIT_OK if table.passed.all() else EXIT_VIOLATION
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -316,10 +305,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed = _require(cfg, "seed", "--seed (to draw the mixed quanton)")
         rng = np.random.default_rng(seed)
         quanton = random_density(n, cfg.get("rank", 2), rng)
-    reports = sweep_overlap(n, gammas, quanton)
+    table = _sweep_table(n, gammas, quanton)
     output = cfg.get("output")
-    _write_csv(sys.stdout if output is None else output, SWEEP_CSV_COLUMNS, _report_columns(reports, gamma=gammas))
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
+    _write_csv(sys.stdout if output is None else output, SWEEP_CSV_COLUMNS,
+               {**table.columns(), "gamma": np.array(gammas, dtype=float)})
+    return EXIT_OK if table.passed.all() else EXIT_VIOLATION
 
 
 def cmd_fringe(args: argparse.Namespace) -> int:

@@ -21,7 +21,8 @@ stack of one, sweep_overlap on all its gammas as one stack; the fringe and
 the two- and three-slit checks read C and D_Q from evaluate_pure. Each kernel
 states its own relations as columns over its stack, and one tail
 (``_tabulate``) adds the duality sum, the PSD margin and the verdicts the
-same way, as columns that evaluate_* and sweep_overlap pack into reports.
+same way. Every command writes its CSV from these columns (_Table.columns);
+evaluate_* and sweep_overlap pack them into reports for their callers.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,7 +131,8 @@ class DualityReport:
 
 @dataclass(frozen=True, eq=False)
 class _Table:
-    """A stack's results as columns in report order; `values` holds n, C, D_Q, slack and any visibility."""
+    """A stack's results as columns in report order; `values` holds n, C, D_Q, slack and any visibility.
+    Every CSV is written from columns(); reports() packs them for callers that read reports."""
 
     scenario: str
     values: dict[str, np.ndarray]
@@ -140,6 +142,10 @@ class _Table:
     @property
     def passed(self) -> np.ndarray:
         return np.logical_and.reduce(list(self.verdicts.values()))
+
+    def columns(self) -> dict:
+        """The scenario, values, residuals and `passed`; one the kernel did not compute is an empty cell."""
+        return {"scenario": self.scenario, **self.values, **self.residuals, "passed": self.passed}
 
     def reports(self) -> list[DualityReport]:
         """One report per entry, every field a Python float, int or bool."""
@@ -156,10 +162,7 @@ def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = Fal
     partial trace, so the equality genuinely tests the numerics rather
     than an algebraic shortcut.
     """
-    if q.n != d.n:
-        raise ValueError(f"path count mismatch: quanton has {q.n}, detectors have {d.n}")
-    reduced = _pure_reduced(q.amplitudes[None], d.vectors[None])
-    return _pure_pure_stack(reduced, q.amplitudes[None], d.gram[None], include_visibility).reports()[0]
+    return _instance_table(q, d, include_visibility).reports()[0]
 
 
 def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = False) -> DualityReport:
@@ -168,9 +171,7 @@ def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = F
     The reduced state is rho_ij <d_j|d_i> entrywise; C, D_Q, and the
     slack then satisfy C + D_Q + slack = 1 with slack >= 0.
     """
-    if q.n != d.n:
-        raise ValueError(f"path count mismatch: quanton has {q.n}, detectors have {d.n}")
-    return _mixed_pure_stack(q.rho.matrix[None], d.gram[None], include_visibility).reports()[0]
+    return _instance_table(q, d, include_visibility).reports()[0]
 
 
 def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
@@ -180,10 +181,22 @@ def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
     Checks that the reduced coherence stays below its branch-averaged
     bound and that C + D_Q <= 1; ``slack`` records the observed gap.
     """
-    if q.n != m.n:
-        raise ValueError(f"path count mismatch: quanton has {q.n}, interaction has {m.n}")
-    return _mixed_mixed_stack(q.rho.matrix[None], m.rho_d.matrix[None], m.unitaries[None],
-                              include_visibility).reports()[0]
+    return _instance_table(q, m, include_visibility).reports()[0]
+
+
+def _instance_table(q: PureQuanton | MixedQuanton, d: DetectorSet | MixedDetectorInteraction,
+                    include_visibility: bool) -> _Table:
+    """evaluate_* and `verify`: one configuration as a stack of one, pure_pure, mixed_pure
+    or mixed_mixed by the types of the quanton and the detectors or interaction."""
+    if q.n != d.n:
+        other = "interaction has" if isinstance(d, MixedDetectorInteraction) else "detectors have"
+        raise ValueError(f"path count mismatch: quanton has {q.n}, {other} {d.n}")
+    if isinstance(d, MixedDetectorInteraction):
+        return _mixed_mixed_stack(q.rho.matrix[None], d.rho_d.matrix[None], d.unitaries[None], include_visibility)
+    if isinstance(q, PureQuanton):
+        reduced = _pure_reduced(q.amplitudes[None], d.vectors[None])
+        return _pure_pure_stack(reduced, q.amplitudes[None], d.gram[None], include_visibility)
+    return _mixed_pure_stack(q.rho.matrix[None], d.gram[None], include_visibility)
 
 
 def sweep_overlap(n: int, gammas: Sequence[float],
@@ -193,8 +206,13 @@ def sweep_overlap(n: int, gammas: Sequence[float],
     Along the sweep the coherence is nondecreasing and the
     distinguishability nonincreasing: raising every overlap hides path
     information and restores coherence in lockstep. Visibility is
-    included for n <= VISIBILITY_MAX_PATHS.
+    included for n <= VISIBILITY_MAX_PATHS. `sweep` writes _sweep_table's columns.
     """
+    return _sweep_table(n, gammas, quanton).reports()
+
+
+def _sweep_table(n: int, gammas: Sequence[float], quanton: PureQuanton | MixedQuanton) -> _Table:
+    """sweep_overlap's checked gammas and quanton, evaluated as one stack."""
     gammas = [float(g) for g in gammas]
     if not gammas:
         raise ValueError("gamma grid is empty")
@@ -209,8 +227,8 @@ def sweep_overlap(n: int, gammas: Sequence[float],
     include_v = n <= VISIBILITY_MAX_PATHS
     if isinstance(quanton, PureQuanton):
         reduced = _pure_reduced(quanton.amplitudes, np.stack([d.vectors for d in detectors]))
-        return _pure_pure_stack(reduced, quanton.amplitudes, grams, include_v).reports()
-    return _mixed_pure_stack(quanton.rho.matrix, grams, include_v).reports()
+        return _pure_pure_stack(reduced, quanton.amplitudes, grams, include_v)
+    return _mixed_pure_stack(quanton.rho.matrix, grams, include_v)
 
 
 def _equal_amplitude_quanton(n: int) -> PureQuanton:
@@ -326,51 +344,33 @@ class CampaignResult:
     def to_csv(self, path_or_file) -> None:
         """One row per trial, fixed column order, 17 significant digits."""
         _write_csv(path_or_file, CSV_COLUMNS, {"trial": range(self.trials), "seed": self.seed,
-                                               "scenario": self.scenario, **self.table.values,
-                                               **self.table.residuals, "passed": self.table.passed})
-
-
-def _cells(column) -> Iterator[str]:
-    """The cells of a column of Python values: floats with 17 significant
-    digits (they round-trip exactly), bools as true/false and None as an
-    empty cell."""
-    for value in column:
-        if isinstance(value, float):
-            yield f"{value:.17g}"
-        elif isinstance(value, bool):
-            yield "true" if value else "false"
-        else:
-            yield "" if value is None else str(value)
+                                               **self.table.columns()})
 
 
 def _write_csv(path_or_file, header: Sequence[str], columns: dict, comment: str | None = None) -> None:
     """Write an optional `# comment` line, then the `header` columns as CSV rows,
-    each formatted by one printf template. A constant column (a scalar, such
-    as a campaign's seed) is a literal in the template, its cell formatted by
-    `_cells`, and a missing column an empty one. A float array is written
-    with %.17g, an int array or a range with %d, a bool array as true/false,
-    and any other column, such as a list that holds None, by `_cells`."""
+    each formatted by one printf template. A column is a constant, a range or
+    an array. A constant (an int or str, such as a campaign's seed) is a
+    literal in the template, and None or a missing column an empty one. A
+    range or an int array is written with %d, a float array with %.17g (17
+    significant digits round-trip exactly) and a bool array as true/false."""
     if not hasattr(path_or_file, "write"):
         with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
             return _write_csv(fh, header, columns, comment)
     fields, cells = [], []
     for name in header:
         column = columns.get(name)
-        if column is None or np.isscalar(column):
-            fields.append(next(_cells([column])).replace("%", "%%"))
+        if column is None or isinstance(column, (int, str)):
+            fields.append("" if column is None else str(column).replace("%", "%%"))
         elif isinstance(column, range):
             fields.append("%d")
             cells.append(column)
-        elif isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
-            if column.dtype.kind == "b":
-                fields.append("%s")
-                column = np.where(column, "true", "false")
-            else:
-                fields.append("%.17g" if column.dtype.kind == "f" else "%d")
-            cells.append(column.tolist())
-        else:
+        elif column.dtype.kind == "b":
             fields.append("%s")
-            cells.append(_cells(column))
+            cells.append(np.where(column, "true", "false").tolist())
+        else:
+            fields.append("%.17g" if column.dtype.kind == "f" else "%d")
+            cells.append(column.tolist())
     template = ",".join(fields) + "\n"
     if comment is not None:
         path_or_file.write(f"# {comment}\n")

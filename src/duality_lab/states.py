@@ -204,18 +204,22 @@ def _check_branch_grams(grams: np.ndarray, checked: np.ndarray | None = None) ->
     """BranchOverlaps' Gram checks over stacks of (k, n, n) Grams, or only over
     the Grams where the mask `checked` of their leading axes holds: each
     Hermitian with unit diagonal and positive semidefinite, its lowest
-    eigenvalue no lower than -DEFAULT_TOL. One batched Cholesky certifies that
-    for all the checked Grams at once; only when it cannot does one batched
-    eigvalsh over them decide (linalg._lowest_eigenvalues). The message
-    names the first failing Gram, by its index j along the branch axis, and
-    the first check it fails; the exception's index is the Gram's full index
-    in `grams`. Every test is written so that NaN fails it."""
+    eigenvalue no lower than -DEFAULT_TOL. The eigenvalue test runs only on the
+    Grams that pass the first two: one batched Cholesky certifies it for all
+    of them at once; only when it cannot does one batched eigvalsh over them
+    decide (linalg._lowest_eigenvalues). The message names the first failing
+    Gram, by its index j along the branch axis, and the first check it fails;
+    the exception's index is the Gram's full index in `grams`. A Gram holding
+    NaN fails the Hermiticity test."""
     tested = grams if checked is None else grams[checked]
     adjoint = dagger(tested)
     diagonal = tested.diagonal(axis1=-2, axis2=-1)
     found = np.select([~(np.abs(tested - adjoint).max(axis=(-2, -1)) <= DEFAULT_TOL),
-                       ~(np.abs(diagonal - 1.0).max(axis=-1) <= DEFAULT_TOL),
-                       ~(_lowest_eigenvalues((tested + adjoint) / 2, -DEFAULT_TOL) >= -DEFAULT_TOL)], [1, 2, 3])
+                       ~(np.abs(diagonal - 1.0).max(axis=-1) <= DEFAULT_TOL)], [1, 2])
+    # a NaN fails the first test; eigvalsh, which raises on NaN, sees only the Grams that pass both
+    sane = found == 0
+    low = _lowest_eigenvalues(((tested + adjoint) / 2)[sane], -DEFAULT_TOL)
+    found[sane] = np.where(low >= -DEFAULT_TOL, 0, 3)
     if checked is None:
         fault = found
     else:

@@ -778,12 +778,17 @@ def test_verify_csv_equals_the_cell_oracle(argv, capsys):
     assert capsys.readouterr().out == _csv_text(VERIFY_CSV_COLUMNS, [{**_csv_cells(report), "seed": seed}])
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_sweep_csv_equals_the_cell_oracle(n, capsys):
+@pytest.mark.parametrize("n, mixed", [pytest.param(3, False, id="3"), pytest.param(4, False, id="4"),
+                                      pytest.param(3, True, id="mixed_pure-3")])
+def test_sweep_csv_equals_the_cell_oracle(n, mixed, capsys):
     gammas = [0.0, 0.3, 0.55, 1.0]
-    assert main(["sweep", "--n", str(n), "--gammas", ",".join(map(str, gammas))]) == 0
-    reports = sweep_overlap(n, gammas, _equal_pure(n))
+    options = ["--scenario", "mixed_pure", "--seed", "5", "--rank", "2"] if mixed else []
+    assert main(["sweep", "--n", str(n), "--gammas", ",".join(map(str, gammas)), *options]) == 0
+    # the mixed quanton as sweep draws it from --seed 5 --rank 2
+    quanton = random_density(n, 2, np.random.default_rng(5)) if mixed else _equal_pure(n)
+    reports = sweep_overlap(n, gammas, quanton)
     assert all((r.visibility is None) == (n > VISIBILITY_MAX_PATHS) for r in reports)
+    assert not mixed or all(r.slack > 0.0 for r in reports[1:])
     rows = [{**_csv_cells(report), "gamma": f"{gamma:.17g}"} for gamma, report in zip(gammas, reports)]
     assert capsys.readouterr().out == _csv_text(SWEEP_CSV_COLUMNS, rows)
 
@@ -820,6 +825,16 @@ def test_campaign_builds_reports_only_when_they_are_read(monkeypatch, capsys, tm
     assert result == result and result != run_campaign("mixed_pure", 30, 3, n=3)
 
 
+def test_verify_and_sweep_csv_build_no_reports(monkeypatch, capsys):
+    """verify --format csv and sweep write their CSV from the table's columns."""
+    monkeypatch.setattr(duality, "DualityReport", lambda *args, **kwargs: pytest.fail("a report was built"))
+    for n in (3, 4):
+        assert main(["sweep", "--n", str(n), "--gammas", "0,0.3,1"]) == 0
+    for scenario in SCENARIOS:
+        assert main(["verify", "--scenario", scenario, "--n", "3", "--seed", "5", "--format", "csv"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("n, gamma, grid_points", [(2, 0.6, 4096), (3, 0.35, 256), (5, 0.8, 5000)])
 def test_fringe_csv_equals_the_row_oracle(n, gamma, grid_points, capsys):
     """Fringe rows by the rule of the removed FringeScan.to_csv: theta and
@@ -835,23 +850,22 @@ def test_fringe_csv_equals_the_row_oracle(n, gamma, grid_points, capsys):
 
 
 def test_mixed_column_cells_use_17_significant_digits():
-    """A column that is no float array still writes each float with .17g,
-    None as an empty cell and bools as true/false; a constant column repeats
-    its one cell, a % in it included, and an int array writes its ints."""
-    mixed = [0.1, None, float("nan"), -0.0, float("-inf"), 5e-324, 2.0]
+    """A float array writes each float with .17g, a missing column an empty
+    cell and a bool array true/false; a constant column repeats its one
+    cell, a % in it included, and an int array writes its ints."""
     buf = io.StringIO()
-    duality._write_csv(buf, ("x", "array", "flag", "absent", "constant", "count"),
-                       {"x": mixed, "array": np.array([1 / 3, np.nan, -0.0, np.inf, -np.inf, 1e300, 2.0]),
+    duality._write_csv(buf, ("array", "flag", "absent", "constant", "count"),
+                       {"array": np.array([1 / 3, np.nan, -0.0, np.inf, -np.inf, 1e300, 2.0]),
                         "flag": np.arange(7) % 2 == 0, "constant": "50%d", "count": np.arange(7) - 3})
-    expected = ["x,array,flag,absent,constant,count", "0.10000000000000001,0.33333333333333331,true,,50%d,-3",
-                ",nan,false,,50%d,-2", "nan,-0,true,,50%d,-1", "-0,inf,false,,50%d,0", "-inf,-inf,true,,50%d,1",
-                "4.9406564584124654e-324,1.0000000000000001e+300,false,,50%d,2", "2,2,true,,50%d,3"]
+    expected = ["array,flag,absent,constant,count", "0.33333333333333331,true,,50%d,-3", "nan,false,,50%d,-2",
+                "-0,true,,50%d,-1", "inf,false,,50%d,0", "-inf,true,,50%d,1",
+                "1.0000000000000001e+300,false,,50%d,2", "2,true,,50%d,3"]
     assert buf.getvalue() == "".join(line + "\n" for line in expected)
 
 
 @given(st.lists(st.floats(), min_size=1, max_size=16))
 def test_float_array_cells_equal_format_17g(values):
-    """The row template's %.17g equals f"{x:.17g}" on any float, NaN, infinities and -0.0 included."""
+    """The row template's %.17g equals f"{x:.17g}" on any float, NaN, infinities, -0.0 and subnormals included."""
     buf = io.StringIO()
-    duality._write_csv(buf, ("array", "cells"), {"array": np.array(values, dtype=float), "cells": values})
-    assert buf.getvalue() == "array,cells\n" + "".join(f"{v:.17g},{v:.17g}\n" for v in values)
+    duality._write_csv(buf, ("array",), {"array": np.array(values, dtype=float)})
+    assert buf.getvalue() == "array\n" + "".join(f"{v:.17g}\n" for v in values)

@@ -3,7 +3,8 @@
 `linalg._density` and `states._check_branch_grams` ask eigvalsh for the
 lowest eigenvalue only where one batched Cholesky cannot certify a stack
 (`linalg._lowest_eigenvalues`). `_density_oracle` and `_gram_check_oracle`
-are the eigvalsh-only versions, kept verbatim. On adversarial stacks, whose
+are the eigvalsh-only versions; the Gram oracle, like the check, runs
+eigvalsh only on the Grams that pass the Hermiticity and unit-diagonal tests. On adversarial stacks, whose
 planted lowest eigenvalue sits on or next to every threshold (0, the clamp;
 -DEFAULT_TOL, the PSD test; the certificate's margin), the new code must
 return the same values (==) or raise the same exception class, message and
@@ -59,13 +60,15 @@ def _density_oracle(m):
 
 
 def _gram_check_oracle(grams, checked=None):
-    """states._check_branch_grams with one eigvalsh over the checked Grams, as it was."""
+    """states._check_branch_grams with one eigvalsh over the checked Grams that
+    are Hermitian with unit diagonal; a Gram holding NaN fails the first test."""
     tested = grams if checked is None else grams[checked]
     adjoint = dagger(tested)
     diagonal = tested.diagonal(axis1=-2, axis2=-1)
     found = np.select([~(np.abs(tested - adjoint).max(axis=(-2, -1)) <= DEFAULT_TOL),
-                       ~(np.abs(diagonal - 1.0).max(axis=-1) <= DEFAULT_TOL),
-                       ~(np.linalg.eigvalsh((tested + adjoint) / 2)[..., 0] >= -DEFAULT_TOL)], [1, 2, 3])
+                       ~(np.abs(diagonal - 1.0).max(axis=-1) <= DEFAULT_TOL)], [1, 2])
+    sane = found == 0
+    found[sane] = np.where(np.linalg.eigvalsh((tested[sane] + adjoint[sane]) / 2)[..., 0] >= -DEFAULT_TOL, 0, 3)
     if checked is None:
         fault = found
     else:

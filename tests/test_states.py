@@ -288,6 +288,19 @@ def test_branch_overlaps_type_rejects_bad_gram():
         BranchOverlaps(weights=np.array([np.nan]), branch_grams=np.stack([good]))
 
 
+@pytest.mark.parametrize("j", [0, 1])
+def test_branch_overlaps_names_the_gram_holding_nan(j):
+    """A NaN fails the Hermiticity test and never reaches eigvalsh, which
+    would raise LinAlgError with no index."""
+    from duality_lab.states import BranchOverlaps
+
+    grams = np.stack([np.eye(3, dtype=complex)] * 2)
+    grams[j, 1, 0] = np.nan
+    with pytest.raises(ValueError, match=f"^branch Gram {j} is not Hermitian$") as info:
+        BranchOverlaps(weights=np.array([0.5, 0.5]), branch_grams=grams)
+    assert type(info.value) is ValueError and info.value.index == (j,)
+
+
 def test_composite_dimension_cap():
     q = PureQuanton(amplitudes=np.ones(32, dtype=complex) / np.sqrt(32))
     d = random_detectors(32, 64, 0)
