@@ -110,10 +110,11 @@ def _parse_gammas(cfg) -> list[float]:
             raise ConfigError(f"gammas must be numbers, got {raw!r}")
         values = [float(v) for v in raw]
     elif cfg.get("gamma_range") is not None:
-        parts = str(cfg["gamma_range"]).split(":")
-        if len(parts) != 3:
-            raise ConfigError("gamma-range must look like start:stop:count, e.g. 0:1:11")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            start, stop, count = str(cfg["gamma_range"]).split(":")
+            start, stop, count = float(start), float(stop), int(count)
+        except ValueError:  # a part count other than 3, or a part that is no number
+            raise ConfigError("gamma-range must look like start:stop:count, e.g. 0:1:11") from None
         if count < 1:
             raise ConfigError("gamma-range count must be >= 1")
         values = [float(v) for v in np.linspace(start, stop, count)]
@@ -165,6 +166,9 @@ def _merged_config(args: argparse.Namespace) -> dict:
     # numpy's own message for a negative seed would not name the flag
     if hasattr(args, "seed") and cfg.get("seed") is not None and cfg["seed"] < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {cfg['seed']}")
+    # every command's path count; below 2 the draws and formulas fail without naming it
+    if cfg.get("n") is not None and cfg["n"] < 2:
+        raise ConfigError(f"--n must be >= 2, got {cfg['n']}")
     return cfg
 
 
@@ -225,7 +229,7 @@ def _verify_instance(cfg: dict) -> _Table:
         quanton = _verify_mixed_quanton(cfg, n, rho)
         dim = cfg.get("detector_dim", quanton.n)
         detectors = random_mixed_detector(quanton.n, dim, np.random.default_rng([seed, 1]))
-    return _instance_table(quanton, detectors, include_visibility=quanton.n <= VISIBILITY_MAX_PATHS)
+    return _instance_table(quanton, [detectors], include_visibility=quanton.n <= VISIBILITY_MAX_PATHS)
 
 
 def _verify_mixed_quanton(cfg: dict, n: int, rho) -> MixedQuanton:

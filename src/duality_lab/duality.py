@@ -16,9 +16,11 @@ in numerical quality stay visible.
 
 Each scenario's composition is written once, as a kernel over stacks of
 checked arrays (``_*_stack``), and every command runs it: a campaign on its
-draws in (n, detector dimension) stacks, evaluate_* on one instance as a
-stack of one, sweep_overlap on all its gammas as one stack; the fringe and
-the two- and three-slit checks read C and D_Q from evaluate_pure. Each kernel
+draws in (n, detector dimension) stacks; evaluate_*, `verify` and
+sweep_overlap through one entry (_instance_table), one instance as a stack
+of one and a sweep's gammas as one stack. The fringe runs the pure_pure
+kernel on the state it scans, and the two- and three-slit checks read C and
+D_Q from evaluate_pure. Each kernel
 states its own relations as columns over its stack, and one tail
 (``_tabulate``) adds the duality sum, the PSD margin and the verdicts the
 same way. Every command writes its CSV from these columns (_Table.columns);
@@ -162,7 +164,7 @@ def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = Fal
     partial trace, so the equality genuinely tests the numerics rather
     than an algebraic shortcut.
     """
-    return _instance_table(q, d, include_visibility).reports()[0]
+    return _instance_table(q, [d], include_visibility).reports()[0]
 
 
 def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = False) -> DualityReport:
@@ -171,7 +173,7 @@ def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = F
     The reduced state is rho_ij <d_j|d_i> entrywise; C, D_Q, and the
     slack then satisfy C + D_Q + slack = 1 with slack >= 0.
     """
-    return _instance_table(q, d, include_visibility).reports()[0]
+    return _instance_table(q, [d], include_visibility).reports()[0]
 
 
 def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
@@ -181,22 +183,28 @@ def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
     Checks that the reduced coherence stays below its branch-averaged
     bound and that C + D_Q <= 1; ``slack`` records the observed gap.
     """
-    return _instance_table(q, m, include_visibility).reports()[0]
+    return _instance_table(q, [m], include_visibility).reports()[0]
 
 
-def _instance_table(q: PureQuanton | MixedQuanton, d: DetectorSet | MixedDetectorInteraction,
+def _instance_table(q: PureQuanton | MixedQuanton,
+                    detectors: Sequence[DetectorSet] | Sequence[MixedDetectorInteraction],
                     include_visibility: bool) -> _Table:
-    """evaluate_* and `verify`: one configuration as a stack of one, pure_pure, mixed_pure
-    or mixed_mixed by the types of the quanton and the detectors or interaction."""
-    if q.n != d.n:
-        other = "interaction has" if isinstance(d, MixedDetectorInteraction) else "detectors have"
-        raise ValueError(f"path count mismatch: quanton has {q.n}, {other} {d.n}")
-    if isinstance(d, MixedDetectorInteraction):
-        return _mixed_mixed_stack(q.rho.matrix[None], d.rho_d.matrix[None], d.unitaries[None], include_visibility)
+    """The one entry from a quanton to the kernels. evaluate_* and `verify` pass one
+    detector set or interaction, _sweep_table one detector set per gamma; they are
+    stacked (interactions of one detector dimension), the quanton broadcasts over
+    the stack, and their types pick pure_pure, mixed_pure or mixed_mixed."""
+    for d in detectors:
+        if q.n != d.n:
+            other = "interaction has" if isinstance(d, MixedDetectorInteraction) else "detectors have"
+            raise ValueError(f"path count mismatch: quanton has {q.n}, {other} {d.n}")
+    if isinstance(detectors[0], MixedDetectorInteraction):
+        return _mixed_mixed_stack(q.rho.matrix, np.stack([m.rho_d.matrix for m in detectors]),
+                                  np.stack([m.unitaries for m in detectors]), include_visibility)
+    grams = np.stack([d.gram for d in detectors])
     if isinstance(q, PureQuanton):
-        reduced = _pure_reduced(q.amplitudes[None], d.vectors[None])
-        return _pure_pure_stack(reduced, q.amplitudes[None], d.gram[None], include_visibility)
-    return _mixed_pure_stack(q.rho.matrix[None], d.gram[None], include_visibility)
+        reduced = _pure_reduced(q.amplitudes, np.stack([d.vectors for d in detectors]))
+        return _pure_pure_stack(reduced, q.amplitudes, grams, include_visibility)
+    return _mixed_pure_stack(q.rho.matrix, grams, include_visibility)
 
 
 def sweep_overlap(n: int, gammas: Sequence[float],
@@ -212,7 +220,8 @@ def sweep_overlap(n: int, gammas: Sequence[float],
 
 
 def _sweep_table(n: int, gammas: Sequence[float], quanton: PureQuanton | MixedQuanton) -> _Table:
-    """sweep_overlap's checked gammas and quanton, evaluated as one stack."""
+    """sweep_overlap's checked gammas and quanton: the detector sets of every
+    gamma go through _instance_table as one stack."""
     gammas = [float(g) for g in gammas]
     if not gammas:
         raise ValueError("gamma grid is empty")
@@ -222,13 +231,7 @@ def _sweep_table(n: int, gammas: Sequence[float], quanton: PureQuanton | MixedQu
         raise ValueError("gammas must be sorted ascending")
     if quanton.n != n:
         raise ValueError(f"quanton has {quanton.n} paths, sweep asked for {n}")
-    detectors = [symmetric_detectors(n, gamma) for gamma in gammas]
-    grams = np.stack([d.gram for d in detectors])
-    include_v = n <= VISIBILITY_MAX_PATHS
-    if isinstance(quanton, PureQuanton):
-        reduced = _pure_reduced(quanton.amplitudes, np.stack([d.vectors for d in detectors]))
-        return _pure_pure_stack(reduced, quanton.amplitudes, grams, include_v)
-    return _mixed_pure_stack(quanton.rho.matrix, grams, include_v)
+    return _instance_table(quanton, [symmetric_detectors(n, g) for g in gammas], n <= VISIBILITY_MAX_PATHS)
 
 
 def _equal_amplitude_quanton(n: int) -> PureQuanton:
@@ -343,17 +346,17 @@ class CampaignResult:
 
     def to_csv(self, path_or_file) -> None:
         """One row per trial, fixed column order, 17 significant digits."""
-        _write_csv(path_or_file, CSV_COLUMNS, {"trial": range(self.trials), "seed": self.seed,
+        _write_csv(path_or_file, CSV_COLUMNS, {"trial": np.arange(self.trials), "seed": self.seed,
                                                **self.table.columns()})
 
 
 def _write_csv(path_or_file, header: Sequence[str], columns: dict, comment: str | None = None) -> None:
     """Write an optional `# comment` line, then the `header` columns as CSV rows,
-    each formatted by one printf template. A column is a constant, a range or
-    an array. A constant (an int or str, such as a campaign's seed) is a
-    literal in the template, and None or a missing column an empty one. A
-    range or an int array is written with %d, a float array with %.17g (17
-    significant digits round-trip exactly) and a bool array as true/false."""
+    each formatted by one printf template. A column is a constant or an
+    array. A constant (an int or str, such as a campaign's seed) is a
+    literal in the template, and None or a missing column an empty one. An
+    int array is written with %d, a float array with %.17g (17 significant
+    digits round-trip exactly) and a bool array as true/false."""
     if not hasattr(path_or_file, "write"):
         with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
             return _write_csv(fh, header, columns, comment)
@@ -362,9 +365,6 @@ def _write_csv(path_or_file, header: Sequence[str], columns: dict, comment: str 
         column = columns.get(name)
         if column is None or isinstance(column, (int, str)):
             fields.append("" if column is None else str(column).replace("%", "%%"))
-        elif isinstance(column, range):
-            fields.append("%d")
-            cells.append(column)
         elif column.dtype.kind == "b":
             fields.append("%s")
             cells.append(np.where(column, "true", "false").tolist())

@@ -84,10 +84,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if m.size else 0.0
-
-
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with a-index major, b-index minor block ordering.
 
@@ -282,7 +278,7 @@ def gram_factor_vectors(gram) -> np.ndarray:
     g = as_matrix(gram)
     if g.shape[0] != g.shape[1]:
         raise ValueError("Gram matrix must be square")
-    herm_dev = max_abs(g - dagger(g))
+    herm_dev = np.abs(g - dagger(g)).max()
     if herm_dev > DEFAULT_TOL:
         raise NotHermitianError(f"Gram Hermiticity deviation {herm_dev:.3e} over {DEFAULT_TOL:.1e}")
     vals, vecs = np.linalg.eigh((g + dagger(g)) / 2.0)

@@ -20,8 +20,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .interference import uniform_overlap_gram
-from .linalg import DensityMatrix, gram_factor_vectors, validate_density
+from .interference import symmetric_detectors
+from .linalg import DensityMatrix, validate_density
 from .states import DetectorSet, MixedDetectorInteraction, MixedQuanton, PureQuanton
 
 # SeedSequence's hash constants (numpy.random.bit_generator) and its pool size
@@ -182,11 +182,6 @@ def _ginibre(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
 def _detector_rank(dim: int, rng: np.random.Generator) -> int:
     """A Ginibre detector state's rank, drawn uniformly from 1..dim."""
     return int(rng.integers(1, dim, endpoint=True))
-
-
-def _detector_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Unvalidated Ginibre detector state of a drawn rank (_detector_rank)."""
-    return _ginibre(dim, _detector_rank(dim, rng), rng)
 
 
 def _form_per_rank(states: np.ndarray, ranks: Sequence[int]) -> None:
@@ -369,20 +364,18 @@ def random_detectors(n: int, dim: int, seed) -> DetectorSet:
 def uniform_overlap_detectors(n: int, gamma: float, dim: int, seed) -> DetectorSet:
     """Detector set with every pairwise overlap equal to gamma.
 
-    The Gram matrix (1 - gamma) I + gamma J is factorized into row
-    vectors, embedded in `dim` dimensions, and rotated by a Haar-random
-    unitary; the rotation changes nothing measurable but exercises
-    detectors that do not live in a coordinate subspace.
+    symmetric_detectors(n, gamma)'s vectors, which factorize the Gram
+    matrix (1 - gamma) I + gamma J, are embedded in `dim` dimensions and
+    rotated by a Haar-random unitary; the rotation changes nothing
+    measurable but exercises detectors that do not live in a coordinate
+    subspace.
     """
-    gram = uniform_overlap_gram(n, gamma)
+    base = symmetric_detectors(n, gamma).vectors
     if dim < n:
         raise ValueError(f"detector dimension {dim} cannot hold {n} states of this family")
-    rng = _as_rng(seed)
-    base = gram_factor_vectors(gram)
     embedded = np.zeros((n, dim), dtype=complex)
     embedded[:, :n] = base
-    rotation = haar_unitary(dim, rng)
-    return DetectorSet(embedded @ rotation.T)
+    return DetectorSet(embedded @ haar_unitary(dim, seed).T)
 
 
 def random_mixed_detector(n: int, dim: int, seed) -> MixedDetectorInteraction:
@@ -392,7 +385,7 @@ def random_mixed_detector(n: int, dim: int, seed) -> MixedDetectorInteraction:
     if dim < 1:
         raise ValueError("detector dimension must be >= 1")
     rng = _as_rng(seed)
-    rho_d = validate_density(_detector_state(dim, rng))
+    rho_d = validate_density(_ginibre(dim, _detector_rank(dim, rng), rng))
     raw = rng.standard_normal((n, 2, dim, dim))
     return MixedDetectorInteraction(rho_d=rho_d, unitaries=_haar(_path_gaussians(raw)))
 

@@ -622,6 +622,30 @@ def test_sweep_matches_oracle(n, quanton):
     assert sweep_overlap(n, gammas, q) == expected
 
 
+@pytest.mark.parametrize("n, dim", [(2, 2), (3, 5), (5, 4)])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_instance_table_over_a_stack_equals_its_entries(scenario, n, dim):
+    """_instance_table over several random detector sets, or several
+    random_mixed_detector interactions, equals the single-instance tables
+    of its entries, column by column with ==."""
+    rng = np.random.default_rng([n, dim, SCENARIOS.index(scenario)])
+    q = random_pure(n, rng) if scenario == "pure_pure" else random_density(n, int(rng.integers(1, n + 1)), rng)
+    if scenario == "mixed_mixed":
+        detectors = [random_mixed_detector(n, dim, rng) for _ in range(6)]
+    else:
+        detectors = [random_detectors(n, dim, rng) for _ in range(6)]
+    include_v = n <= VISIBILITY_MAX_PATHS
+    stacked = duality._instance_table(q, detectors, include_v)
+    singles = [duality._instance_table(q, [d], include_v) for d in detectors]
+    assert stacked.scenario == scenario
+    for part in ("values", "residuals", "verdicts"):
+        columns = getattr(stacked, part)
+        assert list(columns) == list(getattr(singles[0], part))
+        for key, column in columns.items():
+            expected = np.concatenate([getattr(single, part)[key] for single in singles])
+            assert column.dtype == expected.dtype and (column == expected).all(), (part, key)
+
+
 def test_no_command_forms_the_joint_state(monkeypatch, capsys, tmp_path):
     """verify, sweep, fringe and campaigns reach none of the joint-state functions,
     which serve only as oracles."""

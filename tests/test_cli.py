@@ -129,6 +129,61 @@ def test_sweep_and_campaign_reject_options_their_scenario_never_reads(capsys, tm
     assert list(tmp_path.iterdir()) == []
 
 
+_N_COMMANDS = {
+    "verify_pure_pure": ["verify", "--gamma", "0.5"],
+    "verify_mixed_pure": ["verify", "--scenario", "mixed_pure", "--seed", "3"],
+    "verify_mixed_mixed": ["verify", "--scenario", "mixed_mixed", "--seed", "3"],
+    "campaign": ["campaign", "--scenario", "mixed_pure", "--trials", "3", "--seed", "1"],
+    "sweep": ["sweep", "--gammas", "0.5"],
+    "sweep_mixed_pure": ["sweep", "--scenario", "mixed_pure", "--seed", "3", "--gammas", "0.5"],
+    "fringe": ["fringe", "--gamma", "0.5"],
+}
+_MALFORMED = [
+    *(pytest.param(argv, {"n": n} if source == "config" else None, f"--n must be >= 2, got {n}",
+                   id=f"{name}-n{n}-{source}")
+      for name, base in _N_COMMANDS.items() for n in (-1, 0, 1) for source in ("flag", "config")
+      for argv in [base if source == "config" else [*base, "--n", str(n)]]),
+    *(pytest.param(["sweep", "--n", "2", "--gamma-range", value], None,
+                   "gamma-range must look like start:stop:count, e.g. 0:1:11", id=f"gamma-range-{value}")
+      for value in ("0:1:x", "a:1:3")),
+    pytest.param(["verify", "--scenario", "mixed_pure", "--n", "3", "--seed", "1", "--rank", "4"], None,
+                 "rank must lie in 1..3, got 4", id="verify-rank"),
+    pytest.param(["campaign", "--scenario", "mixed_mixed", "--n", "3", "--trials", "3", "--seed", "1",
+                  "--rank", "0"], None, "rank must lie in 1..3, got 0", id="campaign-rank"),
+    pytest.param(["sweep", "--scenario", "mixed_pure", "--n", "3", "--seed", "1", "--gammas", "0.5",
+                  "--rank", "4"], None, "rank must lie in 1..3, got 4", id="sweep-rank"),
+    pytest.param(["verify", "--n", "3", "--seed", "1", "--detector-dim", "0"], None,
+                 "detector dimension must be >= 1", id="verify-detector-dim"),
+    pytest.param(["campaign", "--scenario", "pure_pure", "--n", "3", "--trials", "3", "--seed", "1",
+                  "--detector-dim", "0"], None, "detector dimension must be >= 1, got 0",
+                 id="campaign-detector-dim"),
+    *(pytest.param(["fringe", "--n", "2", "--gamma", "0.5", "--grid-points", points], None,
+                   f"--grid-points must be {bound}", id=f"fringe-grid-points-{points}")
+      for points, bound in (("64", ">= 256, got 64"), ("65537", "<= 65536, got 65537"))),
+]
+
+
+@pytest.mark.parametrize("argv, config, message", _MALFORMED)
+def test_malformed_option_exits_two_before_any_output(capsys, tmp_path, argv, config, message):
+    """A malformed option, from a flag or a config file, exits 2 with one
+    `error: ` line naming it, before anything is drawn or written: stdout,
+    where verify, sweep and fringe write by default, stays empty, and a
+    campaign leaves no file under its output prefix."""
+    argv = list(argv)
+    if argv[0] == "campaign":
+        argv += ["--output", str(tmp_path / "campaign")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["config.json"])
+
+
 def test_config_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "pure_pure", "n": 2, "gamma": 0.3}))
