@@ -35,6 +35,7 @@ from .duality import (
     _equal_amplitude_quanton,
     _instance_table,
     _pure_fringe,
+    _stack_of_one,
     _sweep_table,
     _Table,
     _write_csv,
@@ -107,8 +108,11 @@ def _parse_gammas(cfg) -> list[float]:
         if isinstance(raw, str):
             raw = [part for part in raw.split(",") if part.strip()]
         if not all(type(v) in (int, float, str) for v in raw):
-            raise ConfigError(f"gammas must be numbers, got {raw!r}")
-        values = [float(v) for v in raw]
+            raise ConfigError(f"--gammas must be numbers, got {raw!r}")
+        try:
+            values = [float(v) for v in raw]
+        except ValueError:  # a str entry that is no number
+            raise ConfigError(f"--gammas must be numbers, got {raw!r}") from None
     elif cfg.get("gamma_range") is not None:
         try:
             start, stop, count = str(cfg["gamma_range"]).split(":")
@@ -229,7 +233,7 @@ def _verify_instance(cfg: dict) -> _Table:
         quanton = _verify_mixed_quanton(cfg, n, rho)
         dim = cfg.get("detector_dim", quanton.n)
         detectors = random_mixed_detector(quanton.n, dim, np.random.default_rng([seed, 1]))
-    return _instance_table(quanton, [detectors], include_visibility=quanton.n <= VISIBILITY_MAX_PATHS)
+    return _instance_table(quanton, quanton.n <= VISIBILITY_MAX_PATHS, **_stack_of_one(detectors))
 
 
 def _verify_mixed_quanton(cfg: dict, n: int, rho) -> MixedQuanton:

@@ -17,8 +17,9 @@ in numerical quality stay visible.
 Each scenario's composition is written once, as a kernel over stacks of
 checked arrays (``_*_stack``), and every command runs it: a campaign on its
 draws in (n, detector dimension) stacks; evaluate_*, `verify` and
-sweep_overlap through one entry (_instance_table), one instance as a stack
-of one and a sweep's gammas as one stack. The fringe runs the pure_pure
+sweep_overlap through one entry (_instance_table) that takes stacked
+detector arrays, one instance as a stack of one and a sweep's gammas as one
+stack, their vectors factored by one batched eigh. The fringe runs the pure_pure
 kernel on the state it scans, and the two- and three-slit checks read C and
 D_Q from evaluate_pure. Each kernel
 states its own relations as columns over its stack, and one tail
@@ -38,8 +39,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .interference import FringeScan, scan_visibility, symmetric_detectors
-from .linalg import DensityMatrix, _density, _partial_trace_pure, _raise_first, _submatrix_margin, frozen
+from .interference import FringeScan, _uniform_overlap_grams, scan_visibility, symmetric_detectors
+from .linalg import (
+    DensityMatrix,
+    _density,
+    _gram_factors,
+    _partial_trace_pure,
+    _raise_first,
+    _submatrix_margin,
+    frozen,
+)
 from .measures import _branch_coherence_bound, _branch_distinguishability, _coherence, _slack, _uqsd
 from .random import _draw_stack, _empty_stack, _trial_bytes, _trial_shapes, stream
 from .states import (
@@ -90,6 +99,10 @@ REPORT_COLUMNS = (
     "passed",
 )
 CSV_COLUMNS = ("trial", "seed", *(column for column in REPORT_COLUMNS if column != "visibility"))
+#: rows _write_csv formats and writes in one call. A block's cells are Python
+#: objects while it is formatted, so the block, not the table, bounds that
+#: memory: a 4096-row fringe holds a quarter of its cells at a time.
+CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -164,7 +177,7 @@ def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = Fal
     partial trace, so the equality genuinely tests the numerics rather
     than an algebraic shortcut.
     """
-    return _instance_table(q, [d], include_visibility).reports()[0]
+    return _instance_table(q, include_visibility, **_stack_of_one(d)).reports()[0]
 
 
 def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = False) -> DualityReport:
@@ -173,7 +186,7 @@ def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = F
     The reduced state is rho_ij <d_j|d_i> entrywise; C, D_Q, and the
     slack then satisfy C + D_Q + slack = 1 with slack >= 0.
     """
-    return _instance_table(q, [d], include_visibility).reports()[0]
+    return _instance_table(q, include_visibility, **_stack_of_one(d)).reports()[0]
 
 
 def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
@@ -183,28 +196,35 @@ def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
     Checks that the reduced coherence stays below its branch-averaged
     bound and that C + D_Q <= 1; ``slack`` records the observed gap.
     """
-    return _instance_table(q, [m], include_visibility).reports()[0]
+    return _instance_table(q, include_visibility, **_stack_of_one(m)).reports()[0]
 
 
-def _instance_table(q: PureQuanton | MixedQuanton,
-                    detectors: Sequence[DetectorSet] | Sequence[MixedDetectorInteraction],
-                    include_visibility: bool) -> _Table:
-    """The one entry from a quanton to the kernels. evaluate_* and `verify` pass one
-    detector set or interaction, _sweep_table one detector set per gamma; they are
-    stacked (interactions of one detector dimension), the quanton broadcasts over
-    the stack, and their types pick pure_pure, mixed_pure or mixed_mixed."""
-    for d in detectors:
-        if q.n != d.n:
-            other = "interaction has" if isinstance(d, MixedDetectorInteraction) else "detectors have"
-            raise ValueError(f"path count mismatch: quanton has {q.n}, {other} {d.n}")
-    if isinstance(detectors[0], MixedDetectorInteraction):
-        return _mixed_mixed_stack(q.rho.matrix, np.stack([m.rho_d.matrix for m in detectors]),
-                                  np.stack([m.unitaries for m in detectors]), include_visibility)
-    grams = np.stack([d.gram for d in detectors])
+def _stack_of_one(d: DetectorSet | MixedDetectorInteraction) -> dict[str, np.ndarray]:
+    """A detector set or interaction as _instance_table's arrays, a stack of one."""
+    if isinstance(d, MixedDetectorInteraction):
+        return {"rho_d": d.rho_d.matrix[None], "unitaries": d.unitaries[None]}
+    return {"vectors": d.vectors[None], "gram": d.gram[None]}
+
+
+def _instance_table(q: PureQuanton | MixedQuanton, include_visibility: bool, *,
+                    vectors: np.ndarray | None = None, gram: np.ndarray | None = None,
+                    rho_d: np.ndarray | None = None, unitaries: np.ndarray | None = None) -> _Table:
+    """The one entry from a quanton to the kernels, over a stack of checked
+    detectors given as arrays: pure detectors as their (k, n, dim) vectors and
+    (k, n, n) Grams, interactions as their (k, dim, dim) detector states and
+    (k, n, dim, dim) unitaries. evaluate_* and `verify` pass a stack of one
+    (_stack_of_one), _sweep_table the vectors of all its gammas. The quanton
+    broadcasts over the stack; the arrays given and the quanton's type pick
+    pure_pure, mixed_pure or mixed_mixed."""
+    n = gram.shape[-1] if unitaries is None else unitaries.shape[-3]
+    if q.n != n:
+        other = "detectors have" if unitaries is None else "interaction has"
+        raise ValueError(f"path count mismatch: quanton has {q.n}, {other} {n}")
+    if unitaries is not None:
+        return _mixed_mixed_stack(q.rho.matrix, rho_d, unitaries, include_visibility)
     if isinstance(q, PureQuanton):
-        reduced = _pure_reduced(q.amplitudes, np.stack([d.vectors for d in detectors]))
-        return _pure_pure_stack(reduced, q.amplitudes, grams, include_visibility)
-    return _mixed_pure_stack(q.rho.matrix, grams, include_visibility)
+        return _pure_pure_stack(_pure_reduced(q.amplitudes, vectors), q.amplitudes, gram, include_visibility)
+    return _mixed_pure_stack(q.rho.matrix, gram, include_visibility)
 
 
 def sweep_overlap(n: int, gammas: Sequence[float],
@@ -220,8 +240,10 @@ def sweep_overlap(n: int, gammas: Sequence[float],
 
 
 def _sweep_table(n: int, gammas: Sequence[float], quanton: PureQuanton | MixedQuanton) -> _Table:
-    """sweep_overlap's checked gammas and quanton: the detector sets of every
-    gamma go through _instance_table as one stack."""
+    """sweep_overlap's checked gammas and quanton: the uniform-overlap Grams of
+    every gamma are factored by one batched eigh, and their vectors, checked as
+    DetectorSet checks one set, go through _instance_table as one stack. No
+    DetectorSet is built."""
     gammas = [float(g) for g in gammas]
     if not gammas:
         raise ValueError("gamma grid is empty")
@@ -231,7 +253,8 @@ def _sweep_table(n: int, gammas: Sequence[float], quanton: PureQuanton | MixedQu
         raise ValueError("gammas must be sorted ascending")
     if quanton.n != n:
         raise ValueError(f"quanton has {quanton.n} paths, sweep asked for {n}")
-    return _instance_table(quanton, [symmetric_detectors(n, g) for g in gammas], n <= VISIBILITY_MAX_PATHS)
+    vectors = _gram_factors(_uniform_overlap_grams(n, gammas))
+    return _instance_table(quanton, n <= VISIBILITY_MAX_PATHS, vectors=vectors, gram=_detector_gram(vectors))
 
 
 def _equal_amplitude_quanton(n: int) -> PureQuanton:
@@ -356,7 +379,9 @@ def _write_csv(path_or_file, header: Sequence[str], columns: dict, comment: str 
     array. A constant (an int or str, such as a campaign's seed) is a
     literal in the template, and None or a missing column an empty one. An
     int array is written with %d, a float array with %.17g (17 significant
-    digits round-trip exactly) and a bool array as true/false."""
+    digits round-trip exactly) and a bool array as true/false. Rows go out
+    CSV_BLOCK_ROWS at a time: a block is sliced from the arrays and formatted
+    by one % on the template repeated once per row, then written in one call."""
     if not hasattr(path_or_file, "write"):
         with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
             return _write_csv(fh, header, columns, comment)
@@ -367,15 +392,22 @@ def _write_csv(path_or_file, header: Sequence[str], columns: dict, comment: str 
             fields.append("" if column is None else str(column).replace("%", "%%"))
         elif column.dtype.kind == "b":
             fields.append("%s")
-            cells.append(np.where(column, "true", "false").tolist())
+            cells.append(np.where(column, "true", "false"))
         else:
             fields.append("%.17g" if column.dtype.kind == "f" else "%d")
-            cells.append(column.tolist())
+            cells.append(column)
     template = ",".join(fields) + "\n"
     if comment is not None:
         path_or_file.write(f"# {comment}\n")
     path_or_file.write(",".join(header) + "\n")
-    path_or_file.writelines(template % row for row in zip(*cells))
+    rows = min((len(cell) for cell in cells), default=0)
+    for start in range(0, rows, CSV_BLOCK_ROWS):
+        count = min(CSV_BLOCK_ROWS, rows - start)
+        # the block's cells in row order; no per-row tuple is built
+        flat = [None] * (count * len(cells))
+        for j, cell in enumerate(cells):
+            flat[j::len(cells)] = cell[start:start + count].tolist()
+        path_or_file.write(template * count % tuple(flat))
 
 
 def _tabulate(scenario: str, reduced: np.ndarray, include_visibility: bool, coherence: np.ndarray,

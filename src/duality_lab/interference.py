@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -103,11 +104,19 @@ def scan_visibility(rho_reduced: MixedQuanton, grid_points: int = DEFAULT_GRID_P
 
 def uniform_overlap_gram(n: int, gamma: float) -> np.ndarray:
     """Gram matrix with unit diagonal and every off-diagonal overlap gamma."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
+    return _uniform_overlap_grams(n, [gamma])[0]
+
+
+def _uniform_overlap_grams(n: int, gammas: Sequence[float]) -> np.ndarray:
+    """uniform_overlap_gram of each gamma, as one (k, n, n) stack; the first
+    gamma outside [0, 1] raises."""
+    for gamma in gammas:
+        if not 0.0 <= gamma <= 1.0:
+            raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
     if n < 2:
         raise ValueError("need at least 2 detector states")
-    return (1.0 - gamma) * np.eye(n) + gamma * np.ones((n, n))
+    column = np.array(gammas, dtype=float)[:, None, None]
+    return (1.0 - column) * np.eye(n) + column * np.ones((n, n))
 
 
 def symmetric_detectors(n: int, gamma: float) -> DetectorSet:

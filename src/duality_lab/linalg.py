@@ -278,12 +278,23 @@ def gram_factor_vectors(gram) -> np.ndarray:
     g = as_matrix(gram)
     if g.shape[0] != g.shape[1]:
         raise ValueError("Gram matrix must be square")
-    herm_dev = np.abs(g - dagger(g)).max()
-    if herm_dev > DEFAULT_TOL:
-        raise NotHermitianError(f"Gram Hermiticity deviation {herm_dev:.3e} over {DEFAULT_TOL:.1e}")
-    vals, vecs = np.linalg.eigh((g + dagger(g)) / 2.0)
-    if vals[0] < -DEFAULT_TOL:
-        raise NotPSDError(f"Gram minimum eigenvalue {vals[0]:.3e} below -{DEFAULT_TOL:.1e}")
-    factors = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    return _gram_factors(g)
+
+
+def _gram_factors(g: np.ndarray) -> np.ndarray:
+    """gram_factor_vectors over the trailing (n, n) axes of a stack of Grams,
+    with one batched eigh. A Gram that is not Hermitian or not PSD raises the
+    single-matrix message, its stack index in the exception's `index`. A real
+    stack is factored as complex, as as_matrix reads a single Gram."""
+    g = np.asarray(g, dtype=complex)
+    adjoint = dagger(g)
+    herm_dev = np.abs(g - adjoint).max(axis=(-2, -1))
+    _raise_first(~(herm_dev <= DEFAULT_TOL), NotHermitianError,
+                 lambda i: f"Gram Hermiticity deviation {herm_dev[i]:.3e} over {DEFAULT_TOL:.1e}")
+    vals, vecs = np.linalg.eigh((g + adjoint) / 2.0)
+    low = vals[..., 0]
+    _raise_first(low < -DEFAULT_TOL, NotPSDError,
+                 lambda i: f"Gram minimum eigenvalue {low[i]:.3e} below -{DEFAULT_TOL:.1e}")
+    factors = vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
     # rows of conj(L) have <v_i|v_j> = (L L^dag)_ij = gram_ij
     return factors.conj()

@@ -98,8 +98,6 @@ class DetectorSet:
         vecs = np.asarray(self.vectors, dtype=complex)
         if vecs.ndim != 2:
             raise ValueError("vectors must be an (n, dim) array")
-        if not np.all(np.isfinite(vecs)):
-            raise ValueError("detector vectors contain NaN or Inf entries")
         object.__setattr__(self, "vectors", frozen(vecs))
         object.__setattr__(self, "gram", frozen(_detector_gram(vecs)))
 
@@ -113,7 +111,10 @@ class DetectorSet:
 
 
 def _detector_gram(vecs: np.ndarray) -> np.ndarray:
-    """DetectorSet's norm check and Gram matrix over the trailing (n, dim) axes."""
+    """DetectorSet's checks, finite entries and unit norms, and its Gram matrix
+    over the trailing (n, dim) axes of a stack."""
+    _raise_first(~np.isfinite(vecs).all(axis=(-2, -1)), ValueError,
+                 lambda i: "detector vectors contain NaN or Inf entries")
     worst = np.abs(np.linalg.norm(vecs, axis=-1) - 1.0).max(axis=-1)
     _raise_first(~(worst <= DEFAULT_TOL), ValueError,
                  lambda i: f"detector vectors not normalized, worst deviation {worst[i]:.3e}")

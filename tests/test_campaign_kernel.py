@@ -609,7 +609,7 @@ def test_bad_zero_weight_branch_grams_change_no_output(monkeypatch, fault):
     assert len(poisoned) > 10
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
 @pytest.mark.parametrize("quanton", [
     _equal_pure, lambda n: random_pure(n, 14), lambda n: random_density(n, 2, 15), _rank_deficient,
 ], ids=["pure_equal", "pure_random", "mixed_random", "mixed_zero_eigenvalue"])
@@ -625,9 +625,9 @@ def test_sweep_matches_oracle(n, quanton):
 @pytest.mark.parametrize("n, dim", [(2, 2), (3, 5), (5, 4)])
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_instance_table_over_a_stack_equals_its_entries(scenario, n, dim):
-    """_instance_table over several random detector sets, or several
-    random_mixed_detector interactions, equals the single-instance tables
-    of its entries, column by column with ==."""
+    """_instance_table over the stacked arrays of several random detector sets,
+    or several random_mixed_detector interactions, equals the single-instance
+    tables of its entries, column by column with ==."""
     rng = np.random.default_rng([n, dim, SCENARIOS.index(scenario)])
     q = random_pure(n, rng) if scenario == "pure_pure" else random_density(n, int(rng.integers(1, n + 1)), rng)
     if scenario == "mixed_mixed":
@@ -635,8 +635,10 @@ def test_instance_table_over_a_stack_equals_its_entries(scenario, n, dim):
     else:
         detectors = [random_detectors(n, dim, rng) for _ in range(6)]
     include_v = n <= VISIBILITY_MAX_PATHS
-    stacked = duality._instance_table(q, detectors, include_v)
-    singles = [duality._instance_table(q, [d], include_v) for d in detectors]
+    arrays = [duality._stack_of_one(d) for d in detectors]
+    stacked = duality._instance_table(q, include_v, **{key: np.concatenate([a[key] for a in arrays])
+                                                        for key in arrays[0]})
+    singles = [duality._instance_table(q, include_v, **a) for a in arrays]
     assert stacked.scenario == scenario
     for part in ("values", "residuals", "verdicts"):
         columns = getattr(stacked, part)
@@ -859,6 +861,17 @@ def test_verify_and_sweep_csv_build_no_reports(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_sweep_builds_no_detector_set(monkeypatch, capsys):
+    """A sweep factors its gammas as one stack of arrays: no DetectorSet is built."""
+    monkeypatch.setattr(duality_lab.states.DetectorSet, "__post_init__",
+                        lambda self: pytest.fail("a DetectorSet was built"))
+    for n in (2, 3, 8):
+        assert main(["sweep", "--n", str(n), "--gamma-range", "0:1:7"]) == 0
+    assert main(["sweep", "--scenario", "mixed_pure", "--n", "3", "--seed", "4", "--gammas", "0,0.5,0.5,1"]) == 0
+    assert len(sweep_overlap(4, [0.0, 0.2, 1.0], _equal_pure(4))) == 3
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("n, gamma, grid_points", [(2, 0.6, 4096), (3, 0.35, 256), (5, 0.8, 5000)])
 def test_fringe_csv_equals_the_row_oracle(n, gamma, grid_points, capsys):
     """Fringe rows by the rule of the removed FringeScan.to_csv: theta and
@@ -893,3 +906,40 @@ def test_float_array_cells_equal_format_17g(values):
     buf = io.StringIO()
     duality._write_csv(buf, ("array",), {"array": np.array(values, dtype=float)})
     assert buf.getvalue() == "array\n" + "".join(f"{v:.17g}\n" for v in values)
+
+
+class _Writes(io.StringIO):
+    """A text buffer that counts its write calls."""
+
+    calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("rows", [1, 1024, 1025, 2049])
+def test_csv_blocks_equal_the_per_row_oracle(rows):
+    """Rows written a block at a time equal one `template % row` per row, byte
+    for byte, on both sides of each block edge; each block is one write."""
+    specials = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e300, -1e-300, 5e-324, 2.2250738585072014e-308 / 3]
+    rng = np.random.default_rng(rows)
+    floats = np.array([specials[k % len(specials)] if k % 2 else rng.normal() for k in range(rows)])
+    flags, counts = rng.random(rows) < 0.5, np.arange(rows) - 7
+    header = ("x", "flag", "absent", "missing", "constant", "seed", "count")
+    buf = _Writes()
+    duality._write_csv(buf, header, {"x": floats, "flag": flags, "absent": None, "constant": "50%d", "seed": 9,
+                                     "count": counts})
+    template = "%.17g,%s,,,50%%d,9,%d\n"
+    expected = "".join(template % (x, "true" if flag else "false", count)
+                       for x, flag, count in zip(floats.tolist(), flags.tolist(), counts.tolist()))
+    assert buf.getvalue() == ",".join(header) + "\n" + expected
+    assert buf.calls == 1 + -(-rows // duality.CSV_BLOCK_ROWS)
+
+
+def test_campaign_csv_across_blocks_equals_the_cell_oracle(tmp_path):
+    """A campaign of more than two blocks of trials writes the report fields' cells."""
+    result = run_campaign("mixed_pure", 2049, 23, n=(2, 3))
+    result.to_csv(tmp_path / "run.csv")
+    rows = [{"trial": str(k), "seed": "23", **_csv_cells(report)} for k, report in enumerate(result.reports)]
+    assert (tmp_path / "run.csv").read_bytes() == _csv_text(CSV_COLUMNS, rows).encode()

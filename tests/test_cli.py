@@ -146,6 +146,9 @@ _MALFORMED = [
     *(pytest.param(["sweep", "--n", "2", "--gamma-range", value], None,
                    "gamma-range must look like start:stop:count, e.g. 0:1:11", id=f"gamma-range-{value}")
       for value in ("0:1:x", "a:1:3")),
+    *(pytest.param(["sweep", "--n", "2", *argv], config, "--gammas must be numbers", id=f"gammas-{name}")
+      for name, argv, config in (("flag", ["--gammas", "a"], None), ("flag-part", ["--gammas", "0.5,x"], None),
+                                 ("config", [], {"gammas": "0.5,a"}), ("config-list", [], {"gammas": [0.5, "a"]}))),
     pytest.param(["verify", "--scenario", "mixed_pure", "--n", "3", "--seed", "1", "--rank", "4"], None,
                  "rank must lie in 1..3, got 4", id="verify-rank"),
     pytest.param(["campaign", "--scenario", "mixed_mixed", "--n", "3", "--trials", "3", "--seed", "1",
@@ -508,7 +511,7 @@ def test_fringe_rejects_large_grid(capsys):
 # ------------------------------------------------------------ exit codes
 
 @pytest.mark.parametrize("argv, builder", [
-    (["sweep", "--n", "1000000", "--gammas", "0.5"], "duality_lab.duality.symmetric_detectors"),
+    (["sweep", "--n", "1000000", "--gammas", "0.5"], "duality_lab.duality._uniform_overlap_grams"),
     (["fringe", "--n", "1000000", "--gamma", "0.5"], "duality_lab.cli.symmetric_detectors"),
     (["verify", "--n", "1000000", "--gamma", "0.5"], "duality_lab.cli.uniform_overlap_detectors"),
 ])

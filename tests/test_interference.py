@@ -11,13 +11,15 @@ from duality_lab.duality import check_three_slit_relation, check_two_slit_relati
 from duality_lab.interference import (
     FLAT_PATTERN_TOL,
     FringeScan,
+    _uniform_overlap_grams,
     intensity,
     scan_visibility,
     symmetric_detectors,
+    uniform_overlap_gram,
 )
-from duality_lab.linalg import validate_density
+from duality_lab.linalg import _gram_factors, gram_factor_vectors, validate_density
 from duality_lab.random import random_detectors, uniform_overlap_detectors
-from duality_lab.states import MixedQuanton, PureQuanton, entangle_pure, reduce_quanton
+from duality_lab.states import DetectorSet, MixedQuanton, PureQuanton, _detector_gram, entangle_pure, reduce_quanton
 
 
 def _equal_pure(n):
@@ -276,3 +278,27 @@ def test_symmetric_detectors_overlaps():
     d = symmetric_detectors(4, 0.3)
     off = d.gram[~np.eye(4, dtype=bool)]
     np.testing.assert_allclose(off, 0.3, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_uniform_overlap_family_equals_its_detector_sets(n):
+    """The whole gamma family factored as one stack equals, with ==, the
+    detector set built from each gamma's own Gram: vectors and Gram."""
+    rng = np.random.default_rng(n)
+    grids = [[0.0], [1.0], [0.0, 1.0], [0.0, 0.0, 0.5, 0.5, 1.0, 1.0],
+             *(sorted([0.0, 1.0, *rng.random(int(rng.integers(1, 12))), 0.25, 0.25]) for _ in range(20))]
+    for gammas in grids:
+        grams = _uniform_overlap_grams(n, gammas)
+        vectors = _gram_factors(grams)
+        stacked_grams = _detector_gram(vectors)
+        for k, gamma in enumerate(gammas):
+            assert (grams[k] == uniform_overlap_gram(n, gamma)).all()
+            d = DetectorSet(gram_factor_vectors(uniform_overlap_gram(n, gamma)))
+            assert (vectors[k] == d.vectors).all() and (stacked_grams[k] == d.gram).all(), (gammas, k)
+
+
+def test_stacked_uniform_overlap_grams_check_every_gamma():
+    with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\], got 1.5"):
+        _uniform_overlap_grams(3, [0.0, 0.5, 1.5])
+    with pytest.raises(ValueError, match="need at least 2 detector states"):
+        _uniform_overlap_grams(1, [0.5])

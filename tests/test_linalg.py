@@ -8,6 +8,7 @@ from duality_lab.linalg import (
     NotHermitianError,
     NotPSDError,
     NotUnitTraceError,
+    _gram_factors,
     gram_factor_vectors,
     partial_trace_second,
     principal_submatrix_margin,
@@ -227,3 +228,19 @@ def test_gram_factor_complex_hermitian():
 def test_gram_factor_rejects_indefinite():
     with pytest.raises(NotPSDError):
         gram_factor_vectors(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad, error", [
+    (np.array([[1.0, 0.5], [0.2, 1.0]]), NotHermitianError),
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), NotPSDError),
+], ids=["not_hermitian", "not_psd"])
+def test_stacked_gram_factors_name_the_bad_entry(bad, error):
+    """A bad Gram in a stack raises the single-matrix message, and the
+    exception's index names its place in the stack."""
+    with pytest.raises(error) as single:
+        gram_factor_vectors(bad)
+    stack = np.stack([np.eye(2), 0.5 * np.ones((2, 2)) + 0.5 * np.eye(2), bad, bad])
+    with pytest.raises(error) as stacked:
+        _gram_factors(stack)
+    assert str(stacked.value) == str(single.value)
+    assert stacked.value.index == (2,)
