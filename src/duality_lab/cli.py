@@ -103,8 +103,11 @@ def _parse_rho(raw) -> np.ndarray:
 
 
 def _parse_gammas(cfg) -> list[float]:
+    """The gamma grid of --gammas or --gamma-range, checked to lie in [0, 1]
+    (NaN does not) and to ascend, as _sweep_table checks it, but naming the
+    flag or config key that gave it."""
     if cfg.get("gammas") is not None:
-        raw = cfg["gammas"]
+        flag, raw = "--gammas", cfg["gammas"]
         if isinstance(raw, str):
             raw = [part for part in raw.split(",") if part.strip()]
         if not all(type(v) in (int, float, str) for v in raw):
@@ -114,18 +117,23 @@ def _parse_gammas(cfg) -> list[float]:
         except ValueError:  # a str entry that is no number
             raise ConfigError(f"--gammas must be numbers, got {raw!r}") from None
     elif cfg.get("gamma_range") is not None:
+        flag = "--gamma-range"
         try:
             start, stop, count = str(cfg["gamma_range"]).split(":")
             start, stop, count = float(start), float(stop), int(count)
         except ValueError:  # a part count other than 3, or a part that is no number
-            raise ConfigError("gamma-range must look like start:stop:count, e.g. 0:1:11") from None
+            raise ConfigError("--gamma-range must look like start:stop:count, e.g. 0:1:11") from None
         if count < 1:
-            raise ConfigError("gamma-range count must be >= 1")
+            raise ConfigError("--gamma-range count must be >= 1")
         values = [float(v) for v in np.linspace(start, stop, count)]
     else:
         raise ConfigError("need --gammas or --gamma-range")
     if not values:
-        raise ConfigError("gamma grid is empty")
+        raise ConfigError(f"{flag} gives an empty gamma grid")
+    if not all(0.0 <= g <= 1.0 for g in values):
+        raise ConfigError(f"{flag} must lie in [0, 1], got {values!r}")
+    if any(a > b for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{flag} must be sorted ascending, got {values!r}")
     return values
 
 

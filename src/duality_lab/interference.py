@@ -13,13 +13,17 @@ only serves plotting. For the symmetric two- and three-slit families this
 model reproduces the closed-form visibility / coherence correspondences
 exactly.
 
-The sampled grid at theta_t = 2 pi t / N is the inverse DFT of the c_m.
+The sampled grid at theta_t = 2 pi t / N is the inverse DFT of the c_m. A
+scan keeps the c_m and computes the grid only when it is read, so sweeps
+and `verify`, which read the visibility alone, never run the DFT; `fringe`
+reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -43,13 +47,27 @@ class GridSizeError(ValueError):
 
 @dataclass(frozen=True)
 class FringeScan:
-    """Sampled intensity pattern with exact extrema and visibility."""
+    """Exact extrema and visibility of a pattern, and its sampled grid.
+
+    `coefficients` holds the c_m for m = n - 1 down to 1 - n. `intensities`,
+    the pattern at `phases`, is their inverse DFT; it is computed on first
+    read and cached, so a scan whose grid is never read never runs the DFT.
+    """
 
     phases: np.ndarray
-    intensities: np.ndarray
+    coefficients: np.ndarray
     i_max: float
     i_min: float
     visibility: float
+
+    @cached_property
+    def intensities(self) -> np.ndarray:
+        grid_points = len(self.phases)
+        half = len(self.coefficients) // 2
+        # orders that alias modulo grid_points (2n - 1 > N) must add
+        spectrum = np.zeros(grid_points, dtype=complex)
+        np.add.at(spectrum, np.arange(half, -half - 1, -1) % grid_points, self.coefficients)
+        return np.clip(np.fft.ifft(spectrum).real * grid_points, 0.0, None)
 
 
 def intensity(rho_reduced: MixedQuanton, theta: float) -> float:
@@ -64,8 +82,9 @@ def intensity(rho_reduced: MixedQuanton, theta: float) -> float:
 
 
 def scan_visibility(rho_reduced: MixedQuanton, grid_points: int = DEFAULT_GRID_POINTS) -> FringeScan:
-    """Sample one period and take the visibility (i_max - i_min) / (i_max + i_min)
-    from the exact extrema, which do not depend on `grid_points`.
+    """Take the visibility (i_max - i_min) / (i_max + i_min) from the exact
+    extrema, which do not depend on `grid_points`. The scan samples one
+    period at `grid_points` phases only when its `intensities` are read.
 
     With z = exp(i theta), z^(n-1) dI/dtheta / i = sum_m m c_m z^(m+n-1) is
     a polynomial of degree 2(n-1) whose unit-circle roots are the
@@ -82,24 +101,38 @@ def scan_visibility(rho_reduced: MixedQuanton, grid_points: int = DEFAULT_GRID_P
         raise GridSizeError(f"must be <= {MAX_GRID_POINTS}, got {grid_points}")
     rho = rho_reduced.rho.matrix
     orders = np.arange(rho.shape[0] - 1, -rho.shape[0], -1)
-    coeffs = np.array([np.trace(rho, offset=-m) for m in orders])
-    # orders that alias modulo grid_points (2n - 1 > N) must add
-    spectrum = np.zeros(grid_points, dtype=complex)
-    np.add.at(spectrum, orders % grid_points, coeffs)
-    values = np.clip(np.fft.ifft(spectrum).real * grid_points, 0.0, None)
-    coeffs[np.abs(coeffs) < np.finfo(float).eps] = 0.0
-    phases = np.append(np.angle(np.roots(orders * coeffs)), 0.0)
+    coeffs = np.array([rho.trace(offset=-m) for m in orders])
+    kept = np.where(np.abs(coeffs) < np.finfo(float).eps, 0.0, coeffs)
+    phases = np.append(np.angle(_roots(orders * kept)), 0.0)
     extrema = [intensity(rho_reduced, theta) for theta in phases]
     i_max, i_min = max(extrema), min(extrema)
     spread = i_max - i_min
     visibility = 0.0 if spread < FLAT_PATTERN_TOL else spread / (i_max + i_min)
     return FringeScan(
         phases=np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False),
-        intensities=values,
+        coefficients=coeffs,
         i_max=i_max,
         i_min=i_min,
         visibility=visibility,
     )
+
+
+def _roots(p: np.ndarray) -> np.ndarray:
+    """np.roots of a float or complex coefficient vector, highest power
+    first, bit for bit: leading and trailing zeros stripped, the same
+    companion matrix, its eigvals, and one zero root per trailing zero."""
+    nonzero = np.flatnonzero(p)
+    if not len(nonzero):
+        return np.array([])
+    trailing = len(p) - 1 - nonzero[-1]
+    p = p[nonzero[0]:nonzero[-1] + 1]
+    if len(p) > 1:
+        companion = np.diag(np.ones(len(p) - 2, p.dtype), -1)
+        companion[0] = -p[1:] / p[0]
+        roots = np.linalg.eigvals(companion)
+    else:
+        roots = np.array([])
+    return np.concatenate((roots, np.zeros(trailing, roots.dtype)))
 
 
 def uniform_overlap_gram(n: int, gamma: float) -> np.ndarray:

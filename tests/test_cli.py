@@ -149,6 +149,23 @@ _MALFORMED = [
     *(pytest.param(["sweep", "--n", "2", *argv], config, "--gammas must be numbers", id=f"gammas-{name}")
       for name, argv, config in (("flag", ["--gammas", "a"], None), ("flag-part", ["--gammas", "0.5,x"], None),
                                  ("config", [], {"gammas": "0.5,a"}), ("config-list", [], {"gammas": [0.5, "a"]}))),
+    # a grid outside [0, 1] (NaN included) or not ascending names the flag that gave it
+    *(pytest.param(["sweep", "--n", "2", *argv], config, message, id=f"gamma-grid-{name}")
+      for name, argv, config, message in (
+          ("range-above-one", ["--gamma-range", "0:2:3"], None,
+           "--gamma-range must lie in [0, 1], got [0.0, 1.0, 2.0]"),
+          ("range-descending", ["--gamma-range", "1:0:3"], None,
+           "--gamma-range must be sorted ascending, got [1.0, 0.5, 0.0]"),
+          ("descending", ["--gammas", "0.5,0.2"], None, "--gammas must be sorted ascending, got [0.5, 0.2]"),
+          ("nan", ["--gammas", "nan"], None, "--gammas must lie in [0, 1], got [nan]"),
+          ("negative", ["--gammas=-0.1,0.5"], None, "--gammas must lie in [0, 1], got [-0.1, 0.5]"),
+          ("config-range-above-one", [], {"gamma_range": "0:2:3"}, "--gamma-range must lie in [0, 1]"),
+          ("config-range-descending", [], {"gamma_range": "1:0:3"}, "--gamma-range must be sorted ascending"),
+          ("config-descending", [], {"gammas": [0.5, 0.2]}, "--gammas must be sorted ascending"),
+          ("config-nan", [], {"gammas": "0.5,nan"}, "--gammas must lie in [0, 1], got [0.5, nan]"),
+          ("config-above-one", [], {"gammas": [0.5, 1.5]}, "--gammas must lie in [0, 1], got [0.5, 1.5]"),
+          ("empty", ["--gammas", ","], None, "--gammas gives an empty gamma grid"),
+          ("config-empty", [], {"gammas": []}, "--gammas gives an empty gamma grid"))),
     pytest.param(["verify", "--scenario", "mixed_pure", "--n", "3", "--seed", "1", "--rank", "4"], None,
                  "rank must lie in 1..3, got 4", id="verify-rank"),
     pytest.param(["campaign", "--scenario", "mixed_mixed", "--n", "3", "--trials", "3", "--seed", "1",

@@ -3,14 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from duality_lab import interference
+from duality_lab import duality, interference
+from duality_lab.cli import main
 from duality_lab.duality import check_three_slit_relation, check_two_slit_relation
 from duality_lab.interference import (
     FLAT_PATTERN_TOL,
     FringeScan,
+    _roots,
     _uniform_overlap_grams,
     intensity,
     scan_visibility,
@@ -191,11 +193,91 @@ def test_scans_keep_no_memory_between_calls():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for reduced in states:
-            scan_visibility(reduced, interference.MAX_GRID_POINTS)
+            # the grid is computed only when read, so read it before dropping the scan
+            scan = scan_visibility(reduced, interference.MAX_GRID_POINTS)
+            assert scan.intensities.shape == (interference.MAX_GRID_POINTS,)
+            del scan
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert kept < 1 << 20
+
+
+# ----------------------------------------------------------------- lazy grid
+
+def _counted(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that records each call; return the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, scans, grids", [
+    (["sweep", "--n", "2", "--gamma-range", "0:1:11"], 11, 0),
+    (["sweep", "--n", "3", "--gamma-range", "0:1:11"], 11, 0),
+    (["sweep", "--n", "3", "--scenario", "mixed_pure", "--seed", "3", "--gammas", "0,0.5,1"], 3, 0),
+    (["verify", "--n", "3", "--gamma", "0.5"], 1, 0),
+    (["fringe", "--n", "2", "--gamma", "0.6"], 1, 1),
+])
+def test_only_fringe_computes_the_grid(monkeypatch, capsys, argv, scans, grids):
+    """Sweeps and verify read the visibility of every scan and never its
+    grid, so they run no inverse DFT; fringe writes the grid and runs one."""
+    iffts = _counted(monkeypatch, interference.np.fft, "ifft")
+    scan_calls = _counted(monkeypatch, duality, "scan_visibility")
+    assert main(argv) == 0, capsys.readouterr().err
+    assert (len(scan_calls), len(iffts)) == (scans, grids)
+
+
+def test_grid_is_computed_once_on_first_read(monkeypatch):
+    iffts = _counted(monkeypatch, interference.np.fft, "ifft")
+    scan = scan_visibility(_symmetric_reduced(3, 0.5), 256)
+    assert iffts == []
+    first = scan.intensities
+    assert scan.intensities is first
+    assert len(iffts) == 1
+
+
+# ------------------------------------------------------------ root finder
+
+# zeros (leading, trailing, internal), subnormals and ordinary magnitudes
+_COEFFICIENT = st.one_of(st.just(0.0), st.floats(-1e-308, 1e-308), st.floats(-1e3, 1e3))
+
+
+def _roots_or_error(roots, p):
+    try:
+        return roots(p)
+    except (np.linalg.LinAlgError, RuntimeWarning) as exc:  # a subnormal leading term overflows
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.lists(_COEFFICIENT, min_size=3, max_size=15).flatmap(
+    lambda re: st.tuples(st.just(re), st.none() | st.lists(_COEFFICIENT, min_size=len(re), max_size=len(re)))))
+@example(([0.0] * 3, None))
+@example(([0.0] * 15, [0.0] * 15))
+@example(([0.0, 0.0, 2.5, 0.0, 0.0], None))
+@example(([0.0] * 7, [0.0, 0.0, 0.0, -1.5, 0.0, 0.0, 0.0]))
+@example(([5e-324, 1.0, 0.0, 2.0], None))
+@example(([0.0, 1.0, -3e-310, 0.0, 0.0], [0.0, 2e-320, 1.0, 0.0, 0.0]))
+def test_roots_equal_np_roots_bit_for_bit(parts):
+    """The scan's root finder is np.roots without its generic input handling:
+    the same roots, dtype and bits, or the same error, for real and complex
+    coefficient vectors. np.roots stays the oracle on every numpy."""
+    re, im = parts
+    p = np.array(re) if im is None else np.array(re) + 1j * np.array(im)
+    ours, theirs = _roots_or_error(_roots, p.copy()), _roots_or_error(np.roots, p.copy())
+    if isinstance(theirs, tuple):
+        assert ours == theirs
+    else:
+        assert isinstance(ours, np.ndarray), ours
+        assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+        assert ours.tobytes() == theirs.tobytes()
 
 
 def test_scan_visibility_matches_overlap_for_any_pair():
