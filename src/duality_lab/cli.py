@@ -33,6 +33,7 @@ from .duality import (
     SCENARIOS,
     VISIBILITY_MAX_PATHS,
     _equal_amplitude_quanton,
+    _gamma_grid,
     _instance_table,
     _pure_fringe,
     _stack_of_one,
@@ -41,7 +42,7 @@ from .duality import (
     _write_csv,
     run_campaign,
 )
-from .interference import DEFAULT_GRID_POINTS, GridSizeError, symmetric_detectors
+from .interference import DEFAULT_GRID_POINTS, _check_grid_points, symmetric_detectors
 from .linalg import validate_density
 from .random import (
     random_density,
@@ -90,10 +91,16 @@ def _parse_amplitudes(raw) -> np.ndarray:
     amps = np.array([_parse_complex(v) for v in raw], dtype=complex)
     if amps.size < 2:
         raise ConfigError("need at least 2 amplitudes")
-    norm = np.linalg.norm(amps)
-    if norm == 0:
+    if not np.isfinite(amps).all():
+        raise ConfigError(f"--amplitudes must be finite, got {raw!r}")
+    largest = np.abs(amps.view(float)).max()
+    if largest == 0:
         raise ConfigError("amplitudes are all zero")
-    return amps / norm
+    # scaled by the power of two nearest the largest real or imaginary part, so
+    # that the norm neither overflows nor underflows; the scaling is exact, so
+    # amplitudes that normalized without it keep every bit
+    amps = np.ldexp(amps.view(float), -np.frexp(largest)[1]).view(complex)
+    return amps / np.linalg.norm(amps)
 
 
 def _parse_rho(raw) -> np.ndarray:
@@ -103,9 +110,10 @@ def _parse_rho(raw) -> np.ndarray:
 
 
 def _parse_gammas(cfg) -> list[float]:
-    """The gamma grid of --gammas or --gamma-range, checked to lie in [0, 1]
-    (NaN does not) and to ascend, as _sweep_table checks it, but naming the
-    flag or config key that gave it."""
+    """The gamma grid of --gammas or --gamma-range, checked by _gamma_grid
+    under the name of the flag that gave it; giving both is malformed."""
+    if cfg.get("gammas") is not None and cfg.get("gamma_range") is not None:
+        raise ConfigError("--gammas and --gamma-range both give a gamma grid; give one")
     if cfg.get("gammas") is not None:
         flag, raw = "--gammas", cfg["gammas"]
         if isinstance(raw, str):
@@ -128,13 +136,7 @@ def _parse_gammas(cfg) -> list[float]:
         values = [float(v) for v in np.linspace(start, stop, count)]
     else:
         raise ConfigError("need --gammas or --gamma-range")
-    if not values:
-        raise ConfigError(f"{flag} gives an empty gamma grid")
-    if not all(0.0 <= g <= 1.0 for g in values):
-        raise ConfigError(f"{flag} must lie in [0, 1], got {values!r}")
-    if any(a > b for a, b in zip(values, values[1:])):
-        raise ConfigError(f"{flag} must be sorted ascending, got {values!r}")
-    return values
+    return _gamma_grid(values, flag)
 
 
 def _config_value(flag: argparse.Action, value):
@@ -333,10 +335,8 @@ def cmd_fringe(args: argparse.Namespace) -> int:
     n = _require(cfg, "n", "--n")
     gamma = _require(cfg, "gamma", "--gamma")
     grid_points = cfg.get("grid_points", DEFAULT_GRID_POINTS)
-    try:
-        scan, report = _pure_fringe(_equal_amplitude_quanton(n), symmetric_detectors(n, gamma), grid_points)
-    except GridSizeError as exc:  # scan_visibility checks the grid; the message names the flag
-        raise ConfigError(f"--grid-points {exc.bound}") from exc
+    _check_grid_points(grid_points, "--grid-points")
+    scan, report = _pure_fringe(_equal_amplitude_quanton(n), symmetric_detectors(n, gamma), grid_points)
     comment = (
         f"n={n} gamma={gamma!r} visibility={scan.visibility!r} "
         f"coherence={report.coherence!r} distinguishability={report.distinguishability!r}"

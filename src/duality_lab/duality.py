@@ -239,21 +239,27 @@ def sweep_overlap(n: int, gammas: Sequence[float],
     return _sweep_table(n, gammas, quanton).reports()
 
 
-def _sweep_table(n: int, gammas: Sequence[float], quanton: PureQuanton | MixedQuanton) -> _Table:
-    """sweep_overlap's checked gammas and quanton: the uniform-overlap Grams of
-    every gamma are factored by one batched eigh, and their vectors, checked as
-    DetectorSet checks one set, go through _instance_table as one stack. No
-    DetectorSet is built."""
+def _gamma_grid(gammas: Sequence[float], name: str = "gammas") -> list[float]:
+    """The gammas as floats, checked to be a nonempty grid in [0, 1] (NaN is
+    not) that ascends; a message names the grid `name`, such as the flag
+    that gave it."""
     gammas = [float(g) for g in gammas]
     if not gammas:
-        raise ValueError("gamma grid is empty")
-    if any(not 0.0 <= g <= 1.0 for g in gammas):
-        raise ValueError(f"gammas must lie in [0, 1], got {gammas!r}")
+        raise ValueError(f"{name} gives an empty gamma grid")
+    if not all(0.0 <= g <= 1.0 for g in gammas):
+        raise ValueError(f"{name} must lie in [0, 1], got {gammas!r}")
     if any(a > b for a, b in zip(gammas, gammas[1:])):
-        raise ValueError("gammas must be sorted ascending")
-    if quanton.n != n:
-        raise ValueError(f"quanton has {quanton.n} paths, sweep asked for {n}")
-    vectors = _gram_factors(_uniform_overlap_grams(n, gammas))
+        raise ValueError(f"{name} must be sorted ascending, got {gammas!r}")
+    return gammas
+
+
+def _sweep_table(n: int, gammas: Sequence[float], quanton: PureQuanton | MixedQuanton) -> _Table:
+    """sweep_overlap's table over the grid _gamma_grid checks: the
+    uniform-overlap Grams of every gamma are factored by one batched eigh,
+    and their vectors, checked as DetectorSet checks one set, go through
+    _instance_table as one stack, which checks the quanton's path count. No
+    DetectorSet is built."""
+    vectors = _gram_factors(_uniform_overlap_grams(n, _gamma_grid(gammas)))
     return _instance_table(quanton, n <= VISIBILITY_MAX_PATHS, vectors=vectors, gram=_detector_gram(vectors))
 
 

@@ -14,9 +14,10 @@ model reproduces the closed-form visibility / coherence correspondences
 exactly.
 
 The sampled grid at theta_t = 2 pi t / N is the inverse DFT of the c_m. A
-scan keeps the c_m and computes the grid only when it is read, so sweeps
-and `verify`, which read the visibility alone, never run the DFT; `fringe`
-reads it.
+scan keeps the c_m and the grid size and computes both grid arrays, the
+phases and their intensities, only when they are read, so sweeps and
+`verify`, which read the visibility alone, never build them; `fringe` reads
+both.
 """
 
 from __future__ import annotations
@@ -37,37 +38,42 @@ MAX_GRID_POINTS = 1 << 16
 FLAT_PATTERN_TOL = 1e-12
 
 
-class GridSizeError(ValueError):
-    """A grid size outside MIN_GRID_POINTS..MAX_GRID_POINTS; `bound` is the limit it breaks."""
-
-    def __init__(self, bound: str):
-        super().__init__(f"grid_points {bound}")
-        self.bound = bound
+def _check_grid_points(grid_points: int, name: str = "grid_points") -> None:
+    """Raise unless MIN_GRID_POINTS <= grid_points <= MAX_GRID_POINTS; the
+    message names the size `name`, such as the flag that gave it."""
+    if grid_points < MIN_GRID_POINTS:
+        raise ValueError(f"{name} must be >= {MIN_GRID_POINTS}, got {grid_points}")
+    if grid_points > MAX_GRID_POINTS:
+        raise ValueError(f"{name} must be <= {MAX_GRID_POINTS}, got {grid_points}")
 
 
 @dataclass(frozen=True)
 class FringeScan:
     """Exact extrema and visibility of a pattern, and its sampled grid.
 
-    `coefficients` holds the c_m for m = n - 1 down to 1 - n. `intensities`,
-    the pattern at `phases`, is their inverse DFT; it is computed on first
-    read and cached, so a scan whose grid is never read never runs the DFT.
+    `coefficients` holds the c_m for m = n - 1 down to 1 - n. `phases` are
+    the `grid_points` phases of one period, and `intensities`, the pattern
+    at them, is the inverse DFT of the c_m. Both are computed on first read
+    and cached, so a scan whose grid is never read never builds it.
     """
 
-    phases: np.ndarray
+    grid_points: int
     coefficients: np.ndarray
     i_max: float
     i_min: float
     visibility: float
 
     @cached_property
+    def phases(self) -> np.ndarray:
+        return np.linspace(0.0, 2.0 * math.pi, self.grid_points, endpoint=False)
+
+    @cached_property
     def intensities(self) -> np.ndarray:
-        grid_points = len(self.phases)
         half = len(self.coefficients) // 2
         # orders that alias modulo grid_points (2n - 1 > N) must add
-        spectrum = np.zeros(grid_points, dtype=complex)
-        np.add.at(spectrum, np.arange(half, -half - 1, -1) % grid_points, self.coefficients)
-        return np.clip(np.fft.ifft(spectrum).real * grid_points, 0.0, None)
+        spectrum = np.zeros(self.grid_points, dtype=complex)
+        np.add.at(spectrum, np.arange(half, -half - 1, -1) % self.grid_points, self.coefficients)
+        return np.clip(np.fft.ifft(spectrum).real * self.grid_points, 0.0, None)
 
 
 def intensity(rho_reduced: MixedQuanton, theta: float) -> float:
@@ -84,7 +90,7 @@ def intensity(rho_reduced: MixedQuanton, theta: float) -> float:
 def scan_visibility(rho_reduced: MixedQuanton, grid_points: int = DEFAULT_GRID_POINTS) -> FringeScan:
     """Take the visibility (i_max - i_min) / (i_max + i_min) from the exact
     extrema, which do not depend on `grid_points`. The scan samples one
-    period at `grid_points` phases only when its `intensities` are read.
+    period at `grid_points` phases only when its grid is read.
 
     With z = exp(i theta), z^(n-1) dI/dtheta / i = sum_m m c_m z^(m+n-1) is
     a polynomial of degree 2(n-1) whose unit-circle roots are the
@@ -95,10 +101,7 @@ def scan_visibility(rho_reduced: MixedQuanton, grid_points: int = DEFAULT_GRID_P
     2|c_m|, and a tiny leading coefficient overflows the root finder. A
     spread below FLAT_PATTERN_TOL reports zero visibility.
     """
-    if grid_points < MIN_GRID_POINTS:
-        raise GridSizeError(f"must be >= {MIN_GRID_POINTS}, got {grid_points}")
-    if grid_points > MAX_GRID_POINTS:
-        raise GridSizeError(f"must be <= {MAX_GRID_POINTS}, got {grid_points}")
+    _check_grid_points(grid_points)
     rho = rho_reduced.rho.matrix
     orders = np.arange(rho.shape[0] - 1, -rho.shape[0], -1)
     coeffs = np.array([rho.trace(offset=-m) for m in orders])
@@ -109,7 +112,7 @@ def scan_visibility(rho_reduced: MixedQuanton, grid_points: int = DEFAULT_GRID_P
     spread = i_max - i_min
     visibility = 0.0 if spread < FLAT_PATTERN_TOL else spread / (i_max + i_min)
     return FringeScan(
-        phases=np.linspace(0.0, 2.0 * math.pi, grid_points, endpoint=False),
+        grid_points=grid_points,
         coefficients=coeffs,
         i_max=i_max,
         i_min=i_min,

@@ -804,14 +804,17 @@ def test_verify_csv_equals_the_cell_oracle(argv, capsys):
     assert capsys.readouterr().out == _csv_text(VERIFY_CSV_COLUMNS, [{**_csv_cells(report), "seed": seed}])
 
 
-@pytest.mark.parametrize("n, mixed", [pytest.param(3, False, id="3"), pytest.param(4, False, id="4"),
-                                      pytest.param(3, True, id="mixed_pure-3")])
-def test_sweep_csv_equals_the_cell_oracle(n, mixed, capsys):
+@pytest.mark.parametrize("n, scenario", [pytest.param(3, None, id="3"), pytest.param(4, None, id="4"),
+                                         pytest.param(3, "pure_pure", id="pure_pure-seed-3"),
+                                         pytest.param(3, "mixed_pure", id="mixed_pure-3")])
+def test_sweep_csv_equals_the_cell_oracle(n, scenario, capsys):
     gammas = [0.0, 0.3, 0.55, 1.0]
-    options = ["--scenario", "mixed_pure", "--seed", "5", "--rank", "2"] if mixed else []
+    mixed = scenario == "mixed_pure"
+    options = [] if scenario is None else ["--scenario", scenario, "--seed", "5", *(["--rank", "2"] * mixed)]
     assert main(["sweep", "--n", str(n), "--gammas", ",".join(map(str, gammas)), *options]) == 0
-    # the mixed quanton as sweep draws it from --seed 5 --rank 2
-    quanton = random_density(n, 2, np.random.default_rng(5)) if mixed else _equal_pure(n)
+    # the quanton as sweep draws it from --seed 5 (and --rank 2), or the equal superposition without one
+    quanton = (_equal_pure(n) if scenario is None else random_density(n, 2, np.random.default_rng(5)) if mixed
+               else random_pure(n, 5))
     reports = sweep_overlap(n, gammas, quanton)
     assert all((r.visibility is None) == (n > VISIBILITY_MAX_PATHS) for r in reports)
     assert not mixed or all(r.slack > 0.0 for r in reports[1:])

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from duality_lab import cli
 from duality_lab.cli import main
@@ -166,6 +168,31 @@ _MALFORMED = [
           ("config-above-one", [], {"gammas": [0.5, 1.5]}, "--gammas must lie in [0, 1], got [0.5, 1.5]"),
           ("empty", ["--gammas", ","], None, "--gammas gives an empty gamma grid"),
           ("config-empty", [], {"gammas": []}, "--gammas gives an empty gamma grid"))),
+    pytest.param(["sweep", "--n", "2", "--gamma-range", "0:1:0"], None, "--gamma-range count must be >= 1",
+                 id="gamma-range-count-0"),
+    # two grids, whichever of flags and config file give them, are one too many
+    *(pytest.param(["sweep", "--n", "2", *argv], config, "--gammas and --gamma-range both give a gamma grid",
+                   id=f"two-gamma-grids-{name}")
+      for name, argv, config in (
+          ("flags", ["--gamma-range", "0:1:3", "--gammas", "0.5"], None),
+          ("flag-and-config", ["--gamma-range", "0:1:3"], {"gammas": [0.5]}),
+          ("config", [], {"gammas": [0.5], "gamma_range": "0:1:3"}))),
+    *(pytest.param(["verify", "--n", "2", "--gamma", "0.5", "--amplitudes", f"1,{value}"], None,
+                   f"--amplitudes must be finite, got ['1', '{value}']", id=f"amplitudes-{value}")
+      for value in ("nan", "inf")),
+    # a directory stands for a config path that cannot be read
+    pytest.param(["verify", "--n", "2", "--gamma", "0.5", "--config", "."], None, "cannot read config file .",
+                 id="config-unreadable"),
+    pytest.param(["verify", "--n", "2", "--gamma", "0.5"], [0.5], "config file must contain a JSON object",
+                 id="config-list"),
+    pytest.param(["verify", "--gamma", "0.5"], None, "missing required option: --n (or a config rho)",
+                 id="verify-no-n"),
+    pytest.param(["verify", "--scenario", "mixed_mixed", "--n", "3"], None,
+                 "mixed_mixed needs --seed to draw the detector state and unitaries", id="verify-mixed_mixed-no-seed"),
+    pytest.param(["verify", "--scenario", "mixed_pure", "--n", "3", "--gamma", "0.5"], None,
+                 "mixed scenarios need a config rho or --seed", id="verify-mixed_pure-no-state"),
+    pytest.param(["verify", "--n", "3"], None, "pure_pure needs --amplitudes, --gamma, or --seed",
+                 id="verify-pure_pure-no-state"),
     pytest.param(["verify", "--scenario", "mixed_pure", "--n", "3", "--seed", "1", "--rank", "4"], None,
                  "rank must lie in 1..3, got 4", id="verify-rank"),
     pytest.param(["campaign", "--scenario", "mixed_mixed", "--n", "3", "--trials", "3", "--seed", "1",
@@ -202,6 +229,26 @@ def test_malformed_option_exits_two_before_any_output(capsys, tmp_path, argv, co
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], err
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["config.json"])
+
+
+@pytest.mark.parametrize("amplitudes", ["1e200,1e200", "1e-200,1e-200"])
+def test_amplitudes_too_large_or_small_to_square_normalize(capsys, amplitudes):
+    argv = ["verify", "--n", "2", "--gamma", "0.5", "--amplitudes"]
+    report = _run(capsys, [*argv, "1,1"])
+    assert report[0] == 0
+    assert _run(capsys, [*argv, amplitudes]) == report
+
+
+# zero, or a magnitude whose square the plain division's norm holds without underflow
+_AMPLITUDE = st.just(0.0) | st.floats(1e-100, 1e3) | st.floats(-1e3, -1e-100)
+
+
+@given(st.lists(st.tuples(_AMPLITUDE, _AMPLITUDE), min_size=2, max_size=8).filter(
+    lambda parts: any(re or im for re, im in parts)))
+def test_amplitudes_normalize_to_the_bits_of_a_plain_division(parts):
+    # the scaling that keeps huge and tiny amplitudes finite moves no bit of ordinary ones
+    amps = np.array([complex(re, im) for re, im in parts])
+    assert np.array_equal(cli._parse_amplitudes([list(part) for part in parts]), amps / np.linalg.norm(amps))
 
 
 def test_config_flag_precedence(capsys, tmp_path):

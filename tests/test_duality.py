@@ -207,8 +207,20 @@ def test_sweep_rejects_bad_grids():
         sweep_overlap(2, [0.5, 0.1], q)
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         sweep_overlap(2, [0.5, 1.5], q)
-    with pytest.raises(ValueError, match="paths"):
+    with pytest.raises(ValueError, match="path count mismatch: quanton has 2, detectors have 3"):
         sweep_overlap(3, [0.5], q)
+
+
+@pytest.mark.parametrize("evaluate, quanton, detectors, other", [
+    (evaluate_pure, _equal_pure(2), DetectorSet(np.eye(3, dtype=complex)), "detectors have 3"),
+    (evaluate_mixed_detector, _equal_pure(2).to_mixed(),
+     MixedDetectorInteraction(rho_d=validate_density(np.eye(2) / 2),
+                              unitaries=np.stack([np.eye(2, dtype=complex)] * 3)),
+     "interaction has 3"),
+], ids=["pure", "mixed_detector"])
+def test_evaluate_rejects_a_path_count_mismatch(evaluate, quanton, detectors, other):
+    with pytest.raises(ValueError, match=f"path count mismatch: quanton has 2, {other}"):
+        evaluate(quanton, detectors)
 
 
 # ---------------------------------------------------------------- campaigns

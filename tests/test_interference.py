@@ -227,11 +227,14 @@ def _counted(monkeypatch, owner, name):
 ])
 def test_only_fringe_computes_the_grid(monkeypatch, capsys, argv, scans, grids):
     """Sweeps and verify read the visibility of every scan and never its
-    grid, so they run no inverse DFT; fringe writes the grid and runs one."""
+    grid, so they build no phase grid and run no inverse DFT; fringe writes
+    the grid and builds one of each."""
     iffts = _counted(monkeypatch, interference.np.fft, "ifft")
     scan_calls = _counted(monkeypatch, duality, "scan_visibility")
+    # a cached_property calls its func on the first read
+    phase_grids = _counted(monkeypatch, FringeScan.__dict__["phases"], "func")
     assert main(argv) == 0, capsys.readouterr().err
-    assert (len(scan_calls), len(iffts)) == (scans, grids)
+    assert (len(scan_calls), len(phase_grids), len(iffts)) == (scans, grids, grids)
 
 
 def test_grid_is_computed_once_on_first_read(monkeypatch):
