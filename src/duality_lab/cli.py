@@ -33,7 +33,6 @@ from .duality import (
     SCENARIOS,
     VISIBILITY_MAX_PATHS,
     _equal_amplitude_quanton,
-    _gamma_grid,
     _instance_table,
     _pure_fringe,
     _stack_of_one,
@@ -42,7 +41,7 @@ from .duality import (
     _write_csv,
     run_campaign,
 )
-from .interference import DEFAULT_GRID_POINTS, _check_grid_points, symmetric_detectors
+from .interference import DEFAULT_GRID_POINTS, _check_grid_points, _gamma_grid, symmetric_detectors
 from .linalg import validate_density
 from .random import (
     random_density,
@@ -71,31 +70,36 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_complex(value) -> complex:
-    # JSON true and false are ints to Python, but no config value reads them as numbers
-    parts = value if isinstance(value, (list, tuple)) else [value]
-    if any(isinstance(v, bool) for v in parts):
-        raise ConfigError(f"cannot read complex number from boolean {value!r}")
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, str):
-        return complex(value.replace(" ", ""))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"cannot read complex number from {value!r}")
+def _numbers(raw, flag: str, kind: type = float) -> list:
+    """The numbers of a comma-separated string, blank parts skipped, or of a
+    list, as `kind`: each entry an int, a float or a numeric string, or for
+    complex also an [re, im] pair of those. Any other entry raises a
+    ConfigError that names `flag`; so do booleans, which are ints to Python
+    but no number to any option."""
+    parts = [part for part in raw.split(",") if part.strip()] if isinstance(raw, str) else raw
+
+    def number(value, kind):
+        if kind is complex and isinstance(value, list) and len(value) == 2:
+            return complex(number(value[0], float), number(value[1], float))
+        if type(value) not in (int, float, str):
+            raise TypeError(value)
+        return kind(value.replace(" ", "") if kind is complex and type(value) is str else value)
+
+    try:
+        return [number(value, kind) for value in parts]
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{flag} must be numbers, got {raw!r}") from None
 
 
 def _parse_amplitudes(raw) -> np.ndarray:
-    if isinstance(raw, str):
-        raw = [part for part in raw.split(",") if part.strip()]
-    amps = np.array([_parse_complex(v) for v in raw], dtype=complex)
+    amps = np.array(_numbers(raw, "--amplitudes", complex), dtype=complex)
     if amps.size < 2:
-        raise ConfigError("need at least 2 amplitudes")
+        raise ConfigError(f"--amplitudes must give at least 2 amplitudes, got {raw!r}")
     if not np.isfinite(amps).all():
         raise ConfigError(f"--amplitudes must be finite, got {raw!r}")
     largest = np.abs(amps.view(float)).max()
     if largest == 0:
-        raise ConfigError("amplitudes are all zero")
+        raise ConfigError(f"--amplitudes are all zero, got {raw!r}")
     # scaled by the power of two nearest the largest real or imaginary part, so
     # that the norm neither overflows nor underflows; the scaling is exact, so
     # amplitudes that normalized without it keep every bit
@@ -105,8 +109,11 @@ def _parse_amplitudes(raw) -> np.ndarray:
 
 def _parse_rho(raw) -> np.ndarray:
     if not isinstance(raw, list) or not raw or not all(isinstance(row, list) for row in raw):
-        raise ConfigError("rho must be a non-empty nested list")
-    return np.array([[_parse_complex(v) for v in row] for row in raw], dtype=complex)
+        raise ConfigError("a config rho must be a non-empty nested list")
+    rows = [_numbers(row, "a config rho", complex) for row in raw]
+    if any(len(row) != len(rows) for row in rows):
+        raise ConfigError(f"a config rho must be square, got {raw!r}")
+    return np.array(rows, dtype=complex)
 
 
 def _parse_gammas(cfg) -> list[float]:
@@ -115,15 +122,7 @@ def _parse_gammas(cfg) -> list[float]:
     if cfg.get("gammas") is not None and cfg.get("gamma_range") is not None:
         raise ConfigError("--gammas and --gamma-range both give a gamma grid; give one")
     if cfg.get("gammas") is not None:
-        flag, raw = "--gammas", cfg["gammas"]
-        if isinstance(raw, str):
-            raw = [part for part in raw.split(",") if part.strip()]
-        if not all(type(v) in (int, float, str) for v in raw):
-            raise ConfigError(f"--gammas must be numbers, got {raw!r}")
-        try:
-            values = [float(v) for v in raw]
-        except ValueError:  # a str entry that is no number
-            raise ConfigError(f"--gammas must be numbers, got {raw!r}") from None
+        flag, values = "--gammas", _numbers(cfg["gammas"], "--gammas")
     elif cfg.get("gamma_range") is not None:
         flag = "--gamma-range"
         try:
@@ -144,7 +143,8 @@ def _config_value(flag: argparse.Action, value):
     declares, as if the flag had been given on the command line. The
     free-text gammas and amplitudes may also be JSON lists."""
     kind = flag.type or str
-    if kind is float and type(value) is int:
+    # an int too large for a float stays an int, and so fits no float flag
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
         value = float(value)
     ok = type(value) is kind or (flag.dest in ("gammas", "amplitudes") and isinstance(value, list))
     if not ok or (flag.choices is not None and value not in flag.choices):
@@ -159,7 +159,8 @@ def _merged_config(args: argparse.Namespace) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: no JSON, no UTF-8, or an int of too many digits; RecursionError: nested too deeply
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must contain a JSON object")
@@ -226,7 +227,7 @@ def _verify_instance(cfg: dict) -> _Table:
         if cfg.get("amplitudes") is not None:
             quanton = PureQuanton(amplitudes=_parse_amplitudes(cfg["amplitudes"]))
             if quanton.n != n:
-                raise ConfigError(f"--n {n} disagrees with the {quanton.n} amplitudes given")
+                raise ConfigError(f"--n {n} disagrees with the {quanton.n} amplitudes given by --amplitudes")
         elif gamma is not None:
             quanton = _equal_amplitude_quanton(n)
         elif seed is not None:
@@ -248,7 +249,13 @@ def _verify_instance(cfg: dict) -> _Table:
 
 def _verify_mixed_quanton(cfg: dict, n: int, rho) -> MixedQuanton:
     if rho is not None:
-        return MixedQuanton(rho=validate_density(rho))
+        # a square list of numbers that is no density matrix, or whose entries
+        # overflow the checks (no density matrix has an entry beyond 1)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return MixedQuanton(rho=validate_density(rho))
+        except (ValueError, FloatingPointError) as exc:
+            raise ConfigError(f"a config rho: {exc}") from None
     seed = cfg.get("seed")
     if seed is None:
         raise ConfigError("mixed scenarios need a config rho or --seed")
@@ -262,6 +269,7 @@ def _verify_detectors(cfg: dict, n: int):
     gamma = cfg.get("gamma")
     dim = cfg.get("detector_dim", n)
     if gamma is not None:
+        _gamma_grid([gamma], "--gamma")
         return uniform_overlap_detectors(n, gamma, dim, cfg.get("seed", 0) or 0)
     if cfg.get("seed") is not None:
         # offset the stream so the detectors differ from the quanton draw
@@ -336,6 +344,7 @@ def cmd_fringe(args: argparse.Namespace) -> int:
     gamma = _require(cfg, "gamma", "--gamma")
     grid_points = cfg.get("grid_points", DEFAULT_GRID_POINTS)
     _check_grid_points(grid_points, "--grid-points")
+    _gamma_grid([gamma], "--gamma")
     scan, report = _pure_fringe(_equal_amplitude_quanton(n), symmetric_detectors(n, gamma), grid_points)
     comment = (
         f"n={n} gamma={gamma!r} visibility={scan.visibility!r} "

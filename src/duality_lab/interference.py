@@ -143,15 +143,27 @@ def uniform_overlap_gram(n: int, gamma: float) -> np.ndarray:
     return _uniform_overlap_grams(n, [gamma])[0]
 
 
-def _uniform_overlap_grams(n: int, gammas: Sequence[float]) -> np.ndarray:
-    """uniform_overlap_gram of each gamma, as one (k, n, n) stack; the first
-    gamma outside [0, 1] raises."""
-    for gamma in gammas:
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
+def _gamma_grid(gammas: Sequence[float], name: str = "gammas") -> list[float]:
+    """The gammas as floats, checked to be a nonempty grid in [0, 1] (NaN is
+    not) that ascends; a message names the grid `name`, such as the flag
+    that gave it. The one home of the gamma rule: a single gamma is a grid
+    of one."""
+    gammas = [float(g) for g in gammas]
+    if not gammas:
+        raise ValueError(f"{name} gives an empty gamma grid")
+    if not all(0.0 <= g <= 1.0 for g in gammas):
+        raise ValueError(f"{name} must lie in [0, 1], got {gammas!r}")
+    if any(a > b for a, b in zip(gammas, gammas[1:])):
+        raise ValueError(f"{name} must be sorted ascending, got {gammas!r}")
+    return gammas
+
+
+def _uniform_overlap_grams(n: int, gammas: Sequence[float], name: str = "gamma") -> np.ndarray:
+    """uniform_overlap_gram of each gamma, as one (k, n, n) stack, over the
+    grid _gamma_grid checks under `name`."""
+    column = np.array(_gamma_grid(gammas, name), dtype=float)[:, None, None]
     if n < 2:
         raise ValueError("need at least 2 detector states")
-    column = np.array(gammas, dtype=float)[:, None, None]
     return (1.0 - column) * np.eye(n) + column * np.ones((n, n))
 
 

@@ -1,8 +1,12 @@
 """Dense complex linear algebra for small quantum objects.
 
-All matrices and vectors are plain complex numpy arrays. Every function
-treats its inputs as immutable and returns freshly allocated, read-only
-arrays, so values can be shared freely across threads.
+All matrices and vectors are plain complex numpy arrays, and no function
+writes to its inputs. What validation returns is read-only and can be
+shared freely: a DensityMatrix's matrix and spectral_decompose's
+eigenvectors. tensor, partial_trace_second and gram_factor_vectors return
+freshly allocated, writeable arrays; dagger returns a view of its
+argument, and as_matrix and as_vector return theirs as is when it already
+is a finite complex array of the right shape.
 
 The private helpers work over the trailing (n, n) axes of a stack of
 matrices, so one formula serves a single object and the kernels in

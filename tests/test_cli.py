@@ -1,9 +1,11 @@
 import argparse
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duality_lab import cli
@@ -178,7 +180,7 @@ _MALFORMED = [
           ("flag-and-config", ["--gamma-range", "0:1:3"], {"gammas": [0.5]}),
           ("config", [], {"gammas": [0.5], "gamma_range": "0:1:3"}))),
     *(pytest.param(["verify", "--n", "2", "--gamma", "0.5", "--amplitudes", f"1,{value}"], None,
-                   f"--amplitudes must be finite, got ['1', '{value}']", id=f"amplitudes-{value}")
+                   f"--amplitudes must be finite, got '1,{value}'", id=f"amplitudes-{value}")
       for value in ("nan", "inf")),
     # a directory stands for a config path that cannot be read
     pytest.param(["verify", "--n", "2", "--gamma", "0.5", "--config", "."], None, "cannot read config file .",
@@ -207,6 +209,34 @@ _MALFORMED = [
     *(pytest.param(["fringe", "--n", "2", "--gamma", "0.5", "--grid-points", points], None,
                    f"--grid-points must be {bound}", id=f"fringe-grid-points-{points}")
       for points, bound in (("64", ">= 256, got 64"), ("65537", "<= 65536, got 65537"))),
+    # a number list entry that is none, from a flag or a config file, names its flag
+    *(pytest.param(["verify", "--n", "2", "--gamma", "0.5", *argv], config, message, id=f"amplitudes-{name}")
+      for name, argv, config, message in (
+          ("not-a-number", ["--amplitudes", "1,abc"], None, "--amplitudes must be numbers, got '1,abc'"),
+          ("null-in-a-pair", [], {"amplitudes": [[1, None], 1]}, "--amplitudes must be numbers, got [[1, None], 1]"),
+          ("huge-int", [], {"amplitudes": [10**400, 1]}, "--amplitudes must be numbers, got [1000"),
+          ("one", ["--amplitudes", "1"], None, "--amplitudes must give at least 2 amplitudes, got '1'"),
+          ("zero", ["--amplitudes", "0,0j"], None, "--amplitudes are all zero, got '0,0j'"))),
+    pytest.param(["sweep", "--n", "2"], {"gammas": [0.5, 10**400]}, "--gammas must be numbers, got [0.5, 1000",
+                 id="gammas-huge-int"),
+    *(pytest.param(["verify", "--scenario", "mixed_pure", "--gamma", "0.5"], {"rho": rho}, message,
+                   id=f"rho-{name}")
+      for name, rho, message in (
+          ("ragged", [[0.5, 0.0], [0.0]], "a config rho must be square, got [[0.5, 0.0], [0.0]]"),
+          ("not-square", [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]], "a config rho must be square"),
+          ("not-a-number", [[0.5, "x"], [0.0, 0.5]], "a config rho must be numbers, got [0.5, 'x']"),
+          ("not-a-list", [0.5, 0.5], "a config rho must be a non-empty nested list"),
+          ("not-hermitian", [[0.5, 1.0], [0.0, 0.5]], "a config rho: Hermiticity deviation"),
+          ("one-path", [[1.0]], "a config rho: a quanton needs at least 2 paths"),
+          ("overflowing", [[1e308, -1e308], [1e308, 1e308]], "a config rho: overflow encountered"))),
+    # a single --gamma answers to the gamma-grid rule under its flag's name
+    *(pytest.param([command, "--n", "2", "--gamma", value], None, f"--gamma must lie in [0, 1], got [{value}]",
+                   id=f"{command}-gamma-{value}")
+      for command in ("verify", "fringe") for value in ("nan", "1.5", "-0.5", "inf")),
+    pytest.param(["verify", "--scenario", "mixed_pure", "--n", "2", "--seed", "1", "--gamma", "2.0"], None,
+                 "--gamma must lie in [0, 1], got [2.0]", id="verify-mixed_pure-gamma-2.0"),
+    pytest.param(["verify", "--n", "2", "--amplitudes", "1,1"], None, "need --gamma or --seed to build detectors",
+                 id="verify-no-detectors"),
 ]
 
 
@@ -249,6 +279,111 @@ def test_amplitudes_normalize_to_the_bits_of_a_plain_division(parts):
     # the scaling that keeps huge and tiny amplitudes finite moves no bit of ordinary ones
     amps = np.array([complex(re, im) for re, im in parts])
     assert np.array_equal(cli._parse_amplitudes([list(part) for part in parts]), amps / np.linalg.norm(amps))
+
+
+# ------------------------------------------------------------ number lists
+
+def _oracle_complex(value):
+    """One accepted --amplitudes or config rho entry, read by type as the
+    CLI read it before _numbers served every number list."""
+    if isinstance(value, (int, float)):
+        return complex(value)
+    if isinstance(value, str):
+        return complex(value.replace(" ", ""))
+    return complex(float(value[0]), float(value[1]))
+
+
+_PADDING = st.sampled_from(["", " ", "  "])
+_REAL = st.integers(-2**64, 2**64) | st.floats()
+_REAL_TEXT = st.builds(lambda left, x, right: f"{left}{x!r}{right}", _PADDING, _REAL, _PADDING)
+_COMPLEX_TEXT = st.complex_numbers().map(str) | st.builds(
+    lambda re, im: f"{re!r} + {im!r}j", st.floats(allow_nan=False), st.floats(0, allow_infinity=False))
+_COMPLEX_ENTRY = _REAL | _REAL_TEXT | _COMPLEX_TEXT | st.lists(_REAL | _REAL_TEXT, min_size=2, max_size=2)
+
+
+def _bits(values, kind):
+    return np.array(values, dtype=kind).tobytes()
+
+
+@given(st.lists(_REAL | _REAL_TEXT, max_size=6))
+def test_numbers_read_real_entries_to_the_bit(entries):
+    """A gamma list reads as float(entry), from a list or a comma string."""
+    assert _bits(cli._numbers(entries, "--gammas"), float) == _bits([float(v) for v in entries], float)
+    texts = [v if isinstance(v, str) else repr(v) for v in entries]
+    assert _bits(cli._numbers(",".join(texts), "--gammas"), float) == _bits([float(v) for v in texts], float)
+
+
+@given(st.lists(_COMPLEX_ENTRY, max_size=6))
+def test_numbers_read_complex_entries_to_the_bit(entries):
+    """Numbers, numeric strings and [re, im] pairs read as complex exactly
+    as the per-option readers read them, from a list or a comma string."""
+    expected = _bits([_oracle_complex(v) for v in entries], complex)
+    assert _bits(cli._numbers(entries, "--amplitudes", complex), complex) == expected
+    texts = [v if isinstance(v, str) else repr(v) for v in entries if not isinstance(v, list)]
+    assert (_bits(cli._numbers(",".join(texts), "--amplitudes", complex), complex)
+            == _bits([_oracle_complex(v) for v in texts], complex))
+
+
+# leaves that JSON holds, with huge integers and strings that are numbers or near them
+_JSON_LEAF = (st.none() | st.booleans() | st.integers() | st.integers(10**300, 10**400) | st.floats()
+              | st.text(max_size=6) | st.sampled_from(["0.5", "1,1", "0,1", "nan", "1e999", "(1+1j)", ",", ""]))
+# any JSON value, and more often the list of leaves or of rows that a number option holds
+_JSON = (st.recursive(_JSON_LEAF, lambda inner: st.lists(inner, max_size=4)
+                      | st.dictionaries(st.text(max_size=2), inner, max_size=2), max_leaves=12)
+         | st.lists(_JSON_LEAF | st.lists(_JSON_LEAF, min_size=2, max_size=3), max_size=4))
+# each config key, the command that reads it, and the name its messages give it
+_JSON_OPTIONS = {
+    "amplitudes": (["verify", "--n", "2", "--gamma", "0.5"], "amplitudes", "--amplitudes"),
+    "gammas": (["sweep", "--n", "2"], "gammas", "--gammas"),
+    "rho": (["verify", "--scenario", "mixed_pure", "--gamma", "0.5"], "rho", "a config rho"),
+    "gamma-verify": (["verify", "--n", "2"], "gamma", "--gamma"),
+    "gamma-fringe": (["fringe", "--n", "2", "--grid-points", "256"], "gamma", "--gamma"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(_JSON_OPTIONS))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(value=_JSON)
+def test_any_json_value_of_a_number_option_exits_cleanly(tmp_path_factory, option, value):
+    """Whatever JSON value a config gives amplitudes, gammas, rho or gamma,
+    main returns 0, 1 or 2 and raises nothing; a value it rejects exits 2
+    with one `error: ` line that names the option."""
+    argv, key, name = _JSON_OPTIONS[option]
+    path = tmp_path_factory.getbasetemp() / "any-json-value.json"
+    path.write_text(json.dumps({key: value}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--config", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+        assert name in lines[0], lines[0]
+    else:
+        assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "fringe"])
+@pytest.mark.parametrize("literal, message", [
+    ("1e999", "--gamma must lie in [0, 1], got [inf]"),
+    ("1" + "0" * 400, "does not fit --gamma"),
+], ids=["1e999", "400-digit-int"])
+def test_config_gamma_beyond_every_float_exits_two(capsys, tmp_path, command, literal, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"n": 2, "gamma": {literal}}}')
+    code, out, err = _run(capsys, [command, "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("content", [b"\xff{}", b"[" * 100_000, b"1" * 5000],
+                         ids=["not-utf8", "too-deep", "too-many-digits"])
+def test_config_file_that_does_not_decode_exits_two(capsys, tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    code, out, err = _run(capsys, ["verify", "--n", "2", "--gamma", "0.5", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1
 
 
 def test_config_flag_precedence(capsys, tmp_path):
@@ -302,7 +437,7 @@ def test_config_booleans_are_not_complex_numbers(capsys, tmp_path):
         cfg.write_text(json.dumps(config))
         code, _, err = _run(capsys, ["verify", *argv, "--config", str(cfg)])
         assert code == 2
-        assert "cannot read complex number from boolean" in err
+        assert f"{'a config rho' if 'rho' in config else '--amplitudes'} must be numbers, got " in err
 
 
 @pytest.mark.parametrize("command", ["verify", "campaign", "sweep", "fringe"])

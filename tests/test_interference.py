@@ -19,7 +19,7 @@ from duality_lab.interference import (
     symmetric_detectors,
     uniform_overlap_gram,
 )
-from duality_lab.linalg import _gram_factors, gram_factor_vectors, validate_density
+from duality_lab.linalg import DensityMatrix, _gram_factors, gram_factor_vectors, validate_density
 from duality_lab.random import random_detectors, uniform_overlap_detectors
 from duality_lab.states import DetectorSet, MixedQuanton, PureQuanton, _detector_gram, entangle_pure, reduce_quanton
 
@@ -382,8 +382,16 @@ def test_stacked_uniform_overlap_family_equals_its_detector_sets(n):
             assert (vectors[k] == d.vectors).all() and (stacked_grams[k] == d.gram).all(), (gammas, k)
 
 
+def test_intensity_rejects_a_pattern_below_zero():
+    """validate_density never passes such a matrix; a DensityMatrix built
+    around one directly gives a negative intensity, which intensity rejects."""
+    rho = MixedQuanton(rho=DensityMatrix(np.array([[0.5, -1.0], [-1.0, 0.5]], dtype=complex)))
+    with pytest.raises(ValueError, match="^intensity -1.0 is negative beyond numerical dust$"):
+        intensity(rho, 0.0)
+
+
 def test_stacked_uniform_overlap_grams_check_every_gamma():
-    with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\], got 1.5"):
+    with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\], got \[0.0, 0.5, 1.5\]"):
         _uniform_overlap_grams(3, [0.0, 0.5, 1.5])
     with pytest.raises(ValueError, match="need at least 2 detector states"):
         _uniform_overlap_grams(1, [0.5])

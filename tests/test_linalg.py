@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,18 @@ def test_validated_matrix_is_read_only():
     dm = validate_density(np.eye(3) / 3)
     with pytest.raises(ValueError):
         dm.matrix[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tensor(np.ones(3), np.eye(2)), "expected a 2-D matrix, got shape (3,)"),
+    (lambda: tensor(np.eye(2), np.full((2, 2), np.nan)), "matrix contains NaN or Inf entries"),
+    (lambda: validate_density(np.ones((2, 3)) / 2),
+     "density matrix must be a non-empty square matrix, got shape (2, 3)"),
+    (lambda: gram_factor_vectors(np.ones((2, 3))), "Gram matrix must be square"),
+], ids=["not-2d", "nan", "density-not-square", "gram-not-square"])
+def test_malformed_matrices_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_validate_rejects_nan():

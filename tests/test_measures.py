@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,20 @@ def test_mixed_duality_slack_nonnegative():
         q = random_density(n, int(rng.integers(1, n + 1)), rng)
         d = random_detectors(n, n, rng)
         assert mixed_duality_slack(q, d.gram) >= -1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: uqsd_bound([1.0], np.eye(1)), "need at least two probabilities"),
+    (lambda: uqsd_bound([0.5, 0.5], np.eye(3)), "Gram shape (3, 3) does not match 2 probabilities"),
+    *((lambda measure=measure: measure(random_density(2, 1, 0), _two_branch_overlaps(3, [0.5, 0.5], [0.0, 0.5])),
+       "branch Gram size 3 does not match 2 paths")
+      for measure in (distinguishability_mixed_detector, coherence_bound_mixed_detector)),
+    (lambda: mixed_duality_slack(random_density(2, 1, 0), np.eye(3)), "Gram shape (3, 3) does not match 2 paths"),
+], ids=["uqsd-one-probability", "uqsd-gram-shape", "mixed-detector-distinguishability", "mixed-detector-coherence",
+        "slack-gram-shape"])
+def test_mismatched_shapes_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_unit_interval_validation():

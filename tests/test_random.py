@@ -84,6 +84,16 @@ def test_random_density_rank_out_of_range():
         random_density_matrix(3, 0, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: random_pure(1, 0), "need at least 2 paths"),
+    (lambda: random_density(1, 1, 0), "need at least 2 paths"),
+    (lambda: haar_unitary(0, 0), "dimension must be >= 1"),
+], ids=["pure-one-path", "density-one-path", "haar-dim-0"])
+def test_draws_reject_sizes_below_their_minimum(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_haar_unitary_is_unitary():
     for dim in (1, 2, 5, 8):
         u = haar_unitary(dim, 75)
@@ -204,6 +214,13 @@ def test_bounded_draw_rejects_ranges_it_cannot_draw(child_python):
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout.splitlines() == [f"a bounded draw's range must lie in 0..2^32 - 1, got {r}"
                                        for r in (-1, 2**32, 2**40)]
+
+
+def test_bounded_draw_rejects_a_negative_range_in_process():
+    """Without the range check r = -1 divides by r + 1 = 0 rather than loop,
+    so it runs here; the ranges that would loop run in the child above."""
+    with pytest.raises(ValueError, match=r"^a bounded draw's range must lie in 0\.\.2\^32 - 1, got -1$"):
+        _bounded(-1, (0, 1, 0, 0))
 
 
 def _fresh_shape(seed, k, n_choices, detector_dim):

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from duality_lab.linalg import validate_density
 from duality_lab.random import haar_unitary, random_density, random_density_matrix, random_detectors, random_pure
 from duality_lab.states import (
+    BranchOverlaps,
     DetectorSet,
     MixedDetectorInteraction,
     MixedQuanton,
@@ -39,6 +42,24 @@ def test_pure_quanton_rejects_unnormalized():
 def test_pure_quanton_needs_two_paths():
     with pytest.raises(ValueError, match="at least 2"):
         PureQuanton(amplitudes=np.array([1.0]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PureQuanton(amplitudes=np.eye(2)), "expected a 1-D vector, got shape (2, 2)"),
+    (lambda: PureQuanton(amplitudes=np.array([np.nan, 1.0])), "vector contains NaN or Inf entries"),
+    (lambda: MixedQuanton(rho=validate_density(np.eye(1))), "a quanton needs at least 2 paths"),
+    (lambda: DetectorSet(np.ones(3)), "vectors must be an (n, dim) array"),
+    (lambda: MixedDetectorInteraction(rho_d=validate_density(np.eye(2) / 2), unitaries=np.eye(2)),
+     "unitaries must be an (n, dim, dim) array"),
+    (lambda: BranchOverlaps(weights=np.array([1.0]), branch_grams=np.stack([np.eye(2)] * 2)),
+     "weights and branch_grams shapes are inconsistent"),
+    (lambda: BranchOverlaps(weights=np.array([1.0]), branch_grams=np.ones((1, 2, 3))),
+     "branch Gram matrices must be square"),
+], ids=["amplitudes-not-1d", "amplitudes-nan", "one-path-rho", "vectors-not-2d", "unitaries-not-3d",
+        "branch-weights-mismatch", "branch-grams-not-square"])
+def test_malformed_state_objects_raise(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_detector_set_rejects_unnormalized():
@@ -104,6 +125,11 @@ def test_entangle_path_count_mismatch():
 
 
 # ------------------------------------------------------------- joint_mixed
+
+def test_joint_mixed_path_count_mismatch():
+    with pytest.raises(ValueError, match="^path count mismatch: quanton has 2, detectors have 3$"):
+        joint_mixed(random_density(2, 1, 0), _orthonormal_detectors(3))
+
 
 def test_joint_mixed_consistent_with_pure():
     rng = np.random.default_rng(22)
