@@ -9,13 +9,14 @@ replays it.
 A campaign draws as the README's campaign section describes:
 `_trial_shapes` computes each trial's shape and the PCG64 position after
 it without a generator, and `_draw_stack` draws the rest of an (n, dim)
-group's trials from their positions into one stack, assembled with the
-helpers that the public random_* generators run on a single instance.
+group's trials from their positions into one stack: a float64 array
+with one row of raw reals per trial, in the regions `_trial_widths`
+gives. The rows are assembled over the stack with the helpers that the
+public random_* generators run on a single instance.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -184,14 +185,13 @@ def _detector_rank(dim: int, rng: np.random.Generator) -> int:
     return int(rng.integers(1, dim, endpoint=True))
 
 
-def _form_per_rank(states: np.ndarray, ranks: Sequence[int]) -> None:
-    """Form a stack of Ginibre states in place: entry i of the (k, dim, dim)
-    complex `states` holds, in its first 2 dim ranks[i] reals, the raw
-    Gaussians of its (dim, ranks[i]) G, and becomes G G^dag / Tr(G G^dag).
-    One batched _normalized_gram forms the states of each rank, which is
-    _ginibre's product on each of them bit for bit."""
-    dim = states.shape[-1]
-    gaussians = states.view(np.float64).reshape(len(states), -1)
+def _form_per_rank(gaussians: np.ndarray, ranks: Sequence[int], dim: int) -> np.ndarray:
+    """A (k, dim, dim) stack of Ginibre states: entry i is G G^dag / Tr(G G^dag)
+    for the (dim, ranks[i]) G whose raw Gaussians are the first 2 dim ranks[i]
+    reals of row i of `gaussians`. One batched _normalized_gram forms the
+    states of each rank, which is _ginibre's product on each of them bit for
+    bit."""
+    states = np.empty((len(gaussians), dim, dim), dtype=complex)
     # a dict, not np.unique: numpy 2.4's first np.unique call in a process
     # raises its peak RSS by 1.4-1.7 MB
     of_rank: dict[int, list[int]] = {}
@@ -199,6 +199,7 @@ def _form_per_rank(states: np.ndarray, ranks: Sequence[int]) -> None:
         of_rank.setdefault(rank, []).append(i)
     for rank, entries in of_rank.items():
         states[entries] = _normalized_gram(_complex(gaussians[entries, :2 * dim * rank].reshape(-1, 2, dim, rank)))
+    return states
 
 
 def _haar(z: np.ndarray) -> np.ndarray:
@@ -241,55 +242,53 @@ def _trial_shapes(seed: int, trials: int, n_choices: Sequence[int],
             yield (n, dim), position
 
 
-def _trial_rows(scenario: str, n: int, dim: int) -> tuple[tuple[tuple[int, ...], type], ...]:
-    """The shape and dtype of each array that a trial of an (n, dim) group
-    fills after its shape draws, in draw order: for pure_pure one block of
-    2n(1 + dim) reals, the amplitudes' (2, n) then the detector vectors'
-    (2, n, dim); for mixed_pure the quanton state and the detector vectors'
-    (2, n, dim) block; for mixed_mixed the quanton state, the detector state
-    and the path unitaries' (n, 2, dim, dim) block."""
+def _trial_widths(scenario: str, n: int, dim: int) -> tuple[int, int, int]:
+    """The reals of the three regions of a trial's row of an (n, dim) group's
+    stack, in draw order: the quanton's Ginibre Gaussians, the detector
+    state's, and the Gaussian block, which holds the amplitudes' (2, n) and
+    the detector vectors' (2, n, dim) for pure_pure, the detector vectors'
+    for mixed_pure and the path unitaries' (n, 2, dim, dim) for mixed_mixed.
+    A Ginibre region holds the Gaussians of the largest rank, so the widths
+    do not depend on the ranks drawn."""
     if scenario == "pure_pure":
-        return ((2 * n * (1 + dim),), np.float64),
+        return 0, 0, 2 * n * (1 + dim)
     if scenario == "mixed_pure":
-        return ((n, n), np.complex128), ((2, n, dim), np.float64)
-    return ((n, n), np.complex128), ((dim, dim), np.complex128), ((n, 2, dim, dim), np.float64)
+        return 2 * n * n, 0, 2 * n * dim
+    return 2 * n * n, 2 * dim * dim, 2 * n * dim * dim
 
 
 def _trial_bytes(scenario: str, n: int, dim: int) -> int:
-    """The bytes of one trial's row of a stack (see _trial_rows). They do not
-    depend on the quanton rank: its Gaussians wait in the quanton state's row."""
-    return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in _trial_rows(scenario, n, dim))
+    """The bytes of one trial's row of a stack (see _trial_widths)."""
+    return 8 * sum(_trial_widths(scenario, n, dim))
 
 
-def _empty_stack(scenario: str, n: int, dim: int, trials: int) -> list[np.ndarray]:
-    """Uninitialized stack arrays (_trial_rows) for `trials` trials of an (n, dim)
-    group. An array whose bytes pass numpy's size limit raises MemoryError, as
-    one too large to allocate does."""
-    stacks = []
-    for shape, dtype in _trial_rows(scenario, n, dim):
-        shape = (trials, *shape)
-        try:
-            stacks.append(np.empty(shape, dtype))
-        except ValueError as exc:  # "array is too big"
-            raise MemoryError(f"Unable to allocate an array with shape {shape} and data type "
-                              f"{np.dtype(dtype)}: {exc}") from None
-    return stacks
+def _empty_stack(scenario: str, n: int, dim: int, trials: int) -> np.ndarray:
+    """An uninitialized float64 stack for `trials` trials of an (n, dim) group,
+    one row of reals per trial (_trial_widths). An array whose bytes pass
+    numpy's size limit raises MemoryError, as one too large to allocate does."""
+    shape = (trials, sum(_trial_widths(scenario, n, dim)))
+    try:
+        return np.empty(shape)
+    except ValueError as exc:  # "array is too big", or a width past the largest dimension
+        raise MemoryError(f"Unable to allocate an array with shape {shape} and data type float64: {exc}") from None
 
 
-def _draw_row(scenario: str, rng: np.random.Generator, row: Sequence[np.ndarray]) -> int | None:
+def _draw_row(scenario: str, rng: np.random.Generator, row: np.ndarray, quanton_reals: int,
+              dim: int, starts: tuple[int, int]) -> int | None:
     """Draw what a trial draws after its shape and quanton rank into `row`,
-    its entry of each stack array: the quanton's Ginibre Gaussians; for
+    its row of the stack, whose detector-state region and Gaussian block
+    begin at `starts`: the quanton's `quanton_reals` Ginibre Gaussians; for
     mixed_mixed the detector state's rank (_detector_rank) and its 2 dim rank
-    Ginibre Gaussians, into the first reals of the detector state's row; then
-    the Gaussian block. Returns the detector state's rank, or None."""
+    Ginibre Gaussians; then the Gaussian block. Each region's draws fill its
+    first reals. Returns the detector state's rank, or None."""
+    detector, block = starts
     if scenario != "pure_pure":
-        rng.standard_normal(out=row[0])
+        rng.standard_normal(out=row[:quanton_reals])
     detector_rank = None
     if scenario == "mixed_mixed":
-        dim = row[-1].shape[-1]
         detector_rank = _detector_rank(dim, rng)
-        rng.standard_normal(out=row[1][:2 * dim * detector_rank])
-    rng.standard_normal(out=row[-1])
+        rng.standard_normal(out=row[detector:detector + 2 * dim * detector_rank])
+    rng.standard_normal(out=row[block:])
     return detector_rank
 
 
@@ -301,36 +300,32 @@ def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.rando
     (n, dim) group, unvalidated, from each trial's position after its shape
     (see _trial_shapes). A mixed trial's quanton rank is `rank`, or else its
     next draw (_bounded); `rng` is then set once to where the trial stands
-    (_resume), the rest of the trial is drawn into its row of the raw stack
-    (_draw_row), and the raw blocks are assembled over the whole stack. A
-    complex entry holds the bytes of its two raw reals (_empty_stack)."""
-    stacks = _empty_stack(scenario, n, dim, len(positions))
-    rows = zip(*stacks)
-    if scenario != "pure_pure":
-        ranks = [rank] * len(positions)
-        if rank is None:
-            draws = [_bounded(n - 1, position) for position in positions]
-            ranks, positions = [1 + r for r, _ in draws], [position for _, position in draws]
-        reals = [stack.view(np.float64).reshape(len(positions), -1) for stack in stacks[:-1]]
-        rows = zip([reals[0][i, :2 * n * r] for i, r in enumerate(ranks)], *reals[1:], stacks[-1])
+    (_resume), the rest of the trial is drawn into its row of one stack of
+    reals (_draw_row), and the regions of the rows are assembled over the
+    whole stack. A real beyond a region's draws is never read."""
+    stack = _empty_stack(scenario, n, dim, len(positions))
+    quanton, detector, _ = _trial_widths(scenario, n, dim)
+    starts = quanton, quanton + detector
+    ranks = [rank] * len(positions)
+    if scenario != "pure_pure" and rank is None:
+        draws = [_bounded(n - 1, position) for position in positions]
+        ranks, positions = [1 + r for r, _ in draws], [position for _, position in draws]
     detector_ranks = []
-    for position, row in zip(positions, rows):
+    for position, row, r in zip(positions, stack, ranks):
         _resume(rng, position)
-        detector_ranks.append(_draw_row(scenario, rng, row))
+        detector_ranks.append(_draw_row(scenario, rng, row, 2 * n * (r or 0), dim, starts))
+    block = stack[:, starts[1]:]
     # a NaN in a raw block spreads through the assembly unwarned, and the
     # checks after it reject it and name its trial
     with np.errstate(invalid="ignore"):
         if scenario == "pure_pure":
-            (raw,) = stacks
-            amps, vecs = raw[:, :2 * n].reshape(-1, 2, n), raw[:, 2 * n:].reshape(-1, 2, n, dim)
+            amps, vecs = block[:, :2 * n].reshape(-1, 2, n), block[:, 2 * n:].reshape(-1, 2, n, dim)
             return _amplitudes(amps), _unit_vectors(vecs)
-        _form_per_rank(stacks[0], ranks)
+        rho = _form_per_rank(stack[:, :quanton], ranks, n)
         if scenario == "mixed_pure":
-            rho, raw = stacks
-            return rho, _unit_vectors(raw)
-        rho, rho_d, raw = stacks
-        _form_per_rank(rho_d, detector_ranks)
-        return rho, rho_d, _haar(_path_gaussians(raw))
+            return rho, _unit_vectors(block.reshape(-1, 2, n, dim))
+        rho_d = _form_per_rank(stack[:, quanton:starts[1]], detector_ranks, dim)
+        return rho, rho_d, _haar(_path_gaussians(block.reshape(-1, n, 2, dim, dim)))
 
 
 def random_pure(n: int, seed) -> PureQuanton:

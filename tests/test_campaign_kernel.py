@@ -348,6 +348,33 @@ def test_campaign_bytes_do_not_depend_on_the_stack_budget(monkeypatch, scenario,
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("scenario, n, detector_dim, rank", [
+    ("pure_pure", tuple(range(2, 9)), None, None),
+    ("mixed_pure", tuple(range(2, 9)), None, None),
+    ("mixed_pure", (3, 5), 4, 2),
+    ("mixed_mixed", tuple(range(2, 7)), None, None),
+    ("mixed_mixed", (2, 3), None, 2),
+    ("mixed_mixed", (3, 4), 5, 1),
+])
+def test_campaign_bytes_do_not_depend_on_what_the_stack_held(monkeypatch, scenario, n, detector_dim, rank):
+    """A trial's draws fill the first reals of each region of its stack row
+    (random._trial_widths), and no real after them is read: stacks that
+    start out as NaN write the same bytes."""
+    expected = _campaign_bytes(scenario, 250, 47, n=n, detector_dim=detector_dim, rank=rank)
+    empty = lab_random._empty_stack
+    filled = []
+
+    def nan_filled(*args):
+        stack = empty(*args)
+        stack.fill(np.nan)
+        filled.append(stack.shape)
+        return stack
+
+    monkeypatch.setattr(lab_random, "_empty_stack", nan_filled)
+    assert _campaign_bytes(scenario, 250, 47, n=n, detector_dim=detector_dim, rank=rank) == expected
+    assert sum(trials for trials, _ in filled) == 250
+
+
 def test_campaigns_in_threads_equal_campaigns_in_sequence():
     """Each campaign resumes its trials on its own generator, so campaigns
     running at once in threads draw what they draw one after another."""
@@ -373,12 +400,14 @@ def test_campaigns_in_threads_equal_campaigns_in_sequence():
 
 
 def _nan_in_trial(monkeypatch, scenario, seed, k, n, detector_dim=None, block=0):
-    """Make the first entry of raw draw `block` of trial k of a `scenario`
+    """Make the first real of raw draw `block` of trial k of a `scenario`
     campaign on `seed` and path counts `n` a NaN, as its row is drawn: the
     row draw of trial k is the one that starts where stream(seed, k) stands
     after its shape draws and, for a mixed scenario, its quanton rank draw.
     A mixed trial's first raw draw is its quanton's Ginibre Gaussians, and a
-    mixed_mixed trial's second its detector state's; the detector rank that
+    mixed_mixed trial's second its detector state's. The draws fill the
+    row's regions, which begin at 0 and at `starts` (an empty detector-state
+    region begins where the Gaussian block does); the detector rank that
     _draw_row returns is passed through."""
     rng = stream(seed, k)
     (paths, _), _ = _start(rng, (n,) if isinstance(n, int) else n, detector_dim)
@@ -387,11 +416,11 @@ def _nan_in_trial(monkeypatch, scenario, seed, k, n, detector_dim=None, block=0)
     target = _position(rng)
     draw = lab_random._draw_row
 
-    def poisoned(scenario, rng, row):
+    def poisoned(scenario, rng, row, quanton_reals, dim, starts):
         start = lab_random._position(rng)
-        detector_rank = draw(scenario, rng, row)
+        detector_rank = draw(scenario, rng, row, quanton_reals, dim, starts)
         if start == target:
-            row[block].flat[0] = np.nan
+            row[(0, *starts)[block]] = np.nan
         return detector_rank
 
     monkeypatch.setattr(lab_random, "_draw_row", poisoned)

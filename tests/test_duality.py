@@ -287,16 +287,25 @@ def test_campaign_of_2_to_the_32_paths_exits_instead_of_hanging(child_python, tm
     assert list(tmp_path.iterdir()) == []
 
 
-# n = 2^31: a quanton stack of 2^66 bytes, past numpy's size limit, which numpy
-# reports as a ValueError; n = 2^28: 2^60 bytes, within it but past any 64-bit
-# address space, so the allocation fails on any host, however it overcommits
+# the one row of reals of the largest trial, n paths by a detector dimension
+# of 2n: 2n^2 quanton and 2n (2n) detector-vector reals, or 2n^2
+# quanton, 2 (2n)^2 detector-state and 2n (2n)^2 unitary reals
+ROW_REALS = {"mixed_pure": lambda n: 6 * n**2, "mixed_mixed": lambda n: 10 * n**2 + 8 * n**3}
+# n = 2^31, and mixed_mixed at n = 2^28: a row past numpy's size limit, which
+# numpy reports as a ValueError; mixed_pure at n = 2^28: 3 2^60 bytes, within it
+# but past any 64-bit address space, so the allocation fails on any host,
+# however it overcommits
 TOO_LARGE_TO_ALLOCATE = [(scenario, n) for scenario in ("mixed_pure", "mixed_mixed") for n in (2**31, 2**28)]
-ALLOCATION_FAILED = r"^Unable to allocate .*an array with shape \(1, {n}, {n}\) and data type complex128"
+ALLOCATION_FAILED = r"^Unable to allocate .*an array with shape \(1, {reals}\) and data type float64"
+
+
+def _allocation_failed(scenario, n):
+    return ALLOCATION_FAILED.format(reals=ROW_REALS[scenario](n))
 
 
 @pytest.mark.parametrize("scenario, n", TOO_LARGE_TO_ALLOCATE)
 def test_campaign_too_large_to_allocate_raises_memory_error_naming_no_trial(scenario, n):
-    with pytest.raises(MemoryError, match=ALLOCATION_FAILED.format(n=n)):
+    with pytest.raises(MemoryError, match=_allocation_failed(scenario, n)):
         run_campaign(scenario, 1, 1, n=n)
 
 
@@ -305,7 +314,7 @@ def test_campaign_too_large_to_allocate_raises_memory_error_naming_no_trial(scen
 def test_campaign_that_may_draw_too_large_a_trial_fails_on_every_seed(no_draws, scenario, seed):
     """Whether a campaign fits does not depend on the path counts its seed draws:
     the largest trial its options allow is allocated before the first draw."""
-    with pytest.raises(MemoryError, match=ALLOCATION_FAILED.format(n=2**28)):
+    with pytest.raises(MemoryError, match=_allocation_failed(scenario, 2**28)):
         run_campaign(scenario, 1, seed, n=(2, 2**28))
 
 
@@ -315,7 +324,7 @@ def test_campaign_too_large_to_allocate_exits_two_as_too_large(capsys, tmp_path,
                  "--output", str(tmp_path / "run")])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert re.match("error: configuration too large: " + ALLOCATION_FAILED.format(n=n)[1:], captured.err)
+    assert re.match("error: configuration too large: " + _allocation_failed(scenario, n)[1:], captured.err)
     assert list(tmp_path.iterdir()) == []
 
 
