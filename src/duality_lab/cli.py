@@ -184,6 +184,11 @@ def _merged_config(args: argparse.Namespace) -> dict:
     # every command's path count; below 2 the draws and formulas fail without naming it
     if cfg.get("n") is not None and cfg["n"] < 2:
         raise ConfigError(f"--n must be >= 2, got {cfg['n']}")
+    # beyond 2^32 - 1 the draws, numpy's shapes and Python's float conversions
+    # fail without naming the flag
+    for key, flag in (("n", "--n"), ("detector_dim", "--detector-dim")):
+        if cfg.get(key) is not None and cfg[key] >= 1 << 32:
+            raise ConfigError(f"{flag} must be <= 2^32 - 1, got {cfg[key]}")
     return cfg
 
 
@@ -297,6 +302,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     trials = _require(cfg, "trials", "--trials")
     seed = _require(cfg, "seed", "--seed (campaigns never use a silent entropy source)")
     prefix = cfg.get("output", "campaign")
+    if not os.path.basename(prefix):  # it would write the hidden files .csv and .json
+        raise ConfigError(f"--output {prefix!r} ends in no file name")
     if not os.path.isdir(os.path.dirname(prefix) or "."):
         raise ConfigError(f"--output {prefix}: directory {os.path.dirname(prefix)} does not exist")
     result = run_campaign(

@@ -142,6 +142,7 @@ _N_COMMANDS = {
     "sweep_mixed_pure": ["sweep", "--scenario", "mixed_pure", "--seed", "3", "--gammas", "0.5"],
     "fringe": ["fringe", "--gamma", "0.5"],
 }
+_HUGE = 10**400
 _MALFORMED = [
     *(pytest.param(argv, {"n": n} if source == "config" else None, f"--n must be >= 2, got {n}",
                    id=f"{name}-n{n}-{source}")
@@ -237,6 +238,17 @@ _MALFORMED = [
                  "--gamma must lie in [0, 1], got [2.0]", id="verify-mixed_pure-gamma-2.0"),
     pytest.param(["verify", "--n", "2", "--amplitudes", "1,1"], None, "need --gamma or --seed to build detectors",
                  id="verify-no-detectors"),
+    # an integer beyond 2^32 - 1 names its flag before it reaches a draw or a shape
+    *(pytest.param(base if source == "config" else [*base, flag, str(_HUGE)],
+                   {key: _HUGE} if source == "config" else None, f"{flag} must be <= 2^32 - 1, got {_HUGE}",
+                   id=f"{name}-huge-{source}")
+      for name, base, key, flag in (
+          ("sweep-n", ["sweep", "--gammas", "0.5"], "n", "--n"),
+          ("fringe-n", ["fringe", "--gamma", "0.5"], "n", "--n"),
+          ("verify-n", ["verify", "--gamma", "0.5"], "n", "--n"),
+          ("verify-mixed_pure-n", ["verify", "--scenario", "mixed_pure", "--seed", "1"], "n", "--n"),
+          ("verify-detector-dim", ["verify", "--seed", "1", "--n", "2"], "detector_dim", "--detector-dim"))
+      for source in ("flag", "config")),
 ]
 
 
@@ -599,6 +611,23 @@ def test_campaign_checks_output_directory_first(capsys, tmp_path, monkeypatch):
                                  "--seed", "1", "--output", str(prefix)])
     assert code == 2
     assert str(tmp_path / "missing") in err
+
+
+@pytest.mark.parametrize("prefix, source", [("out/", "flag"), ("out/", "config"), ("", "flag"), ("./", "flag")])
+def test_campaign_output_without_a_file_name_exits_two(capsys, tmp_path, monkeypatch, prefix, source):
+    """A prefix that ends in no file name would write the hidden files
+    .csv and .json into its directory."""
+    (tmp_path / "out").mkdir()
+    monkeypatch.chdir(tmp_path / "out" if prefix != "out/" else tmp_path)
+    argv = ["campaign", "--scenario", "pure_pure", "--n", "2", "--trials", "3", "--seed", "1"]
+    if source == "config":
+        (tmp_path / "config.json").write_text(json.dumps({"output": prefix}))
+        argv += ["--config", str(tmp_path / "config.json")]
+    else:
+        argv += ["--output", prefix]
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: --output {prefix!r} ends in no file name\n")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 # -------------------------------------------------------------------- sweep

@@ -283,7 +283,7 @@ def test_campaign_of_2_to_the_32_paths_exits_instead_of_hanging(child_python, tm
     assert (library.returncode, library.stdout, library.stderr) == (0, message + "\n", "")
     cli = child_python("-m", "duality_lab.cli", "campaign", "--scenario", scenario, "--n", str(2**32),
                        "--trials", "1", "--seed", "1")
-    assert (cli.returncode, cli.stdout, cli.stderr) == (2, "", f"error: {message}\n")
+    assert (cli.returncode, cli.stdout, cli.stderr) == (2, "", "error: --n must be <= 2^32 - 1, got 4294967296\n")
     assert list(tmp_path.iterdir()) == []
 
 
