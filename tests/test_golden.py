@@ -7,19 +7,43 @@ meant to change no result must leave every digest as it is; a change
 that moves a digest on purpose records the new value here and says why
 in CHANGES.md.
 
-Dense linear algebra (QR, eigh) may round differently under another
-numpy build, so the cases skip when numpy is not the version the digests
-were recorded with.
+Dense linear algebra (QR, eigh) and numpy's vector loops round
+differently under another numpy build, another OpenBLAS kernel set or
+another CPU dispatch target, and OpenBLAS and numpy pick both by the CPU.
+So the digests were recorded under one configuration, which conftest.py
+pins on numpy 2.4.6, and the cases skip under any other, naming it.
 """
 
+import ctypes
+import glob
 import hashlib
+import os
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from duality_lab.cli import main
 
-DIGEST_NUMPY = "2.4.6"
+
+def _openblas_core() -> str:
+    """The kernel set of numpy's bundled OpenBLAS, or "unknown"."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+#: the configuration the digests were recorded under, and the one in effect:
+#: the numpy version, the OpenBLAS kernels and numpy's enabled dispatch targets
+DIGEST_CONFIGURATION = {"numpy": "2.4.6", "OpenBLAS core": "Haswell", "dispatch": ["X86_V3"]}
+CONFIGURATION = {"numpy": np.__version__, "OpenBLAS core": _openblas_core(),
+                 "dispatch": [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]}
 
 PATH_COUNTS = {"pure_pure": (2, 3, 4, 5, 6, 7, 8), "mixed_pure": (2, 3, 4, 5, 6, 7, 8),
                "mixed_mixed": (2, 3, 4, 5, 6)}
@@ -280,8 +304,8 @@ def _outputs(argv, tmp_path, monkeypatch, capsys) -> dict[str, str]:
     return digests
 
 
-@pytest.mark.skipif(np.__version__ != DIGEST_NUMPY,
-                    reason=f"digests were recorded with numpy {DIGEST_NUMPY}, not {np.__version__}")
+@pytest.mark.skipif(CONFIGURATION != DIGEST_CONFIGURATION,
+                    reason=f"digests were recorded under {DIGEST_CONFIGURATION}, not {CONFIGURATION}")
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_digest(name, tmp_path, monkeypatch, capsys):
     assert _outputs(COMMANDS[name], tmp_path, monkeypatch, capsys) == DIGESTS[name]
