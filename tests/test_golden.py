@@ -95,105 +95,105 @@ COMMANDS = {**CAMPAIGNS, **VERIFIES, **OTHERS}
 DIGESTS = {
     'campaign_mixed_mixed_n2': {
         'exit': '0',
-        'stdout': '27c557510886c2ff8d1e5c576bd82d16d964214071d724bcafb0cfb4cc1ba936',
-        'run.csv': '0db7098de3e04723b204bb1eb785406203c0e220d2e7012d61f7c778b6ac3f9c',
-        'run.json': 'a8e504fb06f1ad250c5713b7045176e2d2a2aca63e1a9cf9030448482034461e',
+        'stdout': 'c775489d98e1e715c2017fdc43d3f378f343744f2187695b251e7f18afcb8da8',
+        'run.csv': '31806e1457062959517566786cf12842607f30290a8825c01dacd58f635dfb61',
+        'run.json': '4815e34377079988d9fcd50ddd84cf644ce4f213a76e354144c608bd6c671017',
     },
     'campaign_mixed_mixed_n3': {
         'exit': '0',
-        'stdout': '3488416262cf884d10975f214d9bb41a5c2522f4f36b96caa89dfc394c478314',
-        'run.csv': '01d210a25bd260290855ccc23ffe4db16fb5b1eb10f777dbeca471810519eddc',
-        'run.json': 'a007b4963abe0e781ac8cbf72d71fcb57e9a585881ba40cbd72d366ae1e8e007',
+        'stdout': '9e8163d6c4d2c0adf77b4994b6adb8a22c8081a9a220669ea345cd6f93d342c0',
+        'run.csv': 'f0f41d5b1f3d2f1dc4063e4c0c40e92c05952df5e8f4d84dda03b6513a544633',
+        'run.json': '12ec7557f3c609cd5d3897b2faba13d27417946c55c4be98da505b3132c273c1',
     },
     'campaign_mixed_mixed_n4': {
         'exit': '0',
         'stdout': '453b98328e39a18a0ed2cebb72f72788a05633797331af13bad6d0a9696defc3',
-        'run.csv': 'd35c0ef47646fc1bc3665c10742c363e93e63457be6e01aca1144ed577867c1d',
-        'run.json': 'e62ef30e446a846e144cb98d59429b98f836e096fc36362f1e9034c0e3fdcf65',
+        'run.csv': 'b875f43fa02558b7a91309c1c4dd07dceae9d674214b433ef1aa7a34b3736e3b',
+        'run.json': '0f486a6e9ab29b5570d66e2638240a187a2c22a9d25dd850db33c5527012436b',
     },
     'campaign_mixed_mixed_n4_rank1_dim3': {
         'exit': '0',
-        'stdout': '9e8163d6c4d2c0adf77b4994b6adb8a22c8081a9a220669ea345cd6f93d342c0',
-        'run.csv': '6874287a0b3b465489771898d2af740f7e0da31cc3d1714e6c2661ff5d6dab81',
-        'run.json': '43442f76235b3267de6ddccde9e89667f4e996486197eaf2ed86dbfad71fb319',
+        'stdout': '27c557510886c2ff8d1e5c576bd82d16d964214071d724bcafb0cfb4cc1ba936',
+        'run.csv': '75db01b7967af707ac7279c0cfe2ec8838f0e489f7b77137b5b3a1b15273926c',
+        'run.json': '91aac412666992bad77468f0f82e0cef16ea4d47cc980ce84e036ecdb3ee34a1',
     },
     'campaign_mixed_mixed_n5': {
         'exit': '0',
-        'stdout': '3488416262cf884d10975f214d9bb41a5c2522f4f36b96caa89dfc394c478314',
-        'run.csv': 'ebf81014b10f13803f8d5310fe416b80c567e787f10c517421f86814c5a84ad6',
-        'run.json': 'a480abb2dc335d2a446cf3a50cfe5a2f5f113c6419de1a296a998bf8d13a9485',
+        'stdout': 'e867acdfe19728abb0234358f10d1f7a0f98ce7313f51bc295886ead0210a220',
+        'run.csv': '7428d8c38c9557571a142ecbeef5747e7eb3ce37f53f193123bb4492c141c8fc',
+        'run.json': 'df6bde2431b05d08578c636d9a8fe3556de4cc391f6756498a56cc3bda1d9cc4',
     },
     'campaign_mixed_mixed_n6': {
         'exit': '0',
         'stdout': '58e3fc2978a13f121971c1606a59f6363c6fca8f95953c1df2fb803a57ad8506',
-        'run.csv': '45ffdd653c5ef212c71da0fe3954245531d9760013b6c0147a7c90055c5213cf',
-        'run.json': '3a0019212405f986f906f6cec5efedc86689fe4d451649cd18530e2fcb8eabf0',
+        'run.csv': 'ee4ffc6f470664ca35dad3dfceb57f5087958e36477ecbd8fa0ea0ebb01185ac',
+        'run.json': '6ae00141db340c59981b7469b84afc5c07610e8dbfc77a23a8ecec33ad466366',
     },
     'campaign_mixed_pure_n2': {
         'exit': '0',
         'stdout': '6624791e63da9e000b64369998ec9c540de48594ce1c2c2d2e96918c7cf9253c',
-        'run.csv': '8a229d7051868424b4b3ebbd6542403f03ae0cdb25512d493cf044dcb5402ef5',
-        'run.json': '8a2a64adfff3319062255852fc563182cfe0a0b28b8d908cd3820aa9db2f7b8e',
+        'run.csv': 'dd7e1b5d915145c1e32c432676f9a59e95f42a176a464473603a37e7bec62db0',
+        'run.json': '2f9ca8602aa94508c50710c1b4c09102ad2184d5e249425fef12f617b755759c',
     },
     'campaign_mixed_pure_n3': {
         'exit': '0',
         'stdout': '0cddc634ff790cfd2f5870dc31013b4cfcf7bb84232851c8972abd140c34a184',
-        'run.csv': '8bb10598dcea206d470856123baaaa4befde62ade8acd5fc90711ec717b06024',
-        'run.json': '4aafe92733502ac54215e568dd1f58e6f2a5d00ae227d7a71b801b9a06cbb00b',
+        'run.csv': 'dd66bde61381a6663dc71e1cae7a33acdcfb0d70e4965245555a55c562c1b3c8',
+        'run.json': '999faad8c17a3a9a18cb2f49f4864abd011682fa2ec41f4a1bbea249f67ca7fc',
     },
     'campaign_mixed_pure_n4': {
         'exit': '0',
         'stdout': '0cddc634ff790cfd2f5870dc31013b4cfcf7bb84232851c8972abd140c34a184',
-        'run.csv': '7fe4185ed28e153c042f2d41a22bdad1a512a937bd39bcdfceef6ce3729380a7',
-        'run.json': '3ed8c3b17c3e1bc6a80b3c2fd65cae81b9ff76f7c6bcbeeaeccc2d3b38e3a602',
+        'run.csv': '7f58a167d036a3407e11b0de9f91ceb4fd3de75b4774c53f0822cdd51dc23bf4',
+        'run.json': '4f9804b094095c294b8d3239bd00dddf610a5d07fda9b6cac8baadce3dc87cdb',
     },
     'campaign_mixed_pure_n5': {
         'exit': '0',
         'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
-        'run.csv': '908674ed58f6b7ea61ea8cd7056ae08fc97dc35219694157ec09878a937837ab',
-        'run.json': '929fbb3242e3c19e70b3789a2b35f4817f67f7428873fe9bc6586816cf918b6a',
+        'run.csv': '8736d5fd95295bf70660e28107bd21be962c10fe6d87a1cd26028305fea304f6',
+        'run.json': '1f0f7159041bc4bf887524d90692210f9ff947631bfb9dde98abf9fd8c462c63',
     },
     'campaign_mixed_pure_n5_rank2_dim4': {
         'exit': '0',
         'stdout': 'b949a354f79c0f44a373d87454f0932c2495014c5f2e865b24330d54e8020623',
-        'run.csv': '358cef9e5d25228e0702e29622f994495beae3c4444f457965350b655f30e79f',
-        'run.json': '99d94a832a9a0c8e4cebba9182d38110f3fd2b2dee024d17b6c09c356962d210',
+        'run.csv': '76048fcf5d8ca52a7a852fb5ae44030fbaf5e29d3342b717f1ec92726fad7f8d',
+        'run.json': '4bb66911e860c408042d3c9169ddb3d9035a48206cc921baad6182241bd125f6',
     },
     'campaign_mixed_pure_n5_seed_2p130': {
         'exit': '0',
         'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
-        'run.csv': '18688ab51136f0108be88f29436644e4b78ad66fc499e76f63c641adaf0a4a01',
-        'run.json': '1798a8d078afd1be5a8339e570e3535e5e6ef1769abf8299885f774da7710a07',
+        'run.csv': 'a3e513cfde3b04605e82e61a97788c5c5046399ddbf6153914f4a71263b2ebef',
+        'run.json': '661516b6a78ac1c23862497ac442aa666724ded59c817d2f1ecaf8d2ba565f62',
     },
     'campaign_mixed_pure_n6': {
         'exit': '0',
         'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
-        'run.csv': '31ca1537bbe4918afedb9ea145088dd39360f22a53c9441e77e014e198e87420',
-        'run.json': 'c542d84f757fe0e2ddb7a3fe60148e27efe1a27de011f6486fb1482bbad81afc',
+        'run.csv': '3d2fd5086cbb5ede6b02a52dcc83d1f30ddef2ecb79ae486fe601401750e1674',
+        'run.json': 'da15245078b44ae314efcb639db9a9da9d0293ebe7ee84e842b713f1cdd7a176',
     },
     'campaign_mixed_pure_n7': {
         'exit': '0',
         'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
-        'run.csv': '45e1bf0f8148aab8117104721c1920f8237fc2351b0e43da341505aed3b76ad2',
-        'run.json': 'eab1fe609d2b7c9adb91121addd3ac1e893a9fb16d60a0f5759aa1e3088702de',
+        'run.csv': 'c8c388ccaffbf57c1cfd8c0fa2f905b9a5177967ab3be7e8e6157f4e268bea61',
+        'run.json': '30eccf8d4a5e24d1724f3c5c05c7accb7c44220dcd443306aec7663b7ebd493f',
     },
     'campaign_mixed_pure_n8': {
         'exit': '0',
         'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
-        'run.csv': 'ac6ef6c37a4eab46413894e4e5e1bb4c3196ce12d844481dc2126a3d228e2622',
-        'run.json': '3b288c9801b0c7f05b390d5dc393d2661ce69b7535759925dec06ce683e3232f',
+        'run.csv': 'aebd0ccbc6e536babfdceaec5f45aeaffb54c8cedb878172293573f7f88834bd',
+        'run.json': 'c0382e0cd3917acaf696abd6153811f6a87e54ba121d3298db4e660f91b8bd3d',
     },
     'campaign_pure_pure_n2': {
         'exit': '0',
         'stdout': '1fc8826d9986de7c9ac3ac461daccb6d3cd2cb5ad3817480ef73d55f125ddc99',
-        'run.csv': 'bb3f4528ed20d0708d189de052228c930eb4e963b497da19fe9bfc50bcad9d49',
-        'run.json': 'bc024e184b5c14f666348bf1abdaa410dc082c766c066e01cadc0bcc59905a4c',
+        'run.csv': '1c8ca88bfe62ff9b49fa0bc84d723e97763ddd5ae812bcf727f5e74f482e3349',
+        'run.json': 'bb001bd127b5517edb01f428479559f2d634f3a9722a54525447865533daeae7',
     },
     'campaign_pure_pure_n3': {
         'exit': '0',
         'stdout': 'b0ab3940fd2e0637e2ff182a68290a98b6429265361f99065a7bca91c24fba46',
-        'run.csv': '5a358a2dd95c056090a9804ede49705c8431a8208867ef9c891774f3c8c5b6ef',
-        'run.json': '703f71f9b319fd367a9004e893eb344b3f544442b7f88d316000eaca9abc4470',
+        'run.csv': '5e7c382b129d312a406d4a4a2453bb23968e3737927447141cee6394694652a4',
+        'run.json': 'a91e74a387201fbbd46869fde65310e2a5ccd68ea61037c3d4145a4cb929cc20',
     },
     'campaign_pure_pure_n4': {
         'exit': '0',
@@ -210,32 +210,32 @@ DIGESTS = {
     'campaign_pure_pure_n5': {
         'exit': '0',
         'stdout': 'e8a3d2a9bcd2be11ce4558233856e6399127c493cbbc1a3940e11e400aa5fcc2',
-        'run.csv': '4750aa2e406f16f3ffee5c7a2a6460660b677d3bd9a5d1121932d59f44f6a6a8',
-        'run.json': 'fe7c3c140f2c7c50ac436033f5943d81b86c28c311a6f8159a28cd814b712172',
+        'run.csv': 'b800690327f3870cb3c8c38af34a08eaa92a8ed45e5b3514bc1ea56e4a525c0f',
+        'run.json': 'b894c7e5c70ea1b7c7a5910906a8e8bbcaba92f2870c5cd90cd5b8f9dd8f0662',
     },
     'campaign_pure_pure_n5_dim2': {
         'exit': '0',
         'stdout': 'b0ab3940fd2e0637e2ff182a68290a98b6429265361f99065a7bca91c24fba46',
-        'run.csv': '2795a79915fa355f20cca9bac89a09e6009533b11226b6478e386b2ab2ae6749',
-        'run.json': '73fe62bbbf973732883f5480751f57ba150cbeb16f443c4447e52dc9fd53f3a4',
+        'run.csv': '1699e259558cb9cfe827d09619b0c66afdb0cd0231f1bdf39e52659a83d718d6',
+        'run.json': '8269e422549b811c86a838963c929786ee54909b895885404550b50dfde6cbe5',
     },
     'campaign_pure_pure_n6': {
         'exit': '0',
         'stdout': 'e8a3d2a9bcd2be11ce4558233856e6399127c493cbbc1a3940e11e400aa5fcc2',
-        'run.csv': 'c79889032b017bce9952cce72cd7136c4464323dca51197b72e9f92e93c5a853',
-        'run.json': 'd281a73d69e13d30394bae4409cb4bc3bc2303e81823bd86e131190ab0bac9a7',
+        'run.csv': '374d59946909464b2e1188bbedd0471ce2fe71b5340b96144ec0bc2d935872f3',
+        'run.json': 'a0ffb49b0395fb932aeacb2d3d81d79869a85f0d7a1cf742502f1db1557c6f4c',
     },
     'campaign_pure_pure_n7': {
         'exit': '0',
         'stdout': 'e8a3d2a9bcd2be11ce4558233856e6399127c493cbbc1a3940e11e400aa5fcc2',
-        'run.csv': '6c6787e3a8fd5e4cbee1cb206f059b26ec19c9e6f874ccafc2ce2e3a0a5a9250',
-        'run.json': '15524884383b7fba4c38ef0a739bf8a8e665ef65897785bf4faedf53967d05f7',
+        'run.csv': '629a99cde0ef346c71514ab30d244fd907ca5636c61f3556ff57204193ed5c98',
+        'run.json': '65e8a173648bcc6dcf20399c84a87c4d2f39064fb9d1ccee380621371dd6c3ba',
     },
     'campaign_pure_pure_n8': {
         'exit': '0',
         'stdout': 'e8a3d2a9bcd2be11ce4558233856e6399127c493cbbc1a3940e11e400aa5fcc2',
-        'run.csv': '1d16034b969ebd80e44cdcdd2f635b31053306cb81ffbca7e334a4f60ca7528e',
-        'run.json': '69603b135795d8ac66c6a060df60ffb0efea2d71db06d117b271893911b3549f',
+        'run.csv': 'c7c521054eee7f69dd883dcaafa2084fb5bf911e74b24ed3458833b67d534d06',
+        'run.json': '15dc0f364ba63f44ec5a662839d5b2ea8cf9a3e438ba9bc287c9695ae2077025',
     },
     'fringe_n2': {
         'exit': '0',
@@ -254,32 +254,32 @@ DIGESTS = {
     'verify_mixed_mixed_csv': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': 'd9fb708dd672871d3d62d992f0fe5eb0eb070b5f15c2dd68e8893c3ec548d301',
+        'report': '9eac355afd7ce53110c733aeca6fba7d705e8aad485258645eb439b855afd8e4',
     },
     'verify_mixed_mixed_json': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': '41ab5e656de61db26e4dc5cee58e2cf7ea4a05d9f23a8c0cda3c6eec97be86ce',
+        'report': '12deb85e0bde0e384614eedecc2aa7b8c0e8d4d6b7ad9037b8ebdc3a84fbf6e0',
     },
     'verify_mixed_pure_csv': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': 'a76d3e1c150f67cf10c30b3939d5dfa1f155a158fb5eb99650d13017dfdfc9e1',
+        'report': '3a7ca4e459ef9bd9e22b8480255fcfaf74815287aa51b8cc4166443cb61219b0',
     },
     'verify_mixed_pure_json': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': '30c4862362e194b7ec631695868a5808d25d530c48ae31430ffcab63698305ce',
+        'report': 'bada11dee3698004ed5c07adacaa55dbda1f218fe5e67ec5bb25bf1bf40f7e50',
     },
     'verify_pure_pure_gamma_csv': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': 'de55c5623fa9d220d9710f6db31ffe8430b5913bc86ef72bad1b9aab7e1221f2',
+        'report': '0271a3d6232aff8033504ad76434b134e92dfee2559c29f919a0a2a1ec49ca2e',
     },
     'verify_pure_pure_gamma_json': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': '9b17993f4320eb4a3b455e3975cea59b1bed80c5ae3805be368dec6b0eff84c2',
+        'report': 'c86e8aa9dfe71d4fffb194710a46f447b483f1f7eda61822bb2fa4b999bdd3c6',
     },
     'verify_pure_pure_seed_csv': {
         'exit': '0',
