@@ -302,7 +302,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     trials = _require(cfg, "trials", "--trials")
     seed = _require(cfg, "seed", "--seed (campaigns never use a silent entropy source)")
     prefix = cfg.get("output", "campaign")
-    if not os.path.basename(prefix):  # it would write the hidden files .csv and .json
+    # "DIR/", "DIR/." or "" would write the hidden files .csv and .json, or ..csv and ..json
+    if os.path.basename(prefix) in ("", os.curdir, os.pardir):
         raise ConfigError(f"--output {prefix!r} ends in no file name")
     if not os.path.isdir(os.path.dirname(prefix) or "."):
         raise ConfigError(f"--output {prefix}: directory {os.path.dirname(prefix)} does not exist")

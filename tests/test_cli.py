@@ -613,12 +613,13 @@ def test_campaign_checks_output_directory_first(capsys, tmp_path, monkeypatch):
     assert str(tmp_path / "missing") in err
 
 
-@pytest.mark.parametrize("prefix, source", [("out/", "flag"), ("out/", "config"), ("", "flag"), ("./", "flag")])
+@pytest.mark.parametrize("prefix, source", [("out/", "flag"), ("out/", "config"), ("", "flag"), ("./", "flag"),
+                                            ("out/.", "flag"), ("out/..", "flag")])
 def test_campaign_output_without_a_file_name_exits_two(capsys, tmp_path, monkeypatch, prefix, source):
-    """A prefix that ends in no file name would write the hidden files
-    .csv and .json into its directory."""
+    """A prefix that ends in no file name, or in . or .., would write the
+    hidden files .csv and .json, or ..csv and ..json, into a directory."""
     (tmp_path / "out").mkdir()
-    monkeypatch.chdir(tmp_path / "out" if prefix != "out/" else tmp_path)
+    monkeypatch.chdir(tmp_path if prefix.startswith("out/") else tmp_path / "out")
     argv = ["campaign", "--scenario", "pure_pure", "--n", "2", "--trials", "3", "--seed", "1"]
     if source == "config":
         (tmp_path / "config.json").write_text(json.dumps({"output": prefix}))
@@ -628,6 +629,7 @@ def test_campaign_output_without_a_file_name_exits_two(capsys, tmp_path, monkeyp
     code, out, err = _run(capsys, argv)
     assert (code, out, err) == (2, "", f"error: --output {prefix!r} ends in no file name\n")
     assert list((tmp_path / "out").iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["config.json", "out"] if source == "config" else ["out"])
 
 
 # -------------------------------------------------------------------- sweep
