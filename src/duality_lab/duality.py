@@ -50,7 +50,7 @@ from .linalg import (
     frozen,
 )
 from .measures import _branch_coherence_bound, _branch_distinguishability, _coherence, _slack, _uqsd
-from .random import _draw_stack, _empty_stack, _trial_bytes, _trial_shapes, stream
+from .random import _draw_stack, _drawn_density, _empty_stack, _trial_bytes, _trial_shapes, stream
 from .states import (
     DetectorSet,
     MixedDetectorInteraction,
@@ -487,8 +487,9 @@ def _evaluate_stack(scenario: str, group: tuple[int, int], rank: int | None, ent
     file its table with their trial indices. Each entry is a trial index and
     its position after its shape draws (random._trial_shapes), from which
     random._draw_stack draws the rest of the trial on `rng`. The draws are
-    checked once, as the per-object constructors check one instance; a
-    failing check names the trial."""
+    checked once, as the per-object constructors check one instance, and the
+    drawn states are built as the random_* generators build theirs
+    (random._drawn_density); a failing check names the trial."""
     trials = [trial for trial, _ in entries]
     arrays = _draw_stack(scenario, *group, rank, rng, [position for _, position in entries])
     try:
@@ -499,10 +500,10 @@ def _evaluate_stack(scenario: str, group: tuple[int, int], rank: int | None, ent
             table = _pure_pure_stack(_pure_reduced(amps, vecs), amps, gram)
         elif scenario == "mixed_pure":
             rho, vecs = arrays
-            table = _mixed_pure_stack(_density(rho), _detector_gram(vecs))
+            table = _mixed_pure_stack(_drawn_density(rho), _detector_gram(vecs))
         else:
             rho, rho_d, unitaries = arrays
-            rho, rho_d = _density(rho), _density(rho_d)
+            rho, rho_d = _drawn_density(rho), _drawn_density(rho_d)
             _check_unitaries(unitaries)
             table = _mixed_mixed_stack(rho, rho_d, unitaries)
     except ValueError as exc:

@@ -137,7 +137,8 @@ def _partial_trace_pure(psi: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """A validated Hermitian, PSD, unit-trace matrix.
 
-    Construct through validate_density; the stored array is hermitized,
+    Construct through validate_density (a Ginibre draw, PSD by construction,
+    through random._drawn_density); the stored array is hermitized,
     eigenvalue-clamped if needed, trace-renormalized, and read-only.
     """
 

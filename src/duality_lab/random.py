@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .interference import symmetric_detectors
-from .linalg import DensityMatrix, validate_density
+from .linalg import DensityMatrix, _raise_first, dagger, frozen
 from .states import DetectorSet, MixedDetectorInteraction, MixedQuanton, PureQuanton
 
 # SeedSequence's hash constants (numpy.random.bit_generator) and its pool size
@@ -173,6 +173,17 @@ def _normalized_gram(g: np.ndarray) -> np.ndarray:
     zero-padding G to a common rank is not."""
     m = g @ g.conj().swapaxes(-1, -2)
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _drawn_density(m: np.ndarray) -> np.ndarray:
+    """Ginibre states G G^dag / Tr(G G^dag) over the trailing (n, n) axes,
+    hermitized and divided by the real trace as linalg._density does. PSD with
+    unit trace by construction, they get no Hermiticity, trace or PSD test and
+    no clamp; a NaN or Inf from the raw draws still raises with its index."""
+    _raise_first(~np.isfinite(m).all(axis=(-2, -1)), ValueError,
+                 lambda i: "matrix contains NaN or Inf entries")
+    h = (m + dagger(m)) / 2.0
+    return h / h.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def _ginibre(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -336,10 +347,11 @@ def random_pure(n: int, seed) -> PureQuanton:
 
 
 def random_density_matrix(dim: int, rank: int, seed) -> DensityMatrix:
-    """Ginibre-random density matrix G G^dag / Tr(G G^dag) with G of shape (dim, rank)."""
+    """Ginibre-random density matrix G G^dag / Tr(G G^dag) with G of shape (dim, rank),
+    built by _drawn_density with no spectral check."""
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must lie in 1..{dim}, got {rank}")
-    return validate_density(_ginibre(dim, rank, _as_rng(seed)))
+    return DensityMatrix(frozen(_drawn_density(_ginibre(dim, rank, _as_rng(seed)))))
 
 
 def random_density(n: int, rank: int, seed) -> MixedQuanton:
@@ -375,12 +387,12 @@ def uniform_overlap_detectors(n: int, gamma: float, dim: int, seed) -> DetectorS
 
 def random_mixed_detector(n: int, dim: int, seed) -> MixedDetectorInteraction:
     """Mixed detector for n paths: a Ginibre detector state whose rank is
-    drawn uniformly from 1..dim, then n Haar-random path unitaries, drawn
-    in that order."""
+    drawn uniformly from 1..dim and built as random_density_matrix builds
+    its state, then n Haar-random path unitaries, drawn in that order."""
     if dim < 1:
         raise ValueError("detector dimension must be >= 1")
     rng = _as_rng(seed)
-    rho_d = validate_density(_ginibre(dim, _detector_rank(dim, rng), rng))
+    rho_d = DensityMatrix(frozen(_drawn_density(_ginibre(dim, _detector_rank(dim, rng), rng))))
     raw = rng.standard_normal((n, 2, dim, dim))
     return MixedDetectorInteraction(rho_d=rho_d, unitaries=_haar(_path_gaussians(raw)))
 

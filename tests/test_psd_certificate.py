@@ -8,9 +8,9 @@ eigvalsh only on the Grams that pass the Hermiticity and unit-diagonal tests. On
 planted lowest eigenvalue sits on or next to every threshold (0, the clamp;
 -DEFAULT_TOL, the PSD test; the certificate's margin), the new code must
 return the same values (==) or raise the same exception class, message and
-index. The campaigns must also pass no matrix to eigvalsh that their
-construction makes positive definite, so a refactor that bypasses the
-certificate fails here.
+index. The campaigns must also pass no matrix to eigvalsh, and to eigh only
+the detector states they take spectral branches from, so a refactor that
+bypasses the certificate fails here.
 """
 
 import math
@@ -149,21 +149,21 @@ def test_branch_gram_check_equals_the_eigvalsh_oracle(stack, data):
     assert _outcome(_check_branch_grams, stack, checked) == _outcome(_gram_check_oracle, stack, checked)
 
 
-def _counting_eigvalsh(monkeypatch):
-    """A list that collects the number of matrices each np.linalg.eigvalsh call is given."""
+def _counting(monkeypatch, name):
+    """A list that collects the number of matrices each np.linalg.`name` call is given."""
     matrices = []
-    eigvalsh = np.linalg.eigvalsh
+    solver = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
         matrices.append(math.prod(np.shape(a)[:-2]))
-        return eigvalsh(a, *args, **kwargs)
+        return solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return matrices
 
 
 def test_certificate_decides_only_what_it_can_certify(monkeypatch):
-    matrices = _counting_eigvalsh(monkeypatch)
+    matrices = _counting(monkeypatch, "eigvalsh")
     rng = np.random.default_rng(3)
     healthy = np.stack([_planted_density(4, 4, 0.05, rng) for _ in range(5)])
     assert (_lowest_eigenvalues(healthy, 0.0) == np.inf).all() and matrices == []
@@ -183,16 +183,19 @@ def test_certificate_decides_only_what_it_can_certify(monkeypatch):
     assert matrices == [1, 1]
 
 
-@pytest.mark.parametrize("scenario, path_counts, per_trial", [
-    ("pure_pure", range(2, 9), 0),  # the reduced states
-    ("mixed_pure", range(2, 9), 1),  # the drawn quanton states; the reduced states are certified
-    ("mixed_mixed", range(2, 7), 2),  # both drawn states; the reduced states and branch Grams are certified
+@pytest.mark.parametrize("scenario, eigh_per_trial", [
+    ("pure_pure", 0),
+    ("mixed_pure", 0),
+    ("mixed_mixed", 1),  # the detector state's spectral branches
 ])
-def test_campaigns_run_eigvalsh_only_on_drawn_states(monkeypatch, scenario, path_counts, per_trial):
-    """Drawn states have random rank, so the certificate fails on their stacks;
-    every other state and Gram a campaign checks is positive definite by
-    construction, and the certificate settles it."""
-    matrices = _counting_eigvalsh(monkeypatch)
+def test_campaigns_run_no_eigvalsh_and_eigh_only_on_branches(monkeypatch, scenario, eigh_per_trial):
+    """Drawn states are built without a spectral check (random._drawn_density),
+    and every reduced state and branch Gram a campaign checks is positive
+    definite by construction, so the certificate settles it: no matrix goes
+    to eigvalsh or to the clamp's eigh."""
+    eigvalsh, eigh = _counting(monkeypatch, "eigvalsh"), _counting(monkeypatch, "eigh")
+    path_counts = range(2, 7) if scenario == "mixed_mixed" else range(2, 9)
     for n in path_counts:
         run_campaign(scenario, 1000, 50 + n, n=n)
-    assert sum(matrices) <= per_trial * 1000 * len(path_counts)
+    assert sum(eigvalsh) == 0
+    assert sum(eigh) <= eigh_per_trial * 1000 * len(path_counts)

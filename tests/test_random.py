@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duality_lab import random as lab_random
-from duality_lab.linalg import validate_density
+from duality_lab.linalg import _density, validate_density
 from duality_lab.measures import distinguishability_pure
 from duality_lab.random import (
     _amplitudes,
     _bounded,
     _draw_shape,
     _draw_stack,
+    _drawn_density,
     _ginibre,
     _pcg64_states,
     _position,
@@ -75,6 +76,23 @@ def test_random_density_always_validates():
         n = int(rng.integers(2, 9))
         q = random_density(n, int(rng.integers(1, n + 1)), rng)
         validate_density(q.rho.matrix)
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_drawn_states_pass_the_checks_they_skip(dim):
+    """_drawn_density skips the Hermiticity, trace and PSD tests and the clamp,
+    trusting that a Ginibre product is a state. linalg._density is the oracle:
+    it accepts every drawn state at every rank, and its checked, clamped state
+    is the drawn one to rounding."""
+    rng = np.random.default_rng(6100 + dim)
+    for rank in range(1, dim + 1):
+        for _ in range(40):
+            m = _ginibre(dim, rank, rng)
+            state = _drawn_density(m)
+            assert np.abs(state - _density(m)).max() <= 1e-15
+            assert (state == state.conj().T).all()
+            assert abs(state.trace() - 1.0) <= 1e-15
+            assert np.linalg.eigvalsh(state)[0] >= -1e-15
 
 
 def test_random_density_rank_out_of_range():
@@ -289,7 +307,8 @@ def test_stacked_detector_states_equal_the_public_generator(dim):
     """A mixed_mixed stack's detector states, formed per rank over the stack,
     and its path unitaries are random_mixed_detector's on each trial's
     generator, bit for bit, at every detector rank, in a stack that mixes
-    the ranks; the states are compared once validated, as both paths use them."""
+    the ranks; the states are compared once built by _drawn_density, as both
+    paths use them."""
     positions = [_position(stream(dim, k)) for k in range(10 * dim + 10)]
     _, rho_d, unitaries = _draw_stack("mixed_mixed", 2, dim, None, np.random.default_rng(0), positions)
     quanton_ranks, ranks = Counter(), Counter()
@@ -303,7 +322,7 @@ def test_stacked_detector_states_equal_the_public_generator(dim):
         ranks[int(rng.integers(1, dim, endpoint=True))] += 1
         _resume(rng, after_quanton)
         expected = random_mixed_detector(2, dim, rng)
-        assert (validate_density(state).matrix == expected.rho_d.matrix).all()
+        assert (_drawn_density(state) == expected.rho_d.matrix).all()
         assert (us == expected.unitaries).all()
     assert min(quanton_ranks[1], quanton_ranks[2], *(ranks[rank] for rank in range(1, dim + 1))) >= 2
 
