@@ -96,92 +96,92 @@ DIGESTS = {
     'campaign_mixed_mixed_n2': {
         'exit': '0',
         'stdout': 'c775489d98e1e715c2017fdc43d3f378f343744f2187695b251e7f18afcb8da8',
-        'run.csv': '31806e1457062959517566786cf12842607f30290a8825c01dacd58f635dfb61',
-        'run.json': '4815e34377079988d9fcd50ddd84cf644ce4f213a76e354144c608bd6c671017',
+        'run.csv': 'eb06a4c80fd28dd94b65b572b421780128a0fc7bc2c6e84b315b6bfc014f6437',
+        'run.json': '596061aa5d9f17055e639c82cb30caa832494b8a297c86f3e83e9ecb27600f85',
     },
     'campaign_mixed_mixed_n3': {
         'exit': '0',
         'stdout': '9e8163d6c4d2c0adf77b4994b6adb8a22c8081a9a220669ea345cd6f93d342c0',
-        'run.csv': 'f0f41d5b1f3d2f1dc4063e4c0c40e92c05952df5e8f4d84dda03b6513a544633',
-        'run.json': '12ec7557f3c609cd5d3897b2faba13d27417946c55c4be98da505b3132c273c1',
+        'run.csv': '12cc44a77e32eb987eee1c32bd042cb9dff24b397e5bb7f0c56eb0155fe1e3ea',
+        'run.json': '818ff0bc3361a2c1582bbfde484ac536d90cafcaf7901e3a2a5700d4363b3a06',
     },
     'campaign_mixed_mixed_n4': {
         'exit': '0',
         'stdout': '453b98328e39a18a0ed2cebb72f72788a05633797331af13bad6d0a9696defc3',
-        'run.csv': 'b875f43fa02558b7a91309c1c4dd07dceae9d674214b433ef1aa7a34b3736e3b',
-        'run.json': '0f486a6e9ab29b5570d66e2638240a187a2c22a9d25dd850db33c5527012436b',
+        'run.csv': 'f5c6f2157b2a78fe45923826f74052f7e18e2d7810703319a1897f89e2980f7e',
+        'run.json': 'd1e2a41228fc322066626413ee7c1b1d11394ff0c797f41d6ddf9a6077919629',
     },
     'campaign_mixed_mixed_n4_rank1_dim3': {
         'exit': '0',
         'stdout': '27c557510886c2ff8d1e5c576bd82d16d964214071d724bcafb0cfb4cc1ba936',
-        'run.csv': '75db01b7967af707ac7279c0cfe2ec8838f0e489f7b77137b5b3a1b15273926c',
-        'run.json': '91aac412666992bad77468f0f82e0cef16ea4d47cc980ce84e036ecdb3ee34a1',
+        'run.csv': 'f1a383fdd06ba034b01655d156a8688bdc08cde77c2bb3705de4bc9920bcf7dd',
+        'run.json': 'cf364bc47a2390407c7f054465b183b80ec54bd9fc319c1a246c56c2c683279e',
     },
     'campaign_mixed_mixed_n5': {
         'exit': '0',
         'stdout': 'e867acdfe19728abb0234358f10d1f7a0f98ce7313f51bc295886ead0210a220',
-        'run.csv': '7428d8c38c9557571a142ecbeef5747e7eb3ce37f53f193123bb4492c141c8fc',
-        'run.json': 'df6bde2431b05d08578c636d9a8fe3556de4cc391f6756498a56cc3bda1d9cc4',
+        'run.csv': '4771509bdd97e636184fd6d59e1af2680a4be2a38aebc90221836eb30257ced7',
+        'run.json': '2e6c7cc7546090eae074fda45973484afaf2e768b1deb524789e3e5f994b7f5e',
     },
     'campaign_mixed_mixed_n6': {
         'exit': '0',
-        'stdout': '58e3fc2978a13f121971c1606a59f6363c6fca8f95953c1df2fb803a57ad8506',
-        'run.csv': 'ee4ffc6f470664ca35dad3dfceb57f5087958e36477ecbd8fa0ea0ebb01185ac',
-        'run.json': '6ae00141db340c59981b7469b84afc5c07610e8dbfc77a23a8ecec33ad466366',
+        'stdout': 'e867acdfe19728abb0234358f10d1f7a0f98ce7313f51bc295886ead0210a220',
+        'run.csv': '99981e09e9db4f94841d0019ed9471ca511d57ec6b94dce82fe198ea110ecded',
+        'run.json': '07a73b471c7ab0c2981a1b764b0d031eda17869290be2a5900d053e4c159434a',
     },
     'campaign_mixed_pure_n2': {
         'exit': '0',
-        'stdout': '6624791e63da9e000b64369998ec9c540de48594ce1c2c2d2e96918c7cf9253c',
-        'run.csv': 'dd7e1b5d915145c1e32c432676f9a59e95f42a176a464473603a37e7bec62db0',
-        'run.json': '2f9ca8602aa94508c50710c1b4c09102ad2184d5e249425fef12f617b755759c',
+        'stdout': 'a90840ccd4664c69fe91068f861a40ee7a3e3e3e4593eb2094e0675d9fd17e52',
+        'run.csv': '19e3d8addbae0363ccf4b78dee8449a8628844eb1cf9ffa2ef93a1502f6fe889',
+        'run.json': '62c2571cf3018ba23e9288114be0c3015dba7548b974050e820da858c46f1747',
     },
     'campaign_mixed_pure_n3': {
         'exit': '0',
         'stdout': '0cddc634ff790cfd2f5870dc31013b4cfcf7bb84232851c8972abd140c34a184',
-        'run.csv': 'dd66bde61381a6663dc71e1cae7a33acdcfb0d70e4965245555a55c562c1b3c8',
-        'run.json': '999faad8c17a3a9a18cb2f49f4864abd011682fa2ec41f4a1bbea249f67ca7fc',
+        'run.csv': '8705f73c5273f261cdaeb0b415035c61122f1dc633cb2183952dcdbf810bfcb9',
+        'run.json': 'f0f3369214f02c71c1e1eef0fd58e44447bd5d65fd0d2f33a01194becf9133af',
     },
     'campaign_mixed_pure_n4': {
         'exit': '0',
         'stdout': '0cddc634ff790cfd2f5870dc31013b4cfcf7bb84232851c8972abd140c34a184',
-        'run.csv': '7f58a167d036a3407e11b0de9f91ceb4fd3de75b4774c53f0822cdd51dc23bf4',
-        'run.json': '4f9804b094095c294b8d3239bd00dddf610a5d07fda9b6cac8baadce3dc87cdb',
+        'run.csv': 'f8a45991d4086fddbdf984f6a4cb2351ddfc680601402cc9dabc7244744c6985',
+        'run.json': '259dc1aca2dfb9e5df503de63fb28ba3dacf6805d7f0a203c87b36ade57a564c',
     },
     'campaign_mixed_pure_n5': {
         'exit': '0',
         'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
-        'run.csv': '8736d5fd95295bf70660e28107bd21be962c10fe6d87a1cd26028305fea304f6',
-        'run.json': '1f0f7159041bc4bf887524d90692210f9ff947631bfb9dde98abf9fd8c462c63',
+        'run.csv': 'b13cef383f364c53bc3fdbb382924a9849d9f2a3c5eabb363bf6f090a38c32bd',
+        'run.json': 'bf867dbd2e740106200085f2f162df2579a728afccb89678b04880c82e57aa40',
     },
     'campaign_mixed_pure_n5_rank2_dim4': {
         'exit': '0',
         'stdout': 'b949a354f79c0f44a373d87454f0932c2495014c5f2e865b24330d54e8020623',
-        'run.csv': '76048fcf5d8ca52a7a852fb5ae44030fbaf5e29d3342b717f1ec92726fad7f8d',
-        'run.json': '4bb66911e860c408042d3c9169ddb3d9035a48206cc921baad6182241bd125f6',
+        'run.csv': 'd5ed04220fc5e50a12cbb4516286cc27f1a50c1dce165577f277b9ddd82d9ff9',
+        'run.json': '6d191d5f0eeaaa4f3cf4277987d46a5f630b5107754ed20957e59037a06e02f2',
     },
     'campaign_mixed_pure_n5_seed_2p130': {
         'exit': '0',
-        'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
-        'run.csv': 'a3e513cfde3b04605e82e61a97788c5c5046399ddbf6153914f4a71263b2ebef',
-        'run.json': '661516b6a78ac1c23862497ac442aa666724ded59c817d2f1ecaf8d2ba565f62',
+        'stdout': '0cddc634ff790cfd2f5870dc31013b4cfcf7bb84232851c8972abd140c34a184',
+        'run.csv': 'd5d1273e8ed481e990483d84c7ea8a088f25f7a51399c14965dc3fa27de2238e',
+        'run.json': 'da611c07e367093bffe67629b91df52f215ae8e82286a92c19e2b229e763989c',
     },
     'campaign_mixed_pure_n6': {
         'exit': '0',
-        'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
-        'run.csv': '3d2fd5086cbb5ede6b02a52dcc83d1f30ddef2ecb79ae486fe601401750e1674',
-        'run.json': 'da15245078b44ae314efcb639db9a9da9d0293ebe7ee84e842b713f1cdd7a176',
+        'stdout': '0cddc634ff790cfd2f5870dc31013b4cfcf7bb84232851c8972abd140c34a184',
+        'run.csv': 'a123a990af65e625abbf4f63563c8ba94df1a02ffce8d5e77cf1d236189d9ac8',
+        'run.json': '191293f0d08f8ae0373f9dbddedbdf1edd748608e5a51d9bb2fbfe0df18474b4',
     },
     'campaign_mixed_pure_n7': {
         'exit': '0',
         'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
-        'run.csv': 'c8c388ccaffbf57c1cfd8c0fa2f905b9a5177967ab3be7e8e6157f4e268bea61',
-        'run.json': '30eccf8d4a5e24d1724f3c5c05c7accb7c44220dcd443306aec7663b7ebd493f',
+        'run.csv': 'ca6ef2e65eaba00d440615024a41d70a17787764eef214a2806fa459b5764d81',
+        'run.json': 'd4a75fa50e97b72da2164b999dda2abf4e40042649401e943bddc0ac322f2ab5',
     },
     'campaign_mixed_pure_n8': {
         'exit': '0',
-        'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
-        'run.csv': 'aebd0ccbc6e536babfdceaec5f45aeaffb54c8cedb878172293573f7f88834bd',
-        'run.json': 'c0382e0cd3917acaf696abd6153811f6a87e54ba121d3298db4e660f91b8bd3d',
+        'stdout': '0cddc634ff790cfd2f5870dc31013b4cfcf7bb84232851c8972abd140c34a184',
+        'run.csv': '6ca5acbd0fa2ba121cb8ac1971c58052cf28638460ae6e701ece3c846f09188b',
+        'run.json': '4249cd0470480794d4216c4ed465fa14bed5d4de670a787b53cba2b9c6991c82',
     },
     'campaign_pure_pure_n2': {
         'exit': '0',
@@ -254,22 +254,22 @@ DIGESTS = {
     'verify_mixed_mixed_csv': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': '9eac355afd7ce53110c733aeca6fba7d705e8aad485258645eb439b855afd8e4',
+        'report': '27a1d7f9e851343a638014cf64b96dc5e46194cc2ec3d1fa19c39d345290cbc3',
     },
     'verify_mixed_mixed_json': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': '12deb85e0bde0e384614eedecc2aa7b8c0e8d4d6b7ad9037b8ebdc3a84fbf6e0',
+        'report': 'a6678f1813fb0f9a10b239c2fc3caa43a1ba5e6623fedfb1cbfd6951b2bf6d92',
     },
     'verify_mixed_pure_csv': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': '3a7ca4e459ef9bd9e22b8480255fcfaf74815287aa51b8cc4166443cb61219b0',
+        'report': '20e1b90ff4d1c783c0b61026dc3203c5c4bf88e646c2e9e6184c97ba605c4e27',
     },
     'verify_mixed_pure_json': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': 'bada11dee3698004ed5c07adacaa55dbda1f218fe5e67ec5bb25bf1bf40f7e50',
+        'report': 'dc041c48c8cb139130d042194c079fb82ff7e9e09a09fe8f663672719a2df93c',
     },
     'verify_pure_pure_gamma_csv': {
         'exit': '0',
