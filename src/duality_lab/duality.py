@@ -50,7 +50,7 @@ from .linalg import (
     frozen,
 )
 from .measures import _branch_coherence_bound, _branch_distinguishability, _coherence, _slack, _uqsd
-from .random import _draw_stack, _drawn_density, _empty_stack, _trial_bytes, _trial_shapes, stream
+from .random import _draw_stack, _empty_stack, _trial_bytes, _trial_shapes, stream
 from .states import (
     DetectorSet,
     MixedDetectorInteraction,
@@ -481,15 +481,21 @@ def _mixed_mixed_stack(rho: np.ndarray, rho_d: np.ndarray, unitaries: np.ndarray
                      relations=(("coherence_bound_margin", bound_margin, bound_margin >= -MARGIN_TOL),))
 
 
+def _check_drawn(states: np.ndarray) -> None:
+    """The one check of a stack of drawn Ginibre states, which random builds PSD
+    with unit trace: a NaN or Inf from the raw draws raises with its index."""
+    _raise_first(~np.isfinite(states).all(axis=(-2, -1)), ValueError,
+                 lambda i: "matrix contains NaN or Inf entries")
+
+
 def _evaluate_stack(scenario: str, group: tuple[int, int], rank: int | None, entries: list,
                     rng: np.random.Generator, tables: list) -> None:
     """Draw one (n, dim) group of waiting trials as one stack, evaluate it and
     file its table with their trial indices. Each entry is a trial index and
     its position after its shape draws (random._trial_shapes), from which
     random._draw_stack draws the rest of the trial on `rng`. The draws are
-    checked once, as the per-object constructors check one instance, and the
-    drawn states are built as the random_* generators build theirs
-    (random._drawn_density); a failing check names the trial."""
+    checked once, as the per-object constructors check one instance; a
+    failing check names the trial."""
     trials = [trial for trial, _ in entries]
     arrays = _draw_stack(scenario, *group, rank, rng, [position for _, position in entries])
     try:
@@ -500,10 +506,12 @@ def _evaluate_stack(scenario: str, group: tuple[int, int], rank: int | None, ent
             table = _pure_pure_stack(_pure_reduced(amps, vecs), amps, gram)
         elif scenario == "mixed_pure":
             rho, vecs = arrays
-            table = _mixed_pure_stack(_drawn_density(rho), _detector_gram(vecs))
+            _check_drawn(rho)
+            table = _mixed_pure_stack(rho, _detector_gram(vecs))
         else:
             rho, rho_d, unitaries = arrays
-            rho, rho_d = _drawn_density(rho), _drawn_density(rho_d)
+            _check_drawn(rho)
+            _check_drawn(rho_d)
             _check_unitaries(unitaries)
             table = _mixed_mixed_stack(rho, rho_d, unitaries)
     except ValueError as exc:

@@ -135,11 +135,11 @@ def _partial_trace_pure(psi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated Hermitian, PSD, unit-trace matrix.
+    """A Hermitian, unit-trace matrix, PSD to rounding; the stored array is read-only.
 
-    Construct through validate_density (a Ginibre draw, PSD by construction,
-    through random._drawn_density); the stored array is hermitized,
-    eigenvalue-clamped if needed, trace-renormalized, and read-only.
+    validate_density checks user input and stores it hermitized, clamped if
+    needed and renormalized. Drawn Ginibre states (random._ginibre) are PSD by
+    construction and unclamped: their lowest eigenvalue may be -4e-16 or so.
     """
 
     matrix: np.ndarray

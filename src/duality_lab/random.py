@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .interference import symmetric_detectors
-from .linalg import DensityMatrix, _raise_first, dagger, frozen
+from .linalg import DensityMatrix, dagger, frozen
 from .states import DetectorSet, MixedDetectorInteraction, MixedQuanton, PureQuanton
 
 # SeedSequence's hash constants (numpy.random.bit_generator) and its pool size
@@ -168,26 +168,18 @@ def _path_gaussians(raw: np.ndarray) -> np.ndarray:
 
 
 def _normalized_gram(g: np.ndarray) -> np.ndarray:
-    """Unvalidated G G^dag / Tr(G G^dag) over the trailing axes of complex G.
-    A stack of one rank is the per-matrix product bit for bit, where
+    """Ginibre states G G^dag / Tr(G G^dag) over the trailing axes of complex G,
+    hermitized and divided by the real trace as linalg._density ends. PSD with
+    unit trace by construction, they get no Hermiticity, trace or PSD test and
+    no clamp. A stack of one rank is the per-matrix product bit for bit, where
     zero-padding G to a common rank is not."""
-    m = g @ g.conj().swapaxes(-1, -2)
+    m = g @ dagger(g)
+    m = (m + dagger(m)) / 2.0
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _drawn_density(m: np.ndarray) -> np.ndarray:
-    """Ginibre states G G^dag / Tr(G G^dag) over the trailing (n, n) axes,
-    hermitized and divided by the real trace as linalg._density does. PSD with
-    unit trace by construction, they get no Hermiticity, trace or PSD test and
-    no clamp; a NaN or Inf from the raw draws still raises with its index."""
-    _raise_first(~np.isfinite(m).all(axis=(-2, -1)), ValueError,
-                 lambda i: "matrix contains NaN or Inf entries")
-    h = (m + dagger(m)) / 2.0
-    return h / h.trace(axis1=-2, axis2=-1).real[..., None, None]
-
-
 def _ginibre(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    """Unvalidated G G^dag / Tr(G G^dag) with G of shape (dim, rank)."""
+    """The Ginibre state G G^dag / Tr(G G^dag) with G of shape (dim, rank), unchecked."""
     return _normalized_gram(_complex(rng.standard_normal((2, dim, rank))))
 
 
@@ -348,10 +340,10 @@ def random_pure(n: int, seed) -> PureQuanton:
 
 def random_density_matrix(dim: int, rank: int, seed) -> DensityMatrix:
     """Ginibre-random density matrix G G^dag / Tr(G G^dag) with G of shape (dim, rank),
-    built by _drawn_density with no spectral check."""
+    PSD with unit trace by construction and given no spectral check."""
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must lie in 1..{dim}, got {rank}")
-    return DensityMatrix(frozen(_drawn_density(_ginibre(dim, rank, _as_rng(seed)))))
+    return DensityMatrix(frozen(_ginibre(dim, rank, _as_rng(seed))))
 
 
 def random_density(n: int, rank: int, seed) -> MixedQuanton:
@@ -392,7 +384,7 @@ def random_mixed_detector(n: int, dim: int, seed) -> MixedDetectorInteraction:
     if dim < 1:
         raise ValueError("detector dimension must be >= 1")
     rng = _as_rng(seed)
-    rho_d = DensityMatrix(frozen(_drawn_density(_ginibre(dim, _detector_rank(dim, rng), rng))))
+    rho_d = DensityMatrix(frozen(_ginibre(dim, _detector_rank(dim, rng), rng)))
     raw = rng.standard_normal((n, 2, dim, dim))
     return MixedDetectorInteraction(rho_d=rho_d, unitaries=_haar(_path_gaussians(raw)))
 

@@ -56,7 +56,6 @@ from duality_lab.measures import (
 from duality_lab.random import (
     _draw_shape,
     _draw_stack,
-    _drawn_density,
     _position,
     haar_unitary,
     random_density,
@@ -301,18 +300,13 @@ def test_campaign_traced_memory_peak_stays_below_3_mb():
 
 def test_draw_trial_equals_the_public_generators():
     """A trial drawn as a stack of one on the campaign's draw path assembles
-    to the arrays the random_* generators draw from the same stream; the
-    states are compared once built by random._drawn_density, as both paths
-    use them."""
+    to the arrays the random_* generators draw from the same stream, its
+    states as drawn, since neither path checks them spectrally."""
     for scenario in SCENARIOS:
         for k in range(12):
             n, dim, draws = _draw_trial(scenario, stream(37, k), (2, 3, 5), None, None)
             (quanton, detector), _ = _draw_report(scenario, stream(37, k), (2, 3, 5), None, None)
             arrays = [a[0] for a in draws]
-            if scenario != "pure_pure":
-                arrays[0] = _drawn_density(arrays[0])
-            if scenario == "mixed_mixed":
-                arrays[1] = _drawn_density(arrays[1])
             if scenario == "pure_pure":
                 expected = [quanton.amplitudes, detector.vectors]
             elif scenario == "mixed_pure":

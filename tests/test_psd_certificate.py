@@ -189,7 +189,7 @@ def test_certificate_decides_only_what_it_can_certify(monkeypatch):
     ("mixed_mixed", 1),  # the detector state's spectral branches
 ])
 def test_campaigns_run_no_eigvalsh_and_eigh_only_on_branches(monkeypatch, scenario, eigh_per_trial):
-    """Drawn states are built without a spectral check (random._drawn_density),
+    """Drawn states are built without a spectral check (random._ginibre),
     and every reduced state and branch Gram a campaign checks is positive
     definite by construction, so the certificate settles it: no matrix goes
     to eigvalsh or to the clamp's eigh."""

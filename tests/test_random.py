@@ -13,7 +13,6 @@ from duality_lab.random import (
     _bounded,
     _draw_shape,
     _draw_stack,
-    _drawn_density,
     _ginibre,
     _pcg64_states,
     _position,
@@ -80,16 +79,18 @@ def test_random_density_always_validates():
 
 @pytest.mark.parametrize("dim", range(1, 17))
 def test_drawn_states_pass_the_checks_they_skip(dim):
-    """_drawn_density skips the Hermiticity, trace and PSD tests and the clamp,
-    trusting that a Ginibre product is a state. linalg._density is the oracle:
-    it accepts every drawn state at every rank, and its checked, clamped state
-    is the drawn one to rounding."""
-    rng = np.random.default_rng(6100 + dim)
+    """_ginibre builds its state with no Hermiticity, trace or PSD test and no
+    clamp, trusting that a Ginibre product is a state. linalg._density is the
+    oracle: at every rank it accepts G G^dag / Tr(G G^dag) from the same
+    Gaussians, and its checked, clamped state is the drawn one to rounding."""
     for rank in range(1, dim + 1):
-        for _ in range(40):
-            m = _ginibre(dim, rank, rng)
-            state = _drawn_density(m)
-            assert np.abs(state - _density(m)).max() <= 1e-15
+        for i in range(40):
+            seed = [6100, dim, rank, i]
+            state = _ginibre(dim, rank, np.random.default_rng(seed))
+            raw = np.random.default_rng(seed).standard_normal((2, dim, rank))
+            g = raw[0] + 1j * raw[1]
+            product = g @ g.conj().T
+            assert np.abs(state - _density(product / np.trace(product).real)).max() <= 1e-15
             assert (state == state.conj().T).all()
             assert abs(state.trace() - 1.0) <= 1e-15
             assert np.linalg.eigvalsh(state)[0] >= -1e-15
@@ -307,8 +308,8 @@ def test_stacked_detector_states_equal_the_public_generator(dim):
     """A mixed_mixed stack's detector states, formed per rank over the stack,
     and its path unitaries are random_mixed_detector's on each trial's
     generator, bit for bit, at every detector rank, in a stack that mixes
-    the ranks; the states are compared once built by _drawn_density, as both
-    paths use them."""
+    the ranks; the states are compared as drawn, since neither path checks
+    them spectrally."""
     positions = [_position(stream(dim, k)) for k in range(10 * dim + 10)]
     _, rho_d, unitaries = _draw_stack("mixed_mixed", 2, dim, None, np.random.default_rng(0), positions)
     quanton_ranks, ranks = Counter(), Counter()
@@ -322,7 +323,7 @@ def test_stacked_detector_states_equal_the_public_generator(dim):
         ranks[int(rng.integers(1, dim, endpoint=True))] += 1
         _resume(rng, after_quanton)
         expected = random_mixed_detector(2, dim, rng)
-        assert (_drawn_density(state) == expected.rho_d.matrix).all()
+        assert (state == expected.rho_d.matrix).all()
         assert (us == expected.unitaries).all()
     assert min(quanton_ranks[1], quanton_ranks[2], *(ranks[rank] for rank in range(1, dim + 1))) >= 2
 
