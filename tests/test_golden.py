@@ -95,93 +95,93 @@ COMMANDS = {**CAMPAIGNS, **VERIFIES, **OTHERS}
 DIGESTS = {
     'campaign_mixed_mixed_n2': {
         'exit': '0',
-        'stdout': 'c775489d98e1e715c2017fdc43d3f378f343744f2187695b251e7f18afcb8da8',
-        'run.csv': 'eb06a4c80fd28dd94b65b572b421780128a0fc7bc2c6e84b315b6bfc014f6437',
-        'run.json': '596061aa5d9f17055e639c82cb30caa832494b8a297c86f3e83e9ecb27600f85',
+        'stdout': '9e8163d6c4d2c0adf77b4994b6adb8a22c8081a9a220669ea345cd6f93d342c0',
+        'run.csv': '85f9b5e9b8aa9995182ac583238924d90b6f74916f4161552f5cbf97837f9207',
+        'run.json': 'f5881f69d11d998ca9969ef3f4809196a2f9943af8c44ad6a5194da5f12f215d',
     },
     'campaign_mixed_mixed_n3': {
         'exit': '0',
         'stdout': '9e8163d6c4d2c0adf77b4994b6adb8a22c8081a9a220669ea345cd6f93d342c0',
-        'run.csv': '12cc44a77e32eb987eee1c32bd042cb9dff24b397e5bb7f0c56eb0155fe1e3ea',
-        'run.json': '818ff0bc3361a2c1582bbfde484ac536d90cafcaf7901e3a2a5700d4363b3a06',
+        'run.csv': '680040cc2a73cfa03c1bdd49d399b96f3cc17ace89b29e8c9d2eca610edbcd94',
+        'run.json': '2c1b6efaf153bbcc667230ee4900dd771dfd6c4003250876f7f16bd4b342c362',
     },
     'campaign_mixed_mixed_n4': {
         'exit': '0',
         'stdout': '453b98328e39a18a0ed2cebb72f72788a05633797331af13bad6d0a9696defc3',
-        'run.csv': 'f5c6f2157b2a78fe45923826f74052f7e18e2d7810703319a1897f89e2980f7e',
-        'run.json': 'd1e2a41228fc322066626413ee7c1b1d11394ff0c797f41d6ddf9a6077919629',
+        'run.csv': '272dbc4763f3a74fe063a22a0e4d964df7f259e6bf9ade7f0b5cc4d309af51b3',
+        'run.json': '05c40af979acf0e88a426fcac14fccad5b8642dd5cd790b532bf8666997a2421',
     },
     'campaign_mixed_mixed_n4_rank1_dim3': {
         'exit': '0',
         'stdout': '27c557510886c2ff8d1e5c576bd82d16d964214071d724bcafb0cfb4cc1ba936',
-        'run.csv': 'f1a383fdd06ba034b01655d156a8688bdc08cde77c2bb3705de4bc9920bcf7dd',
-        'run.json': 'cf364bc47a2390407c7f054465b183b80ec54bd9fc319c1a246c56c2c683279e',
+        'run.csv': '41a9303e5fa4dfc22099249a9cd1342320d3bd55b7bf6742f004ddb343ee38af',
+        'run.json': '0de9a5b577bd450764b2711ec6e4fdaa5b593d8af31fdd2b0f5500dd248de30b',
     },
     'campaign_mixed_mixed_n5': {
         'exit': '0',
         'stdout': 'e867acdfe19728abb0234358f10d1f7a0f98ce7313f51bc295886ead0210a220',
-        'run.csv': '4771509bdd97e636184fd6d59e1af2680a4be2a38aebc90221836eb30257ced7',
-        'run.json': '2e6c7cc7546090eae074fda45973484afaf2e768b1deb524789e3e5f994b7f5e',
+        'run.csv': 'fcab927381324adc479188c9e4bcaced36de624539484090bfbbd000bada7522',
+        'run.json': '8e1d0cc68a08a375a4468023bb0766b30182082491cfe9d9a862dd8d1c8f70f5',
     },
     'campaign_mixed_mixed_n6': {
         'exit': '0',
         'stdout': 'e867acdfe19728abb0234358f10d1f7a0f98ce7313f51bc295886ead0210a220',
-        'run.csv': '99981e09e9db4f94841d0019ed9471ca511d57ec6b94dce82fe198ea110ecded',
-        'run.json': '07a73b471c7ab0c2981a1b764b0d031eda17869290be2a5900d053e4c159434a',
+        'run.csv': 'ba2f67b20a438184c496b8601752d8e37297105f6c2c644cc47cedcc16729d4c',
+        'run.json': 'e0e0149bf9fed59e471a6ce1939d12c047d0d5481786d5332b4df25367a29853',
     },
     'campaign_mixed_pure_n2': {
         'exit': '0',
         'stdout': 'a90840ccd4664c69fe91068f861a40ee7a3e3e3e4593eb2094e0675d9fd17e52',
-        'run.csv': '19e3d8addbae0363ccf4b78dee8449a8628844eb1cf9ffa2ef93a1502f6fe889',
-        'run.json': '62c2571cf3018ba23e9288114be0c3015dba7548b974050e820da858c46f1747',
+        'run.csv': 'ba6d805f4ea22d7799d7d67d80a3363f852490ffd8f9d2fc3f91f92d9a962616',
+        'run.json': '73b797f1bd527041bbd1b34990d82fa1647e0ee0501ec68dbc5dfc0b12f3cf6c',
     },
     'campaign_mixed_pure_n3': {
         'exit': '0',
-        'stdout': '0cddc634ff790cfd2f5870dc31013b4cfcf7bb84232851c8972abd140c34a184',
-        'run.csv': '8705f73c5273f261cdaeb0b415035c61122f1dc633cb2183952dcdbf810bfcb9',
-        'run.json': 'f0f3369214f02c71c1e1eef0fd58e44447bd5d65fd0d2f33a01194becf9133af',
+        'stdout': 'a90840ccd4664c69fe91068f861a40ee7a3e3e3e4593eb2094e0675d9fd17e52',
+        'run.csv': '4d3c3b04f55d49b36ca94ba60da8a50bbd3d0f99194b62d692066135788f9947',
+        'run.json': 'f3bba1efa94cc8f42bb65415f6851134b92b18b137a1bc32c7a31e75d59f6df2',
     },
     'campaign_mixed_pure_n4': {
         'exit': '0',
         'stdout': '0cddc634ff790cfd2f5870dc31013b4cfcf7bb84232851c8972abd140c34a184',
-        'run.csv': 'f8a45991d4086fddbdf984f6a4cb2351ddfc680601402cc9dabc7244744c6985',
-        'run.json': '259dc1aca2dfb9e5df503de63fb28ba3dacf6805d7f0a203c87b36ade57a564c',
+        'run.csv': 'ef54c077e90eb986c9b092e46bc07dca4f30e761db15088d7cb37c524414ab7f',
+        'run.json': '165913fb21ee11aaa137a13bf9a4507cc3b2fd54d3f5d6a148740976d2b86061',
     },
     'campaign_mixed_pure_n5': {
         'exit': '0',
-        'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
-        'run.csv': 'b13cef383f364c53bc3fdbb382924a9849d9f2a3c5eabb363bf6f090a38c32bd',
-        'run.json': 'bf867dbd2e740106200085f2f162df2579a728afccb89678b04880c82e57aa40',
+        'stdout': '0cddc634ff790cfd2f5870dc31013b4cfcf7bb84232851c8972abd140c34a184',
+        'run.csv': '80730b9bd90dadd0f76280156bdf16e83d1df1b31e76e4f780275ebc43d50279',
+        'run.json': '4dbcecf2e50e4edec8db163664df9d73574f7041cf663ca9f9f891bbb6481d65',
     },
     'campaign_mixed_pure_n5_rank2_dim4': {
         'exit': '0',
         'stdout': 'b949a354f79c0f44a373d87454f0932c2495014c5f2e865b24330d54e8020623',
-        'run.csv': 'd5ed04220fc5e50a12cbb4516286cc27f1a50c1dce165577f277b9ddd82d9ff9',
-        'run.json': '6d191d5f0eeaaa4f3cf4277987d46a5f630b5107754ed20957e59037a06e02f2',
+        'run.csv': 'a7d717d112d7009c3941507d321d6e729a097ba192d2aa8920e9ae6ad45fcad4',
+        'run.json': '0fc55de276a3298676a8ebc7d2779cc904334ca44ad457a6bf901980de7de42d',
     },
     'campaign_mixed_pure_n5_seed_2p130': {
         'exit': '0',
-        'stdout': '0cddc634ff790cfd2f5870dc31013b4cfcf7bb84232851c8972abd140c34a184',
-        'run.csv': 'd5d1273e8ed481e990483d84c7ea8a088f25f7a51399c14965dc3fa27de2238e',
-        'run.json': 'da611c07e367093bffe67629b91df52f215ae8e82286a92c19e2b229e763989c',
+        'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
+        'run.csv': '2120c9526a8cf7f2f335652606a299fe542ee8561cc256cdbaab94b94bde9a1f',
+        'run.json': '84c17a38787e615a3ad333711fa36206016d0d6ce20668b9852e9d1685b89bab',
     },
     'campaign_mixed_pure_n6': {
         'exit': '0',
         'stdout': '0cddc634ff790cfd2f5870dc31013b4cfcf7bb84232851c8972abd140c34a184',
-        'run.csv': 'a123a990af65e625abbf4f63563c8ba94df1a02ffce8d5e77cf1d236189d9ac8',
-        'run.json': '191293f0d08f8ae0373f9dbddedbdf1edd748608e5a51d9bb2fbfe0df18474b4',
+        'run.csv': 'dca29723d5e9ebcf522cb3b6540b4414ee5714370b64e8cb6b28351b395aaf9a',
+        'run.json': '42ed28f537c66128943251a9e1e03af79cea7d7d4e8aa5bd2efe56f562b0ea7e',
     },
     'campaign_mixed_pure_n7': {
         'exit': '0',
         'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
-        'run.csv': 'ca6ef2e65eaba00d440615024a41d70a17787764eef214a2806fa459b5764d81',
-        'run.json': 'd4a75fa50e97b72da2164b999dda2abf4e40042649401e943bddc0ac322f2ab5',
+        'run.csv': 'e1129ccf042f34dd3ac1d77417d8100d7ac2e8238afe1d5ccde2ff5b0407cfff',
+        'run.json': 'b6d7a22a9e960276adcc6f6256b34cced3837aeb26a2821ce6c14450ae689cea',
     },
     'campaign_mixed_pure_n8': {
         'exit': '0',
-        'stdout': '0cddc634ff790cfd2f5870dc31013b4cfcf7bb84232851c8972abd140c34a184',
-        'run.csv': '6ca5acbd0fa2ba121cb8ac1971c58052cf28638460ae6e701ece3c846f09188b',
-        'run.json': '4249cd0470480794d4216c4ed465fa14bed5d4de670a787b53cba2b9c6991c82',
+        'stdout': '03cef791c2e00a39bd44980f252ec233e63531cb71d4a5b5b03afd2223d6070f',
+        'run.csv': '2bdff3ffc7cde9c095cdd15af9caef9d68acca22eb8baea9bda5422ffbd6cb59',
+        'run.json': '3a4bb589eabae60b41f56b95672f35743132a74f4527363b367fc9510753123c',
     },
     'campaign_pure_pure_n2': {
         'exit': '0',
