@@ -15,17 +15,21 @@ Every report records signed residuals, not just booleans, so regressions
 in numerical quality stay visible.
 
 Each scenario's composition is written once, as a kernel over stacks of
-checked arrays (``_*_stack``), and every command runs it: a campaign on its
+arrays (``_*_stack``), and every command runs it: a campaign on its
 draws in (n, detector dimension) stacks; evaluate_*, `verify` and
 sweep_overlap through one entry (_instance_table) that takes stacked
 detector arrays, one instance as a stack of one and a sweep's gammas as one
 stack, their vectors factored by one batched eigh. The fringe runs the pure_pure
 kernel on the state it scans, and the two- and three-slit checks read C and
-D_Q from evaluate_pure. Each kernel
-states its own relations as columns over its stack, and one tail
-(``_tabulate``) adds the duality sum, the PSD margin and the verdicts the
-same way. Every command writes its CSV from these columns (_Table.columns);
-evaluate_* and sweep_overlap pack them into reports for their callers.
+D_Q from evaluate_pure. Input from outside is checked where it enters (the
+constructors, validate_density, _gram_factors); the arrays the program
+builds, a campaign's draws and a sweep's factored vectors, are final by
+construction, and the draws are checked only for NaN or Inf; each kernel
+checks what it derives. Each kernel states its own relations as columns
+over its stack, and one tail (``_tabulate``) adds the duality sum, the PSD
+margin and the verdicts the same way. Every command writes its CSV from
+these columns (_Table.columns); evaluate_* and sweep_overlap pack them into
+reports for their callers.
 """
 
 from __future__ import annotations
@@ -61,9 +65,7 @@ from .states import (
     _check_branch_grams,
     _check_branch_weights,
     _check_composite,
-    _check_normalized,
-    _check_unitaries,
-    _detector_gram,
+    _gram,
     _overlap_factors,
 )
 
@@ -209,9 +211,10 @@ def _stack_of_one(d: DetectorSet | MixedDetectorInteraction) -> dict[str, np.nda
 def _instance_table(q: PureQuanton | MixedQuanton, include_visibility: bool, *,
                     vectors: np.ndarray | None = None, gram: np.ndarray | None = None,
                     rho_d: np.ndarray | None = None, unitaries: np.ndarray | None = None) -> _Table:
-    """The one entry from a quanton to the kernels, over a stack of checked
-    detectors given as arrays: pure detectors as their (k, n, dim) vectors and
-    (k, n, n) Grams, interactions as their (k, dim, dim) detector states and
+    """The one entry from a quanton to the kernels, over a stack of detectors
+    given as arrays, checked by their constructors or, for a sweep's factored
+    vectors, final by construction: pure detectors as their (k, n, dim)
+    vectors and (k, n, n) Grams, interactions as their (k, dim, dim) detector states and
     (k, n, dim, dim) unitaries. evaluate_* and `verify` pass a stack of one
     (_stack_of_one), _sweep_table the vectors of all its gammas. The quanton
     broadcasts over the stack; the arrays given and the quanton's type pick
@@ -241,12 +244,13 @@ def sweep_overlap(n: int, gammas: Sequence[float],
 
 def _sweep_table(n: int, gammas: Sequence[float], quanton: PureQuanton | MixedQuanton) -> _Table:
     """sweep_overlap's table over the grid interference._gamma_grid checks: the
-    uniform-overlap Grams of every gamma are factored by one batched eigh,
-    and their vectors, checked as DetectorSet checks one set, go through
-    _instance_table as one stack, which checks the quanton's path count. No
-    DetectorSet is built."""
+    uniform-overlap Grams of every gamma are factored by one batched eigh
+    (_gram_factors, which checks the Grams it is given), and their vectors,
+    unit by construction and not checked again, go through _instance_table
+    as one stack with their Grams (_gram). _instance_table checks the
+    quanton's path count. No DetectorSet is built."""
     vectors = _gram_factors(_uniform_overlap_grams(n, gammas, "gammas"))
-    return _instance_table(quanton, n <= VISIBILITY_MAX_PATHS, vectors=vectors, gram=_detector_gram(vectors))
+    return _instance_table(quanton, n <= VISIBILITY_MAX_PATHS, vectors=vectors, gram=_gram(vectors))
 
 
 def _equal_amplitude_quanton(n: int) -> PureQuanton:
@@ -481,39 +485,29 @@ def _mixed_mixed_stack(rho: np.ndarray, rho_d: np.ndarray, unitaries: np.ndarray
                      relations=(("coherence_bound_margin", bound_margin, bound_margin >= -MARGIN_TOL),))
 
 
-def _check_drawn(states: np.ndarray) -> None:
-    """The one check of a stack of drawn Ginibre states, which random builds PSD
-    with unit trace: a NaN or Inf from the raw draws raises with its index."""
-    _raise_first(~np.isfinite(states).all(axis=(-2, -1)), ValueError,
-                 lambda i: "matrix contains NaN or Inf entries")
-
-
 def _evaluate_stack(scenario: str, group: tuple[int, int], rank: int | None, entries: list,
                     rng: np.random.Generator, tables: list) -> None:
     """Draw one (n, dim) group of waiting trials as one stack, evaluate it and
     file its table with their trial indices. Each entry is a trial index and
     its position after its shape draws (random._trial_shapes), from which
-    random._draw_stack draws the rest of the trial on `rng`. The draws are
-    checked once, as the per-object constructors check one instance; a
-    failing check names the trial."""
+    random._draw_stack draws the rest of the trial on `rng`. The drawn arrays
+    are final by construction: unit amplitudes and vectors, PSD unit-trace
+    states and Haar unitaries. Their one check is for NaN or Inf entries, a
+    plain ValueError; the kernels check what they derive. A failing check
+    names the trial."""
     trials = [trial for trial, _ in entries]
     arrays = _draw_stack(scenario, *group, rank, rng, [position for _, position in entries])
     try:
+        _raise_first(~np.logical_and.reduce([np.isfinite(a).reshape(len(a), -1).all(axis=-1) for a in arrays]),
+                     ValueError, lambda i: "drawn arrays contain NaN or Inf entries")
         if scenario == "pure_pure":
             amps, vecs = arrays
-            _check_normalized(amps)
-            gram = _detector_gram(vecs)  # checked before the reduced states, as DetectorSet checks them
-            table = _pure_pure_stack(_pure_reduced(amps, vecs), amps, gram)
+            table = _pure_pure_stack(_pure_reduced(amps, vecs), amps, _gram(vecs))
         elif scenario == "mixed_pure":
             rho, vecs = arrays
-            _check_drawn(rho)
-            table = _mixed_pure_stack(rho, _detector_gram(vecs))
+            table = _mixed_pure_stack(rho, _gram(vecs))
         else:
-            rho, rho_d, unitaries = arrays
-            _check_drawn(rho)
-            _check_drawn(rho_d)
-            _check_unitaries(unitaries)
-            table = _mixed_mixed_stack(rho, rho_d, unitaries)
+            table = _mixed_mixed_stack(*arrays)
     except ValueError as exc:
         index = getattr(exc, "index", None) or (0,)
         raise type(exc)(f"trial {trials[index[0]]}: {exc}") from exc

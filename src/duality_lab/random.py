@@ -13,6 +13,14 @@ group's trials from their positions into one stack: a float64 array
 with one row of raw reals per trial, in the regions `_trial_widths`
 gives. The rows are assembled over the stack with the helpers that the
 public random_* generators run on a single instance.
+
+What this module builds is final by construction: amplitudes and detector
+vectors are divided by their norms, Ginibre states are hermitized and
+divided by their real trace (PSD with unit trace), and Haar unitaries come
+from a QR factor. The public generators wrap them in the per-object types,
+whose constructors check vectors and unitaries as they check any input and
+take drawn states as DensityMatrix unchecked; a campaign's stacks are
+checked only for NaN or Inf entries (duality._evaluate_stack).
 """
 
 from __future__ import annotations
@@ -300,8 +308,8 @@ def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.rando
     """The arrays that the random_* generators would wrap (amplitudes and
     detector vectors; the quanton state and detector vectors; or the quanton
     state, detector state and path unitaries) over a stack of trials of one
-    (n, dim) group, unvalidated, from each trial's position after its shape
-    (see _trial_shapes). A mixed trial's quanton rank is `rank`, or else its
+    (n, dim) group, final by construction, from each trial's position after
+    its shape (see _trial_shapes). A mixed trial's quanton rank is `rank`, or else its
     next draw (_bounded); `rng` is then set once to where the trial stands
     (_resume), the rest of the trial is drawn into its row of one stack of
     reals (_draw_row), and the regions of the rows are assembled over the

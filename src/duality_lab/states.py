@@ -111,13 +111,19 @@ class DetectorSet:
 
 
 def _detector_gram(vecs: np.ndarray) -> np.ndarray:
-    """DetectorSet's checks, finite entries and unit norms, and its Gram matrix
-    over the trailing (n, dim) axes of a stack."""
+    """DetectorSet's checks on vectors given from outside, finite entries and
+    unit norms, then their Gram matrix (_gram). Vectors the program builds,
+    drawn or factored, are unit by construction and go to _gram directly."""
     _raise_first(~np.isfinite(vecs).all(axis=(-2, -1)), ValueError,
                  lambda i: "detector vectors contain NaN or Inf entries")
     worst = np.abs(np.linalg.norm(vecs, axis=-1) - 1.0).max(axis=-1)
     _raise_first(~(worst <= DEFAULT_TOL), ValueError,
                  lambda i: f"detector vectors not normalized, worst deviation {worst[i]:.3e}")
+    return _gram(vecs)
+
+
+def _gram(vecs: np.ndarray) -> np.ndarray:
+    """The Gram matrices <d_i|d_j> over the trailing (n, dim) axes of a stack of vectors."""
     return vecs.conj() @ vecs.swapaxes(-1, -2)
 
 
