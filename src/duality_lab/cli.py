@@ -181,14 +181,17 @@ def _merged_config(args: argparse.Namespace) -> dict:
     # numpy's own message for a negative seed would not name the flag
     if hasattr(args, "seed") and cfg.get("seed") is not None and cfg["seed"] < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {cfg['seed']}")
-    # every command's path count; below 2 the draws and formulas fail without naming it
-    if cfg.get("n") is not None and cfg["n"] < 2:
-        raise ConfigError(f"--n must be >= 2, got {cfg['n']}")
-    # beyond 2^32 - 1 the draws, numpy's shapes and Python's float conversions
-    # fail without naming the flag
-    for key, flag in (("n", "--n"), ("detector_dim", "--detector-dim")):
+    # below its least value a path count or detector dimension fails in the
+    # draws and formulas, and beyond 2^32 - 1 in the draws, numpy's shapes and
+    # Python's float conversions, without naming the flag
+    for key, flag, least in (("n", "--n", 2), ("detector_dim", "--detector-dim", 1)):
+        if cfg.get(key) is not None and cfg[key] < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {cfg[key]}")
         if cfg.get(key) is not None and cfg[key] >= 1 << 32:
             raise ConfigError(f"{flag} must be <= 2^32 - 1, got {cfg[key]}")
+    # a campaign's trial k takes one spawn-key word
+    if cfg.get("trials") is not None and not 1 <= cfg["trials"] <= 1 << 32:
+        raise ConfigError(f"--trials must lie in 1..2^32, got {cfg['trials']}")
     return cfg
 
 
@@ -200,6 +203,9 @@ def _reject_unread(command: str, cfg: dict) -> None:
             raise ConfigError(f"{flag} is not read by the {scenario} scenario")
     if cfg.get("rho") is not None and cfg.get("rank") is not None:
         raise ConfigError(f"--rank is not read by the {scenario} scenario once a config rho gives the state")
+    # a rank the scenario reads; an unread one is malformed whatever its value
+    if cfg.get("rank") is not None and cfg.get("n") is not None and not 1 <= cfg["rank"] <= cfg["n"]:
+        raise ConfigError(f"--rank must lie in 1..{cfg['n']}, got {cfg['rank']}")
 
 
 def _require(cfg: dict, key: str, hint: str):

@@ -197,16 +197,36 @@ _MALFORMED = [
     pytest.param(["verify", "--n", "3"], None, "pure_pure needs --amplitudes, --gamma, or --seed",
                  id="verify-pure_pure-no-state"),
     pytest.param(["verify", "--scenario", "mixed_pure", "--n", "3", "--seed", "1", "--rank", "4"], None,
-                 "rank must lie in 1..3, got 4", id="verify-rank"),
+                 "--rank must lie in 1..3, got 4", id="verify-rank"),
     pytest.param(["campaign", "--scenario", "mixed_mixed", "--n", "3", "--trials", "3", "--seed", "1",
-                  "--rank", "0"], None, "rank must lie in 1..3, got 0", id="campaign-rank"),
+                  "--rank", "0"], None, "--rank must lie in 1..3, got 0", id="campaign-rank"),
     pytest.param(["sweep", "--scenario", "mixed_pure", "--n", "3", "--seed", "1", "--gammas", "0.5",
-                  "--rank", "4"], None, "rank must lie in 1..3, got 4", id="sweep-rank"),
+                  "--rank", "4"], None, "--rank must lie in 1..3, got 4", id="sweep-rank"),
     pytest.param(["verify", "--n", "3", "--seed", "1", "--detector-dim", "0"], None,
-                 "detector dimension must be >= 1", id="verify-detector-dim"),
+                 "--detector-dim must be >= 1, got 0", id="verify-detector-dim"),
     pytest.param(["campaign", "--scenario", "pure_pure", "--n", "3", "--trials", "3", "--seed", "1",
-                  "--detector-dim", "0"], None, "detector dimension must be >= 1, got 0",
+                  "--detector-dim", "0"], None, "--detector-dim must be >= 1, got 0",
                  id="campaign-detector-dim"),
+    # a rank, detector dimension or trial count out of range names its flag and
+    # value, whether a flag or a config file gives it
+    *(pytest.param(base if source == "config" else [*base, f"--{key.replace('_', '-')}", str(value)],
+                   {key: value} if source == "config" else None, message, id=f"{name}-{source}")
+      for name, base, key, value, message in (
+          ("verify-rank-0", ["verify", "--scenario", "mixed_mixed", "--n", "3", "--seed", "1"], "rank", 0,
+           "--rank must lie in 1..3, got 0"),
+          ("campaign-rank-4", ["campaign", "--scenario", "mixed_pure", "--n", "3", "--trials", "3", "--seed", "1"],
+           "rank", 4, "--rank must lie in 1..3, got 4"),
+          ("sweep-rank-0", ["sweep", "--scenario", "mixed_pure", "--n", "3", "--seed", "1", "--gammas", "0.5"],
+           "rank", 0, "--rank must lie in 1..3, got 0"),
+          ("verify-detector-dim--2", ["verify", "--scenario", "mixed_mixed", "--n", "3", "--seed", "1"],
+           "detector_dim", -2, "--detector-dim must be >= 1, got -2"),
+          ("campaign-detector-dim--2", ["campaign", "--scenario", "mixed_mixed", "--n", "3", "--trials", "3",
+                                        "--seed", "1"], "detector_dim", -2, "--detector-dim must be >= 1, got -2"),
+          ("campaign-trials-0", ["campaign", "--scenario", "pure_pure", "--n", "2", "--seed", "1"], "trials", 0,
+           "--trials must lie in 1..2^32, got 0"),
+          ("campaign-trials-2p32p1", ["campaign", "--scenario", "pure_pure", "--n", "2", "--seed", "1"], "trials",
+           2**32 + 1, f"--trials must lie in 1..2^32, got {2**32 + 1}"))
+      for source in ("flag", "config")),
     *(pytest.param(["fringe", "--n", "2", "--gamma", "0.5", "--grid-points", points], None,
                    f"--grid-points must be {bound}", id=f"fringe-grid-points-{points}")
       for points, bound in (("64", ">= 256, got 64"), ("65537", "<= 65536, got 65537"))),
@@ -572,7 +592,7 @@ def test_campaign_rejects_more_trials_than_one_key_word_holds(capsys, tmp_path):
     ])
     assert code == 2
     assert out == ""
-    assert err == f"error: trials must lie in 1..2^32, got {2**32 + 1}\n"
+    assert err == f"error: --trials must lie in 1..2^32, got {2**32 + 1}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -585,7 +605,7 @@ def test_campaign_rejects_more_trials_than_one_key_word_holds(capsys, tmp_path):
 def test_nonpositive_detector_dim_exits_two(capsys, tmp_path, argv):
     code, _, err = _run(capsys, argv + ["--detector-dim", "0", "--output", str(tmp_path / "out")])
     assert code == 2
-    assert "detector dimension" in err
+    assert "--detector-dim must be >= 1, got 0" in err
     assert not list(tmp_path.iterdir())
 
 
