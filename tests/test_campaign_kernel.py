@@ -395,8 +395,8 @@ def test_campaigns_in_threads_equal_campaigns_in_sequence():
     assert got == expected
 
 
-def _nan_in_trial(monkeypatch, scenario, seed, k, n, detector_dim=None, block=0):
-    """Make the first real of raw draw `block` of trial k of a `scenario`
+def _nan_in_trial(monkeypatch, scenario, seed, k, n, detector_dim=None, block=0, offset=0):
+    """Make real `offset` of raw draw `block` of trial k of a `scenario`
     campaign on `seed` and path counts `n` a NaN, as its row is drawn: the
     row draw of trial k is the one that starts where stream(seed, k) stands
     after its shape draws and, for a mixed scenario, its quanton rank draw.
@@ -416,7 +416,7 @@ def _nan_in_trial(monkeypatch, scenario, seed, k, n, detector_dim=None, block=0)
         start = lab_random._position(rng)
         detector_rank = draw(scenario, rng, row, quanton_reals, dim, starts)
         if start == target:
-            row[(0, *starts)[block]] = np.nan
+            row[(0, *starts)[block] + offset] = np.nan
         return detector_rank
 
     monkeypatch.setattr(lab_random, "_draw_row", poisoned)
@@ -442,6 +442,16 @@ def test_nan_in_any_raw_block_names_the_trial(monkeypatch, scenario, block, k):
     _nan_in_trial(monkeypatch, scenario, 11, k, 3, 3, block)
     with pytest.raises(ValueError, match=rf"^trial {k}: "):
         run_campaign(scenario, 60, 11, n=3, detector_dim=3)
+
+
+@pytest.mark.parametrize("k", [0, 7, 40])
+def test_nan_in_pure_pure_detector_vectors_names_the_trial(monkeypatch, k):
+    # pure_pure's Gaussian block holds the amplitudes' 2n reals, then the
+    # detector vectors'; a NaN there reaches one vector, not the amplitudes
+    _nan_in_trial(monkeypatch, "pure_pure", 11, k, 3, 3, block=2, offset=2 * 3)
+    with pytest.raises(ValueError, match=rf"^trial {k}: ") as info:
+        run_campaign("pure_pure", 60, 11, n=3, detector_dim=3)
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("k", [0, 5, 19])

@@ -382,6 +382,17 @@ def test_stacked_uniform_overlap_family_equals_its_detector_sets(n):
             assert (vectors[k] == d.vectors).all() and (stacked_grams[k] == d.gram).all(), (gammas, k)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), gammas=st.lists(st.floats(0.0, 1.0), max_size=10))
+def test_factored_sweep_vectors_pass_the_checks_a_sweep_skips(n, gammas):
+    """A sweep trusts its factored vectors to be unit vectors: at gamma 0, 0.5
+    and 1 and on any grid they pass DetectorSet's checks, each norm within
+    1e-13 of one, 1000 times inside the checks' tolerance of 1e-10."""
+    vectors = _gram_factors(_uniform_overlap_grams(n, sorted([0.0, 0.5, 1.0, *gammas])))
+    _detector_gram(vectors)
+    assert np.abs(np.linalg.norm(vectors, axis=-1) - 1.0).max() <= 1e-13
+
+
 def test_intensity_rejects_a_pattern_below_zero():
     """validate_density never passes such a matrix; a DensityMatrix built
     around one directly gives a negative intensity, which intensity rejects."""

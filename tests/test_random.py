@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duality_lab import random as lab_random
-from duality_lab.linalg import _density, validate_density
+from duality_lab.linalg import _density, dagger, validate_density
 from duality_lab.measures import distinguishability_pure
 from duality_lab.random import (
     _amplitudes,
@@ -28,7 +28,7 @@ from duality_lab.random import (
     stream,
     uniform_overlap_detectors,
 )
-from duality_lab.states import PureQuanton
+from duality_lab.states import PureQuanton, _check_normalized, _check_unitaries, _detector_gram
 
 
 def test_random_pure_normalized():
@@ -94,6 +94,40 @@ def test_drawn_states_pass_the_checks_they_skip(dim):
             assert (state == state.conj().T).all()
             assert abs(state.trace() - 1.0) <= 1e-15
             assert np.linalg.eigvalsh(state)[0] >= -1e-15
+
+
+# each kind of array _draw_stack returns: the constructor check a campaign
+# skips on it, and its worst deviation from what that check asks
+_SKIPPED_CHECKS = {
+    "amplitudes": (_check_normalized, lambda a: np.abs(np.sum(np.abs(a) ** 2, axis=-1) - 1.0).max()),
+    "vectors": (_detector_gram, lambda v: np.abs(np.linalg.norm(v, axis=-1) - 1.0).max()),
+    "state": (_density, lambda rho: np.abs(_density(rho) - rho).max()),
+    "unitaries": (_check_unitaries, lambda u: np.abs(dagger(u) @ u - np.eye(u.shape[-1])).max()),
+}
+_DRAWN_KINDS = {"pure_pure": ("amplitudes", "vectors"), "mixed_pure": ("state", "vectors"),
+                "mixed_mixed": ("state", "state", "unitaries")}
+
+
+@pytest.mark.parametrize("scenario", sorted(_DRAWN_KINDS))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_drawn_arrays_pass_the_checks_a_campaign_skips(scenario, data):
+    """A campaign checks its drawn arrays only for NaN or Inf, trusting the
+    draws to build unit amplitudes and vectors, states and unitaries. Every
+    array a stack draws passes the per-object check it skips, 1000 times
+    inside that check's tolerance of 1e-10."""
+    n = data.draw(st.integers(2, 6 if scenario == "mixed_mixed" else 8), label="n")
+    detector_dim = data.draw(st.sampled_from([1, n, 2 * n, None]), label="detector_dim")
+    rank = None if scenario == "pure_pure" else data.draw(st.sampled_from([None, 1, n]), label="rank")
+    seed = data.draw(st.integers(0, 2**64), label="seed")
+    shapes = list(_trial_shapes(seed, 8, (n,), detector_dim))
+    group = shapes[0][0]
+    arrays = _draw_stack(scenario, *group, rank, stream(seed, 0),
+                         [position for shape, position in shapes if shape == group])
+    for kind, array in zip(_DRAWN_KINDS[scenario], arrays, strict=True):
+        check, deviation = _SKIPPED_CHECKS[kind]
+        check(array)
+        assert deviation(array) <= 1e-13, kind
 
 
 def test_random_density_rank_out_of_range():
