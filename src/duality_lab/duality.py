@@ -214,11 +214,11 @@ def _instance_table(q: PureQuanton | MixedQuanton, include_visibility: bool, *,
     """The one entry from a quanton to the kernels, over a stack of detectors
     given as arrays, checked by their constructors or, for a sweep's factored
     vectors, final by construction: pure detectors as their (k, n, dim)
-    vectors and (k, n, n) Grams, interactions as their (k, dim, dim) detector states and
-    (k, n, dim, dim) unitaries. evaluate_* and `verify` pass a stack of one
-    (_stack_of_one), _sweep_table the vectors of all its gammas. The quanton
-    broadcasts over the stack; the arrays given and the quanton's type pick
-    pure_pure, mixed_pure or mixed_mixed."""
+    vectors and (k, n, n) Grams, interactions as their (k, dim, dim) detector
+    states and (k, n, dim, dim) unitaries. evaluate_* and `verify` pass a
+    stack of one (_stack_of_one), _sweep_table the vectors of all its gammas.
+    The quanton broadcasts over the stack; the arrays given and the quanton's
+    type pick pure_pure, mixed_pure or mixed_mixed."""
     n = gram.shape[-1] if unitaries is None else unitaries.shape[-3]
     if q.n != n:
         other = "detectors have" if unitaries is None else "interaction has"
@@ -498,8 +498,8 @@ def _evaluate_stack(scenario: str, group: tuple[int, int], rank: int | None, ent
     trials = [trial for trial, _ in entries]
     arrays = _draw_stack(scenario, *group, rank, rng, [position for _, position in entries])
     try:
-        _raise_first(~np.logical_and.reduce([np.isfinite(a).reshape(len(a), -1).all(axis=-1) for a in arrays]),
-                     ValueError, lambda i: "drawn arrays contain NaN or Inf entries")
+        finite = np.logical_and.reduce([np.isfinite(a).reshape(len(a), -1).all(axis=-1) for a in arrays])
+        _raise_first(~finite, ValueError, lambda i: "drawn arrays contain NaN or Inf entries")
         if scenario == "pure_pure":
             amps, vecs = arrays
             table = _pure_pure_stack(_pure_reduced(amps, vecs), amps, _gram(vecs))

@@ -309,11 +309,11 @@ def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.rando
     detector vectors; the quanton state and detector vectors; or the quanton
     state, detector state and path unitaries) over a stack of trials of one
     (n, dim) group, final by construction, from each trial's position after
-    its shape (see _trial_shapes). A mixed trial's quanton rank is `rank`, or else its
-    next draw (_bounded); `rng` is then set once to where the trial stands
-    (_resume), the rest of the trial is drawn into its row of one stack of
-    reals (_draw_row), and the regions of the rows are assembled over the
-    whole stack. A real beyond a region's draws is never read."""
+    its shape (see _trial_shapes). A mixed trial's quanton rank is `rank`, or
+    else its next draw (_bounded); `rng` is then set once to where the trial
+    stands (_resume), the rest of the trial is drawn into its row of one
+    stack of reals (_draw_row), and the regions of the rows are assembled
+    over the whole stack. A real beyond a region's draws is never read."""
     stack = _empty_stack(scenario, n, dim, len(positions))
     quanton, detector, _ = _trial_widths(scenario, n, dim)
     starts = quanton, quanton + detector
