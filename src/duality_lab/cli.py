@@ -42,7 +42,7 @@ from .duality import (
     run_campaign,
 )
 from .interference import DEFAULT_GRID_POINTS, _check_grid_points, _gamma_grid, symmetric_detectors
-from .linalg import validate_density
+from .linalg import MAX_COMPOSITE_DIM, validate_density
 from .random import (
     random_density,
     random_detectors,
@@ -189,6 +189,13 @@ def _merged_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"{flag} must be >= {least}, got {cfg[key]}")
         if cfg.get(key) is not None and cfg[key] >= 1 << 32:
             raise ConfigError(f"{flag} must be <= 2^32 - 1, got {cfg[key]}")
+    # pure_pure's composite, n paths by the largest detector dimension (2n
+    # when a campaign draws it), names its flags here, before any draw
+    if cfg.get("scenario", "pure_pure") == "pure_pure" and cfg.get("n") is not None:
+        n, dim = cfg["n"], cfg.get("detector_dim", 2 * cfg["n"] if args.command == "campaign" else cfg["n"])
+        if n * dim > MAX_COMPOSITE_DIM:
+            by = f"--detector-dim {dim}" if "detector_dim" in cfg else f"detector dimension {dim}"
+            raise ConfigError(f"--n {n} by {by}: composite dimension {n * dim} exceeds {MAX_COMPOSITE_DIM}")
     # a campaign's trial k takes one spawn-key word
     if cfg.get("trials") is not None and not 1 <= cfg["trials"] <= 1 << 32:
         raise ConfigError(f"--trials must lie in 1..2^32, got {cfg['trials']}")
@@ -233,6 +240,10 @@ def _verify_instance(cfg: dict) -> _Table:
         raise ConfigError("missing required option: --n (or a config rho)")
     if rho is not None and rho.shape[0] != n:
         raise ConfigError(f"--n {n} disagrees with the {rho.shape[0]}-row config rho")
+    dim = cfg.get("detector_dim", n)
+    # the bound of uniform_overlap_detectors, named before the quanton is drawn
+    if gamma is not None and dim < n:
+        raise ConfigError(f"--detector-dim must be >= --n {n} for --gamma's detectors, got {dim}")
 
     if scenario == "pure_pure":
         if cfg.get("amplitudes") is not None:
@@ -245,17 +256,16 @@ def _verify_instance(cfg: dict) -> _Table:
             quanton = random_pure(n, seed)
         else:
             raise ConfigError("pure_pure needs --amplitudes, --gamma, or --seed")
-        detectors = _verify_detectors(cfg, quanton.n)
+        detectors = _verify_detectors(quanton.n, dim, gamma, seed)
     elif scenario == "mixed_pure":
         quanton = _verify_mixed_quanton(cfg, n, rho)
-        detectors = _verify_detectors(cfg, quanton.n)
+        detectors = _verify_detectors(quanton.n, dim, gamma, seed)
     else:
         if seed is None:
             raise ConfigError("mixed_mixed needs --seed to draw the detector state and unitaries")
         quanton = _verify_mixed_quanton(cfg, n, rho)
-        dim = cfg.get("detector_dim", quanton.n)
-        detectors = random_mixed_detector(quanton.n, dim, np.random.default_rng([seed, 1]))
-    return _instance_table(quanton, quanton.n <= VISIBILITY_MAX_PATHS, **_stack_of_one(detectors))
+        detectors = random_mixed_detector(n, dim, np.random.default_rng([seed, 1]))
+    return _instance_table(quanton, quanton.n <= VISIBILITY_MAX_PATHS, *_stack_of_one(detectors))
 
 
 def _verify_mixed_quanton(cfg: dict, n: int, rho) -> MixedQuanton:
@@ -276,15 +286,13 @@ def _verify_mixed_quanton(cfg: dict, n: int, rho) -> MixedQuanton:
     return random_density(n, rank, rng)
 
 
-def _verify_detectors(cfg: dict, n: int):
-    gamma = cfg.get("gamma")
-    dim = cfg.get("detector_dim", n)
+def _verify_detectors(n: int, dim: int, gamma: float | None, seed: int | None):
     if gamma is not None:
         _gamma_grid([gamma], "--gamma")
-        return uniform_overlap_detectors(n, gamma, dim, cfg.get("seed", 0) or 0)
-    if cfg.get("seed") is not None:
+        return uniform_overlap_detectors(n, gamma, dim, seed or 0)
+    if seed is not None:
         # offset the stream so the detectors differ from the quanton draw
-        return random_detectors(n, dim, np.random.default_rng([cfg["seed"], 1]))
+        return random_detectors(n, dim, np.random.default_rng([seed, 1]))
     raise ConfigError("need --gamma or --seed to build detectors")
 
 

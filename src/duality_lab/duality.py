@@ -15,13 +15,14 @@ Every report records signed residuals, not just booleans, so regressions
 in numerical quality stay visible.
 
 Each scenario's composition is written once, as a kernel over stacks of
-arrays (``_*_stack``), and every command runs it: a campaign on its
-draws in (n, detector dimension) stacks; evaluate_*, `verify` and
-sweep_overlap through one entry (_instance_table) that takes stacked
-detector arrays, one instance as a stack of one and a sweep's gammas as one
-stack, their vectors factored by one batched eigh. The fringe runs the pure_pure
-kernel on the state it scans, and the two- and three-slit checks read C and
-D_Q from evaluate_pure. Input from outside is checked where it enters (the
+arrays (``_*_stack``), and one function (_kernel) picks it from the scenario
+and the arrays a campaign draws. A campaign calls it on each stack that
+random._stacks yields; evaluate_*, `verify` and sweep_overlap call it
+through _instance_table, which checks the path count, with one instance as
+a stack of one or a sweep's gammas as one stack, their vectors factored by
+one batched eigh. The fringe runs the pure_pure kernel on the state it
+scans, and the two- and three-slit checks read C and D_Q from
+evaluate_pure. Input from outside is checked where it enters (the
 constructors, validate_density, _gram_factors); the arrays the program
 builds, a campaign's draws and a sweep's factored vectors, are final by
 construction, and the draws are checked only for NaN or Inf; each kernel
@@ -54,7 +55,7 @@ from .linalg import (
     frozen,
 )
 from .measures import _branch_coherence_bound, _branch_distinguishability, _coherence, _slack, _uqsd
-from .random import _draw_stack, _empty_stack, _trial_bytes, _trial_shapes, stream
+from .random import _stacks
 from .states import (
     DetectorSet,
     MixedDetectorInteraction,
@@ -73,17 +74,6 @@ TOLERANCE = 1e-9
 MARGIN_TOL = 1e-10
 SCENARIOS = ("pure_pure", "mixed_pure", "mixed_mixed")
 VISIBILITY_MAX_PATHS = 3  # the fringe correspondences of the two- and three-slit families
-#: bytes of raw draws at which a campaign draws and evaluates an (n, dim)
-#: group of waiting trials as one stack, which caps the stacks and their
-#: temporaries; a waiting trial holds only its generator position. A
-#: mixed_mixed trial at n = 6 draws about 10 kB, its detector Gaussians
-#: waiting in its row of the detector states, and its stack needs about five
-#: times that while it runs (QR copies, rotated branch kets, the weighted
-#: branch Grams gathered for their check).
-#: On 1000-trial campaigns, against a 64 KiB budget with drawn trials waiting,
-#: peak RSS stayed flat at 128 KiB and rose 0.7-0.9 MB at 256 KiB and 2.6 MB at
-#: 512 KiB.
-STACK_BYTES = 1 << 18
 
 #: the CSV columns of one report; `verify --format csv` adds the seed, and a
 #: campaign, which scans no visibility, its trial and seed (CSV_COLUMNS)
@@ -179,7 +169,7 @@ def evaluate_pure(q: PureQuanton, d: DetectorSet, include_visibility: bool = Fal
     partial trace, so the equality genuinely tests the numerics rather
     than an algebraic shortcut.
     """
-    return _instance_table(q, include_visibility, **_stack_of_one(d)).reports()[0]
+    return _instance_table(q, include_visibility, *_stack_of_one(d)).reports()[0]
 
 
 def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = False) -> DualityReport:
@@ -188,7 +178,7 @@ def evaluate_mixed(q: MixedQuanton, d: DetectorSet, include_visibility: bool = F
     The reduced state is rho_ij <d_j|d_i> entrywise; C, D_Q, and the
     slack then satisfy C + D_Q + slack = 1 with slack >= 0.
     """
-    return _instance_table(q, include_visibility, **_stack_of_one(d)).reports()[0]
+    return _instance_table(q, include_visibility, *_stack_of_one(d)).reports()[0]
 
 
 def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
@@ -198,36 +188,33 @@ def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
     Checks that the reduced coherence stays below its branch-averaged
     bound and that C + D_Q <= 1; ``slack`` records the observed gap.
     """
-    return _instance_table(q, include_visibility, **_stack_of_one(m)).reports()[0]
+    return _instance_table(q, include_visibility, *_stack_of_one(m)).reports()[0]
 
 
-def _stack_of_one(d: DetectorSet | MixedDetectorInteraction) -> dict[str, np.ndarray]:
-    """A detector set or interaction as _instance_table's arrays, a stack of one."""
+def _stack_of_one(d: DetectorSet | MixedDetectorInteraction) -> tuple[np.ndarray, ...]:
+    """A detector set's vectors, or an interaction's detector state and
+    unitaries, as a stack of one."""
     if isinstance(d, MixedDetectorInteraction):
-        return {"rho_d": d.rho_d.matrix[None], "unitaries": d.unitaries[None]}
-    return {"vectors": d.vectors[None], "gram": d.gram[None]}
+        return d.rho_d.matrix[None], d.unitaries[None]
+    return (d.vectors[None],)
 
 
-def _instance_table(q: PureQuanton | MixedQuanton, include_visibility: bool, *,
-                    vectors: np.ndarray | None = None, gram: np.ndarray | None = None,
-                    rho_d: np.ndarray | None = None, unitaries: np.ndarray | None = None) -> _Table:
-    """The one entry from a quanton to the kernels, over a stack of detectors
-    given as arrays, checked by their constructors or, for a sweep's factored
+def _instance_table(q: PureQuanton | MixedQuanton, include_visibility: bool, *detector: np.ndarray) -> _Table:
+    """The one entry from a quanton to _kernel, over a stack of detectors given
+    as arrays, checked by their constructors or, for a sweep's factored
     vectors, final by construction: pure detectors as their (k, n, dim)
-    vectors and (k, n, n) Grams, interactions as their (k, dim, dim) detector
-    states and (k, n, dim, dim) unitaries. evaluate_* and `verify` pass a
-    stack of one (_stack_of_one), _sweep_table the vectors of all its gammas.
-    The quanton broadcasts over the stack; the arrays given and the quanton's
-    type pick pure_pure, mixed_pure or mixed_mixed."""
-    n = gram.shape[-1] if unitaries is None else unitaries.shape[-3]
+    vectors, interactions as their (k, dim, dim) detector states and
+    (k, n, dim, dim) unitaries. evaluate_* and `verify` pass a stack of one
+    (_stack_of_one), _sweep_table the vectors of all its gammas. The quanton
+    broadcasts over the stack; the arrays given and the quanton's type pick
+    the scenario."""
+    scenario = "mixed_mixed" if len(detector) == 2 else "pure_pure" if isinstance(q, PureQuanton) else "mixed_pure"
+    n = detector[-1].shape[-3 if scenario == "mixed_mixed" else -2]
     if q.n != n:
-        other = "detectors have" if unitaries is None else "interaction has"
+        other = "interaction has" if scenario == "mixed_mixed" else "detectors have"
         raise ValueError(f"path count mismatch: quanton has {q.n}, {other} {n}")
-    if unitaries is not None:
-        return _mixed_mixed_stack(q.rho.matrix, rho_d, unitaries, include_visibility)
-    if isinstance(q, PureQuanton):
-        return _pure_pure_stack(_pure_reduced(q.amplitudes, vectors), q.amplitudes, gram, include_visibility)
-    return _mixed_pure_stack(q.rho.matrix, gram, include_visibility)
+    quanton = q.amplitudes if scenario == "pure_pure" else q.rho.matrix
+    return _kernel(scenario, quanton, *detector, include_visibility=include_visibility)
 
 
 def sweep_overlap(n: int, gammas: Sequence[float],
@@ -247,10 +234,10 @@ def _sweep_table(n: int, gammas: Sequence[float], quanton: PureQuanton | MixedQu
     uniform-overlap Grams of every gamma are factored by one batched eigh
     (_gram_factors, which checks the Grams it is given), and their vectors,
     unit by construction and not checked again, go through _instance_table
-    as one stack with their Grams (_gram). _instance_table checks the
-    quanton's path count. No DetectorSet is built."""
+    as one stack. _instance_table checks the quanton's path count. No
+    DetectorSet is built."""
     vectors = _gram_factors(_uniform_overlap_grams(n, gammas, "gammas"))
-    return _instance_table(quanton, n <= VISIBILITY_MAX_PATHS, vectors=vectors, gram=_gram(vectors))
+    return _instance_table(quanton, n <= VISIBILITY_MAX_PATHS, vectors)
 
 
 def _equal_amplitude_quanton(n: int) -> PureQuanton:
@@ -485,33 +472,16 @@ def _mixed_mixed_stack(rho: np.ndarray, rho_d: np.ndarray, unitaries: np.ndarray
                      relations=(("coherence_bound_margin", bound_margin, bound_margin >= -MARGIN_TOL),))
 
 
-def _evaluate_stack(scenario: str, group: tuple[int, int], rank: int | None, entries: list,
-                    rng: np.random.Generator, tables: list) -> None:
-    """Draw one (n, dim) group of waiting trials as one stack, evaluate it and
-    file its table with their trial indices. Each entry is a trial index and
-    its position after its shape draws (random._trial_shapes), from which
-    random._draw_stack draws the rest of the trial on `rng`. The drawn arrays
-    are final by construction: unit amplitudes and vectors, PSD unit-trace
-    states and Haar unitaries. Their one check is for NaN or Inf entries, a
-    plain ValueError; the kernels check what they derive. A failing check
-    names the trial."""
-    trials = [trial for trial, _ in entries]
-    arrays = _draw_stack(scenario, *group, rank, rng, [position for _, position in entries])
-    try:
-        finite = np.logical_and.reduce([np.isfinite(a).reshape(len(a), -1).all(axis=-1) for a in arrays])
-        _raise_first(~finite, ValueError, lambda i: "drawn arrays contain NaN or Inf entries")
-        if scenario == "pure_pure":
-            amps, vecs = arrays
-            table = _pure_pure_stack(_pure_reduced(amps, vecs), amps, _gram(vecs))
-        elif scenario == "mixed_pure":
-            rho, vecs = arrays
-            table = _mixed_pure_stack(rho, _gram(vecs))
-        else:
-            table = _mixed_mixed_stack(*arrays)
-    except ValueError as exc:
-        index = getattr(exc, "index", None) or (0,)
-        raise type(exc)(f"trial {trials[index[0]]}: {exc}") from exc
-    tables.append((trials, table))
+def _kernel(scenario: str, quanton: np.ndarray, *detector: np.ndarray, include_visibility: bool = False) -> _Table:
+    """The scenario's kernel on the arrays a campaign draws, stacked: the
+    amplitudes or density matrices, then the detector vectors, or the
+    detector states and path unitaries. Detector Grams are formed here
+    (states._gram)."""
+    if scenario == "pure_pure":
+        return _pure_pure_stack(_pure_reduced(quanton, *detector), quanton, _gram(*detector), include_visibility)
+    if scenario == "mixed_pure":
+        return _mixed_pure_stack(quanton, _gram(*detector), include_visibility)
+    return _mixed_mixed_stack(quanton, *detector, include_visibility)
 
 
 def _merged(tables: list[tuple[list[int], _Table]]) -> _Table:
@@ -549,15 +519,15 @@ def run_campaign(scenario: str, trials: int, seed: int,
     1..dim). pure_pure draws no rank, so it rejects any `rank`, as the
     mixed scenarios reject one outside 1..min(n).
 
-    A trial waits in its (n, dim) group as the position stream(seed, k)
-    stands at after its shape draws (random._trial_shapes). A group is drawn
-    as one stack (random._draw_stack) on the campaign's generator and
-    evaluated once its trials would draw STACK_BYTES of raw arrays, and at
-    the end, as the README's campaign section describes. Before the first
+    The trials are drawn in (n, dim) stacks (random._stacks), and each
+    stack is evaluated by its scenario's kernel (_kernel). Before the first
     draw, the largest trial the options allow, max(n) paths by a detector
     dimension of `detector_dim` or 2 max(n), must fit: pure_pure's composite
     dimension and one trial's arrays. So whether a campaign fits does not
-    depend on the seed. A check that fails on the draws raises its usual
+    depend on the seed. The drawn arrays are final by construction: unit
+    amplitudes and vectors, PSD unit-trace states and Haar unitaries. Their
+    one check is for NaN or Inf entries, a plain ValueError; the kernels
+    check what they derive. A check that fails on the draws raises its usual
     ValueError, prefixed with "trial k: " for the first trial of its stack
     that fails it (the stack's first trial for a check of the whole stack).
     A stack too large to allocate raises MemoryError, which names no trial.
@@ -586,21 +556,16 @@ def run_campaign(scenario: str, trials: int, seed: int,
         raise ValueError(f"rank is not read by the pure_pure scenario, got {rank}")
     if rank is not None and not 1 <= rank <= min(n_choices):
         raise ValueError(f"rank must lie in 1..{min(n_choices)}, got {rank}")
-    largest = (max(n_choices), detector_dim or 2 * max(n_choices))  # the largest trial any seed may draw
-    if scenario == "pure_pure":
-        _check_composite(*largest)
-    _empty_stack(scenario, *largest, 1)  # raises MemoryError on every seed, or on none
-    tables: list = []
-    pending: dict[tuple[int, int], list] = {}
-    row_bytes: dict[tuple[int, int], int] = {}  # one trial's draws in each group
-    rng = stream(seed, 0)  # rejects a negative seed; _draw_stack sets it to each trial's position
-    for trial, (group, position) in enumerate(_trial_shapes(seed, trials, n_choices, detector_dim)):
-        if group not in row_bytes:
-            row_bytes[group] = _trial_bytes(scenario, *group)
-        entries = pending.setdefault(group, [])
-        entries.append((trial, position))
-        if len(entries) * row_bytes[group] >= STACK_BYTES:
-            _evaluate_stack(scenario, group, rank, pending.pop(group), rng, tables)
-    for group, entries in pending.items():
-        _evaluate_stack(scenario, group, rank, entries, rng, tables)
+    if scenario == "pure_pure":  # the largest composite any seed may draw
+        _check_composite(max(n_choices), detector_dim or 2 * max(n_choices))
+    tables = []
+    for indices, arrays in _stacks(scenario, seed, trials, n_choices, detector_dim, rank):
+        try:
+            finite = np.logical_and.reduce([np.isfinite(a).reshape(len(a), -1).all(axis=-1) for a in arrays])
+            _raise_first(~finite, ValueError, lambda i: "drawn arrays contain NaN or Inf entries")
+            tables.append((indices, _kernel(scenario, *arrays)))
+        except ValueError as exc:
+            index = getattr(exc, "index", None) or (0,)
+            raise type(exc)(f"trial {indices[index[0]]}: {exc}") from exc
+        del arrays  # before the next stack is drawn
     return CampaignResult(scenario=scenario, trials=trials, seed=seed, table=_merged(tables))

@@ -6,21 +6,21 @@ own SeedSequence spawn key, so trial k of a campaign is a pure function
 of (root seed, k) regardless of execution order, and stream(seed, k)
 replays it.
 
-A campaign draws as the README's campaign section describes:
-`_trial_shapes` computes each trial's shape and the PCG64 position after
-it without a generator, and `_draw_stack` draws the rest of an (n, dim)
-group's trials from their positions into one stack: a float64 array
-with one row of raw reals per trial, in the regions `_trial_widths`
-gives. The rows are assembled over the stack with the helpers that the
-public random_* generators run on a single instance.
+A campaign draws its trials through one generator, `_stacks`: it computes
+each trial's shape and the PCG64 position after it without a generator
+(`_trial_shapes`), groups the waiting positions by (n, dim) and draws a
+group once its trials would draw STACK_BYTES (`_draw_stack`): one float64
+stack with one row of raw reals per trial, in the regions `_trial_widths`
+gives, assembled over the stack with the helpers that the public random_*
+generators run on a single instance.
 
 What this module builds is final by construction: amplitudes and detector
 vectors are divided by their norms, Ginibre states are hermitized and
 divided by their real trace (PSD with unit trace), and Haar unitaries come
 from a QR factor. The public generators wrap them in the per-object types,
 whose constructors check vectors and unitaries as they check any input and
-take drawn states as DensityMatrix unchecked; a campaign's stacks are
-checked only for NaN or Inf entries (duality._evaluate_stack).
+take drawn states as DensityMatrix unchecked; a campaign checks the arrays
+`_stacks` yields only for NaN or Inf entries (duality.run_campaign).
 """
 
 from __future__ import annotations
@@ -43,6 +43,17 @@ _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 #: spawn keys whose states are derived together, which bounds the arrays held
 _STATES_PER_BLOCK = 4096
+#: bytes of raw draws at which a campaign draws and evaluates an (n, dim)
+#: group of waiting trials as one stack, which caps the stacks and their
+#: temporaries; a waiting trial holds only its generator position. A
+#: mixed_mixed trial at n = 6 draws about 10 kB, its detector Gaussians
+#: waiting in its row of the detector states, and its stack needs about five
+#: times that while it runs (QR copies, rotated branch kets, the weighted
+#: branch Grams gathered for their check).
+#: On 1000-trial campaigns, against a 64 KiB budget with drawn trials waiting,
+#: peak RSS stayed flat at 128 KiB and rose 0.7-0.9 MB at 256 KiB and 2.6 MB at
+#: 512 KiB.
+STACK_BYTES = 1 << 18
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
@@ -337,6 +348,34 @@ def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.rando
             return rho, _unit_vectors(block.reshape(-1, 2, n, dim))
         rho_d = _form_per_rank(stack[:, quanton:starts[1]], detector_ranks, dim)
         return rho, rho_d, _haar(_path_gaussians(block.reshape(-1, n, 2, dim, dim)))
+
+
+def _stacks(scenario: str, seed: int, trials: int, n_choices: Sequence[int], detector_dim: int | None,
+            rank: int | None) -> Iterator[tuple[list[int], tuple[np.ndarray, ...]]]:
+    """A campaign's draws, stack by stack: each stack's trial indices and the
+    arrays _draw_stack draws for them. Before the first draw, one trial of the
+    largest shape the options allow, max(n) paths by a detector dimension of
+    `detector_dim` or 2 max(n), is allocated (_empty_stack), so whether a
+    campaign fits does not depend on the seed. Every trial is drawn on one
+    generator, stream(seed, 0), which _draw_stack sets to each trial's
+    position. A trial waits in its (n, dim) group as the position after its
+    shape draws (_trial_shapes); a group is drawn once its trials would draw
+    STACK_BYTES of raw arrays, and what is left of each group at the end."""
+    _empty_stack(scenario, max(n_choices), detector_dim or 2 * max(n_choices), 1)
+    rng = stream(seed, 0)  # rejects a negative seed
+    # each waiting group's trial indices, their positions and one trial's bytes of draws
+    pending: dict[tuple[int, int], tuple[list[int], list, int]] = {}
+    for trial, (group, position) in enumerate(_trial_shapes(seed, trials, n_choices, detector_dim)):
+        if group not in pending:
+            pending[group] = [], [], _trial_bytes(scenario, *group)
+        indices, positions, row_bytes = pending[group]
+        indices.append(trial)
+        positions.append(position)
+        if len(indices) * row_bytes >= STACK_BYTES:
+            del pending[group]
+            yield indices, _draw_stack(scenario, *group, rank, rng, positions)
+    for group, (indices, positions, _) in pending.items():
+        yield indices, _draw_stack(scenario, *group, rank, rng, positions)
 
 
 def random_pure(n: int, seed) -> PureQuanton:

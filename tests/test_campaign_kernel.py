@@ -34,7 +34,6 @@ from duality_lab.cli import SWEEP_CSV_COLUMNS, VERIFY_CSV_COLUMNS, main
 from duality_lab.duality import (
     CSV_COLUMNS,
     SCENARIOS,
-    STACK_BYTES,
     VISIBILITY_MAX_PATHS,
     DualityReport,
     evaluate_mixed,
@@ -54,6 +53,7 @@ from duality_lab.measures import (
     mixed_duality_slack,
 )
 from duality_lab.random import (
+    STACK_BYTES,
     _draw_shape,
     _draw_stack,
     _position,
@@ -155,7 +155,7 @@ def stacks(monkeypatch):
     entry holds its two raw reals, so the assembled stack holds the bytes
     of the raw draws."""
     seen = []
-    draw = duality._draw_stack
+    draw = lab_random._draw_stack
 
     def recording(scenario, n, dim, rank, rng, starts):
         arrays = draw(scenario, n, dim, rank, rng, starts)
@@ -164,7 +164,7 @@ def stacks(monkeypatch):
         seen.append((len(starts), held))
         return arrays
 
-    monkeypatch.setattr(duality, "_draw_stack", recording)
+    monkeypatch.setattr(lab_random, "_draw_stack", recording)
     return seen
 
 
@@ -232,16 +232,16 @@ def test_stacks_hold_at_most_the_byte_budget(scenario, n, stacks):
 def test_each_group_is_evaluated_once_it_alone_reaches_the_budget(monkeypatch):
     # mixed_mixed over n = (3, 4) draws nine interleaved (n, dim) groups, and
     # at a 64 KiB budget all but one of them fill it at least once
-    monkeypatch.setattr(duality, "STACK_BYTES", 1 << 16)
+    monkeypatch.setattr(lab_random, "STACK_BYTES", 1 << 16)
     seen = []
-    draw = duality._draw_stack
+    draw = lab_random._draw_stack
 
     def recording(scenario, n, dim, rank, rng, starts):
         arrays = draw(scenario, n, dim, rank, rng, starts)
         seen.append(((n, dim), len(starts), _nbytes(arrays) // len(starts)))
         return arrays
 
-    monkeypatch.setattr(duality, "_draw_stack", recording)
+    monkeypatch.setattr(lab_random, "_draw_stack", recording)
     _assert_matches_oracle("mixed_mixed", 400, 29, (3, 4))
     last = {group: i for i, (group, _, _) in enumerate(seen)}
     full = [(count, size) for i, (group, count, size) in enumerate(seen) if i != last[group]]
@@ -249,27 +249,35 @@ def test_each_group_is_evaluated_once_it_alone_reaches_the_budget(monkeypatch):
     # every stack but a group's last was drawn by the trial that brought its
     # own group to the budget
     for count, size in full:
-        assert duality.STACK_BYTES <= count * size < duality.STACK_BYTES + size
+        assert lab_random.STACK_BYTES <= count * size < lab_random.STACK_BYTES + size
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_waiting_trials_hold_only_their_generator_positions(monkeypatch, scenario):
-    # every pending entry reaches _evaluate_stack, when its group is drawn
-    entries_seen = []
-    evaluate = duality._evaluate_stack
+    # every pending entry reaches _draw_stack, when its group is drawn, and
+    # its trial index leaves random._stacks with the group's arrays
+    trials_seen, positions_seen = [], []
+    draw, stacks = lab_random._draw_stack, lab_random._stacks
 
-    def recording(scenario, group, rank, entries, rng, tables):
-        entries_seen.extend(entries)
-        return evaluate(scenario, group, rank, entries, rng, tables)
+    def recording_draw(scenario, n, dim, rank, rng, positions):
+        positions_seen.extend(positions)
+        return draw(scenario, n, dim, rank, rng, positions)
 
-    monkeypatch.setattr(duality, "_evaluate_stack", recording)
+    def recording_stacks(*args):
+        for trials, arrays in stacks(*args):
+            trials_seen.extend(trials)
+            yield trials, arrays
+
+    monkeypatch.setattr(lab_random, "_draw_stack", recording_draw)
+    monkeypatch.setattr(duality, "_stacks", recording_stacks)
     run_campaign(scenario, 300, 41, n=tuple(range(2, 9)))
-    assert sorted(trial for trial, _ in entries_seen) == list(range(300))
+    assert sorted(trials_seen) == list(range(300)) and len(positions_seen) == 300
     # ints only, so no entry holds an ndarray or a numpy scalar: the four of
     # the generator position, in every scenario
-    for trial, position in entries_seen:
-        assert type(trial) is int and type(position) is tuple and len(position) == 4
-        assert all(type(value) is int for value in position), trial
+    assert all(type(trial) is int for trial in trials_seen)
+    for position in positions_seen:
+        assert type(position) is tuple and len(position) == 4
+        assert all(type(value) is int for value in position), position
 
 
 @pytest.mark.parametrize("scenario, rank", [("pure_pure", None), ("mixed_pure", None), ("mixed_pure", 2),
@@ -339,7 +347,7 @@ def test_campaign_bytes_do_not_depend_on_the_stack_budget(monkeypatch, scenario,
     """Stacks of one, the default budget and one stack per group write the same bytes."""
     outputs = []
     for budget in (1, STACK_BYTES, 1 << 30):
-        monkeypatch.setattr(duality, "STACK_BYTES", budget)
+        monkeypatch.setattr(lab_random, "STACK_BYTES", budget)
         outputs.append(_campaign_bytes(scenario, 250, 43, n=n, detector_dim=detector_dim, rank=rank))
     assert outputs[0] == outputs[1] == outputs[2]
 
@@ -368,7 +376,9 @@ def test_campaign_bytes_do_not_depend_on_what_the_stack_held(monkeypatch, scenar
 
     monkeypatch.setattr(lab_random, "_empty_stack", nan_filled)
     assert _campaign_bytes(scenario, 250, 47, n=n, detector_dim=detector_dim, rank=rank) == expected
-    assert sum(trials for trials, _ in filled) == 250
+    # the first is the one row of the largest trial that random._stacks
+    # allocates before its first draw; every stack after it was drawn
+    assert filled[0][0] == 1 and sum(trials for trials, _ in filled[1:]) == 250
 
 
 def test_campaigns_in_threads_equal_campaigns_in_sequence():
@@ -671,9 +681,8 @@ def test_instance_table_over_a_stack_equals_its_entries(scenario, n, dim):
         detectors = [random_detectors(n, dim, rng) for _ in range(6)]
     include_v = n <= VISIBILITY_MAX_PATHS
     arrays = [duality._stack_of_one(d) for d in detectors]
-    stacked = duality._instance_table(q, include_v, **{key: np.concatenate([a[key] for a in arrays])
-                                                        for key in arrays[0]})
-    singles = [duality._instance_table(q, include_v, **a) for a in arrays]
+    stacked = duality._instance_table(q, include_v, *map(np.concatenate, zip(*arrays)))
+    singles = [duality._instance_table(q, include_v, *a) for a in arrays]
     assert stacked.scenario == scenario
     for part in ("values", "residuals", "verdicts"):
         columns = getattr(stacked, part)

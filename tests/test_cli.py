@@ -143,6 +143,29 @@ _N_COMMANDS = {
     "fringe": ["fringe", "--gamma", "0.5"],
 }
 _HUGE = 10**400
+# a detector dimension past a bound of the largest trial a command may build:
+# --gamma's uniform-overlap detectors need one >= n, and pure_pure's composite
+# n * dim must fit 1024, where sweep and fringe use dim = n, verify --n unless
+# given and a campaign up to 2n unless given
+_COMPOSITE = "composite dimension {} exceeds 1024"
+_DETECTOR_BOUNDS = [
+    ("verify-gamma-dim", ["verify", "--n", "3", "--gamma", "0.5"], "detector_dim", 2,
+     "--detector-dim must be >= --n 3 for --gamma's detectors, got 2"),
+    ("verify-mixed_pure-gamma-dim", ["verify", "--scenario", "mixed_pure", "--n", "3", "--seed", "1", "--gamma", "0.5"],
+     "detector_dim", 2, "--detector-dim must be >= --n 3 for --gamma's detectors, got 2"),
+    ("verify-composite", ["verify", "--n", "40", "--seed", "1"], "detector_dim", 40,
+     "--n 40 by --detector-dim 40: " + _COMPOSITE.format(1600)),
+    ("verify-composite-n", ["verify", "--gamma", "0.5"], "n", 33,
+     "--n 33 by detector dimension 33: " + _COMPOSITE.format(1089)),
+    ("campaign-composite", ["campaign", "--scenario", "pure_pure", "--n", "40", "--trials", "3", "--seed", "1"],
+     "detector_dim", 40, "--n 40 by --detector-dim 40: " + _COMPOSITE.format(1600)),
+    ("campaign-composite-n", ["campaign", "--scenario", "pure_pure", "--trials", "3", "--seed", "1"], "n", 23,
+     "--n 23 by detector dimension 46: " + _COMPOSITE.format(1058)),
+    ("sweep-composite-n", ["sweep", "--gammas", "0.5"], "n", 33,
+     "--n 33 by detector dimension 33: " + _COMPOSITE.format(1089)),
+    ("fringe-composite-n", ["fringe", "--gamma", "0.5"], "n", 33,
+     "--n 33 by detector dimension 33: " + _COMPOSITE.format(1089)),
+]
 _MALFORMED = [
     *(pytest.param(argv, {"n": n} if source == "config" else None, f"--n must be >= 2, got {n}",
                    id=f"{name}-n{n}-{source}")
@@ -269,6 +292,9 @@ _MALFORMED = [
           ("verify-mixed_pure-n", ["verify", "--scenario", "mixed_pure", "--seed", "1"], "n", "--n"),
           ("verify-detector-dim", ["verify", "--seed", "1", "--n", "2"], "detector_dim", "--detector-dim"))
       for source in ("flag", "config")),
+    *(pytest.param(base if source == "config" else [*base, f"--{key.replace('_', '-')}", str(value)],
+                   {key: value} if source == "config" else None, message, id=f"{name}-{source}")
+      for name, base, key, value, message in _DETECTOR_BOUNDS for source in ("flag", "config")),
 ]
 
 
@@ -291,6 +317,20 @@ def test_malformed_option_exits_two_before_any_output(capsys, tmp_path, argv, co
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], err
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if config is None else ["config.json"])
+
+
+@pytest.mark.parametrize("name, base, key, value, message", _DETECTOR_BOUNDS, ids=[b[0] for b in _DETECTOR_BOUNDS])
+def test_detector_bounds_are_named_before_anything_is_drawn_or_built(capsys, monkeypatch, tmp_path, name, base, key,
+                                                                       value, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a quanton or detector was drawn or built")
+
+    for builder in ("random_pure", "random_density", "random_detectors", "random_mixed_detector",
+                    "uniform_overlap_detectors", "symmetric_detectors", "_equal_amplitude_quanton", "run_campaign"):
+        monkeypatch.setattr(cli, builder, forbidden)
+    argv = [*base, f"--{key.replace('_', '-')}", str(value), "--output", str(tmp_path / "out")]
+    assert _run(capsys, argv) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("amplitudes", ["1e200,1e200", "1e-200,1e-200"])
@@ -760,10 +800,12 @@ def test_fringe_rejects_large_grid(capsys):
 
 # ------------------------------------------------------------ exit codes
 
+# n = 32, whose pure_pure composite 32*32 fits MAX_COMPOSITE_DIM, so that each
+# command reaches its builder; at a larger n the CLI names the composite bound first
 @pytest.mark.parametrize("argv, builder", [
-    (["sweep", "--n", "1000000", "--gammas", "0.5"], "duality_lab.duality._uniform_overlap_grams"),
-    (["fringe", "--n", "1000000", "--gamma", "0.5"], "duality_lab.cli.symmetric_detectors"),
-    (["verify", "--n", "1000000", "--gamma", "0.5"], "duality_lab.cli.uniform_overlap_detectors"),
+    (["sweep", "--n", "32", "--gammas", "0.5"], "duality_lab.duality._uniform_overlap_grams"),
+    (["fringe", "--n", "32", "--gamma", "0.5"], "duality_lab.cli.symmetric_detectors"),
+    (["verify", "--n", "32", "--gamma", "0.5"], "duality_lab.cli.uniform_overlap_detectors"),
 ])
 def test_configuration_too_large_to_allocate_exits_two(capsys, monkeypatch, argv, builder):
     """An allocation that fails is a configuration error (exit 2), not a

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from duality_lab import duality
+from duality_lab import random as lab_random
 from duality_lab.cli import main
 from duality_lab.duality import (
     SCENARIOS,
@@ -243,7 +244,7 @@ def no_draws(monkeypatch):
     # the campaign's one generator comes from stream, every trial's first
     # draws from _trial_shapes and the rest from _draw_stack
     for name in ("stream", "_trial_shapes", "_draw_stack"):
-        monkeypatch.setattr(duality, name, _no_draws)
+        monkeypatch.setattr(lab_random, name, _no_draws)
 
 
 def test_run_campaign_checks_rank_before_drawing(no_draws):
@@ -384,7 +385,7 @@ def test_pure_pure_composite_bound_is_checked_before_the_first_draw(monkeypatch,
     """The largest composite the options allow (n * 2n by default) is checked
     before any draw, so whether a campaign fits does not depend on the seed."""
     with monkeypatch.context() as patched:
-        patched.setattr(duality, "_trial_shapes", _no_draws)
+        patched.setattr(lab_random, "_trial_shapes", _no_draws)
         with pytest.raises(ValueError, match=r"composite dimension 23\*46 exceeds the configured maximum 1024"):
             run_campaign("pure_pure", 8, seed, n=n)
     assert run_campaign("pure_pure", 8, seed, n=22).passed

@@ -45,15 +45,29 @@ def test_random_pure_deterministic():
     assert np.max(np.abs(a - c)) > 1e-3
 
 
-def test_random_pure_haar_first_moment():
-    # |c_1|^2 is Beta(1, n-1) under the Haar measure: mean 1/n
-    n, draws = 4, 100_000
-    rng = np.random.default_rng(71)
-    samples = np.empty(draws)
-    for k in range(draws):
-        samples[k] = abs(random_pure(n, rng).amplitudes[0]) ** 2
-    se = np.sqrt((n - 1) / (n * n * (n + 1)) / draws)
-    assert abs(samples.mean() - 1.0 / n) <= 3 * se
+def _z(samples, expected):
+    """The z-score of the mean of `samples` against `expected`, by their own standard error."""
+    return (samples.mean() - expected) / (samples.std(ddof=1) / np.sqrt(len(samples)))
+
+
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_stacked_amplitudes_have_haar_moments(n):
+    # each |c_i|^2 is Beta(1, n - 1) under the Haar measure: E|c_i|^2 = 1/n and
+    # E|c_i|^4 = 2/(n(n + 1)); the amplitudes of 100 000 draws, as one stack
+    probs = np.abs(_amplitudes(np.random.default_rng(71).standard_normal((100_000, 2, n)))) ** 2
+    for i in range(n):
+        assert abs(_z(probs[:, i], 1.0 / n)) <= 4, i
+        assert abs(_z(probs[:, i] ** 2, 2.0 / (n * (n + 1)))) <= 4, i
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_stacked_haar_unitaries_have_haar_trace_moments(d):
+    """E|tr U|^2 = 1 and E|tr U^2|^2 = min(2, d) under the Haar measure, over
+    a stack of 4000 unitaries from _haar. Without its diagonal-phase fix the
+    QR gauge biases the traces, and both fail by a wide margin."""
+    u = lab_random._haar(lab_random._path_gaussians(np.random.default_rng([81, d]).standard_normal((4000, 2, d, d))))
+    assert abs(_z(np.abs(np.trace(u, axis1=-2, axis2=-1)) ** 2, 1.0)) <= 4
+    assert abs(_z(np.abs(np.trace(u @ u, axis1=-2, axis2=-1)) ** 2, min(2, d))) <= 4
 
 
 def test_random_density_rank_one_is_pure():
@@ -360,6 +374,18 @@ def test_stacked_detector_states_equal_the_public_generator(dim):
         assert (state == expected.rho_d.matrix).all()
         assert (us == expected.unitaries).all()
     assert min(quanton_ranks[1], quanton_ranks[2], *(ranks[rank] for rank in range(1, dim + 1))) >= 2
+
+
+def test_campaign_detector_state_ranks_are_uniform_over_one_to_dim():
+    """The numerical ranks of one mixed_mixed campaign's detector states, as
+    random._stacks draws them, against uniform over 1..dim: a chi-square test
+    at p = 0.001, whose critical value for 3 degrees of freedom is 16.27."""
+    dim, trials = 4, 4000
+    ranks = np.concatenate([np.linalg.matrix_rank(rho_d, hermitian=True)
+                            for _, (_, rho_d, _) in lab_random._stacks("mixed_mixed", 91, trials, (2, 3), dim, None)])
+    counts = np.bincount(ranks, minlength=dim + 1)
+    assert len(counts) == dim + 1 and counts[0] == 0, counts
+    assert ((counts[1:] - trials / dim) ** 2 / (trials / dim)).sum() <= 16.27, counts
 
 
 @pytest.mark.parametrize("n", range(2, 33))
