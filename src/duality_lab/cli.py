@@ -190,8 +190,9 @@ def _merged_config(args: argparse.Namespace) -> dict:
         if cfg.get(key) is not None and cfg[key] >= 1 << 32:
             raise ConfigError(f"{flag} must be <= 2^32 - 1, got {cfg[key]}")
     # pure_pure's composite, n paths by the largest detector dimension (2n
-    # when a campaign draws it), names its flags here, before any draw
-    if cfg.get("scenario", "pure_pure") == "pure_pure" and cfg.get("n") is not None:
+    # when a campaign draws it), names its flags here, before any draw; a
+    # campaign has no default scenario
+    if cfg.get("scenario", None if args.command == "campaign" else "pure_pure") == "pure_pure" and cfg.get("n"):
         n, dim = cfg["n"], cfg.get("detector_dim", 2 * cfg["n"] if args.command == "campaign" else cfg["n"])
         if n * dim > MAX_COMPOSITE_DIM:
             by = f"--detector-dim {dim}" if "detector_dim" in cfg else f"detector dimension {dim}"

@@ -21,6 +21,7 @@ import json
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -278,6 +279,24 @@ def test_waiting_trials_hold_only_their_generator_positions(monkeypatch, scenari
     for position in positions_seen:
         assert type(position) is tuple and len(position) == 4
         assert all(type(value) is int for value in position), position
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_a_stack_is_freed_before_the_next_is_drawn(monkeypatch, scenario):
+    """A campaign holds one stack's drawn arrays at a time: none of them is
+    alive when the next stack is drawn."""
+    drawn = []
+    draw = lab_random._draw_stack
+
+    def recording(*args):
+        assert all(ref() is None for ref in drawn)
+        arrays = draw(*args)
+        drawn.extend(weakref.ref(a) for a in arrays)
+        return arrays
+
+    monkeypatch.setattr(lab_random, "_draw_stack", recording)
+    run_campaign(scenario, 300, 41, n=tuple(range(2, 9)))
+    assert len(drawn) >= 2 * 7
 
 
 @pytest.mark.parametrize("scenario, rank", [("pure_pure", None), ("mixed_pure", None), ("mixed_pure", 2),

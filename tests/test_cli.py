@@ -227,6 +227,9 @@ _MALFORMED = [
                   "--rank", "4"], None, "--rank must lie in 1..3, got 4", id="sweep-rank"),
     pytest.param(["verify", "--n", "3", "--seed", "1", "--detector-dim", "0"], None,
                  "--detector-dim must be >= 1, got 0", id="verify-detector-dim"),
+    # a campaign has no default scenario, so no pure_pure composite bound applies before --scenario is given
+    pytest.param(["campaign", "--n", "40", "--trials", "3", "--seed", "1"], None,
+                 "missing required option: --scenario", id="campaign-no-scenario-n40"),
     pytest.param(["campaign", "--scenario", "pure_pure", "--n", "3", "--trials", "3", "--seed", "1",
                   "--detector-dim", "0"], None, "--detector-dim must be >= 1, got 0",
                  id="campaign-detector-dim"),
