@@ -16,7 +16,10 @@ in numerical quality stay visible.
 
 Each scenario's composition is written once, as a kernel over stacks of
 arrays (``_*_stack``), and one function (_kernel) picks it from the scenario
-and the arrays a campaign draws. A campaign calls it on each stack that
+and the arrays a campaign draws, and forms every detector Gram by one
+product (states._gram): of the detector vectors, or of each spectral
+branch's path kets, from which the mixed_mixed kernel takes its reduced
+state, D_Q and coherence bound alike. A campaign calls it on each stack that
 random._stacks yields; evaluate_*, `verify` and sweep_overlap call it
 through _instance_table, which checks the path count, with one instance as
 a stack of one or a sweep's gammas as one stack, their vectors factored by
@@ -61,13 +64,13 @@ from .states import (
     MixedDetectorInteraction,
     MixedQuanton,
     PureQuanton,
-    _branch_grams,
     _branches,
     _check_branch_grams,
     _check_branch_weights,
     _check_composite,
     _gram,
-    _overlap_factors,
+    _overlap_average,
+    _path_kets,
 )
 
 TOLERANCE = 1e-9
@@ -452,20 +455,21 @@ def _mixed_pure_stack(rho: np.ndarray, gram: np.ndarray, include_visibility: boo
                      checks=(("slack_nonnegative", slack >= -MARGIN_TOL),))
 
 
-def _mixed_mixed_stack(rho: np.ndarray, rho_d: np.ndarray, unitaries: np.ndarray,
+def _mixed_mixed_stack(rho: np.ndarray, weights: np.ndarray, grams: np.ndarray,
                        include_visibility: bool = False) -> _Table:
-    """mixed_mixed from density matrices, detector states and path unitaries:
-    C stays below its branch-average bound, and the slack is the gap 1 - C - D_Q.
-    Every entry keeps all dim spectral branches; those below the weight cutoff
-    carry weight zero and add exact zeros to the branch averages. So only the
-    weighted branches' Grams are checked, as BranchOverlaps checks the
-    branches that branch_overlaps keeps, in one batch over the stack."""
-    reduced = _density(rho * _overlap_factors(unitaries, rho_d))
-    coherence = _coherence(reduced)
-    weights, kets = _branches(rho_d)
-    grams = _branch_grams(unitaries, kets)
+    """mixed_mixed from density matrices, branch weights (k,) and branch Grams
+    (k, n, n): C stays below its branch-average bound, and the slack is the
+    gap 1 - C - D_Q. Every entry keeps all dim spectral branches; those below
+    the weight cutoff carry weight zero and add exact zeros to the reduced
+    state and the branch averages. So only the weighted branches' Grams are
+    checked, as BranchOverlaps checks the branches that branch_overlaps
+    keeps, in one batch over the stack, and before the reduced state is
+    formed from them: rho_ij sum_k r_k <d_kj|d_ki> (_overlap_average), as
+    reduce_quanton_mixed_detector forms it."""
     _check_branch_weights(weights)
     _check_branch_grams(grams, weights > 0.0)
+    reduced = _density(rho * _overlap_average(weights, grams))
+    coherence = _coherence(reduced)
     dq = _branch_distinguishability(rho.diagonal(axis1=-2, axis2=-1).real, weights, grams)
     bound_margin = _branch_coherence_bound(rho, weights, grams) - coherence
     return _tabulate("mixed_mixed", reduced, include_visibility, coherence, dq, 1.0 - coherence - dq,
@@ -475,13 +479,16 @@ def _mixed_mixed_stack(rho: np.ndarray, rho_d: np.ndarray, unitaries: np.ndarray
 def _kernel(scenario: str, quanton: np.ndarray, *detector: np.ndarray, include_visibility: bool = False) -> _Table:
     """The scenario's kernel on the arrays a campaign draws, stacked: the
     amplitudes or density matrices, then the detector vectors, or the
-    detector states and path unitaries. Detector Grams are formed here
-    (states._gram)."""
+    detector states and path unitaries. Detector Grams are formed here, by
+    states._gram: of the detector vectors, or, for mixed_mixed, of each
+    spectral branch's path kets U_i |d_k> (_branches, _path_kets), as
+    branch_overlaps forms them."""
     if scenario == "pure_pure":
         return _pure_pure_stack(_pure_reduced(quanton, *detector), quanton, _gram(*detector), include_visibility)
     if scenario == "mixed_pure":
         return _mixed_pure_stack(quanton, _gram(*detector), include_visibility)
-    return _mixed_mixed_stack(quanton, *detector, include_visibility)
+    weights, kets = _branches(detector[0])
+    return _mixed_mixed_stack(quanton, weights, _gram(_path_kets(detector[1], kets)), include_visibility)
 
 
 def _merged(tables: list[tuple[list[int], _Table]]) -> _Table:

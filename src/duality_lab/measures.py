@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .linalg import DEFAULT_TOL, _raise_first, as_matrix
-from .states import BranchOverlaps, DetectorSet, MixedQuanton, PureQuanton
+from .states import BranchOverlaps, DetectorSet, MixedQuanton, PureQuanton, _branch_average
 
 #: numerical-dust window: results may poke out of [0, 1] by at most this
 #: much before clamping turns into an error
@@ -128,14 +128,6 @@ def distinguishability_mixed_detector(q: MixedQuanton, b: BranchOverlaps) -> flo
     if b.n != q.n:
         raise ValueError(f"branch Gram size {b.n} does not match {q.n} paths")
     return _branch_distinguishability(q.path_probabilities(), b.weights, b.branch_grams)
-
-
-def _branch_average(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """sum_k r_k x_k, added in branch order k = 0, 1, ... over the last axis."""
-    total = np.zeros(weights.shape[:-1])
-    for k in range(weights.shape[-1]):
-        total = total + weights[..., k] * values[..., k]
-    return total
 
 
 def _branch_distinguishability(probs: np.ndarray, weights: np.ndarray, grams: np.ndarray):

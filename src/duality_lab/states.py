@@ -9,7 +9,8 @@ the Gram matrix G[i, j] = <d_i|d_j>, conjugate-linear in the first slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,18 +89,23 @@ class DetectorSet:
     """n normalized detector vectors, rows of an (n, dim) array.
 
     The Gram matrix gram[i, j] = <d_i|d_j> is derived, not passed in: it
-    is computed once from the validated vectors and stored read-only.
+    is formed from the validated vectors (_gram) when first read, and kept
+    read-only. The kernels form their Grams from the vectors, so `verify`
+    and evaluate_* never read it.
     """
 
     vectors: np.ndarray
-    gram: np.ndarray = field(init=False)
 
     def __post_init__(self):
         vecs = np.asarray(self.vectors, dtype=complex)
         if vecs.ndim != 2:
             raise ValueError("vectors must be an (n, dim) array")
+        _check_detector_vectors(vecs)
         object.__setattr__(self, "vectors", frozen(vecs))
-        object.__setattr__(self, "gram", frozen(_detector_gram(vecs)))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return frozen(_gram(self.vectors))
 
     @property
     def n(self) -> int:
@@ -110,20 +116,22 @@ class DetectorSet:
         return self.vectors.shape[1]
 
 
-def _detector_gram(vecs: np.ndarray) -> np.ndarray:
-    """DetectorSet's checks on vectors given from outside, finite entries and
-    unit norms, then their Gram matrix (_gram). Vectors the program builds,
-    drawn or factored, are unit by construction and go to _gram directly."""
+def _check_detector_vectors(vecs: np.ndarray) -> None:
+    """DetectorSet's checks on vectors given from outside, over stacks of
+    (n, dim) vectors: finite entries and unit norms. Vectors the program
+    builds, drawn or factored, are unit by construction and go to _gram
+    unchecked."""
     _raise_first(~np.isfinite(vecs).all(axis=(-2, -1)), ValueError,
                  lambda i: "detector vectors contain NaN or Inf entries")
     worst = np.abs(np.linalg.norm(vecs, axis=-1) - 1.0).max(axis=-1)
     _raise_first(~(worst <= DEFAULT_TOL), ValueError,
                  lambda i: f"detector vectors not normalized, worst deviation {worst[i]:.3e}")
-    return _gram(vecs)
 
 
 def _gram(vecs: np.ndarray) -> np.ndarray:
-    """The Gram matrices <d_i|d_j> over the trailing (n, dim) axes of a stack of vectors."""
+    """The Gram matrices <d_i|d_j> over the trailing (n, dim) axes of a stack of
+    vectors. Every detector Gram is formed here: a detector set's, and each
+    spectral branch's over its path kets (_path_kets)."""
     return vecs.conj() @ vecs.swapaxes(-1, -2)
 
 
@@ -176,7 +184,7 @@ class BranchOverlaps:
     branch_grams: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)  # a copy, frozen once checked
         grams = np.asarray(self.branch_grams, dtype=complex)
         if w.ndim != 1 or grams.ndim != 3 or grams.shape[0] != w.shape[0]:
             raise ValueError("weights and branch_grams shapes are inconsistent")
@@ -184,9 +192,8 @@ class BranchOverlaps:
             raise ValueError("branch Gram matrices must be square")
         _check_branch_weights(w)
         _check_branch_grams(grams)
-        wobj = np.array(w, copy=True)
-        wobj.setflags(write=False)
-        object.__setattr__(self, "weights", wobj)
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "branch_grams", frozen(grams))
 
     @property
@@ -276,20 +283,18 @@ def reduce_quanton(joint, n: int, dim: int) -> MixedQuanton:
 
 
 def reduce_quanton_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction) -> MixedQuanton:
-    """Reduced quanton state for a mixed detector, entries rho_ij Tr(U_i rho_d U_j^dag)."""
+    """Reduced quanton state for a mixed detector, entries
+    rho_ij Tr(U_i rho_d U_j^dag) = rho_ij sum_k r_k <d_kj|d_ki>, the weighted
+    sum (_overlap_average) over the branches and Grams of branch_overlaps."""
     if q.n != m.n:
         raise ValueError(f"path count mismatch: quanton has {q.n}, interaction has {m.n}")
-    return MixedQuanton(rho=validate_density(q.rho.matrix * _overlap_factors(m.unitaries, m.rho_d.matrix)))
-
-
-def _overlap_factors(unitaries: np.ndarray, rho_d: np.ndarray) -> np.ndarray:
-    """Tr(U_i rho_d U_j^dag) over stacks of (n, dim, dim) unitaries and (dim, dim) states."""
-    moved = unitaries @ rho_d[..., None, :, :]
-    return np.einsum("...iab,...jab->...ij", moved, unitaries.conj())
+    b = branch_overlaps(m)
+    return MixedQuanton(rho=validate_density(q.rho.matrix * _overlap_average(b.weights, b.branch_grams)))
 
 
 def branch_overlaps(m: MixedDetectorInteraction) -> BranchOverlaps:
-    """Spectral branches of rho_d and the Gram matrix of {U_i |d_k>} per branch.
+    """Spectral branches of rho_d and the Gram matrix (_gram) of the path kets
+    {U_i |d_k>} (_path_kets) per branch.
 
     Branches with weight below BRANCH_WEIGHT_CUTOFF are dropped; they
     carry no probability and their Gram matrices are numerically
@@ -297,14 +302,32 @@ def branch_overlaps(m: MixedDetectorInteraction) -> BranchOverlaps:
     """
     weights, kets = _branches(m.rho_d.matrix)
     kept = weights > 0.0
-    return BranchOverlaps(weights=weights[kept], branch_grams=_branch_grams(m.unitaries, kets[kept]))
+    # the path kets of all dim branches, the product the kernel forms, so the kept ones round as the kernel's do
+    return BranchOverlaps(weights=weights[kept], branch_grams=_gram(_path_kets(m.unitaries, kets)[kept]))
 
 
-def _branch_grams(unitaries: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Gram matrices <d_ki|d_kj> with |d_ki> = U_i |d_k>, over stacks of
-    (n, dim, dim) unitaries and (k, dim) branch kets."""
-    moved = np.einsum("...iab,...kb->...kia", unitaries, kets)
-    return np.einsum("...kia,...kja->...kij", moved.conj(), moved)
+def _path_kets(unitaries: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """The path kets U_i |d_k>, (..., k, n, dim), over stacks of (n, dim, dim)
+    unitaries and (k, dim) branch kets: one product per stack entry, of the
+    ket rows with the unitaries' (i, a) rows, so the kets come out
+    C-contiguous for _gram."""
+    rows = unitaries.reshape(*unitaries.shape[:-3], -1, unitaries.shape[-1])
+    return (kets @ rows.swapaxes(-1, -2)).reshape(*kets.shape[:-1], *unitaries.shape[-3:-1])
+
+
+def _branch_average(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_k r_k x_k, added in branch order k = 0, 1, ... over the last axis."""
+    total = np.zeros(weights.shape[:-1])
+    for k in range(weights.shape[-1]):
+        total = total + weights[..., k] * values[..., k]
+    return total
+
+
+def _overlap_average(weights: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """The reduced state's factor Tr(U_i rho_d U_j^dag) = sum_k r_k <d_kj|d_ki>
+    (_branch_average), over stacks of (k,) branch weights and (k, n, n)
+    branch Grams. A branch of weight zero adds exact zeros."""
+    return _branch_average(weights[..., None, None, :], np.moveaxis(grams, -3, -1)).swapaxes(-1, -2)
 
 
 def _branches(rho_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

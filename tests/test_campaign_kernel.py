@@ -598,7 +598,7 @@ def test_stacked_kernel_checks_the_grams_branch_overlaps_checks(monkeypatch):
     rho = np.stack([quanton.rho.matrix for quanton, _ in instances])
     rho_d = np.stack([detector.rho_d.matrix for _, detector in instances])
     unitaries = np.stack([detector.unitaries for _, detector in instances])
-    table = duality._mixed_mixed_stack(rho, rho_d, unitaries)
+    table = duality._kernel("mixed_mixed", rho, rho_d, unitaries)
     branches = [branch_overlaps(detector) for _, detector in instances]
     assert [len(b.weights) for b in branches[:5]] == [3, 1, 3, 1, 3]
     (grams,) = seen
@@ -618,19 +618,19 @@ def _poison_branch_grams(monkeypatch, poison):
     """Make the kernel's branch Grams `poison(grams, weights)`, which edits the
     (trial, branch, n, n) Grams of a stack in place, given their weights."""
     seen = {}
-    branches, branch_grams = duality._branches, duality._branch_grams
+    branches, gram = duality._branches, duality._gram
 
     def recording(rho_d):
         seen["weights"], kets = branches(rho_d)
         return seen["weights"], kets
 
-    def poisoned(unitaries, kets):
-        grams = branch_grams(unitaries, kets)
+    def poisoned(path_kets):
+        grams = gram(path_kets)
         poison(grams, seen["weights"])
         return grams
 
     monkeypatch.setattr(duality, "_branches", recording)
-    monkeypatch.setattr(duality, "_branch_grams", poisoned)
+    monkeypatch.setattr(duality, "_gram", poisoned)
 
 
 @pytest.mark.parametrize("fault", GRAM_FAULTS)

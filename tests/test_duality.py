@@ -5,20 +5,24 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duality_lab import duality
 from duality_lab import random as lab_random
 from duality_lab.cli import main
 from duality_lab.duality import (
     SCENARIOS,
+    VISIBILITY_MAX_PATHS,
     evaluate_mixed,
     evaluate_mixed_detector,
     evaluate_pure,
     run_campaign,
     sweep_overlap,
 )
-from duality_lab.interference import symmetric_detectors
+from duality_lab.interference import scan_visibility, symmetric_detectors
 from duality_lab.linalg import validate_density
+from duality_lab.measures import coherence_normalized, distinguishability_mixed, mixed_duality_slack
 from duality_lab.random import (
     haar_unitary,
     random_density,
@@ -33,6 +37,9 @@ from duality_lab.states import (
     MixedQuanton,
     PureQuanton,
     induced_detectors,
+    joint_mixed,
+    reduce_quanton,
+    reduce_quanton_mixed_detector,
 )
 
 
@@ -176,6 +183,39 @@ def test_evaluate_mixed_detector_campaign_sample():
         assert report.relation_residuals["duality_sum"] <= 1e-9
         assert report.relation_residuals["coherence_bound_margin"] >= -1e-10
         assert report.passed
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mixed_mixed_equals_the_partial_trace_of_its_purification(data):
+    """Purify the detector state: |D_i> = sum_k sqrt(r_k) U_i|d_k> (x) |k>, from
+    this test's own eigh of rho_d. mixed_mixed is then mixed_pure in a dim^2
+    space, whose joint state is formed and traced here. The reduced state and
+    C equal that partial trace's, and the gap splits exactly: 1 - C - D' =
+    (D_pur - D') + slack_pur, with D_pur >= D' by the triangle inequality over
+    the branches and slack_pur >= 0. The reduced state is the kernel's one
+    product from the branch Grams, so this is its independent check."""
+    n = data.draw(st.integers(2, 8), label="n")
+    dim = data.draw(st.integers(1, 8), label="dim")  # n dim^2 <= 512, within MAX_COMPOSITE_DIM
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    q = random_density(n, data.draw(st.integers(1, n), label="rank"), rng)
+    m = MixedDetectorInteraction(rho_d=random_density_matrix(dim, data.draw(st.integers(1, dim), label="detector rank"),
+                                                             rng),
+                                 unitaries=np.stack([haar_unitary(dim, rng) for _ in range(n)]))
+    r, kets = np.linalg.eigh(m.rho_d.matrix)
+    purified = DetectorSet(np.einsum("k,iab,bk->iak", np.sqrt(np.clip(r, 0.0, None)), m.unitaries, kets)
+                           .reshape(n, dim * dim))
+    traced = reduce_quanton(joint_mixed(q, purified), n, dim * dim)
+    reduced = reduce_quanton_mixed_detector(q, m)
+    assert np.abs(reduced.rho.matrix - traced.rho.matrix).max() <= 1e-14
+    report = evaluate_mixed_detector(q, m, include_visibility=n <= VISIBILITY_MAX_PATHS)
+    assert abs(report.coherence - coherence_normalized(traced.rho)) <= 1e-14
+    d_pur = distinguishability_mixed(q, purified.gram)
+    above_d, slack_pur = d_pur - report.distinguishability, mixed_duality_slack(q, purified.gram)
+    assert abs(report.slack - (above_d + slack_pur)) <= 1e-14
+    assert above_d >= -1e-14 and slack_pur >= -1e-14
+    if n <= VISIBILITY_MAX_PATHS:
+        assert abs(report.visibility - scan_visibility(traced).visibility) <= 1e-14
 
 
 # --------------------------------------------------------------- sweep_overlap

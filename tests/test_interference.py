@@ -21,7 +21,15 @@ from duality_lab.interference import (
 )
 from duality_lab.linalg import DensityMatrix, _gram_factors, gram_factor_vectors, validate_density
 from duality_lab.random import random_detectors, uniform_overlap_detectors
-from duality_lab.states import DetectorSet, MixedQuanton, PureQuanton, _detector_gram, entangle_pure, reduce_quanton
+from duality_lab.states import (
+    DetectorSet,
+    MixedQuanton,
+    PureQuanton,
+    _check_detector_vectors,
+    _gram,
+    entangle_pure,
+    reduce_quanton,
+)
 
 
 def _equal_pure(n):
@@ -375,7 +383,8 @@ def test_stacked_uniform_overlap_family_equals_its_detector_sets(n):
     for gammas in grids:
         grams = _uniform_overlap_grams(n, gammas)
         vectors = _gram_factors(grams)
-        stacked_grams = _detector_gram(vectors)
+        _check_detector_vectors(vectors)
+        stacked_grams = _gram(vectors)
         for k, gamma in enumerate(gammas):
             assert (grams[k] == uniform_overlap_gram(n, gamma)).all()
             d = DetectorSet(gram_factor_vectors(uniform_overlap_gram(n, gamma)))
@@ -389,7 +398,7 @@ def test_factored_sweep_vectors_pass_the_checks_a_sweep_skips(n, gammas):
     and 1 and on any grid they pass DetectorSet's checks, each norm within
     1e-13 of one, 1000 times inside the checks' tolerance of 1e-10."""
     vectors = _gram_factors(_uniform_overlap_grams(n, sorted([0.0, 0.5, 1.0, *gammas])))
-    _detector_gram(vectors)
+    _check_detector_vectors(vectors)
     assert np.abs(np.linalg.norm(vectors, axis=-1) - 1.0).max() <= 1e-13
 
 

@@ -28,7 +28,7 @@ from duality_lab.random import (
     stream,
     uniform_overlap_detectors,
 )
-from duality_lab.states import PureQuanton, _check_normalized, _check_unitaries, _detector_gram
+from duality_lab.states import PureQuanton, _check_detector_vectors, _check_normalized, _check_unitaries
 
 
 def test_random_pure_normalized():
@@ -68,6 +68,33 @@ def test_stacked_haar_unitaries_have_haar_trace_moments(d):
     u = lab_random._haar(lab_random._path_gaussians(np.random.default_rng([81, d]).standard_normal((4000, 2, d, d))))
     assert abs(_z(np.abs(np.trace(u, axis1=-2, axis2=-1)) ** 2, 1.0)) <= 4
     assert abs(_z(np.abs(np.trace(u @ u, axis1=-2, axis2=-1)) ** 2, min(2, d))) <= 4
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_stacked_ginibre_states_have_induced_purity(d):
+    """E Tr rho^2 = (d + r)/(d r + 1) for Ginibre states of rank r (the induced
+    measure of Zyczkowski and Sommers), over one _form_per_rank stack of 4000
+    states at each of the ranks 2 and d, mixed as a campaign mixes them; the
+    4000 rank-1 states in it are pure."""
+    rng = np.random.default_rng([82, d])
+    ranks = rng.permutation(np.repeat([1, 2, d], 4000))
+    states = lab_random._form_per_rank(rng.standard_normal((len(ranks), 2 * d * d)), ranks.tolist(), d)
+    purity = (np.abs(states) ** 2).sum(axis=(-2, -1))
+    assert np.abs(purity[ranks == 1] - 1.0).max() <= 1e-14
+    for r in (2, d):
+        assert abs(_z(purity[ranks == r], (d + r) / (d * r + 1))) <= 4, r
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_stacked_detector_vectors_have_haar_moments(dim):
+    """E|v_a|^2 = 1/dim and E|v_a|^4 = 2/(dim(dim + 1)) for each component of a
+    Haar-random unit vector, over a stack of 4000 draws of 4 vectors from
+    _unit_vectors. Real Gaussians alone would give E|v_a|^4 = 3/(dim(dim + 2))."""
+    vecs = _unit_vectors(np.random.default_rng([83, dim]).standard_normal((4000, 2, 4, dim)))
+    probs = (np.abs(vecs) ** 2).reshape(-1, dim)
+    for a in range(dim):
+        assert abs(_z(probs[:, a], 1.0 / dim)) <= 4, a
+        assert abs(_z(probs[:, a] ** 2, 2.0 / (dim * (dim + 1)))) <= 4, a
 
 
 def test_random_density_rank_one_is_pure():
@@ -114,7 +141,7 @@ def test_drawn_states_pass_the_checks_they_skip(dim):
 # skips on it, and its worst deviation from what that check asks
 _SKIPPED_CHECKS = {
     "amplitudes": (_check_normalized, lambda a: np.abs(np.sum(np.abs(a) ** 2, axis=-1) - 1.0).max()),
-    "vectors": (_detector_gram, lambda v: np.abs(np.linalg.norm(v, axis=-1) - 1.0).max()),
+    "vectors": (_check_detector_vectors, lambda v: np.abs(np.linalg.norm(v, axis=-1) - 1.0).max()),
     "state": (_density, lambda rho: np.abs(_density(rho) - rho).max()),
     "unitaries": (_check_unitaries, lambda u: np.abs(dagger(u) @ u - np.eye(u.shape[-1])).max()),
 }
