@@ -96,38 +96,38 @@ DIGESTS = {
     'campaign_mixed_mixed_n2': {
         'exit': '0',
         'stdout': '9e8163d6c4d2c0adf77b4994b6adb8a22c8081a9a220669ea345cd6f93d342c0',
-        'run.csv': '85f9b5e9b8aa9995182ac583238924d90b6f74916f4161552f5cbf97837f9207',
-        'run.json': 'f5881f69d11d998ca9969ef3f4809196a2f9943af8c44ad6a5194da5f12f215d',
+        'run.csv': '3387f84cdf943707c87e410f3370d550766e858d0f52cbd44627748d00f40598',
+        'run.json': '10f935e5617579dce800a39fce2163ca73d068bdf09172d2858526960e70d99f',
     },
     'campaign_mixed_mixed_n3': {
         'exit': '0',
         'stdout': '9e8163d6c4d2c0adf77b4994b6adb8a22c8081a9a220669ea345cd6f93d342c0',
-        'run.csv': '680040cc2a73cfa03c1bdd49d399b96f3cc17ace89b29e8c9d2eca610edbcd94',
-        'run.json': '2c1b6efaf153bbcc667230ee4900dd771dfd6c4003250876f7f16bd4b342c362',
+        'run.csv': '638206dd516b20857c15953e48f252e32b9d5b47d8441c4b4224face81492855',
+        'run.json': '77c176d0d671d02b13de573550edc28ec749467c3ed966bbe0b6eaa7a8031b86',
     },
     'campaign_mixed_mixed_n4': {
         'exit': '0',
         'stdout': '453b98328e39a18a0ed2cebb72f72788a05633797331af13bad6d0a9696defc3',
-        'run.csv': '272dbc4763f3a74fe063a22a0e4d964df7f259e6bf9ade7f0b5cc4d309af51b3',
-        'run.json': '05c40af979acf0e88a426fcac14fccad5b8642dd5cd790b532bf8666997a2421',
+        'run.csv': '237dcb61dff3fb689eca3837db956730fa86aa17653d3b2806912ba6ce7105bc',
+        'run.json': 'ac1f48ab7570ca7f1790dca680278486b961cf40a2d46f710b7de59a58ce856e',
     },
     'campaign_mixed_mixed_n4_rank1_dim3': {
         'exit': '0',
-        'stdout': '27c557510886c2ff8d1e5c576bd82d16d964214071d724bcafb0cfb4cc1ba936',
-        'run.csv': '41a9303e5fa4dfc22099249a9cd1342320d3bd55b7bf6742f004ddb343ee38af',
-        'run.json': '0de9a5b577bd450764b2711ec6e4fdaa5b593d8af31fdd2b0f5500dd248de30b',
+        'stdout': '9e8163d6c4d2c0adf77b4994b6adb8a22c8081a9a220669ea345cd6f93d342c0',
+        'run.csv': '789857942caa3bc21ce4eaeddbe30280ca05f0c706b1164ce9e0402711d072f2',
+        'run.json': '9e3182939603de1c8387fa6110be7e83a236ce2c97562448a18c08be59450980',
     },
     'campaign_mixed_mixed_n5': {
         'exit': '0',
         'stdout': 'e867acdfe19728abb0234358f10d1f7a0f98ce7313f51bc295886ead0210a220',
-        'run.csv': 'fcab927381324adc479188c9e4bcaced36de624539484090bfbbd000bada7522',
-        'run.json': '8e1d0cc68a08a375a4468023bb0766b30182082491cfe9d9a862dd8d1c8f70f5',
+        'run.csv': 'fc6a4a7e49cc7313441bc2409318f07ce4c38ee534b7739e24235ec250a4847c',
+        'run.json': 'a1e4b1075e6cab0c263750f50eddbd80149a076b6f625ad0d3f9bab1422a1a17',
     },
     'campaign_mixed_mixed_n6': {
         'exit': '0',
-        'stdout': 'e867acdfe19728abb0234358f10d1f7a0f98ce7313f51bc295886ead0210a220',
-        'run.csv': 'ba2f67b20a438184c496b8601752d8e37297105f6c2c644cc47cedcc16729d4c',
-        'run.json': 'e0e0149bf9fed59e471a6ce1939d12c047d0d5481786d5332b4df25367a29853',
+        'stdout': '9e8163d6c4d2c0adf77b4994b6adb8a22c8081a9a220669ea345cd6f93d342c0',
+        'run.csv': '04a3bfcd29c0dec9f346b1bce757d27714295cfc5c0b666770571fe4e8e7f35f',
+        'run.json': '81690bf3ddf86f59ffc044858751dedaf4895a591fb196f5c3a77c6d3ec41285',
     },
     'campaign_mixed_pure_n2': {
         'exit': '0',
@@ -254,12 +254,12 @@ DIGESTS = {
     'verify_mixed_mixed_csv': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': '27a1d7f9e851343a638014cf64b96dc5e46194cc2ec3d1fa19c39d345290cbc3',
+        'report': '3466aa2c1eb0bb1a2102e722b864d7bae609f97c8aef22ebb422def2a8c999c2',
     },
     'verify_mixed_mixed_json': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': 'a6678f1813fb0f9a10b239c2fc3caa43a1ba5e6623fedfb1cbfd6951b2bf6d92',
+        'report': '28cd83188655ce3414437d2ce629888dd3abb58c8a6fcc050fc566688237c44d',
     },
     'verify_mixed_pure_csv': {
         'exit': '0',
