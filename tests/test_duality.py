@@ -199,8 +199,8 @@ def test_mixed_mixed_equals_the_partial_trace_of_its_purification(data):
     dim = data.draw(st.integers(1, 8), label="dim")  # n dim^2 <= 512, within MAX_COMPOSITE_DIM
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     q = random_density(n, data.draw(st.integers(1, n), label="rank"), rng)
-    m = MixedDetectorInteraction(rho_d=random_density_matrix(dim, data.draw(st.integers(1, dim), label="detector rank"),
-                                                             rng),
+    detector_rank = data.draw(st.integers(1, dim), label="detector rank")
+    m = MixedDetectorInteraction(rho_d=random_density_matrix(dim, detector_rank, rng),
                                  unitaries=np.stack([haar_unitary(dim, rng) for _ in range(n)]))
     r, kets = np.linalg.eigh(m.rho_d.matrix)
     purified = DetectorSet(np.einsum("k,iab,bk->iak", np.sqrt(np.clip(r, 0.0, None)), m.unitaries, kets)
