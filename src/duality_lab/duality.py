@@ -70,7 +70,6 @@ from .states import (
     _check_composite,
     _gram,
     _overlap_average,
-    _path_kets,
 )
 
 TOLERANCE = 1e-9
@@ -195,10 +194,10 @@ def evaluate_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction,
 
 
 def _stack_of_one(d: DetectorSet | MixedDetectorInteraction) -> tuple[np.ndarray, ...]:
-    """A detector set's vectors, or an interaction's detector state and
-    unitaries, as a stack of one."""
+    """A detector set's vectors, or an interaction's spectral branch weights
+    and path kets U_i|d_k> (_branches), as a stack of one."""
     if isinstance(d, MixedDetectorInteraction):
-        return d.rho_d.matrix[None], d.unitaries[None]
+        return tuple(array[None] for array in _branches(d))
     return (d.vectors[None],)
 
 
@@ -206,13 +205,13 @@ def _instance_table(q: PureQuanton | MixedQuanton, include_visibility: bool, *de
     """The one entry from a quanton to _kernel, over a stack of detectors given
     as arrays, checked by their constructors or, for a sweep's factored
     vectors, final by construction: pure detectors as their (k, n, dim)
-    vectors, interactions as their (k, dim, dim) detector states and
-    (k, n, dim, dim) unitaries. evaluate_* and `verify` pass a stack of one
+    vectors, interactions as their (k, dim) branch weights and
+    (k, dim, n, dim) path kets. evaluate_* and `verify` pass a stack of one
     (_stack_of_one), _sweep_table the vectors of all its gammas. The quanton
     broadcasts over the stack; the arrays given and the quanton's type pick
     the scenario."""
     scenario = "mixed_mixed" if len(detector) == 2 else "pure_pure" if isinstance(q, PureQuanton) else "mixed_pure"
-    n = detector[-1].shape[-3 if scenario == "mixed_mixed" else -2]
+    n = detector[-1].shape[-2]
     if q.n != n:
         other = "interaction has" if scenario == "mixed_mixed" else "detectors have"
         raise ValueError(f"path count mismatch: quanton has {q.n}, {other} {n}")
@@ -460,8 +459,9 @@ def _mixed_mixed_stack(rho: np.ndarray, weights: np.ndarray, grams: np.ndarray,
     """mixed_mixed from density matrices, branch weights (k,) and branch Grams
     (k, n, n): C stays below its branch-average bound, and the slack is the
     gap 1 - C - D_Q. Every entry keeps all dim spectral branches; those below
-    the weight cutoff carry weight zero and add exact zeros to the reduced
-    state and the branch averages. So only the weighted branches' Grams are
+    the weight cutoff, and a drawn detector's branches past its rank, carry
+    weight zero and add exact zeros to the reduced state and the branch
+    averages. So only the weighted branches' Grams are
     checked, as BranchOverlaps checks the branches that branch_overlaps
     keeps, in one batch over the stack, and before the reduced state is
     formed from them: rho_ij sum_k r_k <d_kj|d_ki> (_overlap_average), as
@@ -478,17 +478,16 @@ def _mixed_mixed_stack(rho: np.ndarray, weights: np.ndarray, grams: np.ndarray,
 
 def _kernel(scenario: str, quanton: np.ndarray, *detector: np.ndarray, include_visibility: bool = False) -> _Table:
     """The scenario's kernel on the arrays a campaign draws, stacked: the
-    amplitudes or density matrices, then the detector vectors, or the
-    detector states and path unitaries. Detector Grams are formed here, by
-    states._gram: of the detector vectors, or, for mixed_mixed, of each
-    spectral branch's path kets U_i |d_k> (_branches, _path_kets), as
-    branch_overlaps forms them."""
+    amplitudes or density matrices, then the detector vectors, or the branch
+    weights (k, dim) and path kets U_i|d_k> (k, dim, n, dim). Detector Grams
+    are formed here, by states._gram: of the detector vectors, or, for
+    mixed_mixed, of each spectral branch's path kets, as branch_overlaps
+    forms them."""
     if scenario == "pure_pure":
         return _pure_pure_stack(_pure_reduced(quanton, *detector), quanton, _gram(*detector), include_visibility)
     if scenario == "mixed_pure":
         return _mixed_pure_stack(quanton, _gram(*detector), include_visibility)
-    weights, kets = _branches(detector[0])
-    return _mixed_mixed_stack(quanton, weights, _gram(_path_kets(detector[1], kets)), include_visibility)
+    return _mixed_mixed_stack(quanton, detector[0], _gram(detector[1]), include_visibility)
 
 
 def _merged(tables: list[tuple[list[int], _Table]]) -> _Table:
@@ -532,7 +531,8 @@ def run_campaign(scenario: str, trials: int, seed: int,
     dimension of `detector_dim` or 2 max(n), must fit: pure_pure's composite
     dimension and one trial's arrays. So whether a campaign fits does not
     depend on the seed. The drawn arrays are final by construction: unit
-    amplitudes and vectors, PSD unit-trace states and Haar unitaries. Their
+    amplitudes and vectors, PSD unit-trace states, and mixed detectors as
+    branch weights that sum to one and the columns of Haar isometries. Their
     one check is for NaN or Inf entries, a plain ValueError; the kernels
     check what they derive. A check that fails on the draws raises its usual
     ValueError, prefixed with "trial k: " for the first trial of its stack

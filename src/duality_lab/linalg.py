@@ -138,8 +138,9 @@ class DensityMatrix:
     """A Hermitian, unit-trace matrix, PSD to rounding; the stored array is read-only.
 
     validate_density checks user input and stores it hermitized, clamped if
-    needed and renormalized. Drawn Ginibre states (random._ginibre) are PSD by
-    construction and unclamped: their lowest eigenvalue may be -4e-16 or so.
+    needed and renormalized. Drawn Ginibre states (random._normalized_gram)
+    are PSD by construction and unclamped: their lowest eigenvalue may be
+    -4e-16 or so.
     """
 
     matrix: np.ndarray

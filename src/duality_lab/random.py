@@ -14,12 +14,22 @@ stack with one row of raw reals per trial, in the regions `_trial_widths`
 gives, assembled over the stack with the helpers that the public random_*
 generators run on a single instance.
 
+A mixed detector is drawn in its rank factor (_detector_branches): the
+detector enters only through U_i rho_d U_j^dag = Q_i S^2 Q_j^dag, with
+rho_d = V S^2 V^dag over its r nonzero weights and Q_i = U_i V. For Haar U_i,
+each Q_i is an independent Haar dim x r isometry by left invariance
+(Mezzadri, Notices AMS 54, 592 (2007)). So a trial draws r, the Gaussians
+of its Ginibre factor G and of n isometries, and takes the branch weights
+from G's singular values and the path kets from the isometries' columns;
+no dim x dim unitary, no rho_d and no eigensolver is formed.
+
 What this module builds is final by construction: amplitudes and detector
 vectors are divided by their norms, Ginibre states are hermitized and
-divided by their real trace (PSD with unit trace), and Haar unitaries come
-from a QR factor. The public generators wrap them in the per-object types,
-whose constructors check vectors and unitaries as they check any input and
-take drawn states as DensityMatrix unchecked; a campaign checks the arrays
+divided by their real trace (PSD with unit trace), branch weights are
+divided by their sum, and Haar unitaries and isometries come from a QR
+factor. The public generators wrap them in the per-object types, whose
+constructors check vectors and unitaries as they check any input and take
+drawn states as DensityMatrix unchecked; a campaign checks the arrays
 `_stacks` yields only for NaN or Inf entries (duality.run_campaign).
 """
 
@@ -31,7 +41,7 @@ import numpy as np
 
 from .interference import symmetric_detectors
 from .linalg import DensityMatrix, dagger, frozen
-from .states import DetectorSet, MixedDetectorInteraction, MixedQuanton, PureQuanton
+from .states import DetectorSet, MixedDetectorInteraction, MixedQuanton, PureQuanton, _weighted
 
 # SeedSequence's hash constants (numpy.random.bit_generator) and its pool size
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -46,10 +56,10 @@ _STATES_PER_BLOCK = 4096
 #: bytes of raw draws at which a campaign draws and evaluates an (n, dim)
 #: group of waiting trials as one stack, which caps the stacks and their
 #: temporaries; a waiting trial holds only its generator position. A
-#: mixed_mixed trial at n = 6 draws about 10 kB, its detector Gaussians
-#: waiting in its row of the detector states, and its stack needs about five
-#: times that while it runs (QR copies, rotated branch kets, the weighted
-#: branch Grams gathered for their check).
+#: mixed_mixed trial at n = 6 holds a row of up to 16.7 kB (dim = 12), of
+#: which its detector rank fills on average a little over half, and its
+#: stack needs about five times its rows while it runs (QR copies, the
+#: zero-padded path kets, the weighted branch Grams gathered for their check).
 #: On 1000-trial campaigns, against a 64 KiB budget with drawn trials waiting,
 #: peak RSS stayed flat at 128 KiB and rose 0.7-0.9 MB at 256 KiB and 2.6 MB at
 #: 512 KiB.
@@ -181,11 +191,6 @@ def _unit_vectors(raw: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _path_gaussians(raw: np.ndarray) -> np.ndarray:
-    """The complex Gaussian matrices that _haar turns into unitaries, from raw (..., 2, dim, dim)."""
-    return _complex(raw) / np.sqrt(2.0)
-
-
 def _normalized_gram(g: np.ndarray) -> np.ndarray:
     """Ginibre states G G^dag / Tr(G G^dag) over the trailing axes of complex G,
     hermitized and divided by the real trace as linalg._density ends. PSD with
@@ -197,44 +202,68 @@ def _normalized_gram(g: np.ndarray) -> np.ndarray:
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _ginibre(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    """The Ginibre state G G^dag / Tr(G G^dag) with G of shape (dim, rank), unchecked."""
-    return _normalized_gram(_complex(rng.standard_normal((2, dim, rank))))
-
-
 def _detector_rank(dim: int, rng: np.random.Generator) -> int:
     """A Ginibre detector state's rank, drawn uniformly from 1..dim."""
     return int(rng.integers(1, dim, endpoint=True))
+
+
+def _of_rank(ranks: Sequence[int]) -> dict[int, np.ndarray]:
+    """The stack entries of each rank in `ranks`: each batched step over a
+    stack of drawn ranks runs once per rank, on that rank's entries."""
+    # not np.unique: numpy 2.4's first np.unique call in a process raises its
+    # peak RSS by 1.4-1.7 MB
+    return {rank: np.array([i for i, r in enumerate(ranks) if r == rank]) for rank in set(ranks)}
 
 
 def _form_per_rank(gaussians: np.ndarray, ranks: Sequence[int], dim: int) -> np.ndarray:
     """A (k, dim, dim) stack of Ginibre states: entry i is G G^dag / Tr(G G^dag)
     for the (dim, ranks[i]) G whose raw Gaussians are the first 2 dim ranks[i]
     reals of row i of `gaussians`. One batched _normalized_gram forms the
-    states of each rank, which is _ginibre's product on each of them bit for
-    bit."""
+    states of each rank (_of_rank), which is random_density_matrix's product on each of
+    them bit for bit."""
     states = np.empty((len(gaussians), dim, dim), dtype=complex)
-    # a dict, not np.unique: numpy 2.4's first np.unique call in a process
-    # raises its peak RSS by 1.4-1.7 MB
-    of_rank: dict[int, list[int]] = {}
-    for i, rank in enumerate(ranks):
-        of_rank.setdefault(rank, []).append(i)
-    for rank, entries in of_rank.items():
+    for rank, entries in _of_rank(ranks).items():
         states[entries] = _normalized_gram(_complex(gaussians[entries, :2 * dim * rank].reshape(-1, 2, dim, rank)))
     return states
 
 
 def _haar(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from complex Gaussian matrices, over the trailing axes.
+    """Haar unitaries, or Haar isometries, from complex Gaussian matrices of
+    shape (..., dim, r) with r <= dim: the Q of their thin QR.
 
-    The R factor's diagonal phases are absorbed into Q, which both fixes
-    the QR gauge (making the draw genuinely Haar) and makes the result a
-    deterministic function of the seed.
+    The R factor's diagonal phases are absorbed into Q's r columns, which
+    both fixes the QR gauge (making the draw genuinely Haar) and makes the
+    result a deterministic function of the seed.
     """
     q, r = np.linalg.qr(z)
     d = r.diagonal(axis1=-2, axis2=-1)
     q *= (d / np.abs(d))[..., None, :]
     return q
+
+
+def _detector_branches(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A mixed detector's spectral branches in its rank factor, from raw
+    Gaussians (..., n + 1, dim, r, 2), each complex entry's real and
+    imaginary parts side by side, so the complex matrices are a view of
+    them: the weights (..., r), the squared singular values of the first
+    matrix, the Ginibre factor G, divided by their sum, with
+    states._weighted's cutoff; and the n path isometries Q_i = U_i V
+    (..., n, dim, r), Haar (_haar) from the rest, whose column k is the path
+    ket U_i|d_k> of weight k. The weights are rho_d's spectrum, descending
+    as states._branches orders it, and the isometries are independent of
+    them, as U_i V is of V.
+
+    svd raises on a NaN or Inf entry. So a G that holds one is factored
+    with those entries set to 1 and gets NaN weights, which
+    run_campaign's drawn-array check names by trial."""
+    z = raw.view(complex)[..., 0]
+    g = z[..., 0, :, :]
+    try:
+        s = np.linalg.svd(g, compute_uv=False) ** 2
+    except np.linalg.LinAlgError:
+        finite = np.isfinite(g).all(axis=(-2, -1))[..., None]
+        s = np.where(finite, np.linalg.svd(np.where(np.isfinite(g), g, 1.0), compute_uv=False) ** 2, np.nan)
+    return _weighted(s / s.sum(axis=-1, keepdims=True)), _haar(z[..., 1:, :, :])
 
 
 def _draw_shape(rng: np.random.Generator, n_choices, detector_dim: int | None) -> tuple[int, int]:
@@ -264,19 +293,20 @@ def _trial_shapes(seed: int, trials: int, n_choices: Sequence[int],
             yield (n, dim), position
 
 
-def _trial_widths(scenario: str, n: int, dim: int) -> tuple[int, int, int]:
-    """The reals of the three regions of a trial's row of an (n, dim) group's
-    stack, in draw order: the quanton's Ginibre Gaussians, the detector
-    state's, and the Gaussian block, which holds the amplitudes' (2, n) and
-    the detector vectors' (2, n, dim) for pure_pure, the detector vectors'
-    for mixed_pure and the path unitaries' (n, 2, dim, dim) for mixed_mixed.
-    A Ginibre region holds the Gaussians of the largest rank, so the widths
-    do not depend on the ranks drawn."""
+def _trial_widths(scenario: str, n: int, dim: int) -> tuple[int, int]:
+    """The reals of the two regions of a trial's row of an (n, dim) group's
+    stack, in draw order: the quanton's Ginibre Gaussians, and the Gaussian
+    block, which holds the amplitudes' (2, n) and the detector vectors'
+    (2, n, dim) for pure_pure, the detector vectors' for mixed_pure, and for
+    mixed_mixed the (n + 1, dim, r, 2) of the detector state's Ginibre factor
+    and its n path isometries (_detector_branches). Each region holds the
+    Gaussians of the largest rank, r = n for the quanton and r = dim for the
+    detector, so the widths do not depend on the ranks drawn."""
     if scenario == "pure_pure":
-        return 0, 0, 2 * n * (1 + dim)
+        return 0, 2 * n * (1 + dim)
     if scenario == "mixed_pure":
-        return 2 * n * n, 0, 2 * n * dim
-    return 2 * n * n, 2 * dim * dim, 2 * n * dim * dim
+        return 2 * n * n, 2 * n * dim
+    return 2 * n * n, 2 * (n + 1) * dim * dim
 
 
 def _trial_bytes(scenario: str, n: int, dim: int) -> int:
@@ -296,38 +326,40 @@ def _empty_stack(scenario: str, n: int, dim: int, trials: int) -> np.ndarray:
 
 
 def _draw_row(scenario: str, rng: np.random.Generator, row: np.ndarray, quanton_reals: int,
-              dim: int, starts: tuple[int, int]) -> int | None:
+              dim: int, block: int) -> int | None:
     """Draw what a trial draws after its shape and quanton rank into `row`,
-    its row of the stack, whose detector-state region and Gaussian block
-    begin at `starts`: the quanton's `quanton_reals` Ginibre Gaussians; for
-    mixed_mixed the detector state's rank (_detector_rank) and its 2 dim rank
-    Ginibre Gaussians; then the Gaussian block. Each region's draws fill its
-    first reals. Returns the detector state's rank, or None."""
-    detector, block = starts
+    its row of the stack, whose Gaussian block begins at `block`: the
+    quanton's `quanton_reals` Ginibre Gaussians; for mixed_mixed the detector
+    state's rank r (_detector_rank); then the Gaussian block, of which
+    mixed_mixed's detector fills r / dim. Each region's draws fill its first
+    reals. Returns the detector state's rank, or None."""
     if scenario != "pure_pure":
         rng.standard_normal(out=row[:quanton_reals])
     detector_rank = None
     if scenario == "mixed_mixed":
         detector_rank = _detector_rank(dim, rng)
-        rng.standard_normal(out=row[detector:detector + 2 * dim * detector_rank])
+        row = row[:block + (len(row) - block) // dim * detector_rank]
     rng.standard_normal(out=row[block:])
     return detector_rank
 
 
 def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.random.Generator,
                 positions: Sequence[tuple[int, int, int, int]]) -> tuple[np.ndarray, ...]:
-    """The arrays that the random_* generators would wrap (amplitudes and
-    detector vectors; the quanton state and detector vectors; or the quanton
-    state, detector state and path unitaries) over a stack of trials of one
-    (n, dim) group, final by construction, from each trial's position after
-    its shape (see _trial_shapes). A mixed trial's quanton rank is `rank`, or
-    else its next draw (_bounded); `rng` is then set once to where the trial
-    stands (_resume), the rest of the trial is drawn into its row of one
-    stack of reals (_draw_row), and the regions of the rows are assembled
-    over the whole stack. A real beyond a region's draws is never read."""
+    """The arrays that duality._kernel takes (amplitudes and detector vectors;
+    the quanton state and detector vectors; or the quanton state, branch
+    weights (k, dim) and path kets (k, dim, n, dim)) over a stack of trials
+    of one (n, dim) group, final by construction, from each trial's position
+    after its shape (see _trial_shapes). A mixed trial's quanton rank is
+    `rank`, or else its next draw (_bounded); `rng` is then set once to where
+    the trial stands (_resume), the rest of the trial is drawn into its row
+    of one stack of reals (_draw_row), and the regions of the rows are
+    assembled over the whole stack, the quanton states and a mixed
+    detector's branches once per rank drawn (_of_rank). A mixed_mixed
+    trial's r branches (_detector_branches) are padded to dim with branches
+    of weight zero and zero kets. A real beyond a region's draws is never
+    read."""
     stack = _empty_stack(scenario, n, dim, len(positions))
-    quanton, detector, _ = _trial_widths(scenario, n, dim)
-    starts = quanton, quanton + detector
+    quanton, _ = _trial_widths(scenario, n, dim)
     ranks = [rank] * len(positions)
     if scenario != "pure_pure" and rank is None:
         draws = [_bounded(n - 1, position) for position in positions]
@@ -335,8 +367,8 @@ def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.rando
     detector_ranks = []
     for position, row, r in zip(positions, stack, ranks):
         _resume(rng, position)
-        detector_ranks.append(_draw_row(scenario, rng, row, 2 * n * (r or 0), dim, starts))
-    block = stack[:, starts[1]:]
+        detector_ranks.append(_draw_row(scenario, rng, row, 2 * n * (r or 0), dim, quanton))
+    block = stack[:, quanton:]
     # a NaN in a raw block spreads through the assembly unwarned, and the
     # checks after it reject it and name its trial
     with np.errstate(invalid="ignore"):
@@ -346,8 +378,12 @@ def _draw_stack(scenario: str, n: int, dim: int, rank: int | None, rng: np.rando
         rho = _form_per_rank(stack[:, :quanton], ranks, n)
         if scenario == "mixed_pure":
             return rho, _unit_vectors(block.reshape(-1, 2, n, dim))
-        rho_d = _form_per_rank(stack[:, quanton:starts[1]], detector_ranks, dim)
-        return rho, rho_d, _haar(_path_gaussians(block.reshape(-1, n, 2, dim, dim)))
+        weights, kets = np.zeros((len(positions), dim)), np.zeros((len(positions), dim, n, dim), dtype=complex)
+        isometries = kets.transpose(0, 2, 3, 1)  # path i's isometry has the kets U_i|d_k> as its columns
+        for r, entries in _of_rank(detector_ranks).items():
+            raw = block[entries, :2 * (n + 1) * dim * r].reshape(-1, n + 1, dim, r, 2)
+            weights[entries, :r], isometries[entries, ..., :r] = _detector_branches(raw)
+        return rho, weights, kets
 
 
 def _stacks(scenario: str, seed: int, trials: int, n_choices: Sequence[int], detector_dim: int | None,
@@ -390,7 +426,7 @@ def random_density_matrix(dim: int, rank: int, seed) -> DensityMatrix:
     PSD with unit trace by construction and given no spectral check."""
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must lie in 1..{dim}, got {rank}")
-    return DensityMatrix(frozen(_ginibre(dim, rank, _as_rng(seed))))
+    return DensityMatrix(frozen(_normalized_gram(_complex(_as_rng(seed).standard_normal((2, dim, rank))))))
 
 
 def random_density(n: int, rank: int, seed) -> MixedQuanton:
@@ -425,19 +461,26 @@ def uniform_overlap_detectors(n: int, gamma: float, dim: int, seed) -> DetectorS
 
 
 def random_mixed_detector(n: int, dim: int, seed) -> MixedDetectorInteraction:
-    """Mixed detector for n paths: a Ginibre detector state whose rank is
-    drawn uniformly from 1..dim and built as random_density_matrix builds
-    its state, then n Haar-random path unitaries, drawn in that order."""
+    """Mixed detector for n paths, drawn as a campaign trial draws it: the
+    detector state's rank r, uniform over 1..dim, then the Gaussians of its
+    (dim, r) Ginibre factor and of n (dim, r) path isometries, whose weights
+    and isometries _detector_branches forms. The detector state is the
+    diagonal of the weights, the spectrum of a rank-r Ginibre state, and
+    U_i is isometry i completed by an orthonormal basis of its complement
+    (a QR of it), so each U_i rho_d U_j^dag is distributed as for a Ginibre
+    state and Haar unitaries; the spectral branches that states._branches
+    takes from it are the drawn ones, bit for bit."""
     if dim < 1:
         raise ValueError("detector dimension must be >= 1")
     rng = _as_rng(seed)
-    rho_d = DensityMatrix(frozen(_ginibre(dim, _detector_rank(dim, rng), rng)))
-    raw = rng.standard_normal((n, 2, dim, dim))
-    return MixedDetectorInteraction(rho_d=rho_d, unitaries=_haar(_path_gaussians(raw)))
+    weights, isometries = _detector_branches(rng.standard_normal((n + 1, dim, _detector_rank(dim, rng), 2)))
+    complement = np.linalg.qr(isometries, mode="complete")[0][..., len(weights):]
+    rho_d = DensityMatrix(frozen(np.diag(np.pad(weights, (0, dim - len(weights)))).astype(complex)))
+    return MixedDetectorInteraction(rho_d=rho_d, unitaries=np.concatenate([isometries, complement], axis=-1))
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix (see _haar)."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    return _haar(_path_gaussians(_as_rng(seed).standard_normal((2, dim, dim))))
+    return _haar(_complex(_as_rng(seed).standard_normal((2, dim, dim))) / np.sqrt(2.0))

@@ -25,7 +25,6 @@ from .linalg import (
     dagger,
     frozen,
     partial_trace_second,
-    spectral_decompose,
     validate_density,
 )
 
@@ -131,7 +130,7 @@ def _check_detector_vectors(vecs: np.ndarray) -> None:
 def _gram(vecs: np.ndarray) -> np.ndarray:
     """The Gram matrices <d_i|d_j> over the trailing (n, dim) axes of a stack of
     vectors. Every detector Gram is formed here: a detector set's, and each
-    spectral branch's over its path kets (_path_kets)."""
+    spectral branch's over its path kets (_branches)."""
     return vecs.conj() @ vecs.swapaxes(-1, -2)
 
 
@@ -294,25 +293,15 @@ def reduce_quanton_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction) 
 
 def branch_overlaps(m: MixedDetectorInteraction) -> BranchOverlaps:
     """Spectral branches of rho_d and the Gram matrix (_gram) of the path kets
-    {U_i |d_k>} (_path_kets) per branch.
+    {U_i |d_k>} per branch (_branches).
 
     Branches with weight below BRANCH_WEIGHT_CUTOFF are dropped; they
     carry no probability and their Gram matrices are numerically
     meaningless.
     """
-    weights, kets = _branches(m.rho_d.matrix)
-    kept = weights > 0.0
-    # the path kets of all dim branches, the product the kernel forms, so the kept ones round as the kernel's do
-    return BranchOverlaps(weights=weights[kept], branch_grams=_gram(_path_kets(m.unitaries, kets)[kept]))
-
-
-def _path_kets(unitaries: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """The path kets U_i |d_k>, (..., k, n, dim), over stacks of (n, dim, dim)
-    unitaries and (k, dim) branch kets: one product per stack entry, of the
-    ket rows with the unitaries' (i, a) rows, so the kets come out
-    C-contiguous for _gram."""
-    rows = unitaries.reshape(*unitaries.shape[:-3], -1, unitaries.shape[-1])
-    return (kets @ rows.swapaxes(-1, -2)).reshape(*kets.shape[:-1], *unitaries.shape[-3:-1])
+    weights, kets = _branches(m)
+    # the path kets of all dim branches, the array the kernel is given, so the kept ones round as the kernel's do
+    return BranchOverlaps(weights=weights[weights > 0.0], branch_grams=_gram(kets[weights > 0.0]))
 
 
 def _branch_average(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -330,14 +319,21 @@ def _overlap_average(weights: np.ndarray, grams: np.ndarray) -> np.ndarray:
     return _branch_average(weights[..., None, None, :], np.moveaxis(grams, -3, -1)).swapaxes(-1, -2)
 
 
-def _branches(rho_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """branch_overlaps' spectral branches over a stack of detector states:
-    weights (..., dim) and kets (..., dim, dim) as in spectral_decompose.
-    Branches below BRANCH_WEIGHT_CUTOFF are kept in place with weight zero,
-    so every stack entry has dim of them; the weighted ones (weights > 0) are
-    those branch_overlaps keeps, and only their Grams need checking."""
-    weights, kets = _spectrum(rho_d)
-    return np.where(weights >= BRANCH_WEIGHT_CUTOFF, weights, 0.0), kets
+def _branches(m: MixedDetectorInteraction) -> tuple[np.ndarray, np.ndarray]:
+    """An interaction's spectral branches, all dim of them: rho_d's weights
+    (dim,) as in spectral_decompose, cut by _weighted, and the path kets
+    U_i|d_k> (dim, n, dim), one product of the branch ket rows with the
+    unitaries' (i, a) rows, so the kets come out C-contiguous for _gram, as a
+    campaign draws them (random._draw_stack)."""
+    weights, kets = _spectrum(m.rho_d.matrix)
+    return _weighted(weights), (kets @ m.unitaries.reshape(-1, m.dim).T).reshape(m.dim, m.n, m.dim)
+
+
+def _weighted(weights: np.ndarray) -> np.ndarray:
+    """Branch weights below BRANCH_WEIGHT_CUTOFF set to zero, their branches
+    kept in place: the weighted ones (weights > 0) are those branch_overlaps
+    keeps, and only their Grams need checking."""
+    return np.where(weights >= BRANCH_WEIGHT_CUTOFF, weights, 0.0)
 
 
 def induced_detectors(m: MixedDetectorInteraction) -> DetectorSet:
@@ -347,9 +343,7 @@ def induced_detectors(m: MixedDetectorInteraction) -> DetectorSet:
     DEFAULT_TOL of 1). Useful for cross-checking the mixed-detector
     pipeline against the pure-detector one.
     """
-    branches = spectral_decompose(m.rho_d)
-    top_weight, ket = branches[0]
-    if abs(top_weight - 1.0) > DEFAULT_TOL:
-        raise ValueError(f"detector state is not pure, largest eigenvalue {top_weight!r}")
-    vectors = np.einsum("iab,b->ia", m.unitaries, ket)
-    return DetectorSet(vectors)
+    weights, kets = _branches(m)
+    if abs(weights[0] - 1.0) > DEFAULT_TOL:
+        raise ValueError(f"detector state is not pure, largest eigenvalue {float(weights[0])!r}")
+    return DetectorSet(kets[0])

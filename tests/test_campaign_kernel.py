@@ -152,17 +152,21 @@ def _assert_matches_oracle(scenario, trials, seed, n, detector_dim=None, rank=No
 
 @pytest.fixture
 def stacks(monkeypatch):
-    """Records (trials, bytes) of every stack a campaign draws. A complex
-    entry holds its two raw reals, so the assembled stack holds the bytes
-    of the raw draws."""
+    """Records (trials, bytes) of every stack a campaign draws, the bytes of
+    its rows of raw reals (random._trial_bytes), which the budget counts. A
+    complex entry holds its two raw reals, so the assembled arrays hold the
+    bytes of the rows, but for a mixed_mixed detector's Ginibre factor: its
+    row holds the factor's 2 dim^2 reals at the largest rank, and its arrays
+    hold dim branch weights in their place."""
     seen = []
     draw = lab_random._draw_stack
 
-    def recording(scenario, n, dim, rank, rng, starts):
-        arrays = draw(scenario, n, dim, rank, rng, starts)
-        held = sum(a.nbytes for a in arrays)
-        assert held == len(starts) * lab_random._trial_bytes(scenario, n, dim)
-        seen.append((len(starts), held))
+    def recording(scenario, n, dim, rank, rng, positions):
+        arrays = draw(scenario, n, dim, rank, rng, positions)
+        held = len(positions) * lab_random._trial_bytes(scenario, n, dim)
+        factor = 8 * (2 * dim * dim - dim) if scenario == "mixed_mixed" else 0
+        assert sum(a.nbytes for a in arrays) == held - len(positions) * factor
+        seen.append((len(positions), held))
         return arrays
 
     monkeypatch.setattr(lab_random, "_draw_stack", recording)
@@ -203,10 +207,6 @@ def test_kernel_matches_oracle_around_one_stack(scenario, n, dim, stacks):
         assert [count for count, _ in stacks] == expected
 
 
-def _nbytes(draws):
-    return sum(a.nbytes for a in draws)
-
-
 def _start(rng, n_choices, detector_dim):
     """A campaign trial's shape, drawn on `rng`, and the position after it."""
     return _draw_shape(rng, n_choices, detector_dim), _position(rng)
@@ -223,7 +223,8 @@ def _draw_trial(scenario, rng, n_choices, detector_dim, rank):
 def test_stacks_hold_at_most_the_byte_budget(scenario, n, stacks):
     run_campaign(scenario, 2000, 3, n=n)
     n_choices = (n,) if isinstance(n, int) else n
-    largest = max(_nbytes(_draw_trial(scenario, stream(3, k), n_choices, None, None)[2]) for k in range(2000))
+    largest = max(lab_random._trial_bytes(scenario, *_draw_trial(scenario, stream(3, k), n_choices, None, None)[:2])
+                  for k in range(2000))
     assert sum(count for count, _ in stacks) == 2000
     # a stack is drawn once its group's trials would draw the budget, so it
     # may exceed the budget by at most the trial that tipped it over
@@ -237,9 +238,9 @@ def test_each_group_is_evaluated_once_it_alone_reaches_the_budget(monkeypatch):
     seen = []
     draw = lab_random._draw_stack
 
-    def recording(scenario, n, dim, rank, rng, starts):
-        arrays = draw(scenario, n, dim, rank, rng, starts)
-        seen.append(((n, dim), len(starts), _nbytes(arrays) // len(starts)))
+    def recording(scenario, n, dim, rank, rng, positions):
+        arrays = draw(scenario, n, dim, rank, rng, positions)
+        seen.append(((n, dim), len(positions), lab_random._trial_bytes(scenario, n, dim)))
         return arrays
 
     monkeypatch.setattr(lab_random, "_draw_stack", recording)
@@ -338,8 +339,10 @@ def test_draw_trial_equals_the_public_generators():
                 expected = [quanton.amplitudes, detector.vectors]
             elif scenario == "mixed_pure":
                 expected = [quanton.rho.matrix, detector.vectors]
-            else:
-                expected = [quanton.rho.matrix, detector.rho_d.matrix, detector.unitaries]
+            else:  # the interaction's spectral branches; the kernel reads the kets of the weighted ones
+                weights, kets = (array[0] for array in duality._stack_of_one(detector))
+                expected = [quanton.rho.matrix, weights, kets[weights > 0]]
+                arrays[2] = arrays[2][weights > 0]
             assert (n, dim) == (quanton.n, expected[-1].shape[-1])
             for got, want in zip(arrays, expected):
                 np.testing.assert_array_equal(got, want)
@@ -430,10 +433,11 @@ def _nan_in_trial(monkeypatch, scenario, seed, k, n, detector_dim=None, block=0,
     row draw of trial k is the one that starts where stream(seed, k) stands
     after its shape draws and, for a mixed scenario, its quanton rank draw.
     A mixed trial's first raw draw is its quanton's Ginibre Gaussians, and a
-    mixed_mixed trial's second its detector state's. The draws fill the
-    row's regions, which begin at 0 and at `starts` (an empty detector-state
-    region begins where the Gaussian block does); the detector rank that
-    _draw_row returns is passed through."""
+    mixed_mixed trial's second its detector state's Ginibre factor's, whose
+    2 dim r reals open the Gaussian block, and its third its isometries'.
+    The draws fill the row's regions, which begin at 0 and at the Gaussian
+    block's start; the detector rank r that _draw_row returns is passed
+    through."""
     rng = stream(seed, k)
     (paths, _), _ = _start(rng, (n,) if isinstance(n, int) else n, detector_dim)
     if scenario != "pure_pure":
@@ -441,11 +445,11 @@ def _nan_in_trial(monkeypatch, scenario, seed, k, n, detector_dim=None, block=0,
     target = _position(rng)
     draw = lab_random._draw_row
 
-    def poisoned(scenario, rng, row, quanton_reals, dim, starts):
+    def poisoned(scenario, rng, row, quanton_reals, dim, gaussians):
         start = lab_random._position(rng)
-        detector_rank = draw(scenario, rng, row, quanton_reals, dim, starts)
+        detector_rank = draw(scenario, rng, row, quanton_reals, dim, gaussians)
         if start == target:
-            row[(0, *starts)[block] + offset] = np.nan
+            row[(0, gaussians, gaussians + 2 * dim * (detector_rank or 0))[block] + offset] = np.nan
         return detector_rank
 
     monkeypatch.setattr(lab_random, "_draw_row", poisoned)
@@ -463,7 +467,7 @@ def test_failing_check_names_the_trial(monkeypatch, scenario, k):
 
 
 # the raw blocks after a trial's first: the detector vectors' Gaussians, or
-# the detector state's and the path unitaries' Gaussians
+# the detector state's Ginibre factor's and the path isometries' Gaussians
 @pytest.mark.parametrize("scenario, block", [("mixed_pure", 1), ("mixed_mixed", 1), ("mixed_mixed", 2)])
 @pytest.mark.parametrize("k", [0, 7, 40])
 def test_nan_in_any_raw_block_names_the_trial(monkeypatch, scenario, block, k):
@@ -477,7 +481,7 @@ def test_nan_in_any_raw_block_names_the_trial(monkeypatch, scenario, block, k):
 def test_nan_in_pure_pure_detector_vectors_names_the_trial(monkeypatch, k):
     # pure_pure's Gaussian block holds the amplitudes' 2n reals, then the
     # detector vectors'; a NaN there reaches one vector, not the amplitudes
-    _nan_in_trial(monkeypatch, "pure_pure", 11, k, 3, 3, block=2, offset=2 * 3)
+    _nan_in_trial(monkeypatch, "pure_pure", 11, k, 3, 3, block=1, offset=2 * 3)
     with pytest.raises(ValueError, match=rf"^trial {k}: ") as info:
         run_campaign("pure_pure", 60, 11, n=3, detector_dim=3)
     assert type(info.value) is ValueError
@@ -562,7 +566,7 @@ def _near_parallel_detector(n, dim, seed):
     branch Gram is all but the all-ones matrix and nearly singular."""
     rng = np.random.default_rng(seed)
     base = haar_unitary(dim, rng)
-    nudges = [lab_random._haar(np.eye(dim) + 1e-7 * lab_random._path_gaussians(rng.standard_normal((2, dim, dim))))
+    nudges = [lab_random._haar(np.eye(dim) + 1e-7 * lab_random._complex(rng.standard_normal((2, dim, dim))))
               for _ in range(n)]
     return MixedDetectorInteraction(rho_d=random_density_matrix(dim, 3, rng),
                                     unitaries=np.stack([base @ u for u in nudges]))
@@ -596,9 +600,8 @@ def test_stacked_kernel_checks_the_grams_branch_overlaps_checks(monkeypatch):
 
     monkeypatch.setattr(duality, "_check_branch_grams", recording)
     rho = np.stack([quanton.rho.matrix for quanton, _ in instances])
-    rho_d = np.stack([detector.rho_d.matrix for _, detector in instances])
-    unitaries = np.stack([detector.unitaries for _, detector in instances])
-    table = duality._kernel("mixed_mixed", rho, rho_d, unitaries)
+    weights, kets = map(np.concatenate, zip(*(duality._stack_of_one(detector) for _, detector in instances)))
+    table = duality._kernel("mixed_mixed", rho, weights, kets)
     branches = [branch_overlaps(detector) for _, detector in instances]
     assert [len(b.weights) for b in branches[:5]] == [3, 1, 3, 1, 3]
     (grams,) = seen
@@ -617,20 +620,13 @@ GRAM_FAULTS = {
 def _poison_branch_grams(monkeypatch, poison):
     """Make the kernel's branch Grams `poison(grams, weights)`, which edits the
     (trial, branch, n, n) Grams of a stack in place, given their weights."""
-    seen = {}
-    branches, gram = duality._branches, duality._gram
+    stack = duality._mixed_mixed_stack
 
-    def recording(rho_d):
-        seen["weights"], kets = branches(rho_d)
-        return seen["weights"], kets
+    def poisoned(rho, weights, grams, include_visibility=False):
+        poison(grams, weights)
+        return stack(rho, weights, grams, include_visibility)
 
-    def poisoned(path_kets):
-        grams = gram(path_kets)
-        poison(grams, seen["weights"])
-        return grams
-
-    monkeypatch.setattr(duality, "_branches", recording)
-    monkeypatch.setattr(duality, "_gram", poisoned)
+    monkeypatch.setattr(duality, "_mixed_mixed_stack", poisoned)
 
 
 @pytest.mark.parametrize("fault", GRAM_FAULTS)

@@ -28,6 +28,7 @@ from duality_lab.random import (
     random_density,
     random_density_matrix,
     random_detectors,
+    random_mixed_detector,
     random_pure,
     uniform_overlap_detectors,
 )
@@ -189,7 +190,8 @@ def test_evaluate_mixed_detector_campaign_sample():
 @given(data=st.data())
 def test_mixed_mixed_equals_the_partial_trace_of_its_purification(data):
     """Purify the detector state: |D_i> = sum_k sqrt(r_k) U_i|d_k> (x) |k>, from
-    this test's own eigh of rho_d. mixed_mixed is then mixed_pure in a dim^2
+    this test's own eigh of rho_d, for an interaction from random_mixed_detector
+    (the campaigns' draw) or from a Ginibre state and Haar unitaries. mixed_mixed is then mixed_pure in a dim^2
     space, whose joint state is formed and traced here. The reduced state and
     C equal that partial trace's, and the gap splits exactly: 1 - C - D' =
     (D_pur - D') + slack_pur, with D_pur >= D' by the triangle inequality over
@@ -199,9 +201,12 @@ def test_mixed_mixed_equals_the_partial_trace_of_its_purification(data):
     dim = data.draw(st.integers(1, 8), label="dim")  # n dim^2 <= 512, within MAX_COMPOSITE_DIM
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     q = random_density(n, data.draw(st.integers(1, n), label="rank"), rng)
-    detector_rank = data.draw(st.integers(1, dim), label="detector rank")
-    m = MixedDetectorInteraction(rho_d=random_density_matrix(dim, detector_rank, rng),
-                                 unitaries=np.stack([haar_unitary(dim, rng) for _ in range(n)]))
+    if data.draw(st.booleans(), label="drawn as a campaign draws it"):
+        m = random_mixed_detector(n, dim, rng)
+    else:
+        detector_rank = data.draw(st.integers(1, dim), label="detector rank")
+        m = MixedDetectorInteraction(rho_d=random_density_matrix(dim, detector_rank, rng),
+                                     unitaries=np.stack([haar_unitary(dim, rng) for _ in range(n)]))
     r, kets = np.linalg.eigh(m.rho_d.matrix)
     purified = DetectorSet(np.einsum("k,iab,bk->iak", np.sqrt(np.clip(r, 0.0, None)), m.unitaries, kets)
                            .reshape(n, dim * dim))

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duality_lab import random as lab_random
-from duality_lab.linalg import _density, dagger, validate_density
+from duality_lab.linalg import _density, validate_density
 from duality_lab.measures import distinguishability_pure
 from duality_lab.random import (
     _amplitudes,
     _bounded,
     _draw_shape,
     _draw_stack,
-    _ginibre,
     _pcg64_states,
     _position,
     _resume,
@@ -28,7 +27,13 @@ from duality_lab.random import (
     stream,
     uniform_overlap_detectors,
 )
-from duality_lab.states import PureQuanton, _check_detector_vectors, _check_normalized, _check_unitaries
+from duality_lab.states import (
+    PureQuanton,
+    _branches,
+    _check_branch_weights,
+    _check_detector_vectors,
+    _check_normalized,
+)
 
 
 def test_random_pure_normalized():
@@ -65,7 +70,7 @@ def test_stacked_haar_unitaries_have_haar_trace_moments(d):
     """E|tr U|^2 = 1 and E|tr U^2|^2 = min(2, d) under the Haar measure, over
     a stack of 4000 unitaries from _haar. Without its diagonal-phase fix the
     QR gauge biases the traces, and both fail by a wide margin."""
-    u = lab_random._haar(lab_random._path_gaussians(np.random.default_rng([81, d]).standard_normal((4000, 2, d, d))))
+    u = lab_random._haar(lab_random._complex(np.random.default_rng([81, d]).standard_normal((4000, 2, d, d))))
     assert abs(_z(np.abs(np.trace(u, axis1=-2, axis2=-1)) ** 2, 1.0)) <= 4
     assert abs(_z(np.abs(np.trace(u @ u, axis1=-2, axis2=-1)) ** 2, min(2, d))) <= 4
 
@@ -83,6 +88,50 @@ def test_stacked_ginibre_states_have_induced_purity(d):
     assert np.abs(purity[ranks == 1] - 1.0).max() <= 1e-14
     for r in (2, d):
         assert abs(_z(purity[ranks == r], (d + r) / (d * r + 1))) <= 4, r
+
+
+@pytest.mark.parametrize("dim, rank", [(1, 1), (2, 1), (2, 2), (3, 2), (6, 6)])
+def test_stacked_isometries_have_haar_moments(dim, rank):
+    """Each entry q of a Haar dim x r isometry is a component of a Haar unit
+    vector, so E|q|^2 = 1/dim, and its phase is uniform, so E q = E q^2 = 0
+    (at dim = 1, q is a uniform phase). Two paths' isometries are
+    independent, so E|<q|q'>|^2 = 1/dim for a column of each. Over a stack
+    of 4000 draws of 3 paths from _detector_branches. Isometries built from
+    the real Gaussians alone read E q^2 = 1/dim, and a QR without its gauge
+    fix E q_11 < 0."""
+    raw = np.random.default_rng([84, dim, rank]).standard_normal((4000, 4, dim, rank, 2))
+    _, q = lab_random._detector_branches(raw)
+    assert q.shape == (4000, 3, dim, rank)
+    for a, k in np.ndindex(dim, rank):
+        entry = q[:, :, a, k].ravel()
+        for moment in (entry, entry ** 2):
+            assert abs(_z(moment.real, 0.0)) <= 4 and abs(_z(moment.imag, 0.0)) <= 4, (a, k)
+        if dim > 1:
+            assert abs(_z(np.abs(entry) ** 2, 1.0 / dim)) <= 4, (a, k)
+    overlaps = np.abs(np.einsum("sak,sal->skl", q[:, 0].conj(), q[:, 1])) ** 2
+    if dim == 1:
+        assert np.abs(overlaps - 1.0).max() <= 1e-14
+    else:
+        for k, m in np.ndindex(rank, rank):
+            assert abs(_z(overlaps[:, k, m], 1.0 / dim)) <= 4, (k, m)
+
+
+@pytest.mark.parametrize("dim, rank", [(1, 1), (3, 1), (3, 2), (3, 3), (6, 3), (6, 6)])
+def test_stacked_branch_weights_have_induced_purity(dim, rank):
+    """A rank-r detector state's branch weights are the spectrum of a Ginibre
+    state of rank r: they sum to one and E sum_k w_k^2 = (dim + r)/(dim r + 1)
+    (Zyczkowski and Sommers), over a stack of 4000 draws from
+    _detector_branches; at rank 1 the one weight is 1. Unsquared singular
+    values fail it at every rank above 1."""
+    raw = np.random.default_rng([85, dim, rank]).standard_normal((4000, 2, dim, rank, 2))
+    weights, _ = lab_random._detector_branches(raw)
+    assert weights.shape == (4000, rank) and np.abs(weights.sum(axis=-1) - 1.0).max() <= 1e-14
+    assert (np.diff(weights, axis=-1) <= 0.0).all()  # descending, as states._branches orders them
+    purity = (weights ** 2).sum(axis=-1)
+    if rank == 1:
+        assert (weights == 1.0).all()
+    else:
+        assert abs(_z(purity, (dim + rank) / (dim * rank + 1))) <= 4
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8])
@@ -120,14 +169,14 @@ def test_random_density_always_validates():
 
 @pytest.mark.parametrize("dim", range(1, 17))
 def test_drawn_states_pass_the_checks_they_skip(dim):
-    """_ginibre builds its state with no Hermiticity, trace or PSD test and no
-    clamp, trusting that a Ginibre product is a state. linalg._density is the
+    """random_density_matrix builds its state with no Hermiticity, trace or PSD
+    test and no clamp, trusting that a Ginibre product is a state. linalg._density is the
     oracle: at every rank it accepts G G^dag / Tr(G G^dag) from the same
     Gaussians, and its checked, clamped state is the drawn one to rounding."""
     for rank in range(1, dim + 1):
         for i in range(40):
             seed = [6100, dim, rank, i]
-            state = _ginibre(dim, rank, np.random.default_rng(seed))
+            state = random_density_matrix(dim, rank, np.random.default_rng(seed)).matrix
             raw = np.random.default_rng(seed).standard_normal((2, dim, rank))
             g = raw[0] + 1j * raw[1]
             product = g @ g.conj().T
@@ -137,16 +186,29 @@ def test_drawn_states_pass_the_checks_they_skip(dim):
             assert np.linalg.eigvalsh(state)[0] >= -1e-15
 
 
+def _isometry_deviation(kets):
+    """How far a stack's path kets (..., branch, path, dim) are from the
+    columns of one isometry per path, padded with zero columns: each path's
+    Gram over the branches against the 0/1 diagonal of its rounded norms."""
+    per_path = np.moveaxis(kets, -2, -3)
+    gram = per_path.conj() @ per_path.swapaxes(-1, -2)
+    norms = np.round(gram.diagonal(axis1=-2, axis2=-1).real)
+    return np.abs(gram - norms[..., None] * np.eye(gram.shape[-1])).max()
+
+
 # each kind of array _draw_stack returns: the constructor check a campaign
-# skips on it, and its worst deviation from what that check asks
+# skips on it, and its worst deviation from what that check asks. No
+# constructor takes path kets: MixedDetectorInteraction checks the unitaries
+# whose columns they are, and BranchOverlaps the weights
 _SKIPPED_CHECKS = {
     "amplitudes": (_check_normalized, lambda a: np.abs(np.sum(np.abs(a) ** 2, axis=-1) - 1.0).max()),
     "vectors": (_check_detector_vectors, lambda v: np.abs(np.linalg.norm(v, axis=-1) - 1.0).max()),
     "state": (_density, lambda rho: np.abs(_density(rho) - rho).max()),
-    "unitaries": (_check_unitaries, lambda u: np.abs(dagger(u) @ u - np.eye(u.shape[-1])).max()),
+    "weights": (_check_branch_weights, lambda w: np.abs(w.sum(axis=-1) - 1.0).max()),
+    "kets": (None, _isometry_deviation),
 }
 _DRAWN_KINDS = {"pure_pure": ("amplitudes", "vectors"), "mixed_pure": ("state", "vectors"),
-                "mixed_mixed": ("state", "state", "unitaries")}
+                "mixed_mixed": ("state", "weights", "kets")}
 
 
 @pytest.mark.parametrize("scenario", sorted(_DRAWN_KINDS))
@@ -154,9 +216,10 @@ _DRAWN_KINDS = {"pure_pure": ("amplitudes", "vectors"), "mixed_pure": ("state", 
 @given(data=st.data())
 def test_drawn_arrays_pass_the_checks_a_campaign_skips(scenario, data):
     """A campaign checks its drawn arrays only for NaN or Inf, trusting the
-    draws to build unit amplitudes and vectors, states and unitaries. Every
-    array a stack draws passes the per-object check it skips, 1000 times
-    inside that check's tolerance of 1e-10."""
+    draws to build unit amplitudes and vectors, states, branch weights that
+    sum to one and the orthonormal columns of isometries. Every array a
+    stack draws passes the per-object check it skips, 1000 times inside that
+    check's tolerance of 1e-10."""
     n = data.draw(st.integers(2, 6 if scenario == "mixed_mixed" else 8), label="n")
     detector_dim = data.draw(st.sampled_from([1, n, 2 * n, None]), label="detector_dim")
     rank = None if scenario == "pure_pure" else data.draw(st.sampled_from([None, 1, n]), label="rank")
@@ -167,7 +230,8 @@ def test_drawn_arrays_pass_the_checks_a_campaign_skips(scenario, data):
                          [position for shape, position in shapes if shape == group])
     for kind, array in zip(_DRAWN_KINDS[scenario], arrays, strict=True):
         check, deviation = _SKIPPED_CHECKS[kind]
-        check(array)
+        if check is not None:
+            check(array)
         assert deviation(array) <= 1e-13, kind
 
 
@@ -364,8 +428,9 @@ def test_trial_shapes_of_no_trials_draw_nothing():
 @pytest.mark.parametrize("n", range(2, 17))
 def test_stacked_ginibre_states_equal_per_state_products(n):
     """A mixed stack's quanton states, their ranks drawn by the stack and
-    formed per rank over it, are _ginibre's products one trial at a time,
-    bit for bit, at every rank and in a stack that mixes the ranks."""
+    formed per rank over it, are random_density_matrix's products one trial
+    at a time, bit for bit, at every rank and in a stack that mixes the
+    ranks."""
     positions = [_position(stream(n, k)) for k in range(10 * n)]
     rho, _ = _draw_stack("mixed_pure", n, 3, None, np.random.default_rng(0), positions)
     ranks = Counter()
@@ -374,45 +439,88 @@ def test_stacked_ginibre_states_equal_per_state_products(n):
         _resume(rng, position)
         rank = int(rng.integers(1, n, endpoint=True))
         ranks[rank] += 1
-        assert (state == _ginibre(n, rank, rng)).all(), rank
+        assert (state == random_density_matrix(n, rank, rng).matrix).all(), rank
     assert min(ranks[rank] for rank in range(1, n + 1)) >= 2
 
 
 @pytest.mark.parametrize("dim", range(1, 17))
 def test_stacked_detector_states_equal_the_public_generator(dim):
-    """A mixed_mixed stack's detector states, formed per rank over the stack,
-    and its path unitaries are random_mixed_detector's on each trial's
-    generator, bit for bit, at every detector rank, in a stack that mixes
-    the ranks; the states are compared as drawn, since neither path checks
-    them spectrally."""
+    """A mixed_mixed stack's detector branches, formed per rank over the
+    stack, are those that the kernel takes from random_mixed_detector's
+    interaction on each trial's generator (states._branches), bit for bit,
+    at every detector rank, in a stack that mixes the ranks: the weights,
+    and the path kets of the weighted branches. The stack's kets past a
+    trial's rank are zeros, where the interaction's are the columns that
+    complete its isometries to unitaries."""
     positions = [_position(stream(dim, k)) for k in range(10 * dim + 10)]
-    _, rho_d, unitaries = _draw_stack("mixed_mixed", 2, dim, None, np.random.default_rng(0), positions)
+    _, weights, kets = _draw_stack("mixed_mixed", 2, dim, None, np.random.default_rng(0), positions)
     quanton_ranks, ranks = Counter(), Counter()
-    for position, state, us in zip(positions, rho_d, unitaries):
+    for position, drawn_weights, drawn_kets in zip(positions, weights, kets):
         rng = np.random.default_rng(0)
         _resume(rng, position)
         quanton_rank = int(rng.integers(1, 2, endpoint=True))
         quanton_ranks[quanton_rank] += 1
         random_density(2, quanton_rank, rng)
         after_quanton = _position(rng)
-        ranks[int(rng.integers(1, dim, endpoint=True))] += 1
+        rank = int(rng.integers(1, dim, endpoint=True))
+        ranks[rank] += 1
         _resume(rng, after_quanton)
-        expected = random_mixed_detector(2, dim, rng)
-        assert (state == expected.rho_d.matrix).all()
-        assert (us == expected.unitaries).all()
+        interaction = random_mixed_detector(2, dim, rng)
+        # each isometry's completion is unitary far inside the constructor's check
+        us = interaction.unitaries
+        assert np.abs(us.conj().swapaxes(-1, -2) @ us - np.eye(dim)).max() <= 1e-13
+        expected_weights, expected_kets = _branches(interaction)
+        assert (drawn_weights == expected_weights).all() and (drawn_weights[rank:] == 0).all()
+        assert (drawn_kets[:rank] == expected_kets[:rank]).all() and (drawn_kets[rank:] == 0).all()
     assert min(quanton_ranks[1], quanton_ranks[2], *(ranks[rank] for rank in range(1, dim + 1))) >= 2
 
 
 def test_campaign_detector_state_ranks_are_uniform_over_one_to_dim():
-    """The numerical ranks of one mixed_mixed campaign's detector states, as
-    random._stacks draws them, against uniform over 1..dim: a chi-square test
-    at p = 0.001, whose critical value for 3 degrees of freedom is 16.27."""
+    """The ranks of one mixed_mixed campaign's detector states, as
+    random._stacks draws them, counted as their nonzero branch weights,
+    against uniform over 1..dim: a chi-square test at p = 0.001, whose
+    critical value for 3 degrees of freedom is 16.27."""
     dim, trials = 4, 4000
-    ranks = np.concatenate([np.linalg.matrix_rank(rho_d, hermitian=True)
-                            for _, (_, rho_d, _) in lab_random._stacks("mixed_mixed", 91, trials, (2, 3), dim, None)])
+    ranks = np.concatenate([np.count_nonzero(weights, axis=-1)
+                            for _, (_, weights, _) in lab_random._stacks("mixed_mixed", 91, trials, (2, 3), dim, None)])
     counts = np.bincount(ranks, minlength=dim + 1)
     assert len(counts) == dim + 1 and counts[0] == 0, counts
     assert ((counts[1:] - trials / dim) ** 2 / (trials / dim)).sum() <= 16.27, counts
+
+
+# chi-square critical values at p = 0.001, by degrees of freedom
+CHI2_CRITICAL = {19: 43.82, 24: 51.18, 34: 65.25, 41: 74.74}
+
+
+def _chi2(counts, expected):
+    return sum((counts[cell] - mean) ** 2 / mean for cell, mean in expected.items())
+
+
+@pytest.mark.parametrize("scenario, n_choices, seed", [("pure_pure", tuple(range(2, 9)), 92),
+                                                      ("mixed_pure", tuple(range(2, 9)), 93),
+                                                      ("mixed_mixed", tuple(range(2, 7)), 94)])
+def test_campaign_shapes_and_quanton_ranks_are_uniform(scenario, n_choices, seed):
+    """Over one seeded 10^4-trial campaign, the path counts are uniform over
+    `n_choices`, the detector dimension uniform over n..2n given n, and a
+    mixed trial's quanton rank uniform over 1..n given n: chi-square tests
+    of the (n, dim) and (n, rank) counts at p = 0.001. The shapes are read
+    from random._trial_shapes and the rank is the next draw from each
+    trial's position (random._bounded), as _draw_stack draws it; no stack is
+    drawn."""
+    trials = 10_000
+    shapes, quanton_ranks = Counter(), Counter()
+    for (n, dim), position in _trial_shapes(seed, trials, n_choices, None):
+        shapes[n, dim] += 1
+        if scenario != "pure_pure":
+            quanton_ranks[n, 1 + _bounded(n - 1, position)[0]] += 1
+    share = trials / len(n_choices)
+    cells = {(n, dim): share / (n + 1) for n in n_choices for dim in range(n, 2 * n + 1)}
+    assert set(shapes) == set(cells)
+    assert _chi2(shapes, cells) <= CHI2_CRITICAL[len(cells) - 1], shapes
+    if scenario != "pure_pure":
+        cells = {(n, rank): share / n for n in n_choices for rank in range(1, n + 1)}
+        assert set(quanton_ranks) == set(cells)
+        assert _chi2(quanton_ranks, cells) <= CHI2_CRITICAL[len(cells) - 1], quanton_ranks
 
 
 @pytest.mark.parametrize("n", range(2, 33))
