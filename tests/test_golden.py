@@ -96,38 +96,38 @@ DIGESTS = {
     'campaign_mixed_mixed_n2': {
         'exit': '0',
         'stdout': '9e8163d6c4d2c0adf77b4994b6adb8a22c8081a9a220669ea345cd6f93d342c0',
-        'run.csv': '3387f84cdf943707c87e410f3370d550766e858d0f52cbd44627748d00f40598',
-        'run.json': '10f935e5617579dce800a39fce2163ca73d068bdf09172d2858526960e70d99f',
+        'run.csv': '3e026d2ad0985b80ea18b811d140bd5525df7307f529587c189860ddc0e4f3e7',
+        'run.json': '859a3f3f143feac069c011c61a542a9809c678f186bcfd63db71b8b237b24012',
     },
     'campaign_mixed_mixed_n3': {
         'exit': '0',
-        'stdout': '9e8163d6c4d2c0adf77b4994b6adb8a22c8081a9a220669ea345cd6f93d342c0',
-        'run.csv': '638206dd516b20857c15953e48f252e32b9d5b47d8441c4b4224face81492855',
-        'run.json': '77c176d0d671d02b13de573550edc28ec749467c3ed966bbe0b6eaa7a8031b86',
+        'stdout': '21265f239eebe89ac5e9fc411ec35aa52697d4a1d4f8f7cfe857f19c9abe88ff',
+        'run.csv': '91b5c5402e2b00d8fceee475069eb4da4b5700441dbc79fe0661c1ca926c8098',
+        'run.json': '7598e6ca03d13d60e20690cfaa0d473c95d8631d52111b4f3d48ee750961d209',
     },
     'campaign_mixed_mixed_n4': {
         'exit': '0',
-        'stdout': '453b98328e39a18a0ed2cebb72f72788a05633797331af13bad6d0a9696defc3',
-        'run.csv': '237dcb61dff3fb689eca3837db956730fa86aa17653d3b2806912ba6ce7105bc',
-        'run.json': 'ac1f48ab7570ca7f1790dca680278486b961cf40a2d46f710b7de59a58ce856e',
+        'stdout': '0c887a46d63e5521ad67e2c5f87bcbda785b4ca46a6bf55d358ee6cea28db13a',
+        'run.csv': '5845e0683be3ad0aa71bbcdd8a3816be15a92923a2ff6d1fb2fc4d5cdc71df95',
+        'run.json': '8f75737bb0581fdf225a408a79e6f39b1d8232e09e5d1943584f5bcceb9ce5ca',
     },
     'campaign_mixed_mixed_n4_rank1_dim3': {
         'exit': '0',
-        'stdout': '9e8163d6c4d2c0adf77b4994b6adb8a22c8081a9a220669ea345cd6f93d342c0',
-        'run.csv': '789857942caa3bc21ce4eaeddbe30280ca05f0c706b1164ce9e0402711d072f2',
-        'run.json': '9e3182939603de1c8387fa6110be7e83a236ce2c97562448a18c08be59450980',
+        'stdout': 'e867acdfe19728abb0234358f10d1f7a0f98ce7313f51bc295886ead0210a220',
+        'run.csv': '8acdc28b9eb7bd06f7830948c4060f7c93485de18f6d965a6b940be586dc368b',
+        'run.json': 'e8600e421f516a5f1e8bc094d0b804ed7e05502b2ae28ee9232e770a64c0174d',
     },
     'campaign_mixed_mixed_n5': {
         'exit': '0',
         'stdout': 'e867acdfe19728abb0234358f10d1f7a0f98ce7313f51bc295886ead0210a220',
-        'run.csv': 'fc6a4a7e49cc7313441bc2409318f07ce4c38ee534b7739e24235ec250a4847c',
-        'run.json': 'a1e4b1075e6cab0c263750f50eddbd80149a076b6f625ad0d3f9bab1422a1a17',
+        'run.csv': '85aef1d238fa86c909d4d5b30c006a7d0e8d071c1929ebd5cff657a9cd182367',
+        'run.json': 'a13e4fe0f3a68b2f9e6fb234bca359b3df37fa0483231baa93b38b2c0fc864af',
     },
     'campaign_mixed_mixed_n6': {
         'exit': '0',
-        'stdout': '9e8163d6c4d2c0adf77b4994b6adb8a22c8081a9a220669ea345cd6f93d342c0',
-        'run.csv': '04a3bfcd29c0dec9f346b1bce757d27714295cfc5c0b666770571fe4e8e7f35f',
-        'run.json': '81690bf3ddf86f59ffc044858751dedaf4895a591fb196f5c3a77c6d3ec41285',
+        'stdout': '21265f239eebe89ac5e9fc411ec35aa52697d4a1d4f8f7cfe857f19c9abe88ff',
+        'run.csv': '9e8adddbf7cb9077627778fc355c3b2e8b585cee5cd50a7ac1ab5008c2e8b0f1',
+        'run.json': 'c1177f9aac68980f3167cf7bc4d2714752dbd9b2e4aa146cb92905e30860a618',
     },
     'campaign_mixed_pure_n2': {
         'exit': '0',
@@ -254,12 +254,12 @@ DIGESTS = {
     'verify_mixed_mixed_csv': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': '3466aa2c1eb0bb1a2102e722b864d7bae609f97c8aef22ebb422def2a8c999c2',
+        'report': '8fb2b68f75c41ccac03e41b713502073dfb8784c5730651ae1900192424a5259',
     },
     'verify_mixed_mixed_json': {
         'exit': '0',
         'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-        'report': '28cd83188655ce3414437d2ce629888dd3abb58c8a6fcc050fc566688237c44d',
+        'report': 'a58c27e3bf642301060af3e473e781593397f6a0cd61a7a5482ee3a4bac0a50a',
     },
     'verify_mixed_pure_csv': {
         'exit': '0',
