@@ -461,10 +461,10 @@ def _mixed_mixed_stack(rho: np.ndarray, weights: np.ndarray, grams: np.ndarray,
     gap 1 - C - D_Q. Every entry keeps all dim spectral branches; those below
     the weight cutoff, and a drawn detector's branches past its rank, carry
     weight zero and add exact zeros to the reduced state and the branch
-    averages. So only the weighted branches' Grams are
-    checked, as BranchOverlaps checks the branches that branch_overlaps
-    keeps, in one batch over the stack, and before the reduced state is
-    formed from them: rho_ij sum_k r_k <d_kj|d_ki> (_overlap_average), as
+    averages. So only the weighted branches' Grams are checked, as
+    BranchOverlaps checks the branches that branch_overlaps keeps, in one
+    batch over the stack, and before the reduced state is formed from them:
+    rho_ij sum_k r_k <d_kj|d_ki> (_overlap_average), as
     reduce_quanton_mixed_detector forms it."""
     _check_branch_weights(weights)
     _check_branch_grams(grams, weights > 0.0)

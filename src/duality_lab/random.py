@@ -475,7 +475,7 @@ def random_mixed_detector(n: int, dim: int, seed) -> MixedDetectorInteraction:
     rng = _as_rng(seed)
     weights, isometries = _detector_branches(rng.standard_normal((n + 1, dim, _detector_rank(dim, rng), 2)))
     complement = np.linalg.qr(isometries, mode="complete")[0][..., len(weights):]
-    rho_d = DensityMatrix(frozen(np.diag(np.pad(weights, (0, dim - len(weights)))).astype(complex)))
+    rho_d = DensityMatrix(frozen(np.diag(np.concatenate([weights, np.zeros(dim - len(weights))])).astype(complex)))
     return MixedDetectorInteraction(rho_d=rho_d, unitaries=np.concatenate([isometries, complement], axis=-1))
 
 
