@@ -223,8 +223,7 @@ def _draw_trial(scenario, rng, n_choices, detector_dim, rank):
 def test_stacks_hold_at_most_the_byte_budget(scenario, n, stacks):
     run_campaign(scenario, 2000, 3, n=n)
     n_choices = (n,) if isinstance(n, int) else n
-    largest = max(lab_random._trial_bytes(scenario, *_draw_trial(scenario, stream(3, k), n_choices, None, None)[:2])
-                  for k in range(2000))
+    largest = max(lab_random._trial_bytes(scenario, *_draw_shape(stream(3, k), n_choices, None)) for k in range(2000))
     assert sum(count for count, _ in stacks) == 2000
     # a stack is drawn once its group's trials would draw the budget, so it
     # may exceed the budget by at most the trial that tipped it over
