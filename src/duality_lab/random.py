@@ -219,8 +219,8 @@ def _form_per_rank(gaussians: np.ndarray, ranks: Sequence[int], dim: int) -> np.
     """A (k, dim, dim) stack of Ginibre states: entry i is G G^dag / Tr(G G^dag)
     for the (dim, ranks[i]) G whose raw Gaussians are the first 2 dim ranks[i]
     reals of row i of `gaussians`. One batched _normalized_gram forms the
-    states of each rank (_of_rank), which is random_density_matrix's product on each of
-    them bit for bit."""
+    states of each rank (_of_rank), which is random_density_matrix's product
+    on each of them bit for bit."""
     states = np.empty((len(gaussians), dim, dim), dtype=complex)
     for rank, entries in _of_rank(ranks).items():
         states[entries] = _normalized_gram(_complex(gaussians[entries, :2 * dim * rank].reshape(-1, 2, dim, rank)))
