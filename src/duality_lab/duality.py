@@ -27,9 +27,11 @@ one batched eigh. The fringe runs the pure_pure kernel on the state it
 scans, and the two- and three-slit checks read C and D_Q from
 evaluate_pure. Input from outside is checked where it enters (the
 constructors, validate_density, _gram_factors); the arrays the program
-builds, a campaign's draws and a sweep's factored vectors, are final by
-construction, and the draws are checked only for NaN or Inf; each kernel
-checks what it derives. Each kernel states its own relations as columns
+builds, a campaign's draws, a sweep's factored vectors and an interaction's
+spectral branches, are final by construction, and the draws are checked only
+for NaN or Inf. So every kernel uses its detector Grams, or branch weights and
+Grams, unchecked, and checks what it derives: the reduced states and the
+finiteness of C, D_Q and the slack. Each kernel states its own relations as columns
 over its stack, and one tail (``_tabulate``) adds the duality sum, the PSD
 margin and the verdicts the same way. Every command writes its CSV from
 these columns (_Table.columns); evaluate_* and sweep_overlap pack them into
@@ -65,8 +67,6 @@ from .states import (
     MixedQuanton,
     PureQuanton,
     _branches,
-    _check_branch_grams,
-    _check_branch_weights,
     _check_composite,
     _gram,
     _overlap_average,
@@ -458,16 +458,15 @@ def _mixed_mixed_stack(rho: np.ndarray, weights: np.ndarray, grams: np.ndarray,
                        include_visibility: bool = False) -> _Table:
     """mixed_mixed from density matrices, branch weights (k,) and branch Grams
     (k, n, n): C stays below its branch-average bound, and the slack is the
-    gap 1 - C - D_Q. Every entry keeps all dim spectral branches; those below
-    the weight cutoff, and a drawn detector's branches past its rank, carry
-    weight zero and add exact zeros to the reduced state and the branch
-    averages. So only the weighted branches' Grams are checked, as
-    BranchOverlaps checks the branches that branch_overlaps keeps, in one
-    batch over the stack, and before the reduced state is formed from them:
+    gap 1 - C - D_Q. The weights and Grams are used as _mixed_pure_stack uses
+    its detector Grams, unchecked: a campaign's branches are drawn final
+    (random._detector_branches), and an interaction's are factored from its
+    validated rho_d and checked unitaries (states._branches). Every entry keeps
+    all dim spectral branches; those below the weight cutoff, and a drawn
+    detector's branches past its rank, carry weight zero and add exact zeros to
+    the reduced state and the branch averages. The reduced state is
     rho_ij sum_k r_k <d_kj|d_ki> (_overlap_average), as
-    reduce_quanton_mixed_detector forms it."""
-    _check_branch_weights(weights)
-    _check_branch_grams(grams, weights > 0.0)
+    reduce_quanton_mixed_detector forms it, and passes _density."""
     reduced = _density(rho * _overlap_average(weights, grams))
     coherence = _coherence(reduced)
     dq = _branch_distinguishability(rho.diagonal(axis1=-2, axis2=-1).real, weights, grams)

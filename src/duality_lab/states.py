@@ -213,31 +213,26 @@ def _check_branch_weights(w: np.ndarray) -> None:
 _GRAM_FAULTS = ("", "is not Hermitian", "does not have unit diagonal", "is not positive semidefinite")
 
 
-def _check_branch_grams(grams: np.ndarray, checked: np.ndarray | None = None) -> None:
-    """BranchOverlaps' Gram checks over stacks of (k, n, n) Grams, or only over
-    the Grams where the mask `checked` of their leading axes holds: each
-    Hermitian with unit diagonal and positive semidefinite, its lowest
-    eigenvalue no lower than -DEFAULT_TOL. The eigenvalue test runs only on the
-    Grams that pass the first two: one batched Cholesky certifies it for all
-    of them at once; only when it cannot does one batched eigvalsh over them
-    decide (linalg._lowest_eigenvalues). The message names the first failing
-    Gram, by its index j along the branch axis, and the first check it fails;
-    the exception's index is the Gram's full index in `grams`. A Gram holding
-    NaN fails the Hermiticity test."""
-    tested = grams if checked is None else grams[checked]
-    adjoint = dagger(tested)
-    diagonal = tested.diagonal(axis1=-2, axis2=-1)
-    found = np.select([~(np.abs(tested - adjoint).max(axis=(-2, -1)) <= DEFAULT_TOL),
+def _check_branch_grams(grams: np.ndarray) -> None:
+    """BranchOverlaps' Gram checks over stacks of (k, n, n) Grams given from
+    outside: each Hermitian with unit diagonal and positive semidefinite, its
+    lowest eigenvalue no lower than -DEFAULT_TOL. The kernels check no branch
+    Gram: they form theirs from branches that are final by construction
+    (states._branches, random._detector_branches). The eigenvalue test runs
+    only on the Grams that pass the first two: one batched Cholesky certifies
+    it for all of them at once; only when it cannot does one batched eigvalsh
+    over them decide (linalg._lowest_eigenvalues). The message names the first
+    failing Gram, by its index j along the branch axis, and the first check it
+    fails; the exception's index is the Gram's full index. A Gram holding NaN
+    fails the Hermiticity test."""
+    adjoint = dagger(grams)
+    diagonal = grams.diagonal(axis1=-2, axis2=-1)
+    fault = np.select([~(np.abs(grams - adjoint).max(axis=(-2, -1)) <= DEFAULT_TOL),
                        ~(np.abs(diagonal - 1.0).max(axis=-1) <= DEFAULT_TOL)], [1, 2])
     # a NaN fails the first test; eigvalsh, which raises on NaN, sees only the Grams that pass both
-    sane = found == 0
-    low = _lowest_eigenvalues(((tested + adjoint) / 2)[sane], -DEFAULT_TOL)
-    found[sane] = np.where(low >= -DEFAULT_TOL, 0, 3)
-    if checked is None:
-        fault = found
-    else:
-        fault = np.zeros(checked.shape, dtype=found.dtype)
-        fault[checked] = found
+    sane = fault == 0
+    low = _lowest_eigenvalues(((grams + adjoint) / 2)[sane], -DEFAULT_TOL)
+    fault[sane] = np.where(low >= -DEFAULT_TOL, 0, 3)
     _raise_first(fault > 0, ValueError, lambda i: f"branch Gram {i[-1]} {_GRAM_FAULTS[fault[i]]}")
 
 
@@ -332,7 +327,7 @@ def _branches(m: MixedDetectorInteraction) -> tuple[np.ndarray, np.ndarray]:
 def _weighted(weights: np.ndarray) -> np.ndarray:
     """Branch weights below BRANCH_WEIGHT_CUTOFF set to zero, their branches
     kept in place: the weighted ones (weights > 0) are those branch_overlaps
-    keeps, and only their Grams need checking."""
+    keeps, and a zero weight adds exact zeros to every branch average."""
     return np.where(weights >= BRANCH_WEIGHT_CUTOFF, weights, 0.0)
 
 
