@@ -163,10 +163,14 @@ class MixedDetectorInteraction:
 
 def _check_unitaries(us: np.ndarray) -> None:
     """MixedDetectorInteraction's U^dag U = I check over stacks of (n, dim, dim)
-    unitaries; the message names the first failing U_i."""
+    unitaries; the message names the first failing U_i. The deviation is the
+    largest absolute row sum of U^dag U - I, which bounds its spectral norm and
+    so every |<d|U^dag U - I|d>| for a unit d: a branch Gram's diagonal, and the
+    reduced state's trace, then move by no more than the tolerance. The largest
+    entry would not do: <d|U^dag U - I|d> can reach dim times it."""
     product = dagger(us) @ us
     product -= np.eye(us.shape[-1])
-    devs = np.abs(product).max(axis=(-2, -1))
+    devs = np.abs(product).sum(axis=-1).max(axis=-1)
     _raise_first(~(devs <= DEFAULT_TOL), ValueError,  # NaN fails as well
                  lambda i: f"U_{i[-1]} is not unitary, deviation {devs[i]:.3e}")
 

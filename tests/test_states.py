@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from duality_lab.duality import evaluate_mixed_detector
 from duality_lab.linalg import validate_density
 from duality_lab.random import haar_unitary, random_density, random_density_matrix, random_detectors, random_pure
 from duality_lab.states import (
@@ -85,6 +86,27 @@ def test_interaction_rejects_non_unitary():
         MixedDetectorInteraction(rho_d=rho_d, unitaries=np.stack([np.eye(2), 0.5 * np.eye(2), 2 * np.eye(2)]))
     with pytest.raises(ValueError, match="U_1 is not unitary"):
         MixedDetectorInteraction(rho_d=rho_d, unitaries=np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+
+
+def _nearly_unitary(dim, error):
+    """(I + E)^(1/2) for E with every off-diagonal entry `error`: U^dag U - I is
+    E to rounding, each entry within `error`, each row summing to (dim - 1) error."""
+    vals, vecs = np.linalg.eigh(np.eye(dim) + error * (np.ones((dim, dim)) - np.eye(dim)))
+    return (vecs * np.sqrt(vals)) @ vecs.T
+
+
+def test_interaction_bounds_the_unitarity_error_a_branch_gram_sees():
+    """A branch Gram's diagonal moves by <d|U^dag U - I|d>, which for
+    d = (1, 1, 1, 1)/2 is the row sum 3 error, three times any entry. The
+    constructor bounds the row sums, so an interaction it accepts evaluates."""
+    rho_d = validate_density(np.full((4, 4), 0.25))
+    u = _nearly_unitary(4, 0.9e-10)
+    with pytest.raises(ValueError, match=r"^U_0 is not unitary, deviation 2\.700e-10$"):
+        MixedDetectorInteraction(rho_d=rho_d, unitaries=np.stack([u, u]))
+    u = _nearly_unitary(4, 0.3e-10)
+    m = MixedDetectorInteraction(rho_d=rho_d, unitaries=np.stack([u, u]))
+    assert abs(branch_overlaps(m).branch_grams[0, 0, 0] - 1.0) > 0.8e-10
+    assert evaluate_mixed_detector(random_density(2, 2, 5), m).passed
 
 
 def test_interaction_rejects_dimension_mismatch():
