@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _raise_first, as_matrix
+from .linalg import DEFAULT_TOL, NotHermitianError, NotPSDError, _lowest_eigenvalues, _raise_first, as_matrix, dagger
 from .states import BranchOverlaps, DetectorSet, MixedQuanton, PureQuanton, _branch_average
 
 #: numerical-dust window: results may poke out of [0, 1] by at most this
@@ -89,23 +89,41 @@ def uqsd_bound(probs, gram) -> float:
         1 - (1/(n-1)) sum_{i != j} sqrt(p_i p_j) |gram_ij|
 
     Equals 1 for orthogonal states. The bound is in general not
-    attainable.
+    attainable. The Gram is checked where it enters (_checked_gram).
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.shape[0] < 2:
         raise ValueError("need at least two probabilities")
-    g = as_matrix(gram)
-    if g.shape != (p.shape[0], p.shape[0]):
-        raise ValueError(f"Gram shape {g.shape} does not match {p.shape[0]} probabilities")
+    g = _checked_gram(gram, p.shape[0], "probabilities")
     _checked_probs(p)
+    return _uqsd(p, g)
+
+
+def _checked_gram(gram, n: int, counted: str) -> np.ndarray:
+    """A Gram matrix given from outside, as a finite (n, n) complex array,
+    once it is Hermitian within DEFAULT_TOL, has unit diagonal and is positive
+    semidefinite, its lowest eigenvalue no lower than -DEFAULT_TOL. The
+    diagonal is held to 1e-8: DetectorSet accepts norms within DEFAULT_TOL, so
+    its Gram's diagonal may be off by about twice that."""
+    g = as_matrix(gram)
+    if g.shape != (n, n):
+        raise ValueError(f"Gram shape {g.shape} does not match {n} {counted}")
+    adjoint = dagger(g)
+    herm_dev = np.abs(g - adjoint).max()
+    if not herm_dev <= DEFAULT_TOL:
+        raise NotHermitianError(f"Gram Hermiticity deviation {herm_dev:.3e} over {DEFAULT_TOL:.1e}")
     if not np.abs(g.diagonal() - 1.0).max() <= 1e-8:
         raise ValueError("Gram matrix must have unit diagonal (normalized states)")
-    return _uqsd(p, g)
+    low = _lowest_eigenvalues((g + adjoint) / 2.0, -DEFAULT_TOL)
+    if not low >= -DEFAULT_TOL:
+        raise NotPSDError(f"Gram minimum eigenvalue {low:.3e} below -{DEFAULT_TOL:.1e}")
+    return g
 
 
 def _uqsd(p: np.ndarray, gram: np.ndarray):
     """uqsd_bound over stacks of (n,) probabilities and (n, n) Gram matrices
-    that are already checked: those of validated quantons and detector sets."""
+    that are already checked, or final by construction: those of validated
+    quantons and of detector vectors (states._gram)."""
     return _clamp_unit(1.0 - _cross_sum(p, np.abs(gram)) / (p.shape[-1] - 1), "UQSD bound")
 
 
@@ -182,12 +200,9 @@ def mixed_duality_slack(q: MixedQuanton, gram) -> float:
 
         (1/(n-1)) sum_{i != j} (sqrt(rho_ii rho_jj) - |rho_ij|) |<d_j|d_i>|
 
-    Zero exactly for pure quantons.
+    Zero exactly for pure quantons. The Gram is checked as uqsd_bound checks it.
     """
-    g = as_matrix(gram)
-    if g.shape != (q.n, q.n):
-        raise ValueError(f"Gram shape {g.shape} does not match {q.n} paths")
-    return float(_slack(q.rho.matrix, g))
+    return float(_slack(q.rho.matrix, _checked_gram(gram, q.n, "paths")))
 
 
 def _slack(rho: np.ndarray, gram: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from duality_lab.linalg import validate_density
+from duality_lab.linalg import NotHermitianError, NotPSDError, validate_density
 from duality_lab.measures import (
     _clamp_unit,
     coherence_bound_mixed_detector,
@@ -110,6 +110,41 @@ def test_uqsd_rejects_bad_sum():
 def test_uqsd_rejects_unnormalized_gram():
     with pytest.raises(ValueError, match="unit diagonal"):
         uqsd_bound([0.5, 0.5], np.diag([1.0, 0.5]))
+
+
+# Grams given from outside, each failing one of the checks the public measures
+# make where a Gram enters: the exception class and message of each
+BAD_GRAMS = {
+    "not-hermitian": (np.array([[1, 0.9, 0], [0, 1, 0], [0, 0, 1]], dtype=complex), NotHermitianError,
+                      "Gram Hermiticity deviation 9.000e-01 over 1.0e-10"),
+    "not-psd": (np.array([[1, 0.9, 0.9], [0.9, 1, -0.9], [0.9, -0.9, 1]], dtype=complex), NotPSDError,
+                "Gram minimum eigenvalue -8.000e-01 below -1.0e-10"),
+    "not-unit-diagonal": (np.diag([2.0, 1.0, 1.0]), ValueError,
+                          "Gram matrix must have unit diagonal (normalized states)"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_GRAMS)
+@pytest.mark.parametrize("measure", [
+    lambda q, gram: uqsd_bound(q.path_probabilities(), gram), distinguishability_mixed, mixed_duality_slack,
+], ids=["uqsd_bound", "distinguishability_mixed", "mixed_duality_slack"])
+def test_public_measures_reject_bad_grams(measure, bad):
+    gram, error, message = BAD_GRAMS[bad]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        measure(random_density(3, 2, 4), gram)
+    assert type(info.value) is error
+
+
+def test_public_measures_accept_the_gram_of_any_detector_set():
+    """DetectorSet accepts norms within 1e-10, so its Gram's diagonal may be
+    off by about 2e-10; the measures hold the diagonal to 1e-8 and accept it."""
+    vectors = random_detectors(3, 4, 5).vectors * np.array([[1 + 0.9e-10], [1 - 0.9e-10], [1.0]])
+    d = DetectorSet(vectors)
+    assert np.abs(d.gram.diagonal() - 1.0).max() > 1.5e-10
+    q = random_density(3, 2, 4)
+    assert 0.0 <= distinguishability_pure(random_pure(3, 6), d) <= 1.0
+    assert 0.0 <= distinguishability_mixed(q, d.gram) <= 1.0
+    assert mixed_duality_slack(q, d.gram) >= -1e-12
 
 
 def test_uqsd_monotone_in_overlap():
