@@ -28,11 +28,14 @@ from duality_lab.random import (
     uniform_overlap_detectors,
 )
 from duality_lab.states import (
+    MixedDetectorInteraction,
     PureQuanton,
     _branches,
+    _check_branch_grams,
     _check_branch_weights,
     _check_detector_vectors,
     _check_normalized,
+    _gram,
 )
 
 
@@ -196,16 +199,28 @@ def _isometry_deviation(kets):
     return np.abs(gram - norms[..., None] * np.eye(gram.shape[-1])).max()
 
 
+def _gram_deviation(grams):
+    """How far a stack of Grams is from Hermitian with unit diagonal."""
+    return max(np.abs(grams - grams.conj().swapaxes(-1, -2)).max(),
+               np.abs(grams.diagonal(axis1=-2, axis2=-1) - 1.0).max())
+
+
+def _weighted_grams(kets, weights):
+    """The Grams of the branches that carry weight, those branch_overlaps keeps."""
+    return _gram(kets)[weights > 0.0]
+
+
 # each kind of array _draw_stack returns: the constructor check a campaign
-# skips on it, and its worst deviation from what that check asks. No
-# constructor takes path kets: MixedDetectorInteraction checks the unitaries
-# whose columns they are, and BranchOverlaps the weights
+# skips on it, and its worst deviation from what that check asks. The path
+# kets are given with their weights: BranchOverlaps checks the Grams of the
+# weighted branches, and the kets are also held to the columns of isometries
 _SKIPPED_CHECKS = {
     "amplitudes": (_check_normalized, lambda a: np.abs(np.sum(np.abs(a) ** 2, axis=-1) - 1.0).max()),
     "vectors": (_check_detector_vectors, lambda v: np.abs(np.linalg.norm(v, axis=-1) - 1.0).max()),
     "state": (_density, lambda rho: np.abs(_density(rho) - rho).max()),
     "weights": (_check_branch_weights, lambda w: np.abs(w.sum(axis=-1) - 1.0).max()),
-    "kets": (None, _isometry_deviation),
+    "kets": (lambda kets, weights: _check_branch_grams(_weighted_grams(kets, weights)),
+             lambda kets, weights: max(_isometry_deviation(kets), _gram_deviation(_weighted_grams(kets, weights)))),
 }
 _DRAWN_KINDS = {"pure_pure": ("amplitudes", "vectors"), "mixed_pure": ("state", "vectors"),
                 "mixed_mixed": ("state", "weights", "kets")}
@@ -228,11 +243,65 @@ def test_drawn_arrays_pass_the_checks_a_campaign_skips(scenario, data):
     group = shapes[0][0]
     arrays = _draw_stack(scenario, *group, rank, stream(seed, 0),
                          [position for shape, position in shapes if shape == group])
-    for kind, array in zip(_DRAWN_KINDS[scenario], arrays, strict=True):
+    drawn = dict(zip(_DRAWN_KINDS[scenario], arrays, strict=True))
+    for kind, array in drawn.items():
         check, deviation = _SKIPPED_CHECKS[kind]
-        if check is not None:
-            check(array)
-        assert deviation(array) <= 1e-13, kind
+        given = (array, drawn["weights"]) if kind == "kets" else (array,)
+        check(*given)
+        assert deviation(*given) <= 1e-13, kind
+
+
+def _zero_weight_state(dim):
+    """A diagonal detector state whose last spectral weight is exactly zero."""
+    weights = np.linspace(2.0, 1.0, dim)
+    weights[-1] = 0.0
+    return validate_density(np.diag(weights / weights.sum()))
+
+
+def _near_parallel_unitaries(n, dim, rng):
+    """Path unitaries that differ by about 1e-7, so every branch Gram is all
+    but the all-ones matrix and nearly singular."""
+    base = haar_unitary(dim, rng)
+    nudges = [lab_random._haar(np.eye(dim) + 1e-7 * lab_random._complex(rng.standard_normal((2, dim, dim))))
+              for _ in range(n)]
+    return np.stack([base @ u for u in nudges])
+
+
+def _haar_unitaries(n, dim, rng):
+    return np.stack([haar_unitary(dim, rng) for _ in range(n)])
+
+
+# interactions the constructor accepts, by how their detector state and unitaries are built
+_INTERACTIONS = {
+    "random_mixed_detector": lambda n, dim, rng: random_mixed_detector(n, dim, rng),
+    "ginibre": lambda n, dim, rng: MixedDetectorInteraction(
+        random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng), _haar_unitaries(n, dim, rng)),
+    "rank_one": lambda n, dim, rng: MixedDetectorInteraction(random_density_matrix(dim, 1, rng),
+                                                             _haar_unitaries(n, dim, rng)),
+    "zero_weight": lambda n, dim, rng: MixedDetectorInteraction(_zero_weight_state(dim + 1),
+                                                                _haar_unitaries(n, dim + 1, rng)),
+    "near_parallel": lambda n, dim, rng: MixedDetectorInteraction(
+        random_density_matrix(dim, int(rng.integers(1, dim + 1)), rng), _near_parallel_unitaries(n, dim, rng)),
+}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_INTERACTIONS)), n=st.integers(2, 6), dim=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_interaction_branches_pass_the_checks_the_kernel_skips(kind, n, dim, seed):
+    """The mixed_mixed kernel uses an interaction's spectral branches
+    (states._branches) unchecked, as it uses a campaign's drawn ones. For
+    interactions the constructor accepts, the weighted branches pass
+    BranchOverlaps' weight and Gram checks, 1000 times inside their
+    tolerance of 1e-10."""
+    weights, kets = _branches(_INTERACTIONS[kind](n, dim, np.random.default_rng(seed)))
+    _check_branch_weights(weights)
+    grams = _weighted_grams(kets, weights)
+    _check_branch_grams(grams)
+    assert abs(weights.sum() - 1.0) <= 1e-13
+    assert _gram_deviation(grams) <= 1e-13
+    if kind in ("rank_one", "zero_weight"):
+        assert len(grams) == (1 if kind == "rank_one" else len(weights) - 1)
 
 
 def test_random_density_rank_out_of_range():
