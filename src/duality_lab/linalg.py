@@ -248,13 +248,12 @@ def spectral_decompose(rho: DensityMatrix) -> list[tuple[float, np.ndarray]]:
 def _spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """spectral_decompose over the trailing (n, n) axes of a stack: the
     eigenvalues, descending and clamped at zero, and their eigenvectors as
-    rows. The rows are C-contiguous, because einsum's summation order
-    follows the memory layout of its operands."""
+    rows: a transposed view, which spectral_decompose copies row by row and
+    states._branches multiplies into the unitaries."""
     vals, vecs = np.linalg.eigh(m)
     order = np.argsort(vals, axis=-1)[..., ::-1]
     weights = np.maximum(np.take_along_axis(vals, order, axis=-1), 0.0)
-    rows = np.take_along_axis(vecs, order[..., None, :], axis=-1).swapaxes(-1, -2)
-    return weights, np.ascontiguousarray(rows)
+    return weights, np.take_along_axis(vecs, order[..., None, :], axis=-1).swapaxes(-1, -2)
 
 
 def principal_submatrix_margin(m) -> float:

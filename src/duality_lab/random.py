@@ -29,8 +29,11 @@ divided by their real trace (PSD with unit trace), branch weights are
 divided by their sum, and Haar unitaries and isometries come from a QR
 factor. The public generators wrap them in the per-object types, whose
 constructors check vectors and unitaries as they check any input and take
-drawn states as DensityMatrix unchecked; a campaign checks the arrays
-`_stacks` yields only for NaN or Inf entries (duality.run_campaign).
+drawn states as DensityMatrix unchecked. A campaign checks the arrays
+`_stacks` yields only for NaN or Inf entries (duality.run_campaign), and
+the kernels use them as they come: the mixed_mixed kernel forms the Grams
+of the drawn path kets and uses them and the weights unchecked, as the
+pure-detector kernels use the Grams of the drawn vectors.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ _STATES_PER_BLOCK = 4096
 #: mixed_mixed trial at n = 6 holds a row of up to 16.7 kB (dim = 12), of
 #: which its detector rank fills on average a little over half, and its
 #: stack needs about five times its rows while it runs (QR copies, the
-#: zero-padded path kets, the weighted branch Grams gathered for their check).
+#: zero-padded path kets, the branch Grams).
 #: On 1000-trial campaigns, against a 64 KiB budget with drawn trials waiting,
 #: peak RSS stayed flat at 128 KiB and rose 0.7-0.9 MB at 256 KiB and 2.6 MB at
 #: 512 KiB.
