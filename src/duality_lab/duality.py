@@ -28,12 +28,12 @@ scans, and the two- and three-slit checks read C and D_Q from
 evaluate_pure. Input from outside is checked where it enters (the
 constructors, validate_density, _gram_factors); the arrays the program
 builds, a campaign's draws, a sweep's factored vectors and an interaction's
-spectral branches, are final by construction, and the draws are checked only
-for NaN or Inf. So every kernel uses its detector Grams, or branch weights and
-Grams, unchecked, and checks what it derives: the reduced states and the
-finiteness of C, D_Q and the slack. Each kernel states its own relations as columns
-over its stack, and one tail (``_tabulate``) adds the duality sum, the PSD
-margin and the verdicts the same way. Every command writes its CSV from
+spectral branches, are final by construction, and the draws are checked
+only for NaN or Inf. So every kernel uses its detector Grams, or branch
+weights and Grams, unchecked, and checks what it derives: the reduced
+states and the finiteness of C, D_Q and the slack. Each kernel states its
+own relations as columns over its stack, and one tail (``_tabulate``) adds
+the duality sum, the PSD margin and the verdicts the same way. Every command writes its CSV from
 these columns (_Table.columns); evaluate_* and sweep_overlap pack them into
 reports for their callers.
 """
