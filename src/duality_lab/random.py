@@ -9,10 +9,11 @@ replays it.
 A campaign draws its trials through one generator, `_stacks`: it computes
 each trial's shape and the PCG64 position after it without a generator
 (`_trial_shapes`), groups the waiting positions by (n, dim) and draws a
-group once its trials would draw STACK_BYTES (`_draw_stack`): one float64
-stack with one row of raw reals per trial, in the regions `_trial_widths`
-gives, assembled over the stack with the helpers that the public random_*
-generators run on a single instance.
+group once its rows of raw reals would fill STACK_BYTES, 1 MiB
+(`_draw_stack`): one float64 stack with one row per trial, in the regions
+`_trial_widths` gives, assembled over the stack with the helpers that the
+public random_* generators run on a single instance. A mixed_mixed row is
+reserved at full detector rank and its draws fill about half of it.
 
 A mixed detector is drawn in its rank factor (_detector_branches): the
 detector enters only through U_i rho_d U_j^dag = Q_i S^2 Q_j^dag, with
@@ -58,15 +59,19 @@ _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _STATES_PER_BLOCK = 4096
 #: bytes of raw draws at which a campaign draws and evaluates an (n, dim)
 #: group of waiting trials as one stack, which caps the stacks and their
-#: temporaries; a waiting trial holds only its generator position. A
-#: mixed_mixed trial at n = 6 holds a row of up to 16.7 kB (dim = 12), of
-#: which its detector rank fills on average a little over half, and its
-#: stack needs about five times its rows while it runs (QR copies, the
-#: zero-padded path kets, the branch Grams).
-#: On 1000-trial campaigns, against a 64 KiB budget with drawn trials waiting,
-#: peak RSS stayed flat at 128 KiB and rose 0.7-0.9 MB at 256 KiB and 2.6 MB at
-#: 512 KiB.
-STACK_BYTES = 1 << 18
+#: temporaries; a waiting trial holds only its generator position. Rows are
+#: counted as reserved: a mixed_mixed trial at n = 6 reserves up to 16.7 kB
+#: (dim = 12) at full detector rank and draws on average a little over half
+#: of it. A full mixed_mixed stack peaks at about 2.3 times the budget while
+#: it runs (QR copies, the zero-padded path kets, the branch Grams).
+#: A stack pays a QR and an svd per detector rank and its kernel's stacked
+#: calls once, so a larger one spreads them over more trials. In-process
+#: 1000-trial mixed_mixed campaigns at n = 6 took 86, 71, 62 and 64 ms at
+#: 256 KiB, 512 KiB, 1 MiB and 2 MiB, peaking at 0.96, 1.63, 2.75 and
+#: 4.97 MB under tracemalloc (tools/stack_budget.py). From 256 KiB to 1 MiB
+#: the campaign_mixed_mixed benchmark rose from 18040 to 23990 items/s and
+#: its peak RSS from 43.07 to 44.76 MB (medians of 10 pairs).
+STACK_BYTES = 1 << 20
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
@@ -398,8 +403,10 @@ def _stacks(scenario: str, seed: int, trials: int, n_choices: Sequence[int], det
     campaign fits does not depend on the seed. Every trial is drawn on one
     generator, stream(seed, 0), which _draw_stack sets to each trial's
     position. A trial waits in its (n, dim) group as the position after its
-    shape draws (_trial_shapes); a group is drawn once its trials would draw
-    STACK_BYTES of raw arrays, and what is left of each group at the end."""
+    shape draws (_trial_shapes); a group is drawn once its trials' rows
+    (_trial_bytes) reach STACK_BYTES, and what is left of each group at the
+    end. A row is counted as reserved, a mixed_mixed one at full detector
+    rank, so a mixed_mixed stack draws about half the budget."""
     _empty_stack(scenario, max(n_choices), detector_dim or 2 * max(n_choices), 1)
     rng = stream(seed, 0)  # rejects a negative seed
     # each waiting group's trial indices, their positions and one trial's bytes of draws

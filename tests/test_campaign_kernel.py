@@ -195,11 +195,16 @@ def test_kernel_matches_oracle_with_fixed_dimension_and_rank(scenario, n, detect
 
 
 @pytest.mark.parametrize("scenario, n, dim", [("pure_pure", 2, 2), ("mixed_mixed", 8, 8)])
-def test_kernel_matches_oracle_around_one_stack(scenario, n, dim, stacks):
+def test_kernel_matches_oracle_around_one_stack(monkeypatch, scenario, n, dim, stacks):
+    # the point is the stack boundary, not the budget's value: at 256 KiB a
+    # pure_pure (2, 2) stack holds 2731 trials, at the default 1 MiB 10923,
+    # and the oracle composes about two stacks' trials one at a time
+    monkeypatch.setattr(lab_random, "STACK_BYTES", 1 << 18)
     # a single (n, dim) bucket: its first stack is as large as STACK_BYTES allows
-    run_campaign(scenario, 4000, 5, n=n, detector_dim=dim)
+    two_stacks = 2 * -(-lab_random.STACK_BYTES // lab_random._trial_bytes(scenario, n, dim))
+    run_campaign(scenario, two_stacks, 5, n=n, detector_dim=dim)
     stack = stacks[0][0]
-    assert 2 < stack < 4000
+    assert 2 < stack < two_stacks
     for trials, expected in ((1, [1]), (stack - 1, [stack - 1]), (stack + 1, [stack, 1])):
         stacks.clear()
         _assert_matches_oracle(scenario, trials, 5, n, dim)
@@ -218,12 +223,22 @@ def _draw_trial(scenario, rng, n_choices, detector_dim, rank):
     return n, dim, _draw_stack(scenario, n, dim, rank, rng, [position])
 
 
+def _trials_that_fill_a_stack(scenario, n_choices):
+    """Enough trials that some (n, dim) group fills a stack at the default
+    budget, whatever shapes they draw: group g fills one at ceil(STACK_BYTES
+    / its row) trials, so if none did, there were fewer trials than the sum
+    of those counts over every group that n_choices allows (dim in n..2n)."""
+    return sum(-(-STACK_BYTES // lab_random._trial_bytes(scenario, n, dim))
+               for n in n_choices for dim in range(n, 2 * n + 1))
+
+
 @pytest.mark.parametrize("scenario, n", [("pure_pure", 8), ("mixed_mixed", 6), ("mixed_pure", (2, 8))])
 def test_stacks_hold_at_most_the_byte_budget(scenario, n, stacks):
-    run_campaign(scenario, 2000, 3, n=n)
     n_choices = (n,) if isinstance(n, int) else n
-    largest = max(lab_random._trial_bytes(scenario, *_draw_shape(stream(3, k), n_choices, None)) for k in range(2000))
-    assert sum(count for count, _ in stacks) == 2000
+    trials = _trials_that_fill_a_stack(scenario, n_choices)
+    run_campaign(scenario, trials, 3, n=n)
+    largest = max(lab_random._trial_bytes(scenario, *_draw_shape(stream(3, k), n_choices, None)) for k in range(trials))
+    assert sum(count for count, _ in stacks) == trials
     # a stack is drawn once its group's trials would draw the budget, so it
     # may exceed the budget by at most the trial that tipped it over
     assert STACK_BYTES <= max(held for _, held in stacks) < STACK_BYTES + largest
@@ -322,6 +337,28 @@ def test_campaign_traced_memory_peak_stays_below_3_mb():
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000
+
+
+def test_a_full_mixed_mixed_stack_peaks_below_three_budgets():
+    """The README's memory statement: a full default-budget mixed_mixed stack
+    at (n, dim) = (6, 12), the widest row at n <= 6, peaks below three times
+    STACK_BYTES while it is drawn and while the kernel evaluates it."""
+    scenario, n, dim = "mixed_mixed", 6, 12
+    trials = -(-STACK_BYTES // lab_random._trial_bytes(scenario, n, dim))
+    positions = [position for _, position in lab_random._trial_shapes(7, trials, (n,), dim)]
+    # numpy's lazy set-up is no stack's memory
+    duality._kernel(scenario, *_draw_stack(scenario, n, dim, None, stream(7, 0), positions[:2]))
+    tracemalloc.start()
+    try:
+        arrays = _draw_stack(scenario, n, dim, None, stream(7, 0), positions)
+        _, drawing = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        duality._kernel(scenario, *arrays)
+        _, evaluating = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(arrays[0]) == trials
+    assert drawing <= 3 * STACK_BYTES and evaluating <= 3 * STACK_BYTES
 
 
 def test_draw_trial_equals_the_public_generators():
