@@ -41,7 +41,7 @@ from .duality import (
     _write_csv,
     run_campaign,
 )
-from .interference import DEFAULT_GRID_POINTS, _check_grid_points, _gamma_grid, symmetric_detectors
+from .interference import DEFAULT_GRID_POINTS, _check_grid_points, _gamma_grid, _phase_cells, symmetric_detectors
 from .linalg import MAX_COMPOSITE_DIM, validate_density
 from .random import (
     random_density,
@@ -375,7 +375,7 @@ def cmd_fringe(args: argparse.Namespace) -> int:
     )
     output = cfg.get("output")
     _write_csv(sys.stdout if output is None else output, ("theta", "intensity"),
-               {"theta": scan.phases, "intensity": scan.intensities}, comment)
+               {"theta": _phase_cells(grid_points), "intensity": scan.intensities}, comment)
     return EXIT_OK
 
 

@@ -95,7 +95,9 @@ REPORT_COLUMNS = (
 CSV_COLUMNS = ("trial", "seed", *(column for column in REPORT_COLUMNS if column != "visibility"))
 #: rows _write_csv formats and writes in one call. A block's cells are Python
 #: objects while it is formatted, so the block, not the table, bounds that
-#: memory: a 4096-row fringe holds a quarter of its cells at a time.
+#: memory: a 4096-row fringe holds a quarter of its intensity cells at a
+#: time. Its phase cells are text formatted once per grid size in a process
+#: and kept for the last size (interference._phase_cells, 0.31 MB at 4096).
 CSV_BLOCK_ROWS = 1024
 
 
@@ -360,38 +362,51 @@ class CampaignResult:
 
 def _write_csv(path_or_file, header: Sequence[str], columns: dict, comment: str | None = None) -> None:
     """Write an optional `# comment` line, then the `header` columns as CSV rows,
-    each formatted by one printf template. A column is a constant or an
-    array. A constant (an int or str, such as a campaign's seed) is a
-    literal in the template, and None or a missing column an empty one. An
-    int array is written with %d, a float array with %.17g (17 significant
-    digits round-trip exactly) and a bool array as true/false. Rows go out
-    CSV_BLOCK_ROWS at a time: a block is sliced from the arrays and formatted
-    by one % on the template repeated once per row, then written in one call."""
+    each formatted by one printf template. A column is one of:
+
+    - None or missing: an empty cell;
+    - an int or str constant, such as a campaign's seed: a literal in the
+      template;
+    - an int array: %d; a float array: %.17g (17 significant digits
+      round-trip exactly); a bool array: true/false;
+    - a tuple of str, cells formatted beforehand: %s.
+
+    The array and tuple columns must have one length, or ValueError names
+    each one's. Rows go out CSV_BLOCK_ROWS at a time: a block is sliced from
+    the columns and formatted by one % on the template repeated once per
+    row, then written in one call."""
     if not hasattr(path_or_file, "write"):
         with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
             return _write_csv(fh, header, columns, comment)
-    fields, cells = [], []
+    fields, cells, lengths = [], [], {}
     for name in header:
         column = columns.get(name)
         if column is None or isinstance(column, (int, str)):
             fields.append("" if column is None else str(column).replace("%", "%%"))
+            continue
+        if isinstance(column, tuple):
+            fields.append("%s")
         elif column.dtype.kind == "b":
             fields.append("%s")
-            cells.append(np.where(column, "true", "false"))
+            column = np.where(column, "true", "false")
         else:
             fields.append("%.17g" if column.dtype.kind == "f" else "%d")
-            cells.append(column)
+        cells.append(column)
+        lengths[name] = len(column)
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"CSV columns differ in length: {lengths}")
     template = ",".join(fields) + "\n"
     if comment is not None:
         path_or_file.write(f"# {comment}\n")
     path_or_file.write(",".join(header) + "\n")
-    rows = min((len(cell) for cell in cells), default=0)
+    rows = max(lengths.values(), default=0)
     for start in range(0, rows, CSV_BLOCK_ROWS):
         count = min(CSV_BLOCK_ROWS, rows - start)
         # the block's cells in row order; no per-row tuple is built
         flat = [None] * (count * len(cells))
         for j, cell in enumerate(cells):
-            flat[j::len(cells)] = cell[start:start + count].tolist()
+            block = cell[start:start + count]
+            flat[j::len(cells)] = block if isinstance(block, tuple) else block.tolist()
         path_or_file.write(template * count % tuple(flat))
 
 

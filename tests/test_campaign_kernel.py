@@ -29,7 +29,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import duality_lab
-from duality_lab import duality
+from duality_lab import duality, interference
 from duality_lab import random as lab_random
 from duality_lab.cli import SWEEP_CSV_COLUMNS, VERIFY_CSV_COLUMNS, main
 from duality_lab.duality import (
@@ -947,18 +947,39 @@ def test_sweep_builds_no_detector_set(monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("n, gamma, grid_points", [(2, 0.6, 4096), (3, 0.35, 256), (5, 0.8, 5000)])
-def test_fringe_csv_equals_the_row_oracle(n, gamma, grid_points, capsys):
-    """Fringe rows by the rule of the removed FringeScan.to_csv: theta and
-    intensity with 17 significant digits each."""
+def _fringe_oracle(n, gamma, grid_points):
+    """Fringe text by the rule of the removed FringeScan.to_csv: the comment,
+    then theta and intensity with 17 significant digits each, row by row."""
     scan, report = duality._pure_fringe(duality._equal_amplitude_quanton(n), symmetric_detectors(n, gamma),
                                         grid_points)
-    assert main(["fringe", "--n", str(n), "--gamma", repr(gamma), "--grid-points", str(grid_points)]) == 0
     comment = (f"# n={n} gamma={gamma!r} visibility={scan.visibility!r} coherence={report.coherence!r} "
                f"distinguishability={report.distinguishability!r}\n")
     rows = "".join(f"{theta:.17g},{value:.17g}\n"
                    for theta, value in zip(scan.phases.tolist(), scan.intensities.tolist()))
-    assert capsys.readouterr().out == comment + "theta,intensity\n" + rows
+    return comment + "theta,intensity\n" + rows
+
+
+@pytest.mark.parametrize("n, gamma, grid_points", [(2, 0.6, 4096), (3, 0.35, 256), (5, 0.8, 5000)])
+def test_fringe_csv_equals_the_row_oracle(n, gamma, grid_points, capsys):
+    """A fringe's CSV on stdout equals the row oracle's text."""
+    assert main(["fringe", "--n", str(n), "--gamma", repr(gamma), "--grid-points", str(grid_points)]) == 0
+    assert capsys.readouterr().out == _fringe_oracle(n, gamma, grid_points)
+
+
+def test_back_to_back_fringes_equal_the_row_oracle(tmp_path, capsys):
+    """Fringes of one process, at sizes that change and then return, and
+    each written to stdout and to a file, equal the oracle: a phase column
+    formatted for one size is never written at another."""
+    interference._phase_cells.cache_clear()
+    runs = [(2, 0.6, 256), (3, 0.35, 4099), (5, 0.8, 5000), (3, 0.9, interference.MAX_GRID_POINTS),
+            (2, 0.25, 4096)]
+    for n, gamma, grid_points in runs:
+        argv = ["fringe", "--n", str(n), "--gamma", repr(gamma), "--grid-points", str(grid_points)]
+        expected = _fringe_oracle(n, gamma, grid_points)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        assert main([*argv, "--output", str(tmp_path / "fringe.csv")]) == 0
+        assert (tmp_path / "fringe.csv").read_bytes() == expected.encode()
 
 
 def test_mixed_column_cells_use_17_significant_digits():
@@ -973,6 +994,32 @@ def test_mixed_column_cells_use_17_significant_digits():
                 "-0,true,,50%d,-1", "inf,false,,50%d,0", "-inf,true,,50%d,1",
                 "1.0000000000000001e+300,false,,50%d,2", "2,true,,50%d,3"]
     assert buf.getvalue() == "".join(line + "\n" for line in expected)
+
+
+def test_tuple_column_cells_are_written_as_given():
+    """A tuple of str is a column of cells formatted beforehand: each is
+    written as it is, a % in it included, beside the array columns."""
+    buf = io.StringIO()
+    duality._write_csv(buf, ("text", "array", "constant"),
+                       {"text": ("0", "1.5", "50%d", "%s%%"), "array": np.array([0.5, -0.0, np.nan, 1 / 3]),
+                        "constant": "c"})
+    expected = ["text,array,constant", "0,0.5,c", "1.5,-0,c", "50%d,nan,c", "%s%%,0.33333333333333331,c"]
+    assert buf.getvalue() == "".join(line + "\n" for line in expected)
+
+
+@pytest.mark.parametrize("columns", [
+    {"a": np.arange(5.0), "b": np.arange(3.0)},
+    {"a": np.arange(3.0), "b": ("x",) * 5},
+    {"a": np.arange(4) % 2 == 0, "b": np.arange(5)},
+])
+def test_columns_of_different_lengths_raise_before_any_output(columns):
+    """Array and tuple columns of different lengths raise ValueError naming
+    each length, and nothing is written; none is silently truncated."""
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="differ in length") as raised:
+        duality._write_csv(buf, ("a", "b", "c"), {**columns, "c": 7}, "comment")
+    assert str(raised.value).endswith(f"{{'a': {len(columns['a'])}, 'b': {len(columns['b'])}}}")
+    assert buf.getvalue() == ""
 
 
 @given(st.lists(st.floats(), min_size=1, max_size=16))

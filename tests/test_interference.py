@@ -235,14 +235,30 @@ def _counted(monkeypatch, owner, name):
 ])
 def test_only_fringe_computes_the_grid(monkeypatch, capsys, argv, scans, grids):
     """Sweeps and verify read the visibility of every scan and never its
-    grid, so they build no phase grid and run no inverse DFT; fringe writes
-    the grid and builds one of each."""
+    grid, so they format no phase column and run no inverse DFT; fringe
+    writes the grid, formats its phase column once from an empty cache and
+    runs one inverse DFT. No command reads a scan's phase array."""
+    interference._phase_cells.cache_clear()
     iffts = _counted(monkeypatch, interference.np.fft, "ifft")
     scan_calls = _counted(monkeypatch, duality, "scan_visibility")
     # a cached_property calls its func on the first read
     phase_grids = _counted(monkeypatch, FringeScan.__dict__["phases"], "func")
     assert main(argv) == 0, capsys.readouterr().err
-    assert (len(scan_calls), len(phase_grids), len(iffts)) == (scans, grids, grids)
+    formatted = interference._phase_cells.cache_info().misses
+    assert (len(scan_calls), formatted, len(iffts), len(phase_grids)) == (scans, grids, grids, 0)
+
+
+def test_fringe_formats_its_phase_column_once_per_grid_size(monkeypatch, capsys):
+    """The first fringe at a size formats the phase column and runs one
+    inverse DFT; a second at that size formats nothing and runs one more;
+    a fringe at another size formats its own column once."""
+    interference._phase_cells.cache_clear()
+    iffts = _counted(monkeypatch, interference.np.fft, "ifft")
+    runs = (("4096", "0.6", 1), ("4096", "0.2", 1), ("256", "0.6", 2))
+    for run, (grid_points, gamma, formatted) in enumerate(runs, start=1):
+        assert main(["fringe", "--n", "3", "--gamma", gamma, "--grid-points", grid_points]) == 0
+        assert (interference._phase_cells.cache_info().misses, len(iffts)) == (formatted, run)
+    capsys.readouterr()
 
 
 def test_grid_is_computed_once_on_first_read(monkeypatch):
