@@ -35,6 +35,7 @@ from .duality import (
     _equal_amplitude_quanton,
     _instance_table,
     _pure_fringe,
+    _rewrite,
     _stack_of_one,
     _sweep_table,
     _Table,
@@ -226,7 +227,7 @@ def _write_text(output: str | None, text: str) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
+        with _rewrite(output) as fh:
             fh.write(text)
 
 

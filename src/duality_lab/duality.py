@@ -35,15 +35,19 @@ states and the finiteness of C, D_Q and the slack. Each kernel states its
 own relations as columns over its stack, and one tail (``_tabulate``) adds
 the duality sum, the PSD margin and the verdicts the same way. Every command writes its CSV from
 these columns (_Table.columns); evaluate_* and sweep_overlap pack them into
-reports for their callers.
+reports for their callers. Every output file is opened by _rewrite, which
+writes over it in place and cuts it to length, rather than truncating it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
 import operator
+import os
+import stat
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -360,9 +364,33 @@ class CampaignResult:
                                                **self.table.columns()})
 
 
+def _rewrite_opener(path, flags):
+    # open's own flags (O_CLOEXEC; O_BINARY on Windows) less O_TRUNC, and open's mode
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextlib.contextmanager
+def _rewrite(path):
+    """Open `path` for UTF-8 text as open(path, "w") does, but write over the
+    file in place instead of truncating it; on exit, a regular file is cut to
+    what was written. On ext4 (auto_da_alloc), truncating a non-empty file
+    frees its blocks and makes its close flush the new data, which cost a
+    `verify` more than its kernel; writing in place does neither. An exception
+    mid-write leaves the new head and no old tail; a process killed mid-write
+    may leave both. Devices, pipes and FIFOs are opened as open opens them,
+    and none is cut (/dev/null cannot be)."""
+    with open(path, "w", encoding="utf-8", newline="", opener=_rewrite_opener) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def _write_csv(path_or_file, header: Sequence[str], columns: dict, comment: str | None = None) -> None:
     """Write an optional `# comment` line, then the `header` columns as CSV rows,
-    each formatted by one printf template. A column is one of:
+    each formatted by one printf template, to an open file or to a path,
+    which _rewrite opens. A column is one of:
 
     - None or missing: an empty cell;
     - an int or str constant, such as a campaign's seed: a literal in the
@@ -372,12 +400,9 @@ def _write_csv(path_or_file, header: Sequence[str], columns: dict, comment: str 
     - a tuple of str, cells formatted beforehand: %s.
 
     The array and tuple columns must have one length, or ValueError names
-    each one's. Rows go out CSV_BLOCK_ROWS at a time: a block is sliced from
-    the columns and formatted by one % on the template repeated once per
-    row, then written in one call."""
-    if not hasattr(path_or_file, "write"):
-        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            return _write_csv(fh, header, columns, comment)
+    each one's before any path is opened. Rows go out CSV_BLOCK_ROWS at a
+    time: a block is sliced from the columns and formatted by one % on the
+    template repeated once per row, then written in one call."""
     fields, cells, lengths = [], [], {}
     for name in header:
         column = columns.get(name)
@@ -396,18 +421,19 @@ def _write_csv(path_or_file, header: Sequence[str], columns: dict, comment: str 
     if len(set(lengths.values())) > 1:
         raise ValueError(f"CSV columns differ in length: {lengths}")
     template = ",".join(fields) + "\n"
-    if comment is not None:
-        path_or_file.write(f"# {comment}\n")
-    path_or_file.write(",".join(header) + "\n")
     rows = max(lengths.values(), default=0)
-    for start in range(0, rows, CSV_BLOCK_ROWS):
-        count = min(CSV_BLOCK_ROWS, rows - start)
-        # the block's cells in row order; no per-row tuple is built
-        flat = [None] * (count * len(cells))
-        for j, cell in enumerate(cells):
-            block = cell[start:start + count]
-            flat[j::len(cells)] = block if isinstance(block, tuple) else block.tolist()
-        path_or_file.write(template * count % tuple(flat))
+    with (contextlib.nullcontext(path_or_file) if hasattr(path_or_file, "write") else _rewrite(path_or_file)) as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            count = min(CSV_BLOCK_ROWS, rows - start)
+            # the block's cells in row order; no per-row tuple is built
+            flat = [None] * (count * len(cells))
+            for j, cell in enumerate(cells):
+                block = cell[start:start + count]
+                flat[j::len(cells)] = block if isinstance(block, tuple) else block.tolist()
+            fh.write(template * count % tuple(flat))
 
 
 def _tabulate(scenario: str, reduced: np.ndarray, include_visibility: bool, coherence: np.ndarray,

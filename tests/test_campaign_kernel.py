@@ -1012,14 +1012,20 @@ def test_tuple_column_cells_are_written_as_given():
     {"a": np.arange(3.0), "b": ("x",) * 5},
     {"a": np.arange(4) % 2 == 0, "b": np.arange(5)},
 ])
-def test_columns_of_different_lengths_raise_before_any_output(columns):
+def test_columns_of_different_lengths_raise_before_any_output(columns, tmp_path):
     """Array and tuple columns of different lengths raise ValueError naming
-    each length, and nothing is written; none is silently truncated."""
+    each length, and nothing is written; none is silently truncated. A path
+    is not opened: an existing file is left as it was, and none is created."""
     buf = io.StringIO()
-    with pytest.raises(ValueError, match="differ in length") as raised:
-        duality._write_csv(buf, ("a", "b", "c"), {**columns, "c": 7}, "comment")
-    assert str(raised.value).endswith(f"{{'a': {len(columns['a'])}, 'b': {len(columns['b'])}}}")
+    existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"
+    existing.write_bytes(b"old output\n")
+    for target in (buf, existing, new, str(new)):
+        with pytest.raises(ValueError, match="differ in length") as raised:
+            duality._write_csv(target, ("a", "b", "c"), {**columns, "c": 7}, "comment")
+        assert str(raised.value).endswith(f"{{'a': {len(columns['a'])}, 'b': {len(columns['b'])}}}")
     assert buf.getvalue() == ""
+    assert existing.read_bytes() == b"old output\n"
+    assert not new.exists()
 
 
 @given(st.lists(st.floats(), min_size=1, max_size=16))

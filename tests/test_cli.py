@@ -2,13 +2,15 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duality_lab import cli
+from duality_lab import cli, duality
 from duality_lab.cli import main
 
 
@@ -799,6 +801,100 @@ def test_fringe_rejects_large_grid(capsys):
     assert code == 2
     assert out == ""
     assert "--grid-points must be <= 65536" in err
+
+
+# ------------------------------------------------------------ output files
+
+# over 1 MB that is not UTF-8, so no stale tail can pass for output
+_JUNK = b"\xffjunk\n" * (2**20 // 6 + 1)
+
+_VERIFY = ["verify", "--n", "3", "--scenario", "mixed_pure", "--seed", "7", "--rank", "2"]
+_SWEEP = ["sweep", "--n", "3", "--gamma-range", "0:1:11"]
+_FRINGE = ["fringe", "--n", "2", "--gamma", "0.6"]
+_FILE_COMMANDS = [_VERIFY, _VERIFY + ["--format", "csv"], _SWEEP, _FRINGE]
+
+
+@pytest.mark.parametrize("old", [_JUNK, b"#"], ids=["longer", "shorter"])
+@pytest.mark.parametrize("argv, suffixes", [
+    *((argv, ("",)) for argv in _FILE_COMMANDS),
+    (["campaign", "--scenario", "mixed_mixed", "--n", "3", "--trials", "20", "--seed", "1"], (".csv", ".json")),
+])
+def test_output_over_an_existing_file_equals_a_fresh_write(capsys, tmp_path, argv, suffixes, old):
+    """Every command writes over an existing output in place and cuts it to
+    what it wrote: the file equals, byte for byte, the same command's output
+    to a fresh path, whether the old file was longer or shorter."""
+    for suffix in suffixes:
+        (tmp_path / f"old{suffix}").write_bytes(old)
+    assert _run(capsys, argv + ["--output", str(tmp_path / "fresh")])[0] == 0
+    assert _run(capsys, argv + ["--output", str(tmp_path / "old")])[0] == 0
+    for suffix in suffixes:
+        assert (tmp_path / f"old{suffix}").read_bytes() == (tmp_path / f"fresh{suffix}").read_bytes()
+
+
+def test_a_short_fringe_over_a_long_one_equals_a_fresh_write(capsys, tmp_path):
+    path, fresh = tmp_path / "fringe.csv", tmp_path / "fresh.csv"
+    assert _run(capsys, _FRINGE + ["--grid-points", "65536", "--output", str(path)])[0] == 0
+    long_size = path.stat().st_size
+    assert _run(capsys, _FRINGE + ["--grid-points", "256", "--output", str(path)])[0] == 0
+    assert _run(capsys, _FRINGE + ["--grid-points", "256", "--output", str(fresh)])[0] == 0
+    assert path.read_bytes() == fresh.read_bytes()
+    assert path.stat().st_size < long_size // 100
+
+
+def test_an_error_mid_write_leaves_the_new_head_and_no_old_tail(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(_JUNK)
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with duality._rewrite(path) as fh:
+            fh.write("new head\n")
+            raise RuntimeError("mid-write")
+    assert path.read_bytes() == b"new head\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
+def test_a_new_output_has_the_mode_open_gives(capsys, tmp_path, umask):
+    """A new output is created with mode 0o666 less the umask, as open(p, "w")
+    creates a file: not executable, as os.open's default 0o777 would make it."""
+    before = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        with duality._rewrite(tmp_path / "rewritten"):
+            pass
+        assert _run(capsys, _VERIFY + ["--output", str(tmp_path / "verify.json")])[0] == 0
+    finally:
+        os.umask(before)
+    modes = {stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("plain", "rewritten", "verify.json")}
+    assert len(modes) == 1
+
+
+def test_output_through_a_symlink_rewrites_its_target(capsys, tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(_JUNK)
+    try:
+        link.symlink_to(target)
+    except OSError:
+        pytest.skip("cannot create a symlink here")
+    assert _run(capsys, _SWEEP + ["--output", str(link)])[0] == 0
+    assert _run(capsys, _SWEEP + ["--output", str(tmp_path / "fresh.csv")])[0] == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", _FILE_COMMANDS)
+def test_output_to_a_missing_directory_or_a_directory_exits_two(capsys, tmp_path, argv):
+    for output in (tmp_path / "missing" / "out", tmp_path):
+        code, out, err = _run(capsys, argv + ["--output", str(output)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno ") and str(output) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("argv", _FILE_COMMANDS)
+def test_output_to_dev_null_exits_zero(capsys, argv):
+    """/dev/null is seekable but cannot be truncated, so it is written as open writes it."""
+    assert _run(capsys, argv + ["--output", "/dev/null"]) == (0, "", "")
 
 
 # ------------------------------------------------------------ exit codes
