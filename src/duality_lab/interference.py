@@ -9,9 +9,10 @@ for the reduced (post-interaction) quanton state rho, with c_m the sum of
 rho_ij over i - j = m. Intensities are in units of total path probability,
 so I averages to 1 over a period. The fringe extrema are exact (roots of
 dI/dtheta), so the visibility depends on rho alone and the sampled grid
-only serves plotting. For the symmetric two- and three-slit families this
-model reproduces the closed-form visibility / coherence correspondences
-exactly.
+only serves plotting. A scan evaluates its candidate extrema in one
+stacked product and takes its c_m in one gathered sum. For the symmetric
+two- and three-slit families this model reproduces the closed-form
+visibility / coherence correspondences exactly.
 
 The sampled grid at theta_t = 2 pi t / N is the inverse DFT of the c_m. A
 scan keeps the c_m and the grid size and computes both grid arrays, the
@@ -91,15 +92,42 @@ def _phase_cells(grid_points: int) -> tuple[str, ...]:
     return tuple(map("%.17g".__mod__, _phase_grid(grid_points).tolist()))
 
 
-def intensity(rho_reduced: MixedQuanton, theta: float) -> float:
-    """Pattern value at one phase; real, clamped at zero against dust."""
+def intensity(rho_reduced: MixedQuanton, theta: float | np.ndarray) -> float | np.ndarray:
+    """Pattern value at one phase, as a float, or at each of a 1-D array of
+    phases, as an array, from one stacked product; real, clamped at zero
+    against dust. A value below -FLAT_PATTERN_TOL raises, naming the most
+    negative one."""
     rho = rho_reduced.rho.matrix
     k = np.arange(rho.shape[0])
-    v = np.exp(1j * k * theta)
-    value = float(np.real(v @ rho @ v.conj()))
-    if value < -FLAT_PATTERN_TOL:
-        raise ValueError(f"intensity {value!r} is negative beyond numerical dust")
-    return max(value, 0.0)
+    v = np.exp(1j * k * np.asarray(theta)[..., None])
+    values = np.real(v[..., None, :] @ rho @ v.conj()[..., :, None])[..., 0, 0]
+    if (dust := values < -FLAT_PATTERN_TOL).any():
+        raise ValueError(f"intensity {float(values[dust].min())!r} is negative beyond numerical dust")
+    values = np.where(values < 0.0, 0.0, values)
+    return float(values) if np.ndim(theta) == 0 else values
+
+
+@lru_cache(maxsize=4)
+def _diagonal_slots(n: int) -> np.ndarray:
+    """Indices into np.append(rho, -0j) that lay the diagonal of each order
+    m = n - 1 .. 1 - n out as one row, so that one sum along the rows gives
+    the c_m of the loop of rho.trace(offset=-m), bit for bit, for n <= 63.
+
+    numpy sums a row of up to 64 complex values in four interleaved partial
+    sums over its first multiple of 4, taken as ((s0 + s1) + (s2 + s3)),
+    and adds the rest one by one. The rows are n | 3 wide, 3 mod 4: each
+    diagonal keeps its first multiple of 4 in place, puts the rest in the
+    last three slots and fills the others with -0, which adds nothing, so
+    its sum is taken in the trace's order. The tables of the last four path
+    counts are kept, read-only, each about the size of rho.
+    """
+    table = np.full((2 * n - 1, n | 3), n * n)
+    for row, m in zip(table, range(n - 1, -n, -1)):
+        t = np.arange(n - abs(m))
+        body = len(t) - len(t) % 4
+        row[np.where(t < body, t, t - body + n - n % 4)] = t * (n + 1) + max(m * n, -m)
+    table.flags.writeable = False
+    return table
 
 
 def scan_visibility(rho_reduced: MixedQuanton, grid_points: int = DEFAULT_GRID_POINTS) -> FringeScan:
@@ -119,10 +147,12 @@ def scan_visibility(rho_reduced: MixedQuanton, grid_points: int = DEFAULT_GRID_P
     _check_grid_points(grid_points)
     rho = rho_reduced.rho.matrix
     orders = np.arange(rho.shape[0] - 1, -rho.shape[0], -1)
-    coeffs = np.array([rho.trace(offset=-m) for m in orders])
+    coeffs = np.append(rho, -0j)[_diagonal_slots(rho.shape[0])].sum(axis=1)
     kept = np.where(np.abs(coeffs) < np.finfo(float).eps, 0.0, coeffs)
     phases = np.append(np.angle(_roots(orders * kept)), 0.0)
-    extrema = [intensity(rho_reduced, theta) for theta in phases]
+    # Python's max and min, as over one call per phase: the first of equal
+    # extrema, its zero's sign kept
+    extrema = intensity(rho_reduced, phases).tolist()
     i_max, i_min = max(extrema), min(extrema)
     spread = i_max - i_min
     visibility = 0.0 if spread < FLAT_PATTERN_TOL else spread / (i_max + i_min)

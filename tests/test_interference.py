@@ -12,6 +12,7 @@ from duality_lab.duality import check_three_slit_relation, check_two_slit_relati
 from duality_lab.interference import (
     FLAT_PATTERN_TOL,
     FringeScan,
+    _diagonal_slots,
     _roots,
     _uniform_overlap_grams,
     intensity,
@@ -91,6 +92,86 @@ def test_intensity_mean_is_unity():
         thetas = np.linspace(0.0, 2 * math.pi, 1024, endpoint=False)
         mean = np.mean([intensity(reduced, t) for t in thetas])
         assert abs(mean - 1.0) <= 1e-10
+
+
+def _ginibre_states(seed, ns, trials):
+    """Derandomized Ginibre states of every rank at each n in `ns`, half of
+    them with vanishing populations and so with zero entries."""
+    rng = np.random.default_rng(seed)
+    for n in ns:
+        for trial in range(trials):
+            rank = 1 + trial % n
+            g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+            g[: trial % 2 * rng.integers(0, n)] = 0.0
+            yield MixedQuanton(rho=validate_density(g @ g.conj().T / np.vdot(g, g).real))
+
+
+def _per_phase_intensity(rho, theta):
+    """One phase's intensity as the scan took it before its extrema were
+    stacked: one vector-matrix-vector product, clamped at zero."""
+    v = np.exp(1j * np.arange(rho.shape[0]) * theta)
+    return max(float(np.real(v @ rho @ v.conj())), 0.0)
+
+
+def test_intensity_of_phases_equals_the_per_phase_calls():
+    """One stacked product gives, bit for bit, what one call per phase
+    gives, and what one vector-matrix-vector product per phase gives, at
+    n = 2..8, every rank, on complex states."""
+    phases = np.concatenate([np.random.default_rng(67).uniform(-7.0, 7.0, 30), [0.0, -0.0, math.pi, -math.pi]])
+    for reduced in _ginibre_states(71, range(2, 9), 16):
+        stacked = intensity(reduced, phases)
+        each = np.array([intensity(reduced, theta) for theta in phases])
+        oracle = np.array([_per_phase_intensity(reduced.rho.matrix, theta) for theta in phases])
+        assert stacked.shape == phases.shape
+        assert stacked.tobytes() == each.tobytes() == oracle.tobytes()
+
+
+def test_intensity_of_one_phase_is_a_float():
+    reduced = _symmetric_reduced(3, 0.5)
+    for theta in (0.25, np.float64(0.25), np.array(0.25)):
+        assert type(intensity(reduced, theta)) is float
+    assert intensity(reduced, 0.25) == intensity(reduced, np.array([0.25]))[0]
+
+
+def test_scan_coefficients_equal_the_trace_loop():
+    """The c_m of one gathered sum are the loop of rho.trace(offset=-m) bit
+    for bit, compared as float views so that a zero's sign counts, on
+    either side of numpy's blocks of four at n = 2..17."""
+    for reduced in _ginibre_states(73, range(2, 18), 12):
+        rho = reduced.rho.matrix
+        orders = np.arange(rho.shape[0] - 1, -rho.shape[0], -1)
+        loop = np.array([rho.trace(offset=-m) for m in orders])
+        assert scan_visibility(reduced).coefficients.view(float).tobytes() == loop.view(float).tobytes()
+
+
+def test_diagonal_slots_sum_as_the_trace_loop_with_signed_zeros():
+    """Any complex matrix, its entries often +0 or -0, sums by the table as
+    the trace loop does, bit for bit, up to the largest n the table holds
+    to, 63."""
+    rng = np.random.default_rng(79)
+    for n in (*range(2, 18), 63):
+        for _ in range(20):
+            rho = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            rho *= rng.choice([0.0, -0.0, 1.0, -1.0], size=(n, n))
+            loop = np.array([rho.trace(offset=-m) for m in range(n - 1, -n, -1)])
+            gathered = np.append(rho, -0j)[_diagonal_slots(n)].sum(axis=1)
+            assert gathered.view(float).tobytes() == loop.view(float).tobytes()
+
+
+def test_scan_extrema_equal_the_per_phase_loop():
+    """i_max, i_min and the visibility equal, bit for bit, those of a loop
+    that evaluates the root phases and phase 0 one by one."""
+    for reduced in _ginibre_states(83, range(2, 9), 16):
+        rho = reduced.rho.matrix
+        orders = np.arange(rho.shape[0] - 1, -rho.shape[0], -1)
+        coeffs = np.array([rho.trace(offset=-m) for m in orders])
+        kept = np.where(np.abs(coeffs) < np.finfo(float).eps, 0.0, coeffs)
+        extrema = [_per_phase_intensity(rho, theta) for theta in np.append(np.angle(_roots(orders * kept)), 0.0)]
+        i_max, i_min = max(extrema), min(extrema)
+        visibility = 0.0 if i_max - i_min < FLAT_PATTERN_TOL else (i_max - i_min) / (i_max + i_min)
+        scan = scan_visibility(reduced)
+        assert np.array([scan.i_max, scan.i_min, scan.visibility]).tobytes() == \
+            np.array([i_max, i_min, visibility]).tobytes()
 
 
 # ------------------------------------------------------------ scan_visibility
@@ -424,6 +505,10 @@ def test_intensity_rejects_a_pattern_below_zero():
     rho = MixedQuanton(rho=DensityMatrix(np.array([[0.5, -1.0], [-1.0, 0.5]], dtype=complex)))
     with pytest.raises(ValueError, match="^intensity -1.0 is negative beyond numerical dust$"):
         intensity(rho, 0.0)
+    # I = 1 - 2 cos(theta): -0.41 at pi/4 comes first, and the message names
+    # the most negative value, -1.0 at phase 0
+    with pytest.raises(ValueError, match="^intensity -1.0 is negative beyond numerical dust$"):
+        intensity(rho, np.array([math.pi, math.pi / 4, 0.0, math.pi / 4]))
 
 
 def test_stacked_uniform_overlap_grams_check_every_gamma():
