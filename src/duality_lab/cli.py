@@ -45,9 +45,9 @@ from .duality import (
 from .interference import DEFAULT_GRID_POINTS, _check_grid_points, _gamma_grid, _phase_cells, symmetric_detectors
 from .linalg import MAX_COMPOSITE_DIM, validate_density
 from .random import (
+    _mixed_detector_draw,
     random_density,
     random_detectors,
-    random_mixed_detector,
     random_pure,
     uniform_overlap_detectors,
 )
@@ -247,6 +247,8 @@ def _verify_instance(cfg: dict) -> _Table:
     if gamma is not None and dim < n:
         raise ConfigError(f"--detector-dim must be >= --n {n} for --gamma's detectors, got {dim}")
 
+    if scenario == "mixed_mixed" and seed is None:
+        raise ConfigError("mixed_mixed needs --seed to draw the detector state and unitaries")
     if scenario == "pure_pure":
         if cfg.get("amplitudes") is not None:
             quanton = PureQuanton(amplitudes=_parse_amplitudes(cfg["amplitudes"]))
@@ -258,16 +260,20 @@ def _verify_instance(cfg: dict) -> _Table:
             quanton = random_pure(n, seed)
         else:
             raise ConfigError("pure_pure needs --amplitudes, --gamma, or --seed")
-        detectors = _verify_detectors(quanton.n, dim, gamma, seed)
-    elif scenario == "mixed_pure":
-        quanton = _verify_mixed_quanton(cfg, n, rho)
-        detectors = _verify_detectors(quanton.n, dim, gamma, seed)
     else:
-        if seed is None:
-            raise ConfigError("mixed_mixed needs --seed to draw the detector state and unitaries")
         quanton = _verify_mixed_quanton(cfg, n, rho)
-        detectors = random_mixed_detector(n, dim, np.random.default_rng([seed, 1]))
-    return _instance_table(quanton, quanton.n <= VISIBILITY_MAX_PATHS, *_stack_of_one(detectors))
+    # a drawn detector takes spawn key 1, so that it differs from the quanton draw
+    if scenario == "mixed_mixed":
+        # the drawn spectral branches, as a stack of one: no interaction is built
+        detector = tuple(array[None] for array in _mixed_detector_draw(n, dim, np.random.default_rng([seed, 1])))
+    elif gamma is not None:
+        _gamma_grid([gamma], "--gamma")
+        detector = _stack_of_one(uniform_overlap_detectors(n, gamma, dim, seed or 0))
+    elif seed is not None:
+        detector = _stack_of_one(random_detectors(n, dim, np.random.default_rng([seed, 1])))
+    else:
+        raise ConfigError("need --gamma or --seed to build detectors")
+    return _instance_table(quanton, quanton.n <= VISIBILITY_MAX_PATHS, *detector)
 
 
 def _verify_mixed_quanton(cfg: dict, n: int, rho) -> MixedQuanton:
@@ -286,16 +292,6 @@ def _verify_mixed_quanton(cfg: dict, n: int, rho) -> MixedQuanton:
     rng = np.random.default_rng([seed, 0])
     rank = cfg["rank"] if cfg.get("rank") is not None else int(rng.integers(1, n, endpoint=True))
     return random_density(n, rank, rng)
-
-
-def _verify_detectors(n: int, dim: int, gamma: float | None, seed: int | None):
-    if gamma is not None:
-        _gamma_grid([gamma], "--gamma")
-        return uniform_overlap_detectors(n, gamma, dim, seed or 0)
-    if seed is not None:
-        # offset the stream so the detectors differ from the quanton draw
-        return random_detectors(n, dim, np.random.default_rng([seed, 1]))
-    raise ConfigError("need --gamma or --seed to build detectors")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -23,14 +23,18 @@ state, D_Q and coherence bound alike. A campaign calls it on each stack that
 random._stacks yields; evaluate_*, `verify` and sweep_overlap call it
 through _instance_table, which checks the path count, with one instance as
 a stack of one or a sweep's gammas as one stack, their vectors factored by
-one batched eigh. The fringe runs the pure_pure kernel on the state it
+one batched eigh. A mixed_mixed `verify` passes the branches it draws
+(random._mixed_detector_draw) and builds no interaction;
+evaluate_mixed_detector passes an interaction's spectral branches
+(states._branches). The fringe runs the pure_pure kernel on the state it
 scans, and the two- and three-slit checks read C and D_Q from
 evaluate_pure. Input from outside is checked where it enters (the
 constructors, validate_density, _gram_factors); the arrays the program
-builds, a campaign's draws, a sweep's factored vectors and an interaction's
-spectral branches, are final by construction, and the draws are checked
-only for NaN or Inf. So every kernel uses its detector Grams, or branch
-weights and Grams, unchecked, and checks what it derives: the reduced
+builds, a campaign's or `verify`'s draws, a sweep's factored vectors and
+an interaction's spectral branches, are final by construction, and a
+campaign's draws are checked only for NaN or Inf. So every kernel uses its
+detector Grams, or branch weights and Grams, unchecked, and checks what it
+derives: the reduced
 states and the finiteness of C, D_Q and the slack. Each kernel states its
 own relations as columns over its stack, and one tail (``_tabulate``) adds
 the duality sum, the PSD margin and the verdicts the same way. Every command writes its CSV from
@@ -211,11 +215,13 @@ def _instance_table(q: PureQuanton | MixedQuanton, include_visibility: bool, *de
     """The one entry from a quanton to _kernel, over a stack of detectors given
     as arrays, checked by their constructors or, for a sweep's factored
     vectors, final by construction: pure detectors as their (k, n, dim)
-    vectors, interactions as their (k, dim) branch weights and
-    (k, dim, n, dim) path kets. evaluate_* and `verify` pass a stack of one
-    (_stack_of_one), _sweep_table the vectors of all its gammas. The quanton
-    broadcasts over the stack; the arrays given and the quanton's type pick
-    the scenario."""
+    vectors, mixed detectors as their (k, r) branch weights and C-contiguous
+    (k, r, n, dim) path kets, r = dim for an interaction's. evaluate_* and
+    `verify` pass a stack of one: _stack_of_one's arrays, or for a
+    mixed_mixed `verify` the branches it draws (random._mixed_detector_draw);
+    _sweep_table passes the vectors of all its gammas. The quanton broadcasts
+    over the stack; the arrays given and the quanton's type pick the
+    scenario."""
     scenario = "mixed_mixed" if len(detector) == 2 else "pure_pure" if isinstance(q, PureQuanton) else "mixed_pure"
     n = detector[-1].shape[-2]
     if q.n != n:
@@ -500,12 +506,13 @@ def _mixed_mixed_stack(rho: np.ndarray, weights: np.ndarray, grams: np.ndarray,
     """mixed_mixed from density matrices, branch weights (k,) and branch Grams
     (k, n, n): C stays below its branch-average bound, and the slack is the
     gap 1 - C - D_Q. The weights and Grams are used as _mixed_pure_stack uses
-    its detector Grams, unchecked: a campaign's branches are drawn final
-    (random._detector_branches), and an interaction's are factored from its
-    validated rho_d and checked unitaries (states._branches). Every entry keeps
-    all dim spectral branches; those below the weight cutoff, and a drawn
-    detector's branches past its rank, carry weight zero and add exact zeros to
-    the reduced state and the branch averages. The reduced state is
+    its detector Grams, unchecked: a campaign's and `verify`'s branches are
+    drawn final (random._detector_branches), and an interaction's are factored
+    from its validated rho_d and checked unitaries (states._branches). An
+    interaction's entry keeps all dim spectral branches, a campaign's entry
+    its r drawn ones padded to dim, and `verify`'s its r drawn ones; those
+    below the weight cutoff, and the padding, carry weight zero and add exact
+    zeros to the reduced state and the branch averages. The reduced state is
     rho_ij sum_k r_k <d_kj|d_ki> (_overlap_average), as
     reduce_quanton_mixed_detector forms it, and passes _density."""
     reduced = _density(rho * _overlap_average(weights, grams))

@@ -22,7 +22,10 @@ each Q_i is an independent Haar dim x r isometry by left invariance
 (Mezzadri, Notices AMS 54, 592 (2007)). So a trial draws r, the Gaussians
 of its Ginibre factor G and of n isometries, and takes the branch weights
 from G's singular values and the path kets from the isometries' columns;
-no dim x dim unitary, no rho_d and no eigensolver is formed.
+no dim x dim unitary, no rho_d and no eigensolver is formed. `verify`
+makes the same draw for its one instance (_mixed_detector_draw) and passes
+the branches to the kernel as drawn; random_mixed_detector completes that
+draw into an interaction whose spectral branches are the drawn ones.
 
 What this module builds is final by construction: amplitudes and detector
 vectors are divided by their norms, Ginibre states are hermitized and
@@ -33,8 +36,9 @@ constructors check vectors and unitaries as they check any input and take
 drawn states as DensityMatrix unchecked. A campaign checks the arrays
 `_stacks` yields only for NaN or Inf entries (duality.run_campaign), and
 the kernels use them as they come: the mixed_mixed kernel forms the Grams
-of the drawn path kets and uses them and the weights unchecked, as the
-pure-detector kernels use the Grams of the drawn vectors.
+of the drawn path kets, a campaign's or `verify`'s, and uses them and the
+weights unchecked, as the pure-detector kernels use the Grams of the drawn
+vectors.
 """
 
 from __future__ import annotations
@@ -470,20 +474,30 @@ def uniform_overlap_detectors(n: int, gamma: float, dim: int, seed) -> DetectorS
     return DetectorSet(embedded @ haar_unitary(dim, seed).T)
 
 
-def random_mixed_detector(n: int, dim: int, seed) -> MixedDetectorInteraction:
-    """Mixed detector for n paths, drawn as a campaign trial draws it: the
+def _mixed_detector_draw(n: int, dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A mixed detector for n paths, drawn as a campaign trial draws it: the
     detector state's rank r, uniform over 1..dim, then the Gaussians of its
-    (dim, r) Ginibre factor and of n (dim, r) path isometries, whose weights
-    and isometries _detector_branches forms. The detector state is the
-    diagonal of the weights, the spectrum of a rank-r Ginibre state, and
-    U_i is isometry i completed by an orthonormal basis of its complement
-    (a QR of it), so each U_i rho_d U_j^dag is distributed as for a Ginibre
-    state and Haar unitaries; the spectral branches that states._branches
-    takes from it are the drawn ones, bit for bit."""
+    (dim, r) Ginibre factor and of n (dim, r) path isometries, whose branch
+    weights (r,) and path kets _detector_branches forms. The kets come as
+    states._branches gives an interaction's, C-contiguous (r, n, dim) with
+    row k the kets U_i|d_k> of weight k, so `verify` passes the pair to the
+    kernel as a stack of one, and random_mixed_detector completes it."""
     if dim < 1:
         raise ValueError("detector dimension must be >= 1")
-    rng = _as_rng(seed)
     weights, isometries = _detector_branches(rng.standard_normal((n + 1, dim, _detector_rank(dim, rng), 2)))
+    return weights, np.ascontiguousarray(isometries.transpose(2, 0, 1))
+
+
+def random_mixed_detector(n: int, dim: int, seed) -> MixedDetectorInteraction:
+    """Mixed detector for n paths, completed from _mixed_detector_draw's
+    branches. The detector state is the diagonal of the weights, the spectrum
+    of a rank-r Ginibre state, and U_i is path i's isometry, the kets
+    U_i|d_k> as its columns, completed by an orthonormal basis of its
+    complement (a QR of it), so each U_i rho_d U_j^dag is distributed as for
+    a Ginibre state and Haar unitaries; the spectral branches that
+    states._branches takes from it are the drawn ones, bit for bit."""
+    weights, kets = _mixed_detector_draw(n, dim, _as_rng(seed))
+    isometries = kets.transpose(1, 2, 0)
     complement = np.linalg.qr(isometries, mode="complete")[0][..., len(weights):]
     rho_d = DensityMatrix(frozen(np.diag(np.concatenate([weights, np.zeros(dim - len(weights))])).astype(complex)))
     return MixedDetectorInteraction(rho_d=rho_d, unitaries=np.concatenate([isometries, complement], axis=-1))

@@ -283,11 +283,14 @@ def reduce_quanton(joint, n: int, dim: int) -> MixedQuanton:
 def reduce_quanton_mixed_detector(q: MixedQuanton, m: MixedDetectorInteraction) -> MixedQuanton:
     """Reduced quanton state for a mixed detector, entries
     rho_ij Tr(U_i rho_d U_j^dag) = rho_ij sum_k r_k <d_kj|d_ki>, the weighted
-    sum (_overlap_average) over the branches and Grams of branch_overlaps."""
+    sum (_overlap_average) over all dim spectral branches (_branches) and
+    their Grams, formed as the mixed_mixed kernel forms it. The branches are
+    final by construction and pass no BranchOverlaps check; those of weight
+    zero add exact zeros, as branch_overlaps' dropping them would."""
     if q.n != m.n:
         raise ValueError(f"path count mismatch: quanton has {q.n}, interaction has {m.n}")
-    b = branch_overlaps(m)
-    return MixedQuanton(rho=validate_density(q.rho.matrix * _overlap_average(b.weights, b.branch_grams)))
+    weights, kets = _branches(m)
+    return MixedQuanton(rho=validate_density(q.rho.matrix * _overlap_average(weights, _gram(kets))))
 
 
 def branch_overlaps(m: MixedDetectorInteraction) -> BranchOverlaps:

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duality_lab import cli, duality
+from duality_lab import cli, duality, linalg, states
 from duality_lab.cli import main
+from duality_lab.random import random_density, random_density_matrix, random_mixed_detector
 
 
 def _run(capsys, argv):
@@ -55,6 +56,79 @@ def test_verify_mixed_scenarios_with_seed(capsys):
         code, out, _ = _run(capsys, ["verify", "--n", "3", "--scenario", scenario, "--seed", "5"])
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+
+# (n, detector dimension, --rank or None, config rho's rank or None): every n
+# at dim 1, below n, at n and above it; drawn quanton ranks at both ends; and
+# config rhos of full and deficient rank
+_MIXED_MIXED_VERIFIES = list(dict.fromkeys(
+    [(n, dim, None, None) for n in range(2, 9) for dim in (1, n // 2 or 1, n - 1, n, 2 * n)]
+    + [(n, dim, rank, None) for n in (2, 5, 8) for dim in (1, n - 1, n + 1) for rank in (1, n)]
+    + [(n, dim, None, rank) for n in (2, 3, 4) for dim in (1, 2, n + 1) for rank in (1, n)]))
+
+
+def _csv_cell(value):
+    """A report value as _write_csv formats it, written out independently."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
+    return "%.17g" % value
+
+
+@pytest.mark.parametrize("n, dim, rank, rho_rank", _MIXED_MIXED_VERIFIES,
+                         ids=[f"n{n}-dim{dim}-rank{rank}-rho{rho}" for n, dim, rank, rho in _MIXED_MIXED_VERIFIES])
+def test_mixed_mixed_verify_equals_the_interaction_it_completes_to(capsys, tmp_path, n, dim, rank, rho_rank):
+    """`verify --scenario mixed_mixed` passes the branches it draws to the
+    kernel as they are. Its JSON and CSV equal, bit for bit, the report of
+    the oracle: evaluate_mixed_detector on the interaction that
+    random_mixed_detector completes from the same generator, whose branches
+    the kernel takes through states._branches' eigh. Not a golden digest, so
+    it holds on every numpy."""
+    seed = 10 * n + dim
+    argv = ["verify", "--scenario", "mixed_mixed", "--n", str(n), "--seed", str(seed), "--detector-dim", str(dim)]
+    if rho_rank is not None:
+        rho = random_density_matrix(n, rho_rank, seed).matrix
+        (tmp_path / "cfg.json").write_text(json.dumps({"rho": [[[z.real, z.imag] for z in row] for row in rho]}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+        quanton = states.MixedQuanton(rho=linalg.validate_density(rho))
+    else:
+        argv += [] if rank is None else ["--rank", str(rank)]
+        rng = np.random.default_rng([seed, 0])
+        quanton = random_density(n, rank or int(rng.integers(1, n, endpoint=True)), rng)
+    report = duality.evaluate_mixed_detector(quanton, random_mixed_detector(n, dim, np.random.default_rng([seed, 1])),
+                                             include_visibility=n <= duality.VISIBILITY_MAX_PATHS)
+    assert _run(capsys, argv) == (0, report.to_json() + "\n", "")
+    cells = {**report.to_dict(), **report.relation_residuals, "seed": seed}
+    row = ",".join(_csv_cell(cells.get(column)) for column in cli.VERIFY_CSV_COLUMNS)
+    assert _run(capsys, [*argv, "--format", "csv"]) == (0, ",".join(cli.VERIFY_CSV_COLUMNS) + f"\n{row}\n", "")
+
+
+def test_mixed_mixed_verify_builds_no_interaction(capsys, monkeypatch):
+    """A mixed_mixed `verify` evaluates the branches it draws: it builds no
+    MixedDetectorInteraction and runs neither states._branches nor any eigh
+    or complete QR. Full-rank quantons keep every reduced state positive
+    definite, so no eigh clamps one either."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an interaction was built or factored")
+
+    qr = np.linalg.qr
+
+    def reduced_qr(a, mode="reduced"):
+        assert mode == "reduced", "a complete QR ran"
+        return qr(a, mode)
+
+    monkeypatch.setattr(states.MixedDetectorInteraction, "__post_init__", forbidden)
+    for module in (states, duality):
+        monkeypatch.setattr(module, "_branches", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "qr", reduced_qr)
+    for n, dim in ((2, 1), (4, 2), (4, 4), (8, 12)):
+        argv = ["verify", "--scenario", "mixed_mixed", "--n", str(n), "--seed", "3", "--detector-dim", str(dim),
+                "--rank", str(n)]
+        assert _run(capsys, argv)[::2] == (0, "")
 
 
 def test_verify_missing_instance_description(capsys):
@@ -330,7 +404,7 @@ def test_detector_bounds_are_named_before_anything_is_drawn_or_built(capsys, mon
     def forbidden(*args, **kwargs):
         raise AssertionError("a quanton or detector was drawn or built")
 
-    for builder in ("random_pure", "random_density", "random_detectors", "random_mixed_detector",
+    for builder in ("random_pure", "random_density", "random_detectors", "_mixed_detector_draw",
                     "uniform_overlap_detectors", "symmetric_detectors", "_equal_amplitude_quanton", "run_campaign"):
         monkeypatch.setattr(cli, builder, forbidden)
     argv = [*base, f"--{key.replace('_', '-')}", str(value), "--output", str(tmp_path / "out")]

@@ -13,6 +13,7 @@ from duality_lab.random import (
     _bounded,
     _draw_shape,
     _draw_stack,
+    _mixed_detector_draw,
     _pcg64_states,
     _position,
     _resume,
@@ -286,15 +287,20 @@ _INTERACTIONS = {
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(kind=st.sampled_from(sorted(_INTERACTIONS)), n=st.integers(2, 6), dim=st.integers(1, 8),
-       seed=st.integers(0, 2**32 - 1))
+@given(kind=st.sampled_from(["_mixed_detector_draw", *sorted(_INTERACTIONS)]), n=st.integers(2, 6),
+       dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_interaction_branches_pass_the_checks_the_kernel_skips(kind, n, dim, seed):
     """The mixed_mixed kernel uses an interaction's spectral branches
-    (states._branches) unchecked, as it uses a campaign's drawn ones. For
-    interactions the constructor accepts, the weighted branches pass
-    BranchOverlaps' weight and Gram checks, 1000 times inside their
-    tolerance of 1e-10."""
-    weights, kets = _branches(_INTERACTIONS[kind](n, dim, np.random.default_rng(seed)))
+    (states._branches) unchecked, as it uses a campaign's drawn ones and the
+    branches `verify` draws (random._mixed_detector_draw). For those drawn
+    branches, and for interactions the constructor accepts, the weighted
+    branches pass BranchOverlaps' weight and Gram checks, 1000 times inside
+    their tolerance of 1e-10."""
+    rng = np.random.default_rng(seed)
+    if kind == "_mixed_detector_draw":
+        weights, kets = _mixed_detector_draw(n, dim, rng)
+    else:
+        weights, kets = _branches(_INTERACTIONS[kind](n, dim, rng))
     _check_branch_weights(weights)
     grams = _weighted_grams(kets, weights)
     _check_branch_grams(grams)
@@ -520,7 +526,8 @@ def test_stacked_detector_states_equal_the_public_generator(dim):
     at every detector rank, in a stack that mixes the ranks: the weights,
     and the path kets of the weighted branches. The stack's kets past a
     trial's rank are zeros, where the interaction's are the columns that
-    complete its isometries to unitaries."""
+    complete its isometries to unitaries. The branches that `verify` draws
+    on that generator (_mixed_detector_draw) are the stack's first r."""
     positions = [_position(stream(dim, k)) for k in range(10 * dim + 10)]
     _, weights, kets = _draw_stack("mixed_mixed", 2, dim, None, np.random.default_rng(0), positions)
     quanton_ranks, ranks = Counter(), Counter()
@@ -533,6 +540,9 @@ def test_stacked_detector_states_equal_the_public_generator(dim):
         after_quanton = _position(rng)
         rank = int(rng.integers(1, dim, endpoint=True))
         ranks[rank] += 1
+        _resume(rng, after_quanton)
+        verify_weights, verify_kets = _mixed_detector_draw(2, dim, rng)
+        assert np.array_equal(verify_weights, drawn_weights[:rank]) and np.array_equal(verify_kets, drawn_kets[:rank])
         _resume(rng, after_quanton)
         interaction = random_mixed_detector(2, dim, rng)
         # each isometry's completion is unitary far inside the constructor's check
