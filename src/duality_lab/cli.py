@@ -16,6 +16,14 @@ reruns are exactly reproducible.
 `main` parses every call on the process's one parser (build_parser is
 cached), so a caller that runs many commands in one process pays for
 building argparse once and then only for parsing and its command's work.
+An argv that starts with a command is parsed on that command's subparser
+alone (_parse); the whole parser runs only for an argv that names no
+command or leaves arguments over, and so gives every usage, help and
+error message. `verify` hands the kernel (duality._kernel) its one
+instance as a stack of one: a seed's draws as they are drawn, final by
+construction, and --amplitudes, --gamma's detectors and a config rho as
+their checked objects hold them. Reports and aggregates are written by
+duality._json, and every output file by duality._rewrite.
 """
 
 from __future__ import annotations
@@ -33,10 +41,10 @@ from .duality import (
     SCENARIOS,
     VISIBILITY_MAX_PATHS,
     _equal_amplitude_quanton,
-    _instance_table,
+    _json,
+    _kernel,
     _pure_fringe,
     _rewrite,
-    _stack_of_one,
     _sweep_table,
     _Table,
     _write_csv,
@@ -46,8 +54,9 @@ from .interference import DEFAULT_GRID_POINTS, _check_grid_points, _gamma_grid, 
 from .linalg import MAX_COMPOSITE_DIM, validate_density
 from .random import (
     _mixed_detector_draw,
+    _pure_detector_draw,
+    _pure_quanton_draw,
     random_density,
-    random_detectors,
     random_pure,
     uniform_overlap_detectors,
 )
@@ -251,29 +260,31 @@ def _verify_instance(cfg: dict) -> _Table:
         raise ConfigError("mixed_mixed needs --seed to draw the detector state and unitaries")
     if scenario == "pure_pure":
         if cfg.get("amplitudes") is not None:
-            quanton = PureQuanton(amplitudes=_parse_amplitudes(cfg["amplitudes"]))
-            if quanton.n != n:
-                raise ConfigError(f"--n {n} disagrees with the {quanton.n} amplitudes given by --amplitudes")
+            quanton = PureQuanton(amplitudes=_parse_amplitudes(cfg["amplitudes"])).amplitudes
+            if len(quanton) != n:
+                raise ConfigError(f"--n {n} disagrees with the {len(quanton)} amplitudes given by --amplitudes")
         elif gamma is not None:
-            quanton = _equal_amplitude_quanton(n)
+            quanton = _equal_amplitude_quanton(n).amplitudes
         elif seed is not None:
-            quanton = random_pure(n, seed)
+            quanton = _pure_quanton_draw(n, np.random.default_rng(seed))
         else:
             raise ConfigError("pure_pure needs --amplitudes, --gamma, or --seed")
     else:
-        quanton = _verify_mixed_quanton(cfg, n, rho)
+        quanton = _verify_mixed_quanton(cfg, n, rho).rho.matrix
     # a drawn detector takes spawn key 1, so that it differs from the quanton draw
     if scenario == "mixed_mixed":
-        # the drawn spectral branches, as a stack of one: no interaction is built
-        detector = tuple(array[None] for array in _mixed_detector_draw(n, dim, np.random.default_rng([seed, 1])))
+        # the drawn spectral branches: no interaction is built
+        detector = _mixed_detector_draw(n, dim, np.random.default_rng([seed, 1]))
     elif gamma is not None:
         _gamma_grid([gamma], "--gamma")
-        detector = _stack_of_one(uniform_overlap_detectors(n, gamma, dim, seed or 0))
+        detector = (uniform_overlap_detectors(n, gamma, dim, seed or 0).vectors,)
     elif seed is not None:
-        detector = _stack_of_one(random_detectors(n, dim, np.random.default_rng([seed, 1])))
+        detector = (_pure_detector_draw(n, dim, np.random.default_rng([seed, 1])),)
     else:
         raise ConfigError("need --gamma or --seed to build detectors")
-    return _instance_table(quanton, quanton.n <= VISIBILITY_MAX_PATHS, *detector)
+    # one instance as a stack of one; every path count was checked against n above
+    return _kernel(scenario, quanton[None], *(array[None] for array in detector),
+                   include_visibility=n <= VISIBILITY_MAX_PATHS)
 
 
 def _verify_mixed_quanton(cfg: dict, n: int, rho) -> MixedQuanton:
@@ -329,7 +340,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     )
     result.to_csv(f"{prefix}.csv")
     aggregate = result.aggregate()
-    _write_text(f"{prefix}.json", json.dumps(aggregate, indent=2) + "\n")
+    _write_text(f"{prefix}.json", _json(aggregate) + "\n")
     print(
         f"{scenario}: {trials} trials, {aggregate['violations']} violations, "
         f"max duality sum {aggregate['max_duality_sum']:.3e} -> {prefix}.csv, {prefix}.json"
@@ -436,8 +447,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """`argv` (sys.argv[1:] when None) parsed as build_parser().parse_args
+    parses it. An argv that starts with a command's name is parsed on that
+    command's subparser alone, which is what the whole parser hands it to,
+    and the whole parser runs only when the argv names no command or leaves
+    arguments over, so that its usage, help and every error message are
+    the whole parser's own."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    (commands,) = (action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args)

@@ -25,7 +25,10 @@ from G's singular values and the path kets from the isometries' columns;
 no dim x dim unitary, no rho_d and no eigensolver is formed. `verify`
 makes the same draw for its one instance (_mixed_detector_draw) and passes
 the branches to the kernel as drawn; random_mixed_detector completes that
-draw into an interaction whose spectral branches are the drawn ones.
+draw into an interaction whose spectral branches are the drawn ones. So
+a seeded pure_pure or mixed_pure `verify` passes the amplitudes and
+detector vectors it draws (_pure_quanton_draw, _pure_detector_draw), which
+random_pure and random_detectors wrap in a PureQuanton and a DetectorSet.
 
 What this module builds is final by construction: amplitudes and detector
 vectors are divided by their norms, Ginibre states are hermitized and
@@ -428,11 +431,27 @@ def _stacks(scenario: str, seed: int, trials: int, n_choices: Sequence[int], det
         yield indices, _draw_stack(scenario, *group, rank, rng, positions)
 
 
-def random_pure(n: int, seed) -> PureQuanton:
-    """Haar-random pure quanton: a normalized complex Gaussian vector."""
+def _pure_quanton_draw(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A pure quanton's amplitudes (n,), drawn as random_pure draws them and
+    unit by construction, so a seeded `verify` passes them to the kernel
+    with no PureQuanton built."""
     if n < 2:
         raise ValueError("need at least 2 paths")
-    return PureQuanton(amplitudes=_amplitudes(_as_rng(seed).standard_normal((2, n))))
+    return _amplitudes(rng.standard_normal((2, n)))
+
+
+def _pure_detector_draw(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """n detector vectors (n, dim), drawn as random_detectors draws them and
+    unit by construction, so a seeded `verify` passes them to the kernel
+    with no DetectorSet built."""
+    if dim < 1:
+        raise ValueError("detector dimension must be >= 1")
+    return _unit_vectors(rng.standard_normal((2, n, dim)))
+
+
+def random_pure(n: int, seed) -> PureQuanton:
+    """Haar-random pure quanton: a normalized complex Gaussian vector (_pure_quanton_draw)."""
+    return PureQuanton(amplitudes=_pure_quanton_draw(n, _as_rng(seed)))
 
 
 def random_density_matrix(dim: int, rank: int, seed) -> DensityMatrix:
@@ -451,10 +470,8 @@ def random_density(n: int, rank: int, seed) -> MixedQuanton:
 
 
 def random_detectors(n: int, dim: int, seed) -> DetectorSet:
-    """n independent Haar-random unit vectors in dimension dim."""
-    if dim < 1:
-        raise ValueError("detector dimension must be >= 1")
-    return DetectorSet(_unit_vectors(_as_rng(seed).standard_normal((2, n, dim))))
+    """n independent Haar-random unit vectors in dimension dim (_pure_detector_draw)."""
+    return DetectorSet(_pure_detector_draw(n, dim, _as_rng(seed)))
 
 
 def uniform_overlap_detectors(n: int, gamma: float, dim: int, seed) -> DetectorSet:

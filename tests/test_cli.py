@@ -3,7 +3,10 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import stat
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +15,14 @@ from hypothesis import strategies as st
 
 from duality_lab import cli, duality, linalg, states
 from duality_lab.cli import main
-from duality_lab.random import random_density, random_density_matrix, random_mixed_detector
+from duality_lab.random import (
+    random_density,
+    random_density_matrix,
+    random_detectors,
+    random_mixed_detector,
+    random_pure,
+)
+from test_readme import CLI_LINES
 
 
 def _run(capsys, argv):
@@ -78,6 +88,15 @@ def _csv_cell(value):
     return "%.17g" % value
 
 
+def _verify_outputs(report, seed):
+    """What `verify --seed seed` writes for `report`, as JSON and as CSV,
+    each formatted independently: the JSON by the stdlib encoder, and the
+    CSV row cell by cell."""
+    cells = {**report.to_dict(), **report.relation_residuals, "seed": seed}
+    row = ",".join(_csv_cell(cells.get(column)) for column in cli.VERIFY_CSV_COLUMNS)
+    return json.dumps(report.to_dict(), indent=2) + "\n", ",".join(cli.VERIFY_CSV_COLUMNS) + f"\n{row}\n"
+
+
 @pytest.mark.parametrize("n, dim, rank, rho_rank", _MIXED_MIXED_VERIFIES,
                          ids=[f"n{n}-dim{dim}-rank{rank}-rho{rho}" for n, dim, rank, rho in _MIXED_MIXED_VERIFIES])
 def test_mixed_mixed_verify_equals_the_interaction_it_completes_to(capsys, tmp_path, n, dim, rank, rho_rank):
@@ -100,10 +119,9 @@ def test_mixed_mixed_verify_equals_the_interaction_it_completes_to(capsys, tmp_p
         quanton = random_density(n, rank or int(rng.integers(1, n, endpoint=True)), rng)
     report = duality.evaluate_mixed_detector(quanton, random_mixed_detector(n, dim, np.random.default_rng([seed, 1])),
                                              include_visibility=n <= duality.VISIBILITY_MAX_PATHS)
-    assert _run(capsys, argv) == (0, report.to_json() + "\n", "")
-    cells = {**report.to_dict(), **report.relation_residuals, "seed": seed}
-    row = ",".join(_csv_cell(cells.get(column)) for column in cli.VERIFY_CSV_COLUMNS)
-    assert _run(capsys, [*argv, "--format", "csv"]) == (0, ",".join(cli.VERIFY_CSV_COLUMNS) + f"\n{row}\n", "")
+    report_json, report_csv = _verify_outputs(report, seed)
+    assert _run(capsys, argv) == (0, report_json, "")
+    assert _run(capsys, [*argv, "--format", "csv"]) == (0, report_csv, "")
 
 
 def test_mixed_mixed_verify_builds_no_interaction(capsys, monkeypatch):
@@ -129,6 +147,55 @@ def test_mixed_mixed_verify_builds_no_interaction(capsys, monkeypatch):
         argv = ["verify", "--scenario", "mixed_mixed", "--n", str(n), "--seed", "3", "--detector-dim", str(dim),
                 "--rank", str(n)]
         assert _run(capsys, argv)[::2] == (0, "")
+
+
+# (scenario, n, detector dimension, --rank or None): both scenarios at every n
+# and at dim 1, below n, at n and at 2n; mixed_pure's quanton ranks at both ends
+_PURE_DETECTOR_VERIFIES = list(dict.fromkeys(
+    [(scenario, n, dim, None) for scenario in ("pure_pure", "mixed_pure") for n in range(2, 9)
+     for dim in (1, n // 2 or 1, n - 1, n, 2 * n)]
+    + [("mixed_pure", n, dim, rank) for n in (2, 5, 8) for dim in (1, n - 1, 2 * n) for rank in (1, n)]))
+
+
+@pytest.mark.parametrize("scenario, n, dim, rank", _PURE_DETECTOR_VERIFIES,
+                         ids=[f"{s}-n{n}-dim{dim}-rank{rank}" for s, n, dim, rank in _PURE_DETECTOR_VERIFIES])
+def test_seeded_pure_detector_verify_equals_the_objects_it_skips(capsys, scenario, n, dim, rank):
+    """A seeded pure_pure or mixed_pure `verify` passes the amplitudes and
+    detector vectors it draws to the kernel as they are. Its JSON and CSV
+    equal, bit for bit, evaluate_pure's or evaluate_mixed's report on the
+    checked PureQuanton and DetectorSet that random_pure and
+    random_detectors build from the same generators. Not a golden digest,
+    so it holds on every numpy."""
+    seed = 10 * n + dim
+    argv = ["verify", "--scenario", scenario, "--n", str(n), "--seed", str(seed), "--detector-dim", str(dim)]
+    detectors = random_detectors(n, dim, np.random.default_rng([seed, 1]))
+    visibility = n <= duality.VISIBILITY_MAX_PATHS
+    if scenario == "pure_pure":
+        report = duality.evaluate_pure(random_pure(n, seed), detectors, include_visibility=visibility)
+    else:
+        argv += [] if rank is None else ["--rank", str(rank)]
+        rng = np.random.default_rng([seed, 0])
+        quanton = random_density(n, rank or int(rng.integers(1, n, endpoint=True)), rng)
+        report = duality.evaluate_mixed(quanton, detectors, include_visibility=visibility)
+    report_json, report_csv = _verify_outputs(report, seed)
+    assert _run(capsys, argv) == (0, report_json, "")
+    assert _run(capsys, [*argv, "--format", "csv"]) == (0, report_csv, "")
+
+
+def test_seeded_pure_detector_verify_builds_no_quanton_or_detector_set(capsys, monkeypatch):
+    """A seeded pure_pure or mixed_pure `verify` draws its amplitudes and
+    detector vectors final by construction: no PureQuanton or DetectorSet
+    checks or copies them."""
+    def forbidden(self):
+        raise AssertionError("a PureQuanton or DetectorSet was built")
+
+    monkeypatch.setattr(states.PureQuanton, "__post_init__", forbidden)
+    monkeypatch.setattr(states.DetectorSet, "__post_init__", forbidden)
+    for scenario in ("pure_pure", "mixed_pure"):
+        for n, dim in ((2, 1), (3, 3), (8, 16)):
+            argv = ["verify", "--scenario", scenario, "--n", str(n), "--seed", "3", "--detector-dim", str(dim)]
+            assert _run(capsys, argv)[::2] == (0, "")
+            assert _run(capsys, [*argv, "--format", "csv"])[::2] == (0, "")
 
 
 def test_verify_missing_instance_description(capsys):
@@ -404,7 +471,7 @@ def test_detector_bounds_are_named_before_anything_is_drawn_or_built(capsys, mon
     def forbidden(*args, **kwargs):
         raise AssertionError("a quanton or detector was drawn or built")
 
-    for builder in ("random_pure", "random_density", "random_detectors", "_mixed_detector_draw",
+    for builder in ("random_pure", "random_density", "_pure_quanton_draw", "_pure_detector_draw", "_mixed_detector_draw",
                     "uniform_overlap_detectors", "symmetric_detectors", "_equal_amplitude_quanton", "run_campaign"):
         monkeypatch.setattr(cli, builder, forbidden)
     argv = [*base, f"--{key.replace('_', '-')}", str(value), "--output", str(tmp_path / "out")]
@@ -661,6 +728,75 @@ def test_shared_parser_leaks_nothing_between_calls(capsys, tmp_path):
     capsys.readouterr()
     assert _run(capsys, argv) == (0, report, "")
     assert _parser_defaults() == before
+
+
+# ------------------------------------------------------- command-first parse
+
+def _outcome(argv, capsys):
+    """main's exit code, whether returned or raised by argparse, with its stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def _whole_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+# every README CLI line (campaign trials cut, as test_readme cuts them), help
+# on the top level and on each command, and argvs that the whole parser
+# rejects, accepts by abbreviation or reads past a "--"
+_PARSE_CORPUS = [
+    *([*argv[:argv.index("--trials") + 1], "50", *argv[argv.index("--trials") + 2:]] if "--trials" in argv else argv
+      for argv in (shlex.split(line)[1:] for line in CLI_LINES)),
+    ["-h"], ["--help"], *([command, "-h"] for command in ("verify", "campaign", "sweep", "fringe")),
+    [], ["bogus", "--n", "2"], ["verify", "--n", "2", "--gamma", "0.5", "stray"],
+    ["verify", "--n", "2", "--gamma", "0.5", "--bogus"], ["verify", "--n=3", "--gamma", "0.5"],
+    ["campaign", "--sce", "pure_pure", "--n", "2", "--trials", "3", "--seed", "1", "--output", "run"],
+    ["verify", "--n", "two"], ["verify", "--n", "2", "--scenario", "nope"], ["verify", "--n"],
+    ["verify", "--", "--n", "2"], ["verify", "--n", "2", "--gamma", "0.5", "--"], ["--", "verify", "--n", "2"],
+    ["verify", "--h"], ["verify", "--n", "2", "--seed", "-3"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CORPUS, ids=[" ".join(argv) or "no-arguments" for argv in _PARSE_CORPUS])
+def test_command_first_parse_equals_the_whole_parser(capsys, monkeypatch, tmp_path, argv):
+    """main parses an argv that starts with a command on that command's
+    subparser: its exit code, stdout, stderr and files equal those of a
+    main that parses every argv on the whole parser."""
+    outcomes = []
+    for parse in (cli._parse, _whole_parse):
+        monkeypatch.setattr(cli, "_parse", parse)
+        directory = tmp_path / parse.__name__
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        outcomes.append((*_outcome(argv, capsys), {path.name: path.read_bytes() for path in directory.iterdir()}))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_a_command_argv_is_parsed_on_its_subparser_alone(capsys, monkeypatch):
+    """An argv that names a command and leaves nothing over never reaches
+    the whole parser, whose parse_args runs again only to report what the
+    subparser left over."""
+    calls, parse_args = [], cli.build_parser().parse_args
+    monkeypatch.setattr(cli.build_parser(), "parse_args", lambda argv: calls.append(argv) or parse_args(argv))
+    assert _outcome(["verify", "--n", "2", "--gamma", "0.5"], capsys)[0] == 0
+    assert calls == []
+    assert _outcome(["verify", "--n", "2", "--gamma", "0.5", "--bogus"], capsys)[0] == 2
+    assert calls == [["verify", "--n", "2", "--gamma", "0.5", "--bogus"]]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    argv = ["verify", "--n", "2", "--gamma", "0.5"]
+    expected = _outcome(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["duality-lab", *argv])
+    assert _outcome(None, capsys) == expected
+    monkeypatch.setattr(sys, "argv", ["duality-lab", *argv, "--bogus"])
+    code, out, err = _outcome(None, capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("duality-lab: error: unrecognized arguments: --bogus\n")
 
 
 # ----------------------------------------------------------------- campaign
@@ -969,6 +1105,57 @@ def test_output_to_a_missing_directory_or_a_directory_exits_two(capsys, tmp_path
 def test_output_to_dev_null_exits_zero(capsys, argv):
     """/dev/null is seekable but cannot be truncated, so it is written as open writes it."""
     assert _run(capsys, argv + ["--output", "/dev/null"]) == (0, "", "")
+
+
+def _write_through_a_fifo(capsys, fifo, argv):
+    """main's exit code and the bytes a reader thread drains from the FIFO
+    `fifo`, to which main writes. The test holds a write end of its own
+    until main returns, so the reader waits for main's writes and sees the
+    end of them, and hangs on no error of main's."""
+    os.mkfifo(fifo)
+    # a read end opened without blocking lets every write end open at once
+    read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    held = os.open(fifo, os.O_WRONLY)
+    os.set_blocking(read_end, True)
+    chunks = []
+
+    def drain():
+        with open(read_end, "rb") as reader:
+            chunks.extend(iter(lambda: reader.read(1 << 16), b""))
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    try:
+        code = _run(capsys, argv)[0]
+    finally:
+        os.close(held)
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    return code, b"".join(chunks)
+
+
+_PIPED = [
+    pytest.param(_FRINGE + ["--grid-points", "65536"], "", id="fringe-65536"),  # about 2.4 MB
+    pytest.param(["campaign", "--scenario", "mixed_pure", "--n", "3", "--trials", "2000", "--seed", "1"], ".csv",
+                 id="campaign-csv"),
+    pytest.param(_VERIFY, "", id="verify-json"),
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+@pytest.mark.parametrize("short_writes", [False, True], ids=["whole-writes", "short-writes"])
+@pytest.mark.parametrize("argv, suffix", _PIPED)
+def test_output_to_a_fifo_equals_a_file_write(capsys, monkeypatch, tmp_path, argv, suffix, short_writes):
+    """An output written to a FIFO, far beyond a 64 KiB pipe buffer, equals
+    the bytes the same command writes to a regular file; so it does when
+    every write takes at most 4000 bytes, as a pipe may take part of one."""
+    assert _run(capsys, argv + ["--output", str(tmp_path / "file")])[0] == 0
+    if short_writes:
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:4000]))
+    code, piped = _write_through_a_fifo(capsys, tmp_path / f"fifo{suffix}", argv + ["--output", str(tmp_path / "fifo")])
+    assert code == 0
+    assert piped == (tmp_path / f"file{suffix}").read_bytes()
 
 
 # ------------------------------------------------------------ exit codes

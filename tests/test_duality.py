@@ -42,6 +42,7 @@ from duality_lab.states import (
     reduce_quanton,
     reduce_quanton_mixed_detector,
 )
+from test_golden import CAMPAIGNS, VERIFIES
 
 
 def _equal_pure(n):
@@ -624,3 +625,40 @@ def test_report_keys_follow_the_json_order_and_fields_are_builtins():
         assert all(type(v) is float for v in floats)
         assert all(type(v) is bool for v in report.verdicts.values())
         assert type(report.n) is int
+
+
+# ------------------------------------------------------------ JSON formatter
+
+# floats that JSON writes by name, signed zeros, and floats at the edges of repr
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16, -1e16, 1e-7,
+                                2.2250738585072014e-308, 1.7976931348623157e308])
+# any text, and quotes, escapes, controls and non-ASCII text in particular
+_TEXT = st.text(max_size=8) | st.sampled_from(['"', "\\", '"quoted" \\ back', "café", "ρ_d", "\U0001d4d2", "\x00\x1f\x7f",
+                                               " ", "tab\tnew\nline", ""])
+_FORMATTER_LEAF = (st.none() | st.booleans() | st.integers() | st.integers(2**63, 10**400)
+                   | st.integers(-10**400, -2**63) | st.floats() | _EDGE_FLOATS | _TEXT)
+_FORMATTER_VALUE = st.recursive(_FORMATTER_LEAF, lambda inner: st.lists(inner, max_size=4)
+                                | st.lists(inner, max_size=3).map(tuple)
+                                | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=24)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_FORMATTER_VALUE)
+def test_json_formatter_equals_the_stdlib_encoder(value):
+    """The formatter that writes every report and aggregate gives
+    json.dumps(value, indent=2), the stdlib's own indented encoder, char
+    for char."""
+    assert duality._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in {**CAMPAIGNS, **VERIFIES} if not n.endswith("_csv")))
+def test_json_formatter_equals_the_stdlib_encoder_on_every_golden_output(name, tmp_path, monkeypatch, capsys):
+    """Every golden campaign's aggregate and every golden verify's JSON
+    report is what the stdlib encoder writes for the value it holds. JSON
+    reads each of its numbers back exactly, so that value is the one the
+    formatter was given."""
+    monkeypatch.chdir(tmp_path)
+    assert main({**CAMPAIGNS, **VERIFIES}[name]) == 0
+    capsys.readouterr()
+    text = (tmp_path / ("run.json" if name in CAMPAIGNS else "report")).read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
